@@ -3,10 +3,11 @@
 Each iteration evaluates the operator at the current point, runs the
 backtracking line search to obtain (eta, z_hat), applies the extragradient
 mixing step z+ = theta (z - eta F(z_hat)) + (1 - theta) z_hat with
-theta = 1 / (1 + 2 eta mu), and — only when the line search backtracked —
-feeds the model-mismatch loss at the last rejected iterate to the online
-learner.  The monotone mode additionally maintains the eta-weighted average of
-the z_hat iterates.
+theta = 1 / (1 + 2 eta mu), and — only when the line search backtracked and
+its last rejected trial has a finite operator value — feeds the
+model-mismatch loss at that rejected iterate to the online learner.  The
+monotone mode additionally maintains the eta-weighted average of the z_hat
+iterates.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ class Mode(Enum):
     MONOTONE = "monotone"
 
 
+# the c of the step-size floor alpha2 * beta / (c * L1), per mode
+FLOOR_DENOMINATOR = {Mode.STRONGLY_MONOTONE: 7.5, Mode.MONOTONE: 5.0}
+
+
 class CertificateViolation(AssertionError):
     """An in-loop debug certificate failed."""
 
@@ -59,15 +64,14 @@ class SolverConfig:
     debug_certificates: bool = False
 
     def step_size_floor(self, l1: float) -> float:
-        denom = 7.5 if self.mode is Mode.STRONGLY_MONOTONE else 5.0
-        return self.alpha2 * self.beta / (denom * l1)
+        return self.alpha2 * self.beta / (FLOOR_DENOMINATOR[self.mode] * l1)
 
     def effective_sigma0(self, l1: float) -> float:
         return max(self.sigma0, self.step_size_floor(l1))
 
     def eval_budget(self, n_iters: int, sigma0: float, l1: float) -> float:
         """Theory bound on total operator evaluations over n_iters iterations."""
-        denom = 7.5 if self.mode is Mode.STRONGLY_MONOTONE else 5.0
+        denom = FLOOR_DENOMINATOR[self.mode]
         return 3 * n_iters + math.log(denom * sigma0 * l1 / self.alpha2) / math.log(1 / self.beta)
 
 
@@ -76,6 +80,30 @@ def _validate(problem: Problem, config: SolverConfig) -> None:
         raise ValueError("strongly monotone mode requires problem.mu > 0")
     if not (0 < config.p < 1):
         raise ValueError("failure budget p must be in (0, 1)")
+
+
+def _dist(z: np.ndarray, root: np.ndarray | None) -> float:
+    return float(np.linalg.norm(z - root)) if root is not None else math.nan
+
+
+def _finish_trace(
+    trace: RunTrace,
+    problem: Problem,
+    z: np.ndarray,
+    zbar_acc: np.ndarray,
+    eta_sum: float,
+    cum_evals: int,
+    matvecs: int,
+) -> np.ndarray | None:
+    """Record the end of a run (one final evaluation at z); returns z_bar."""
+    trace.z_final = z
+    trace.z_bar = zbar_acc / eta_sum if eta_sum > 0 else None
+    trace.eta_sum = eta_sum
+    trace.final_norm_F = float(np.linalg.norm(problem.eval(z)))
+    trace.final_dist = _dist(z, problem.known_root)
+    trace.total_evals = cum_evals + 1
+    trace.total_matvecs = matvecs
+    return trace.z_bar
 
 
 def solve(
@@ -105,7 +133,6 @@ def solve(
 
     sym_structure = isinstance(problem.structure, Symmetric)
     floor = config.step_size_floor(l1)
-    root = problem.known_root
 
     trace = RunTrace(
         solver="qnpe",
@@ -152,7 +179,7 @@ def solve(
             z, g, b_mv, b_mv_t, sigma, ls_params, problem.eval,
             b_symmetric=sym_structure, matvec_counter=counter,
         )
-        cum_evals += out.operator_evals
+        cum_evals += out.trial_count
 
         eta = out.eta
         theta = 1.0 / (1.0 + 2.0 * eta * mu)
@@ -169,7 +196,7 @@ def solve(
         cond_b_margin = (config.alpha1 + config.alpha2) * sq * step_norm - cond_b_lhs
 
         loss = math.nan
-        if out.backtracked:
+        if out.z_tilde is not None:
             obs = LossObservation(u=out.f_ztilde - g, s=out.z_tilde - z)
             loss = loss_value(b_mat, obs)
             if config.debug_certificates:
@@ -195,7 +222,7 @@ def solve(
                 eta=eta,
                 theta=theta,
                 norm_F=norm_g,
-                dist=float(np.linalg.norm(z - root)) if root is not None else math.nan,
+                dist=_dist(z, problem.known_root),
                 step_norm=step_norm,
                 backtracked=out.backtracked,
                 trials=out.trial_count,
@@ -209,16 +236,7 @@ def solve(
         sigma = eta / config.beta
         z = z_next
 
-    final_g = problem.eval(z)
-    z_bar = zbar_acc / eta_sum if eta_sum > 0 else None
-
-    trace.z_final = z
-    trace.z_bar = z_bar
-    trace.eta_sum = eta_sum
-    trace.final_norm_F = float(np.linalg.norm(final_g))
-    trace.final_dist = float(np.linalg.norm(z - root)) if root is not None else math.nan
-    trace.total_evals = cum_evals + 1
-    trace.total_matvecs = counter.count
+    z_bar = _finish_trace(trace, problem, z, zbar_acc, eta_sum, cum_evals, counter.count)
     return z, (z_bar if config.mode is Mode.MONOTONE else None), trace
 
 
@@ -233,7 +251,6 @@ def extragradient_baseline(
         raise ValueError("step_size must lie in (0, 1/L1]")
     d = problem.dim
     z = np.zeros(d) if z0 is None else np.asarray(z0, dtype=float).copy()
-    root = problem.known_root
     trace = RunTrace(solver="extragradient", z0=z.copy(), meta={"step_size": step_size})
 
     cum_evals = 0
@@ -253,7 +270,7 @@ def extragradient_baseline(
                 eta=step_size,
                 theta=1.0,
                 norm_F=float(np.linalg.norm(g)),
-                dist=float(np.linalg.norm(z - root)) if root is not None else math.nan,
+                dist=_dist(z, problem.known_root),
                 step_norm=float(np.linalg.norm(z_hat - z)),
                 backtracked=False,
                 trials=2,
@@ -266,12 +283,4 @@ def extragradient_baseline(
         )
         z = z_next
 
-    z_bar = zbar_acc / eta_sum if eta_sum > 0 else None
-    trace.z_final = z
-    trace.z_bar = z_bar
-    trace.eta_sum = eta_sum
-    trace.final_norm_F = float(np.linalg.norm(problem.eval(z)))
-    trace.final_dist = float(np.linalg.norm(z - root)) if root is not None else math.nan
-    trace.total_evals = cum_evals + 1
-    trace.total_matvecs = 0
-    return z, z_bar, trace
+    return z, _finish_trace(trace, problem, z, zbar_acc, eta_sum, cum_evals, 0), trace

@@ -4,8 +4,9 @@ The learner maintains an auxiliary matrix W_t inside the Frobenius ball of
 radius R = sqrt(d), plays the structured Jacobian approximation B_t obtained
 from W_t through the separation oracle, and takes an online projected gradient
 step on the surrogate loss after every observation.  Only rounds where the
-outer line search backtracked produce observations; in all other iterations
-the played matrix is simply left unchanged by the caller.
+outer line search backtracked, with a finite last rejected trial, produce
+observations; in all other iterations the played matrix is simply left
+unchanged by the caller.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ class LearnerOption(Enum):
 
 
 DEFAULT_RHO = {LearnerOption.OPTION_I: 1.0 / 121.0, LearnerOption.OPTION_II: 1.0 / 81.0}
+
+B0_CHECK_MAX_DIM = 64  # learner_init checks b0 densely only up to this dimension
 
 
 def failure_schedule(p: float) -> Callable[[int], float]:
@@ -132,11 +135,9 @@ def learner_init(
     params: LearnerParams,
     rng: np.random.Generator,
     matvec_counter: MatvecCounter | None = None,
-    check_threshold: int = 64,
 ) -> LearnerState:
     b0 = np.asarray(b0, dtype=float)
-    d = b0.shape[0]
-    if d <= check_threshold:
+    if b0.shape[0] <= B0_CHECK_MAX_DIM:
         _check_b0_feasible(b0, params)
     w0 = to_hat(b0, params.feasible)
     return LearnerState(
@@ -154,15 +155,13 @@ def observe_loss(state: LearnerState, obs: LossObservation, params: LearnerParam
     """Consume one loss observation for the currently played matrix, take the
     online gradient step, and advance to the next played matrix via the
     separation oracle.  Mutates and returns the state."""
-    d = state.w.shape[0]
     feas = params.feasible
 
     g = project_subspace(feas.structure, loss_gradient(state.b_current, obs)) / feas.l1
     if state.t >= 1 and state.last_sep is not None and state.last_sep.case is SepCase.CASE_II:
         sep = state.last_sep
-        s_mat = sep.s_dense(d)
         coeff = max(0.0, -float(np.tensordot(g, state.w, axes=2)) / sep.gamma)
-        g_tilde = g + coeff * s_mat
+        g_tilde = g + coeff * sep.s
     else:
         g_tilde = g
 
@@ -208,45 +207,3 @@ def current_matrix(
         b_sp_t = sp.csr_array(b.T)
         return b, (lambda v: b_sp @ v), (lambda v: b_sp_t @ v)
     return b, (lambda v: b @ v), (lambda v: b.T @ v)
-
-
-def snapshot(state: LearnerState) -> dict:
-    """Serializable snapshot for reproducible resume."""
-    sep = None
-    if state.last_sep is not None:
-        sep = {
-            "gamma": state.last_sep.gamma,
-            "case": state.last_sep.case.value,
-            "s": state.last_sep.s_dense(state.w.shape[0]).tolist(),
-        }
-    return {
-        "t": state.t,
-        "w": state.w.tolist(),
-        "b": state.b_current.tolist(),
-        "last_sep": sep,
-        "last_delta": state.last_delta,
-        "rng_state": state.rng.bit_generator.state,
-        "sep_calls": state.sep_calls,
-    }
-
-
-def restore(snap: dict, params: LearnerParams) -> LearnerState:
-    rng = np.random.default_rng()
-    rng.bit_generator.state = snap["rng_state"]
-    sep = None
-    if snap.get("last_sep") is not None:
-        raw = snap["last_sep"]
-        sep = SepResult(
-            gamma=raw["gamma"],
-            case=SepCase(raw["case"]),
-            s_matrix=np.array(raw["s"], dtype=float),
-        )
-    return LearnerState(
-        t=snap["t"],
-        w=np.array(snap["w"], dtype=float),
-        b_current=np.array(snap["b"], dtype=float),
-        last_sep=sep,
-        last_delta=snap["last_delta"],
-        rng=rng,
-        sep_calls=snap.get("sep_calls", 0),
-    )

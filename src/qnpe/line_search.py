@@ -7,7 +7,8 @@ satisfies the two acceptance conditions
 Condition (A) is met by driving the inner Krylov solve of
 (I + eta B) s = -eta g to relative residual alpha1 sqrt(1 + eta mu); the trial
 step is accepted once (B) holds, otherwise eta is multiplied by beta and the
-rejected iterate is retained (it feeds the learner's loss observation).
+rejected iterate is retained (it feeds the learner's loss observation) unless
+its operator value is non-finite.
 """
 
 from __future__ import annotations
@@ -63,12 +64,9 @@ class LineSearchOutcome:
     z_hat: np.ndarray
     backtracked: bool
     z_tilde: np.ndarray | None
-    trial_count: int
-    operator_evals: int
+    trial_count: int  # one operator evaluation per trial
     f_zhat: np.ndarray
     f_ztilde: np.ndarray | None
-    inner_iterations: int
-    inner_matvecs: int
 
 
 def backtrack(
@@ -95,8 +93,6 @@ def backtrack(
     eta = sigma
     z_tilde: np.ndarray | None = None
     f_ztilde: np.ndarray | None = None
-    inner_iters = 0
-    inner_mv = 0
     for trial in range(1, params.max_backtracks + 1):
         rho_tol = params.alpha1 * math.sqrt(1.0 + eta * params.mu)
         if rho_tol == 0.0:
@@ -114,8 +110,6 @@ def backtrack(
                 f"inner linear solve did not reach tolerance at eta={eta:.3e} "
                 f"(residual {report.residual_norm:.3e})"
             )
-        inner_iters += report.iterations
-        inner_mv += report.matvecs
         s = report.solution
         z_hat = z + s
         f_zhat = f_eval(z_hat)
@@ -128,14 +122,13 @@ def backtrack(
                 backtracked=trial > 1,
                 z_tilde=z_tilde,
                 trial_count=trial,
-                operator_evals=trial,
                 f_zhat=f_zhat,
                 f_ztilde=f_ztilde,
-                inner_iterations=inner_iters,
-                inner_matvecs=inner_mv,
             )
-        z_tilde = z_hat
-        f_ztilde = f_zhat
+        # a non-finite trial is rejected but yields no loss observation, and
+        # so no backtracking lower bound on the accepted step size
+        finite = np.all(np.isfinite(f_zhat))
+        z_tilde, f_ztilde = (z_hat, f_zhat) if finite else (None, None)
         eta *= params.beta
 
     raise LineSearchError(

@@ -120,8 +120,6 @@ def sep_feasible(
         matvec_counter=matvec_counter,
     )
     chosen = r1 if r1.gamma >= r2.gamma else r2
-    if chosen.case is SepCase.CASE_I:
-        return SepResult(gamma=chosen.gamma, case=SepCase.CASE_I)
-    # the projection of a rank-one S is rank-two (or masked), so densify it
-    s_proj = project_subspace(params.structure, chosen.s_dense(d))
-    return SepResult(gamma=chosen.gamma, case=SepCase.CASE_II, s_matrix=s_proj)
+    if chosen.case is SepCase.CASE_II:
+        chosen.s = project_subspace(params.structure, chosen.s)
+    return chosen

@@ -29,26 +29,13 @@ class SepCase(Enum):
 class SepResult:
     """Output (gamma, S) of an approximate separation oracle.
 
-    Case I (gamma <= 1) certifies approximate feasibility and carries S = 0.
-    Case II carries a separating matrix with ||S||_F <= 1, stored as rank-one
-    factors: S = scale * left @ right.T.
+    Case I (gamma <= 1) certifies approximate feasibility and carries no S.
+    Case II carries the dense separating matrix S with ||S||_F <= 1.
     """
 
     gamma: float
     case: SepCase
-    # rank-one factorization of S; None in Case I
-    s_left: np.ndarray | None = None
-    s_right: np.ndarray | None = None
-    s_scale: float = 1.0
-    # densified (e.g. subspace-projected) S overriding the factored form
-    s_matrix: np.ndarray | None = None
-
-    def s_dense(self, d: int) -> np.ndarray:
-        if self.s_matrix is not None:
-            return self.s_matrix
-        if self.case is SepCase.CASE_I or self.s_left is None:
-            return np.zeros((d, d))
-        return self.s_scale * np.outer(self.s_left, self.s_right)
+    s: np.ndarray | None = None  # None in Case I
 
 
 @dataclass
@@ -65,12 +52,11 @@ def lanczos(
     d: int,
     n_steps: int,
     rng: np.random.Generator,
-    reorthogonalize: bool = True,
 ) -> LanczosResult:
     """Lanczos three-term recurrence on a symmetric operator with a start
     vector drawn uniformly from the unit sphere.
 
-    Full reorthogonalization is on by default; the step count is small, and
+    Every step is fully reorthogonalized; the step count is small, and
     orthogonality loss would silently void the randomized guarantee.  Stops
     early (broke_down=True) when the new off-diagonal is negligible relative
     to a running norm estimate, in which case the Krylov space is invariant
@@ -96,8 +82,7 @@ def lanczos(
             raise FloatingPointError("NaN/Inf in Lanczos recurrence")
         alpha = float(w @ v)
         w = w - alpha * v
-        if reorthogonalize:
-            w -= basis[:, : k + 1] @ (basis[:, : k + 1].T @ w)
+        w -= basis[:, : k + 1] @ (basis[:, : k + 1].T @ w)
         alphas[k] = alpha
         steps = k + 1
         norm_estimate = max(norm_estimate, abs(alpha) + abs(beta))
@@ -151,7 +136,6 @@ def ext_evec(
     rng: np.random.Generator,
     symmetric: bool = False,
     matvec_counter: MatvecCounter | None = None,
-    reorthogonalize: bool = True,
 ) -> SepResult:
     """Approximate extreme-eigenvalue separation oracle for the symmetrized
     input sym(W) = (W + W^T)/2.
@@ -177,7 +161,7 @@ def ext_evec(
             counter.add(2)
             return 0.5 * (w_apply(v) + w_apply_t(v))
 
-    res = lanczos(apply_sym, d, n_steps, rng, reorthogonalize=reorthogonalize)
+    res = lanczos(apply_sym, d, n_steps, rng)
     lam_max, z_max, lam_min, z_min = tridiag_extreme_eigs(res.alphas, res.betas)
     gamma = max(lam_max, -lam_min)
     if gamma <= 1.0:
@@ -191,7 +175,7 @@ def ext_evec(
     nrm = np.linalg.norm(u)
     if nrm > 1.0:  # guard rounding so ||S||_F <= 1 holds exactly
         u = u / nrm
-    return SepResult(gamma=gamma, case=SepCase.CASE_II, s_left=sign * u, s_right=u, s_scale=1.0)
+    return SepResult(gamma=gamma, case=SepCase.CASE_II, s=np.outer(sign * u, u))
 
 
 def max_svec(
@@ -202,7 +186,6 @@ def max_svec(
     q: float,
     rng: np.random.Generator,
     matvec_counter: MatvecCounter | None = None,
-    reorthogonalize: bool = True,
 ) -> SepResult:
     """Approximate maximum-singular-triplet separation oracle.
 
@@ -222,7 +205,7 @@ def max_svec(
         counter.add(2)
         return np.concatenate([w_apply(x[d:]), w_apply_t(x[:d])])
 
-    res = lanczos(apply_aug, 2 * d, n_steps, rng, reorthogonalize=reorthogonalize)
+    res = lanczos(apply_aug, 2 * d, n_steps, rng)
     lam_max, z_max, _, _ = tridiag_extreme_eigs(res.alphas, res.betas)
     gamma = lam_max / 3.0
     if gamma <= 1.0:
@@ -232,4 +215,4 @@ def max_svec(
     if nrm > 1.0:
         v_tilde = v_tilde / nrm
     a, b = v_tilde[:d], v_tilde[d:]
-    return SepResult(gamma=gamma, case=SepCase.CASE_II, s_left=a, s_right=b, s_scale=2.0 / 3.0)
+    return SepResult(gamma=gamma, case=SepCase.CASE_II, s=(2.0 / 3.0) * np.outer(a, b))

@@ -2,6 +2,7 @@
 re-verification."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -100,6 +101,27 @@ def test_debug_certificates_clean_run():
     p = make_quadratic_min(8, 0.2, 1.0, seed=6)
     _, _, trace = solve(p, sm_config(debug_certificates=True), z0=p.known_root + 1.0)
     assert trace.final_norm_F <= 1e-10
+
+
+def test_non_finite_rejected_trial_is_not_observed():
+    # F is NaN on the last rejected trial of the first backtracked iteration:
+    # that trial is rejected and the learner gets no observation from it
+    p = make_quadratic_min(20, 0.2, 1.0, seed=1)
+    z0 = p.known_root + np.random.default_rng(0).standard_normal(20)
+    row = next(r for r in solve(p, sm_config(), z0=z0)[2].rows if r.backtracked)
+    assert math.isfinite(row.loss)
+    calls = [0]
+
+    def f(z):
+        calls[0] += 1
+        return np.full_like(z, np.nan) if calls[0] == row.cum_evals - 1 else p.eval(z)
+
+    config = sm_config(debug_certificates=True)
+    _, _, trace = solve(dataclasses.replace(p, eval=f), config, z0=z0)
+    poisoned = trace.rows[row.k]
+    assert poisoned.backtracked and poisoned.trials == row.trials
+    assert math.isnan(poisoned.loss)
+    assert verify_iteration_certificates(trace, p, config).all_passed
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Online learner: loss/gradient identities, the update rule, feasibility of
-every played matrix, and snapshot/restore determinism."""
+"""Online learner: loss/gradient identities, the update rule, and feasibility
+of every played matrix."""
 
 import math
 
@@ -22,7 +22,7 @@ from qnpe import (
     loss_value,
     observe_loss,
 )
-from qnpe.learner import DEFAULT_RHO, failure_schedule, restore, snapshot
+from qnpe.learner import DEFAULT_RHO, failure_schedule
 
 
 def make_params(option, mu, l1, d, structure=None, rho=None):
@@ -207,21 +207,3 @@ def test_played_matrices_stay_feasible_option_two():
         assert np.linalg.eigvalsh(0.5 * (b + b.T))[0] >= -1e-8 * l1
         assert np.linalg.norm(b, 2) <= 4.0 * l1 + 1e-9
         assert np.array_equal(b, sgn[:, None] * b.T * sgn[None, :])
-
-
-def test_snapshot_restore_resumes_identically():
-    rng = np.random.default_rng(9)
-    params = make_params(LearnerOption.OPTION_I, mu=0.2, l1=1.0, d=6)
-    state = learner_init(1.2 * np.eye(6), params, rng)
-    observations = [random_obs(np.random.default_rng(100 + i), 6) for i in range(6)]
-    for obs in observations[:3]:
-        observe_loss(state, obs, params)
-    snap = snapshot(state)
-    for obs in observations[3:]:
-        observe_loss(state, obs, params)
-    resumed = restore(snap, params)
-    for obs in observations[3:]:
-        observe_loss(resumed, obs, params)
-    assert np.array_equal(resumed.w, state.w)
-    assert np.array_equal(resumed.b_current, state.b_current)
-    assert resumed.t == state.t

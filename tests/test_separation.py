@@ -164,7 +164,7 @@ def test_sep_feasible_skew_triggers_operator_norm_branch():
     res = sep_feasible(w, 0.25, 0.01, params, rng)
     assert res.case is SepCase.CASE_II
     assert abs(res.gamma - 5.0 / 3.0) <= 1e-6
-    s = res.s_dense(8)
+    s = res.s
     assert np.linalg.norm(s) <= 1.0 + 1e-12
     assert np.tensordot(s, w, axes=2) >= res.gamma - 1e-8
 
@@ -190,7 +190,7 @@ def test_sep_feasible_case_two_scaled_point_is_feasible(structure):
     eigs = np.linalg.eigvalsh(0.5 * (scaled + scaled.T))
     assert eigs[0] >= -(1 + delta) - 1e-8 and eigs[-1] <= (1 + delta) + 1e-8
     assert np.linalg.svd(scaled, compute_uv=False)[0] <= 3 * (1 + delta) + 1e-8
-    s = res.s_dense(d)
+    s = res.s
     # separator returned inside the structural subspace, exactly
     assert np.array_equal(project_subspace(structure, s), s)
     assert np.linalg.norm(s) <= 1.0 + 1e-12

@@ -82,7 +82,7 @@ def test_ext_evec_scaled_identity_separates():
                    rng=np.random.default_rng(4), symmetric=True)
     assert res.case is SepCase.CASE_II
     assert abs(res.gamma - 2.0) <= 1e-10
-    s = res.s_dense(6)
+    s = res.s
     assert np.linalg.norm(s) <= 1.0 + 1e-12
     assert abs(np.tensordot(s, 2.0 * np.eye(6), axes=2) - 2.0) <= 1e-10
 
@@ -95,7 +95,7 @@ def test_ext_evec_case_two_separating_hyperplane():
     res = ext_evec(lambda v: w @ v, lambda v: w @ v, d=10, delta=0.25, q=0.01,
                    rng=rng, symmetric=True)
     assert res.case is SepCase.CASE_II
-    s = res.s_dense(10)
+    s = res.s
     # S separates W from everything whose symmetric part fits the unit interval
     for _ in range(100):
         b = rng.standard_normal((10, 10))
@@ -133,7 +133,7 @@ def test_max_svec_rank_one_matrix():
                    rng=np.random.default_rng(8))
     assert res.case is SepCase.CASE_II
     assert abs(res.gamma - 2.0) <= 1e-8
-    s = res.s_dense(5)
+    s = res.s
     assert np.linalg.norm(s) <= 1.0 + 1e-12
     assert abs(np.tensordot(s, w, axes=2) - res.gamma) <= 1e-8
 
@@ -145,7 +145,7 @@ def test_max_svec_alignment_on_random_matrix():
     res = max_svec(lambda v: w @ v, lambda v: w.T @ v, d=12, delta=0.25, q=0.01, rng=rng)
     assert res.case is SepCase.CASE_II
     assert res.gamma <= 3.0 + 1e-10  # Ritz value never exceeds the true one
-    assert abs(np.tensordot(res.s_dense(12), w, axes=2) - res.gamma) <= 1e-8
+    assert abs(np.tensordot(res.s, w, axes=2) - res.gamma) <= 1e-8
 
 
 def test_oracle_argument_validation():
