@@ -61,6 +61,7 @@ class ConfigError(ValueError):
 class RunSpec:
     run_id: str
     problem_desc: dict
+    problem: Problem  # built once per descriptor and shared by its runs
     solver_desc: dict
     rep: int
     seed_override: int | None
@@ -143,7 +144,7 @@ def _default_gap_spec(problem: Problem):
 
 
 def _execute_run(spec: RunSpec) -> dict:
-    problem = _build_problem(spec.problem_desc)
+    problem = spec.problem
     base_seed = spec.seed_override if spec.seed_override is not None else spec.problem_desc.get("seed", 0)
     run_seed = base_seed + spec.rep
     solver = spec.solver_desc
@@ -222,6 +223,7 @@ def _make_specs(cfg: dict, seed_override: int | None, debug: bool) -> list[RunSp
     specs = []
     reps = cfg.get("repetitions", 1)
     for pi, pdesc in enumerate(cfg["problems"]):
+        problem = _build_problem(pdesc)
         for si, sdesc in enumerate(cfg["solvers"]):
             name = sdesc.get("name", "qnpe")
             for rep in range(reps):
@@ -229,6 +231,7 @@ def _make_specs(cfg: dict, seed_override: int | None, debug: bool) -> list[RunSp
                     RunSpec(
                         run_id=f"run_p{pi}_{name}{si}_rep{rep}",
                         problem_desc=pdesc,
+                        problem=problem,
                         solver_desc=sdesc,
                         rep=rep,
                         seed_override=seed_override,
@@ -251,9 +254,8 @@ def cmd_run(config_path: str, out_dir: str, seed: int | None, threads: int, debu
         specs = _make_specs(cfg, seed, debug)
         # validate every pair before running anything
         for spec in specs:
-            problem = _build_problem(spec.problem_desc)
             if spec.solver_desc.get("name", "qnpe") == "qnpe":
-                _solver_config(spec.solver_desc, problem, 0, debug)
+                _solver_config(spec.solver_desc, spec.problem, 0, debug)
             elif spec.solver_desc.get("name") != "eg":
                 raise ConfigError(f"unknown solver name {spec.solver_desc.get('name')!r}")
     except ConfigError as exc:
@@ -346,16 +348,14 @@ def cmd_compare(config_path: str, out_dir: str, seed: int | None, threads: int, 
     csv_lines = ["run_id,solver,epsilon,iterations,operator_evals,matvecs"]
     txt_lines = [f"{'run':28s} {'solver':8s} {'eps':>8s} {'iters':>8s} {'evals':>8s} {'matvecs':>8s}"]
     for r in rows:
+        costs = [r[c] for c in ("iterations", "operator_evals", "matvecs")]
         csv_lines.append(
             f"{r['run_id']},{r['solver']},{r['epsilon']:g},"
-            f"{'' if r['iterations'] is None else r['iterations']},"
-            f"{'' if r['operator_evals'] is None else r['operator_evals']},"
-            f"{'' if r['matvecs'] is None else r['matvecs']}"
+            + ",".join("" if c is None else str(c) for c in costs)
         )
         txt_lines.append(
             f"{r['run_id']:28s} {r['solver']:8s} {r['epsilon']:>8g} "
-            f"{str(r['iterations'] or '-'):>8s} {str(r['operator_evals'] or '-'):>8s} "
-            f"{str(r['matvecs'] or '-'):>8s}"
+            + " ".join(f"{'-' if c is None else c:>8}" for c in costs)
         )
     (out / "compare.csv").write_text("\n".join(csv_lines) + "\n")
     (out / "compare.txt").write_text("\n".join(txt_lines) + "\n")
@@ -373,6 +373,7 @@ def cmd_verify(trace_dir: str) -> int:
         return EXIT_CONFIG
 
     any_fail = False
+    problems: dict[str, Problem] = {}  # one build per distinct descriptor
     for sidecar_path in sidecars:
         try:
             sidecar = json.loads(sidecar_path.read_text())
@@ -391,8 +392,11 @@ def cmd_verify(trace_dir: str) -> int:
         trace.final_norm_F = sidecar["final_norm_F"]
         trace.final_dist = sidecar["final_dist"]
 
+        key = json.dumps(sidecar["problem"], sort_keys=True)
         try:
-            problem = _build_problem(sidecar["problem"])
+            if key not in problems:
+                problems[key] = _build_problem(sidecar["problem"])
+            problem = problems[key]
             config = _solver_config(sidecar["solver_desc"], problem, sidecar["seed"], False)
         except ConfigError as exc:
             print(f"bad sidecar {sidecar_path.name}: {exc}", file=sys.stderr)

@@ -149,6 +149,30 @@ def test_compare_produces_report(tmp_path):
     assert (out / "compare.txt").is_file()
     text = (out / "compare.csv").read_text()
     assert "1e-06" in text or "1e-6" in text
+    # EG reaches every target with no matvecs: 0 is shown as 0, not as the
+    # '-' that means "not reached"
+    eg_rows = [ln.split() for ln in (out / "compare.txt").read_text().splitlines()[1:]
+               if ln.split()[1] == "eg"]
+    assert len(eg_rows) == 3 and all(r[-1] == "0" for r in eg_rows)
+
+
+def test_problems_built_once_per_descriptor(tmp_path, monkeypatch):
+    import qnpe.cli
+
+    calls = []
+    build = qnpe.cli.problem_from_descriptor
+    monkeypatch.setattr(qnpe.cli, "problem_from_descriptor",
+                        lambda desc: calls.append(desc) or build(desc))
+    cfg = dict(BASIC, solvers=[
+        {"name": "qnpe", "mode": "strongly_monotone", "max_iterations": 20},
+        {"name": "eg", "step_size": 0.5, "n_iters": 20},
+    ])
+    path = write_config(tmp_path / "cfg.json", cfg)
+    assert qnpe.cli.cmd_run(path, str(tmp_path / "o"), None, 1, False) == 0
+    assert len(calls) == 1  # P=1 problem, S=2 solvers, R=2 repetitions
+    calls.clear()
+    assert qnpe.cli.cmd_verify(str(tmp_path / "o")) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("log_level", ["DEBUG", "WARNING"])
