@@ -46,7 +46,10 @@ PROBLEMS = {
     "logsumexp": lambda: make_logsumexp_min(20, 200, mu=0.05, smoothing=0.5, seed=3),
     "sparse": lambda: make_sparse_equation(40, 3, 0.1, 1.5, seed=9),
     "bilinear": lambda: make_bilinear_minimax(15, 15, 0.0, 1.0, seed=5),
+    "sparse100": lambda: make_sparse_equation(100, 3, 0.1, 1.5, seed=9),
+    "quadratic100": lambda: make_quadratic_min(100, 0.1, 1.0, seed=4),
 }
+EG_FAMILIES = ["quadratic", "logsumexp", "sparse", "bilinear"]
 
 # case -> (problem, mode, extra SolverConfig keyword arguments)
 QNPE_CASES = {
@@ -56,8 +59,12 @@ QNPE_CASES = {
     "sparse_debug": ("sparse", Mode.STRONGLY_MONOTONE, {"debug_certificates": True}),
     "bilinear_monotone": ("bilinear", Mode.MONOTONE, {}),
     "bilinear_monotone_rho": ("bilinear", Mode.MONOTONE, {"rho": 0.5}),
+    # above d = 64, where learner_init used to skip every b0 check
+    "sparse_d100": ("sparse100", Mode.STRONGLY_MONOTONE,
+                    {"debug_certificates": True, "max_iterations": 60}),
+    "quadratic_d100": ("quadratic100", Mode.STRONGLY_MONOTONE, {"rho": 0.5, "max_iterations": 60}),
 }
-CASES = list(QNPE_CASES) + [f"eg_{family}" for family in PROBLEMS]
+CASES = list(QNPE_CASES) + [f"eg_{family}" for family in EG_FAMILIES]
 
 TOTALS_HEADER = (
     "case,iterations,case_ii,final_norm_F,final_dist,eta_sum,"
@@ -96,7 +103,7 @@ def run_case(name: str) -> tuple[RunTrace, int]:
         return trace, 0
     family, mode, kwargs = QNPE_CASES[name]
     problem = PROBLEMS[family]()
-    config = SolverConfig(mode=mode, max_iterations=ITERATIONS, **kwargs)
+    config = SolverConfig(mode=mode, **{"max_iterations": ITERATIONS, **kwargs})
     with _count_case_ii() as count:
         _, _, trace = solve(problem, config, z0=_z0(problem))
     return trace, count[0]
