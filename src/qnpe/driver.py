@@ -24,13 +24,12 @@ from .learner import (
     LossObservation,
     current_matrix,
     learner_init,
-    loss_value,
     observe_loss,
 )
 from .linear_solver import MatvecCounter
 from .line_search import LineSearchParams, backtrack, default_max_backtracks
 from .problems import Problem, Symmetric
-from .separation import FeasibleSetParams
+from .separation import FeasibleSetParams, subspace_residual
 from .trace import RunTrace, TraceRow
 
 
@@ -198,17 +197,20 @@ def solve(
         loss = math.nan
         if out.z_tilde is not None:
             obs = LossObservation(u=out.f_ztilde - g, s=out.z_tilde - z)
-            loss = loss_value(b_mat, obs)
+            resid = obs.u - b_mat @ obs.s  # shared with the learner
+            loss = float(resid @ resid) / float(obs.s @ obs.s)
             if config.debug_certificates:
                 # backtracking lower-bound certificate on the accepted step
-                denom = float(np.linalg.norm(obs.u - b_mat @ obs.s))
+                denom = float(np.linalg.norm(resid))
                 if denom > 0:
                     bound = config.alpha2 * config.beta * float(np.linalg.norm(obs.s)) / denom
                     if eta <= bound * (1 - 1e-10):
                         raise CertificateViolation(
                             f"step size {eta:.3e} below backtracking bound {bound:.3e}"
                         )
-            observe_loss(state, obs, lparams)
+            observe_loss(state, obs, lparams, resid=resid)
+            if config.debug_certificates and subspace_residual(problem.structure, state.w) > 1e-10:
+                raise CertificateViolation(f"iteration {k}: learner iterate W left the subspace")
 
         if config.debug_certificates:
             if cond_b_margin < -1e-9 * max(1.0, step_norm):

@@ -17,11 +17,11 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linear_solver import MatvecCounter
-from .problems import Sparse, Symmetric
-from .separation import FeasibleSetParams, from_hat, project_subspace, sep_feasible, to_hat
+from .problems import JSymmetric, Sparse, StructureSpec, Symmetric
+from .separation import (FeasibleSetParams, from_hat, pattern_index, pattern_matvecs,
+                         sep_feasible, subspace_residual, to_hat)
 from .spectral import SepCase, SepResult
 
 
@@ -32,7 +32,7 @@ class LearnerOption(Enum):
 
 DEFAULT_RHO = {LearnerOption.OPTION_I: 1.0 / 121.0, LearnerOption.OPTION_II: 1.0 / 81.0}
 
-B0_CHECK_MAX_DIM = 64  # learner_init checks b0 densely only up to this dimension
+B0_CHECK_MAX_DIM = 64  # learner_init checks b0's spectrum only up to this dimension
 
 
 def failure_schedule(p: float) -> Callable[[int], float]:
@@ -103,6 +103,35 @@ def loss_gradient(b: np.ndarray, obs: LossObservation) -> np.ndarray:
     return -2.0 * np.outer(obs.u - b @ obs.s, obs.s) / s2
 
 
+def projected_gradient(
+    structure: StructureSpec, resid: np.ndarray, s: np.ndarray, l1: float, out: np.ndarray,
+    work: np.ndarray,
+) -> np.ndarray:
+    """project_subspace(structure, loss_gradient(B, obs)) / l1, bit for bit,
+    from resid = u - B s and s, written into `out` with `work` as scratch.
+    Symmetrization adds a contiguous outer(s, resid) instead of a transpose.
+    Sparse gathers over the pattern and leaves `out` off it as it is: zero."""
+    s2 = float(s @ s)
+    if isinstance(structure, Sparse):
+        rows, cols, flat, _ = pattern_index(structure.pattern, len(s))
+        np.put(out, flat, -2.0 * (resid[rows] * s[cols]) / s2 / l1)
+        return out
+    np.outer(resid, s, out=out)
+    out *= -2.0
+    out /= s2
+    if isinstance(structure, (Symmetric, JSymmetric)):
+        np.outer(s, resid, out=work)
+        work *= -2.0
+        work /= s2
+        if isinstance(structure, JSymmetric):  # J W^T J: negate the off-diagonal blocks
+            work[: structure.m, structure.m :] *= -1.0
+            work[structure.m :, : structure.m] *= -1.0
+        out += work
+        out *= 0.5
+    out /= l1
+    return out
+
+
 @dataclass
 class LearnerState:
     t: int
@@ -111,23 +140,10 @@ class LearnerState:
     last_sep: SepResult | None
     last_delta: float
     rng: np.random.Generator
+    grad: np.ndarray  # d x d buffer of the projected loss gradient
+    work: np.ndarray  # d x d scratch
     matvec_counter: MatvecCounter = field(default_factory=MatvecCounter)
     sep_calls: int = 0
-
-
-def _check_b0_feasible(b0: np.ndarray, params: LearnerParams, tol: float = 1e-8) -> None:
-    """Dense check that the transformed initial matrix lies in the recentered
-    feasible set (eigenvalues of the symmetric part in [-1, 1], operator norm
-    at most 3, structural residual zero)."""
-    b_hat = to_hat(b0, params.feasible)
-    if np.max(np.abs(project_subspace(params.feasible.structure, b_hat) - b_hat)) > tol:
-        raise ValueError("initial matrix violates the structural subspace")
-    sym = 0.5 * (b_hat + b_hat.T)
-    eigs = np.linalg.eigvalsh(sym)
-    if eigs[0] < -1 - tol or eigs[-1] > 1 + tol:
-        raise ValueError("initial matrix violates the spectral constraint")
-    if np.linalg.norm(b_hat, 2) > 3 + tol:
-        raise ValueError("initial matrix violates the operator-norm constraint")
 
 
 def learner_init(
@@ -136,10 +152,19 @@ def learner_init(
     rng: np.random.Generator,
     matvec_counter: MatvecCounter | None = None,
 ) -> LearnerState:
+    """Start at W_0 = to_hat(b0), which must lie in the structural subspace
+    (checked at every d; the updates keep W there).  The spectral check on b0
+    runs only up to B0_CHECK_MAX_DIM."""
     b0 = np.asarray(b0, dtype=float)
-    if b0.shape[0] <= B0_CHECK_MAX_DIM:
-        _check_b0_feasible(b0, params)
     w0 = to_hat(b0, params.feasible)
+    if subspace_residual(params.feasible.structure, w0) > 1e-8:
+        raise ValueError("initial matrix violates the structural subspace")
+    if b0.shape[0] <= B0_CHECK_MAX_DIM:  # the recentered set: sym part in [-1, 1], norm <= 3
+        eigs = np.linalg.eigvalsh(0.5 * (w0 + w0.T))
+        if eigs[0] < -1 - 1e-8 or eigs[-1] > 1 + 1e-8:
+            raise ValueError("initial matrix violates the spectral constraint")
+        if np.linalg.norm(w0, 2) > 3 + 1e-8:
+            raise ValueError("initial matrix violates the operator-norm constraint")
     return LearnerState(
         t=0,
         w=w0,
@@ -147,46 +172,48 @@ def learner_init(
         last_sep=None,
         last_delta=params.delta_schedule(0),
         rng=rng,
+        grad=np.zeros_like(w0), work=np.zeros_like(w0),
         matvec_counter=matvec_counter if matvec_counter is not None else MatvecCounter(),
     )
 
 
-def observe_loss(state: LearnerState, obs: LossObservation, params: LearnerParams) -> LearnerState:
+def observe_loss(
+    state: LearnerState, obs: LossObservation, params: LearnerParams,
+    resid: np.ndarray | None = None,
+) -> LearnerState:
     """Consume one loss observation for the currently played matrix, take the
     online gradient step, and advance to the next played matrix via the
-    separation oracle.  Mutates and returns the state."""
+    separation oracle.  `resid` is u - B s when the caller has it.  Mutates
+    and returns the state, updating W and B in place."""
     feas = params.feasible
+    if resid is None:
+        resid = obs.u - state.b_current @ obs.s
 
-    g = project_subspace(feas.structure, loss_gradient(state.b_current, obs)) / feas.l1
+    g = projected_gradient(feas.structure, resid, obs.s, feas.l1, state.grad, state.work)
     if state.t >= 1 and state.last_sep is not None and state.last_sep.case is SepCase.CASE_II:
         sep = state.last_sep
         coeff = max(0.0, -float(np.tensordot(g, state.w, axes=2)) / sep.gamma)
-        g_tilde = g + coeff * sep.s
-    else:
-        g_tilde = g
+        g += np.multiply(coeff, sep.s, out=state.work)
 
-    w_next = state.w - params.rho * g_tilde
-    nrm = np.linalg.norm(w_next)
+    w = state.w
+    g *= params.rho
+    w -= g
+    nrm = np.linalg.norm(w)
     if nrm > params.radius:
-        w_next = w_next * (params.radius / nrm)
+        w *= params.radius / nrm
 
     t_next = state.t + 1
     delta = params.delta_schedule(t_next)
     q = params.failure_schedule(t_next)
-    sep = sep_feasible(
-        w_next, delta, q, feas, state.rng, matvec_counter=state.matvec_counter
-    )
+    sep = sep_feasible(w, delta, q, feas, state.rng, matvec_counter=state.matvec_counter)
     state.sep_calls += 1
 
-    if sep.case is SepCase.CASE_I:
-        b_hat = w_next if params.option is LearnerOption.OPTION_I else w_next / (1.0 + delta)
-    else:
-        scale = sep.gamma if params.option is LearnerOption.OPTION_I else (1.0 + delta) * sep.gamma
-        b_hat = w_next / scale
+    gamma = 1.0 if sep.case is SepCase.CASE_I else sep.gamma
+    scale = gamma if params.option is LearnerOption.OPTION_I else (1.0 + delta) * gamma
+    b = state.b_current
+    from_hat(w if scale == 1.0 else np.divide(w, scale, out=b), feas, out=b)
 
     state.t = t_next
-    state.w = w_next
-    state.b_current = from_hat(b_hat, feas)
     state.last_sep = sep
     state.last_delta = delta
     return state
@@ -196,14 +223,12 @@ def current_matrix(
     state: LearnerState, params: LearnerParams
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
     """The played matrix plus structure-aware matvec closures (v -> B v and
-    v -> B^T v)."""
+    v -> B^T v).  B is updated in place by the next observe_loss."""
     b = state.b_current
     structure = params.feasible.structure
     if isinstance(structure, Symmetric):
         apply = lambda v: b @ v
         return b, apply, apply
     if isinstance(structure, Sparse):
-        b_sp = sp.csr_array(b)
-        b_sp_t = sp.csr_array(b.T)
-        return b, (lambda v: b_sp @ v), (lambda v: b_sp_t @ v)
+        return b, *pattern_matvecs(structure.pattern, b)
     return b, (lambda v: b @ v), (lambda v: b.T @ v)

@@ -4,9 +4,12 @@ Jacobian structure, and the composed approximate separation oracle."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .linear_solver import MatvecCounter
 from .problems import JSymmetric, Sparse, StructureSpec, Symmetric
@@ -28,12 +31,27 @@ def _j_signs(m: int, n: int) -> np.ndarray:
     return np.concatenate([np.ones(m), -np.ones(n)])
 
 
-def sparse_mask(pattern: frozenset, d: int) -> np.ndarray:
-    mask = np.zeros((d, d), dtype=bool)
-    np.fill_diagonal(mask, True)
-    for (i, j) in pattern:
-        mask[i, j] = True
-    return mask
+@functools.lru_cache(maxsize=8)
+def pattern_index(pattern: frozenset, d: int) -> tuple[np.ndarray, ...]:
+    """(rows, cols, flat, indptr) of the pattern plus the diagonal in row-major
+    order: flat = rows * d + cols indexes the raveled matrix, indptr is CSR's."""
+    pairs = np.array(list(pattern), dtype=np.int64).reshape(-1, 2)
+    flat = np.unique(np.concatenate([np.arange(d) * (d + 1), pairs[:, 0] * d + pairs[:, 1]]))
+    rows, cols = (a.astype(np.int32) for a in np.divmod(flat, d))
+    index = rows, cols, flat, np.searchsorted(rows, np.arange(d + 1)).astype(np.int32)
+    for a in index:  # cached and shared by every caller
+        a.flags.writeable = False
+    return index
+
+
+def pattern_matvecs(pattern: frozenset, b: np.ndarray) -> tuple[Callable, Callable]:
+    """v -> B v and v -> B^T v through the CSR matrix gathered from the dense
+    B, which must vanish off the pattern.  Its explicit zeros leave every
+    product bitwise equal to sp.csr_array(b) @ v or sp.csr_array(b.T) @ v."""
+    _, cols, flat, indptr = pattern_index(pattern, b.shape[0])
+    m = sp.csr_array((b.take(flat), cols, indptr), shape=b.shape)
+    m_t = m.T  # CSC on the same arrays
+    return (lambda v: m @ v), (lambda v: m_t @ v)
 
 
 def project_subspace(structure: StructureSpec, w: np.ndarray) -> np.ndarray:
@@ -51,8 +69,16 @@ def project_subspace(structure: StructureSpec, w: np.ndarray) -> np.ndarray:
         # (W + J W^T J) / 2 with J = diag(s)
         return 0.5 * (w + s[:, None] * w.T * s[None, :])
     if isinstance(structure, Sparse):
-        return np.where(sparse_mask(structure.pattern, w.shape[0]), w, 0.0)
+        _, _, flat, _ = pattern_index(structure.pattern, w.shape[0])
+        out = np.zeros_like(w)
+        np.put(out, flat, w.take(flat))
+        return out
     return w
+
+
+def subspace_residual(structure: StructureSpec, w: np.ndarray) -> float:
+    """max |P(W) - W|: how far W is from the structural subspace."""
+    return float(np.max(np.abs(project_subspace(structure, w) - w)))
 
 
 def to_hat(b: np.ndarray, params: FeasibleSetParams) -> np.ndarray:
@@ -61,9 +87,13 @@ def to_hat(b: np.ndarray, params: FeasibleSetParams) -> np.ndarray:
     return (b - (params.l1 + params.mu) * np.eye(b.shape[0])) / params.l1
 
 
-def from_hat(b_hat: np.ndarray, params: FeasibleSetParams) -> np.ndarray:
-    b_hat = np.asarray(b_hat, dtype=float)
-    return params.l1 * b_hat + (params.l1 + params.mu) * np.eye(b_hat.shape[0])
+def from_hat(
+    b_hat: np.ndarray, params: FeasibleSetParams, out: np.ndarray | None = None
+) -> np.ndarray:
+    """B = L1 B_hat + (L1 + mu) I, into `out` (which may be b_hat) if given."""
+    b = np.multiply(params.l1, b_hat, out=out)
+    b.flat[:: b.shape[0] + 1] += params.l1 + params.mu
+    return b
 
 
 def sep_feasible(
@@ -80,46 +110,27 @@ def sep_feasible(
     operator-norm constraint, so the extreme-eigenvalue oracle alone suffices.
     Otherwise both sub-oracles are queried with failure budget q/2 each and
     the larger gamma wins (ties go to the eigenvalue oracle); the returned S
-    is projected back into the subspace.
+    is projected back into the subspace.  Sparse W is applied through CSR.
+
+    Precondition, not checked here: w lies in the structural subspace (the
+    learner keeps it there; debug_certificates re-checks it).
     """
     w = np.asarray(w, dtype=float)
     d = w.shape[0]
-    if np.max(np.abs(project_subspace(params.structure, w) - w)) > 1e-10:
-        raise ValueError("input must lie in the structural subspace")
+    structure = params.structure
 
-    symmetric = isinstance(params.structure, Symmetric)
-    if symmetric:
-        return ext_evec(
-            lambda v: w @ v,
-            lambda v: w @ v,
-            d,
-            delta,
-            q,
-            rng,
-            symmetric=True,
-            matvec_counter=matvec_counter,
-        )
+    if isinstance(structure, Symmetric):
+        return ext_evec(lambda v: w @ v, lambda v: w @ v, d, delta, q, rng, symmetric=True,
+                        matvec_counter=matvec_counter)
 
-    r1 = ext_evec(
-        lambda v: w @ v,
-        lambda v: w.T @ v,
-        d,
-        delta,
-        q / 2,
-        rng,
-        symmetric=False,
-        matvec_counter=matvec_counter,
-    )
-    r2 = max_svec(
-        lambda v: w @ v,
-        lambda v: w.T @ v,
-        d,
-        delta,
-        q / 2,
-        rng,
-        matvec_counter=matvec_counter,
-    )
+    if isinstance(structure, Sparse):
+        w_apply, w_apply_t = pattern_matvecs(structure.pattern, w)
+    else:
+        w_apply, w_apply_t = (lambda v: w @ v), (lambda v: w.T @ v)
+    r1 = ext_evec(w_apply, w_apply_t, d, delta, q / 2, rng, symmetric=False,
+                  matvec_counter=matvec_counter)
+    r2 = max_svec(w_apply, w_apply_t, d, delta, q / 2, rng, matvec_counter=matvec_counter)
     chosen = r1 if r1.gamma >= r2.gamma else r2
     if chosen.case is SepCase.CASE_II:
-        chosen.s = project_subspace(params.structure, chosen.s)
+        chosen.s = project_subspace(structure, chosen.s)
     return chosen

@@ -8,7 +8,9 @@ import math
 import numpy as np
 import pytest
 
+import qnpe.driver
 from qnpe import (
+    CertificateViolation,
     Mode,
     PrimalDualBox,
     Problem,
@@ -101,6 +103,26 @@ def test_debug_certificates_clean_run():
     p = make_quadratic_min(8, 0.2, 1.0, seed=6)
     _, _, trace = solve(p, sm_config(debug_certificates=True), z0=p.known_root + 1.0)
     assert trace.final_norm_F <= 1e-10
+
+
+def test_debug_certificates_catch_learner_iterate_off_subspace(monkeypatch):
+    p = make_quadratic_min(20, 0.2, 1.0, seed=1)
+    z0 = p.known_root + 3.0
+    _, _, trace = solve(p, sm_config(debug_certificates=True), z0=z0)
+    observed = [row.k for row in trace.rows if not math.isnan(row.loss)]
+    assert len(observed) >= 3
+
+    original = qnpe.driver.observe_loss
+
+    def perturbing(state, *args, **kwargs):
+        original(state, *args, **kwargs)
+        if state.t == 3:
+            state.w[0, 1] += 1e-6  # W is no longer symmetric
+        return state
+
+    monkeypatch.setattr(qnpe.driver, "observe_loss", perturbing)
+    with pytest.raises(CertificateViolation, match=rf"^iteration {observed[2]}: .*subspace"):
+        solve(p, sm_config(debug_certificates=True), z0=z0)
 
 
 def test_non_finite_rejected_trial_is_not_observed():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,14 +16,16 @@ from qnpe import (
     LearnerOption,
     LearnerParams,
     LossObservation,
+    Sparse,
     Symmetric,
     current_matrix,
     learner_init,
     loss_gradient,
     loss_value,
     observe_loss,
+    project_subspace,
 )
-from qnpe.learner import DEFAULT_RHO, failure_schedule
+from qnpe.learner import B0_CHECK_MAX_DIM, DEFAULT_RHO, failure_schedule, projected_gradient
 
 
 def make_params(option, mu, l1, d, structure=None, rho=None):
@@ -34,6 +37,20 @@ def random_obs(rng, d):
     s = rng.standard_normal(d)
     u = rng.standard_normal(d)
     return LossObservation(u=u, s=s)
+
+
+def random_pattern(rng, d, size):
+    pairs = set()
+    while len(pairs) < size:
+        i, j = (int(x) for x in rng.integers(d, size=2))
+        if i != j:
+            pairs.add((i, j))
+    return frozenset(pairs)
+
+
+def assert_bitwise(got, expected):
+    assert np.array_equal(got, expected)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +71,46 @@ def test_loss_hand_computed():
     obs = LossObservation(u=np.array([1.0, 1.0]), s=np.array([1.0, 1.0]))
     assert loss_value(b, obs) == 1.0  # ||u||^2 / ||s||^2 = 2/2
     assert np.array_equal(loss_gradient(b, obs), -np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("structure", ["general", "symmetric", "jsymmetric", "sparse"])
+def test_projected_gradient_is_bitwise_the_composed_formula(structure):
+    rng = np.random.default_rng(13)
+    d = 30
+    structure = {
+        "general": General(),
+        "symmetric": Symmetric(),
+        "jsymmetric": JSymmetric(12, 18),
+        "sparse": Sparse(random_pattern(rng, d, 90)),
+    }[structure]
+    out, work = np.zeros((d, d)), np.zeros((d, d))  # reused, as by the learner
+    for _ in range(10):
+        b = project_subspace(structure, rng.standard_normal((d, d)))
+        obs = random_obs(rng, d)
+        l1 = float(rng.uniform(0.5, 3.0))
+        expected = project_subspace(structure, loss_gradient(b, obs)) / l1
+        got = projected_gradient(structure, obs.u - b @ obs.s, obs.s, l1, out, work)
+        assert got is out
+        assert_bitwise(got, expected)
+
+
+def test_sparse_current_matrix_matvecs_equal_dense_csr_bit_for_bit():
+    rng = np.random.default_rng(14)
+    d, mu, l1 = 40, 0.2, 1.0
+    structure = Sparse(random_pattern(rng, d, 120))
+    params = make_params(LearnerOption.OPTION_I, mu=mu, l1=l1, d=d, structure=structure,
+                         rho=0.5)
+    state = learner_init((l1 + mu) * np.eye(d), params, rng)
+    target = project_subspace(structure, 0.3 * rng.standard_normal((d, d))) + np.eye(d)
+    for t in range(6):
+        if t:  # round 0 plays the diagonal b0: explicit zeros on the whole pattern
+            s = rng.standard_normal(d)
+            observe_loss(state, LossObservation(u=target @ s, s=s), params)
+        b, b_mv, b_mv_t = current_matrix(state, params)
+        for _ in range(3):
+            v = rng.standard_normal(d)
+            assert_bitwise(b_mv(v), sp.csr_array(b) @ v)
+            assert_bitwise(b_mv_t(v), sp.csr_array(b.T) @ v)
 
 
 def test_loss_gradient_matches_finite_differences():
@@ -135,6 +192,25 @@ def test_init_rejects_infeasible_matrix():
     bad[0, 1] = 0.3  # not symmetric
     with pytest.raises(ValueError):
         learner_init(bad, sym_params, np.random.default_rng(3))
+
+
+def test_init_checks_structure_above_the_spectral_check_dimension():
+    d = 100
+    assert d > B0_CHECK_MAX_DIM
+    params = make_params(LearnerOption.OPTION_I, mu=0.5, l1=1.0, d=d, structure=Symmetric())
+    bad = 1.5 * np.eye(d)
+    bad[0, 1] = 0.3  # not symmetric
+    with pytest.raises(ValueError, match="structural subspace"):
+        learner_init(bad, params, np.random.default_rng(3))
+    sparse = make_params(LearnerOption.OPTION_I, mu=0.5, l1=1.0, d=d,
+                         structure=Sparse(frozenset({(0, 1)})))
+    off_pattern = 1.5 * np.eye(d)
+    off_pattern[2, 3] = 0.1
+    with pytest.raises(ValueError, match="structural subspace"):
+        learner_init(off_pattern, sparse, np.random.default_rng(3))
+    on_pattern = 1.5 * np.eye(d)
+    on_pattern[0, 1] = 0.1
+    learner_init(on_pattern, sparse, np.random.default_rng(3))
 
 
 def test_zero_loss_observation_leaves_w_unchanged():
