@@ -299,16 +299,17 @@ def cmd_run(config_path: str, out_dir: str, seed: int | None, threads: int, debu
 
 def _cost_to_accuracy(trace: RunTrace, eps: float) -> tuple:
     """First (iterations, evals, matvecs) reaching distance <= eps (falls back
-    to the operator norm when the root is unknown)."""
+    to the operator norm when the root is unknown); z_k costs iterations 0..k-1."""
     use_dist = all(math.isfinite(r.dist) for r in trace.rows)
+    evals = matvecs = 0
     for row in trace.rows:
         value = row.dist if use_dist else row.norm_F
         if value <= eps:
-            return row.k, row.cum_evals, row.cum_matvecs
+            return row.k, evals, matvecs
+        evals, matvecs = row.cum_evals, row.cum_matvecs
     final = trace.final_dist if use_dist else trace.final_norm_F
     if final <= eps and trace.rows:
-        last = trace.rows[-1]
-        return last.k + 1, last.cum_evals, last.cum_matvecs
+        return trace.rows[-1].k + 1, evals, matvecs
     return None, None, None
 
 

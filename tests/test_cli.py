@@ -154,6 +154,9 @@ def test_compare_produces_report(tmp_path):
     eg_rows = [ln.split() for ln in (out / "compare.txt").read_text().splitlines()[1:]
                if ln.split()[1] == "eg"]
     assert len(eg_rows) == 3 and all(r[-1] == "0" for r in eg_rows)
+    # reaching z_k costs the evaluations of iterations 0..k-1: two each for EG
+    assert ["101", "202"] in [r[3:5] for r in eg_rows]
+    assert all(int(r[4]) == 2 * int(r[3]) for r in eg_rows)
 
 
 def test_problems_built_once_per_descriptor(tmp_path, monkeypatch):
