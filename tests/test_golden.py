@@ -10,11 +10,14 @@ behaviour regenerates the fixtures with
 
 and records the regeneration in CHANGES.md.  Floating-point results depend on
 the numpy/BLAS build, so the fixtures belong to the environment that wrote
-them.
+them.  A mismatch names the first differing line and column and the largest
+distance in units in the last place (ULPs) over the float fields.
 """
 
 import functools
 import hashlib
+import math
+import struct
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -124,14 +127,76 @@ def totals_csv() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ordinal(x: float) -> int:
+    """Position of x on the ordered line of doubles: neighbours differ by 1."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _finite_float(text: str) -> float | None:
+    """The value of a finite float field; None for integers, flags and text."""
+    if not any(c in text for c in ".eE"):
+        return None
+    try:
+        x = float(text)
+    except ValueError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def describe_mismatch(got: str, want: str) -> str:
+    """The first differing line and column of two CSV texts, and the largest
+    ULP distance over the fields where both sides are finite floats."""
+    got_rows = [ln.split(",") for ln in got.splitlines()]
+    want_rows = [ln.split(",") for ln in want.splitlines()]
+    header = next((r for r in want_rows if not r[0].startswith("#")), [])
+    first, worst, worst_at = None, 0, None
+    for i, (g_row, w_row) in enumerate(zip(got_rows, want_rows), start=1):
+        for j, (g, w) in enumerate(zip(g_row, w_row)):
+            if g == w:
+                continue
+            column = header[j] if j < len(header) else f"field {j}"
+            where = f"line {i} ({w_row[0]}), column {column}"
+            first = first or f"first difference at {where}: got {g}, golden {w}"
+            g_num, w_num = _finite_float(g), _finite_float(w)
+            if g_num is not None and w_num is not None:
+                ulps = abs(_ordinal(g_num) - _ordinal(w_num))
+                if ulps > worst:
+                    worst, worst_at = ulps, where
+        if len(g_row) != len(w_row):
+            first = first or f"line {i} has {len(g_row)} fields, golden {len(w_row)}"
+    if len(got_rows) != len(want_rows):
+        first = first or f"{len(got_rows)} lines, golden {len(want_rows)}"
+    largest = f"largest ULP distance {worst} at {worst_at}" if worst_at else "no float differs"
+    return f"{first}; {largest}"
+
+
+def assert_matches_golden(got: str, path: Path) -> None:
+    want = path.read_bytes()
+    assert got.encode() == want, f"{path.name}: {describe_mismatch(got, want.decode())}"
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_trace_matches_golden(name):
     trace, _ = run_case(name)
-    assert trace_to_csv(trace).encode() == (GOLDEN / f"{name}.csv").read_bytes()
+    assert_matches_golden(trace_to_csv(trace), GOLDEN / f"{name}.csv")
 
 
 def test_totals_match_golden():
-    assert totals_csv().encode() == (GOLDEN / "totals.csv").read_bytes()
+    assert_matches_golden(totals_csv(), GOLDEN / "totals.csv")
+
+
+def test_mismatch_names_line_column_and_ulps():
+    want = "k,eta,flag\n0,1.0,a\n1,0.5,b\n"
+    got = "k,eta,flag\n0,1.0,a\n1,0.5000000000000002,c\n"
+    assert describe_mismatch(got, want) == (
+        "first difference at line 3 (1), column eta: got 0.5000000000000002, golden 0.5; "
+        "largest ULP distance 2 at line 3 (1), column eta"
+    )
+    assert describe_mismatch(want.replace("1,0.5,b", "2,0.5,b"), want) == (
+        "first difference at line 3 (1), column k: got 2, golden 1; no float differs"
+    )
+    assert describe_mismatch(want + "2,0.25,c\n", want) == "4 lines, golden 3; no float differs"
 
 
 def test_fixtures_exercise_case_ii_on_both_structures():
