@@ -17,7 +17,7 @@ w = rng.standard_normal((d, d))
 w = 0.5 * (w + w.T)
 w *= 1.8 / np.max(np.abs(np.linalg.eigvalsh(w)))  # true extreme eigenvalue 1.8
 
-res = ext_evec(lambda v: w @ v, lambda v: w @ v, d, delta=0.25, q=0.01,
+res = ext_evec(lambda v: w @ v, d, delta=0.25, q=0.01,
                rng=rng, symmetric=True)
 print(f"ext_evec: case {res.case.name}, gamma = {res.gamma:.4f} "
       f"(dense truth 1.8000)")
@@ -29,7 +29,8 @@ if res.case is SepCase.CASE_II:
 # --- top-singular-value oracle on a nonsymmetric matrix ---
 a = rng.standard_normal((d, d))
 a *= 7.5 / np.linalg.svd(a, compute_uv=False)[0]  # sigma_max = 7.5, gamma = 2.5
-res = max_svec(lambda v: a @ v, lambda v: a.T @ v, d, delta=0.25, q=0.01, rng=rng)
+res = max_svec(lambda x: np.concatenate([a @ x[d:], a.T @ x[:d]]), d, delta=0.25, q=0.01,
+               rng=rng)
 print(f"max_svec: case {res.case.name}, gamma = {res.gamma:.4f} "
       f"(dense truth {7.5 / 3:.4f})")
 

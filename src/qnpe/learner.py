@@ -116,11 +116,13 @@ def projected_gradient(
         rows, cols, flat, _ = pattern_index(structure.pattern, len(s))
         np.put(out, flat, -2.0 * (resid[rows] * s[cols]) / s2 / l1)
         return out
-    np.outer(resid, s, out=out)
+    np.copyto(out, s)  # outer(resid, s) without np.outer's slower out= path
+    out *= resid[:, None]
     out *= -2.0
     out /= s2
     if isinstance(structure, (Symmetric, JSymmetric)):
-        np.outer(s, resid, out=work)
+        np.copyto(work, resid)
+        work *= s[:, None]
         work *= -2.0
         work /= s2
         if isinstance(structure, JSymmetric):  # J W^T J: negate the off-diagonal blocks

@@ -54,6 +54,40 @@ def pattern_matvecs(pattern: frozenset, b: np.ndarray) -> tuple[Callable, Callab
     return (lambda v: m @ v), (lambda v: m_t @ v)
 
 
+@functools.lru_cache(maxsize=8)
+def oracle_index(pattern: frozenset, d: int) -> tuple[np.ndarray, ...]:
+    """Gather positions and CSR arrays of the two oracle operators on the
+    pattern: sym(W) on the symmetrized pattern, read at (i, j) and (j, i),
+    and the 2d x 2d augmented [[0, W], [W^T, 0]], whose W^T rows are the CSC
+    order of the same positions.  int32 throughout: d * d < 2**31 for any
+    dense W that fits in memory."""
+    rows, cols, flat, indptr = pattern_index(pattern, d)
+    sym = np.union1d(flat, cols.astype(np.int64) * d + rows)
+    sym_rows, sym_cols = np.divmod(sym, d)
+    by_col = np.lexsort((rows, cols))
+    index = (
+        sym, sym_cols * d + sym_rows, sym_cols, np.searchsorted(sym_rows, np.arange(d + 1)),
+        np.concatenate([flat, flat[by_col]]),
+        np.concatenate([cols + d, rows[by_col]]),
+        np.concatenate([indptr, len(flat) + np.searchsorted(cols[by_col], np.arange(1, d + 1))]),
+    )
+    index = tuple(a.astype(np.int32) for a in index)
+    for a in index:  # cached and shared by every caller
+        a.flags.writeable = False
+    return index
+
+
+def oracle_matrices(pattern: frozenset, w: np.ndarray) -> tuple[sp.csr_array, sp.csr_array]:
+    """(W + W^T)/2 and [[0, W], [W^T, 0]] as CSR, gathered in O(nnz) from the
+    dense W, which must vanish off the pattern."""
+    d = w.shape[0]
+    sym, sym_t, sym_cols, sym_indptr, aug, aug_cols, aug_indptr = oracle_index(pattern, d)
+    return (
+        sp.csr_array((0.5 * (w.take(sym) + w.take(sym_t)), sym_cols, sym_indptr), shape=(d, d)),
+        sp.csr_array((w.take(aug), aug_cols, aug_indptr), shape=(2 * d, 2 * d)),
+    )
+
+
 def project_subspace(structure: StructureSpec, w: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the structural subspace: symmetrization,
     J-symmetrization (W + J W^T J)/2, pattern masking, or identity."""
@@ -110,7 +144,8 @@ def sep_feasible(
     operator-norm constraint, so the extreme-eigenvalue oracle alone suffices.
     Otherwise both sub-oracles are queried with failure budget q/2 each and
     the larger gamma wins (ties go to the eigenvalue oracle); the returned S
-    is projected back into the subspace.  Sparse W is applied through CSR.
+    is projected back into the subspace.  Sparse applies each oracle's
+    operator as one CSR matrix gathered from W.
 
     Precondition, not checked here: w lies in the structural subspace (the
     learner keeps it there; debug_certificates re-checks it).
@@ -120,16 +155,18 @@ def sep_feasible(
     structure = params.structure
 
     if isinstance(structure, Symmetric):
-        return ext_evec(lambda v: w @ v, lambda v: w @ v, d, delta, q, rng, symmetric=True,
+        return ext_evec(lambda v: w @ v, d, delta, q, rng, symmetric=True,
                         matvec_counter=matvec_counter)
 
     if isinstance(structure, Sparse):
-        w_apply, w_apply_t = pattern_matvecs(structure.pattern, w)
+        sym, aug = oracle_matrices(structure.pattern, w)
+        apply_sym, apply_aug = (lambda v: sym @ v), (lambda x: aug @ x)
     else:
-        w_apply, w_apply_t = (lambda v: w @ v), (lambda v: w.T @ v)
-    r1 = ext_evec(w_apply, w_apply_t, d, delta, q / 2, rng, symmetric=False,
+        apply_sym = lambda v: 0.5 * (w @ v + w.T @ v)
+        apply_aug = lambda x: np.concatenate([w @ x[d:], w.T @ x[:d]])
+    r1 = ext_evec(apply_sym, d, delta, q / 2, rng, symmetric=False,
                   matvec_counter=matvec_counter)
-    r2 = max_svec(w_apply, w_apply_t, d, delta, q / 2, rng, matvec_counter=matvec_counter)
+    r2 = max_svec(apply_aug, d, delta, q / 2, rng, matvec_counter=matvec_counter)
     chosen = r1 if r1.gamma >= r2.gamma else r2
     if chosen.case is SepCase.CASE_II:
         chosen.s = project_subspace(structure, chosen.s)

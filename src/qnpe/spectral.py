@@ -3,8 +3,9 @@
 ext_evec approximates the extreme eigenpairs of the symmetrized input and
 either certifies that its spectrum fits in the (scaled) unit interval or
 returns a rank-one separating matrix.  max_svec does the same for the operator
-norm by running Lanczos on the implicit 2d x 2d augmented operator
-(u, v) -> (W v, W^T u), which is never materialized.
+norm by running Lanczos on the 2d x 2d augmented operator
+(u, v) -> (W v, W^T u).  Each takes one callable that applies its operator;
+the caller decides how (dense products, or one fused CSR matrix).
 """
 
 from __future__ import annotations
@@ -78,15 +79,15 @@ def lanczos(
     for k in range(n_steps):
         basis[:, k] = v
         w = apply_sym(v) - beta * v_prev
-        if not np.all(np.isfinite(w)):
-            raise FloatingPointError("NaN/Inf in Lanczos recurrence")
         alpha = float(w @ v)
-        w = w - alpha * v
+        if not math.isfinite(alpha):  # v is a finite unit vector: w is not finite
+            raise FloatingPointError("NaN/Inf in Lanczos recurrence")
+        w -= alpha * v
         w -= basis[:, : k + 1] @ (basis[:, : k + 1].T @ w)
         alphas[k] = alpha
         steps = k + 1
         norm_estimate = max(norm_estimate, abs(alpha) + abs(beta))
-        beta_next = float(np.linalg.norm(w))
+        beta_next = math.sqrt(float(w @ w))  # np.linalg.norm's formula for a 1-D vector
         if k + 1 < n_steps:
             if beta_next <= 1e-12 * max(norm_estimate, 1e-300):
                 broke_down = True
@@ -128,8 +129,7 @@ def lanczos_step_count(d: int, delta: float, q: float, augmented: bool = False) 
 
 
 def ext_evec(
-    w_apply: Callable[[np.ndarray], np.ndarray],
-    w_apply_t: Callable[[np.ndarray], np.ndarray],
+    apply_sym: Callable[[np.ndarray], np.ndarray],
     d: int,
     delta: float,
     q: float,
@@ -138,7 +138,8 @@ def ext_evec(
     matvec_counter: MatvecCounter | None = None,
 ) -> SepResult:
     """Approximate extreme-eigenvalue separation oracle for the symmetrized
-    input sym(W) = (W + W^T)/2.
+    input sym(W) = (W + W^T)/2, applied by `apply_sym`.  `symmetric` says
+    whether W itself is symmetric: each step then costs one W-matvec, else two.
 
     With probability >= 1 - q the output satisfies: Case I (gamma <= 1)
     implies the spectrum of sym(W) lies in [-(1+delta), 1+delta]; Case II
@@ -150,18 +151,9 @@ def ext_evec(
     n_steps = lanczos_step_count(d, delta, q, augmented=False)
     n_steps = min(n_steps, d)
 
-    counter = matvec_counter if matvec_counter is not None else MatvecCounter()
-
-    if symmetric:
-        def apply_sym(v: np.ndarray) -> np.ndarray:
-            counter.add(1)
-            return w_apply(v)
-    else:
-        def apply_sym(v: np.ndarray) -> np.ndarray:
-            counter.add(2)
-            return 0.5 * (w_apply(v) + w_apply_t(v))
-
     res = lanczos(apply_sym, d, n_steps, rng)
+    if matvec_counter is not None:  # lanczos applies the operator once per step
+        matvec_counter.add((1 if symmetric else 2) * res.steps_taken)
     lam_max, z_max, lam_min, z_min = tridiag_extreme_eigs(res.alphas, res.betas)
     gamma = max(lam_max, -lam_min)
     if gamma <= 1.0:
@@ -179,8 +171,7 @@ def ext_evec(
 
 
 def max_svec(
-    w_apply: Callable[[np.ndarray], np.ndarray],
-    w_apply_t: Callable[[np.ndarray], np.ndarray],
+    apply_aug: Callable[[np.ndarray], np.ndarray],
     d: int,
     delta: float,
     q: float,
@@ -189,9 +180,10 @@ def max_svec(
 ) -> SepResult:
     """Approximate maximum-singular-triplet separation oracle.
 
-    Runs Lanczos on the implicit augmented operator (u, v) -> (W v, W^T u)
-    whose top eigenvalue is sigma_max(W); gamma = lambda_1 / 3.  Case II
-    returns S = (2/3) a b^T from the partitioned top Ritz vector [a, b], which
+    Runs Lanczos on the augmented operator (u, v) -> (W v, W^T u), applied by
+    `apply_aug` to a 2d-vector and counted as two W-matvecs per step, whose
+    top eigenvalue is sigma_max(W); gamma = lambda_1 / 3.  Case II returns
+    S = (2/3) a b^T from the partitioned top Ritz vector [a, b], which
     satisfies <S, W> = gamma and ||S||_F <= 1.
     """
     if delta <= 0 or not (0 < q < 1):
@@ -199,13 +191,9 @@ def max_svec(
     n_steps = lanczos_step_count(d, delta, q, augmented=True)
     n_steps = min(n_steps, 2 * d)
 
-    counter = matvec_counter if matvec_counter is not None else MatvecCounter()
-
-    def apply_aug(x: np.ndarray) -> np.ndarray:
-        counter.add(2)
-        return np.concatenate([w_apply(x[d:]), w_apply_t(x[:d])])
-
     res = lanczos(apply_aug, 2 * d, n_steps, rng)
+    if matvec_counter is not None:
+        matvec_counter.add(2 * res.steps_taken)
     lam_max, z_max, _, _ = tridiag_extreme_eigs(res.alphas, res.betas)
     gamma = lam_max / 3.0
     if gamma <= 1.0:

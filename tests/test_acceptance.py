@@ -211,7 +211,7 @@ def test_criterion_06_oracle_statistical_contracts():
         w = 0.5 * (w + w.T)
         gamma_true = rng.uniform(0.5, 2.0)
         w *= gamma_true / np.max(np.abs(np.linalg.eigvalsh(w)))
-        res = ext_evec(lambda v: w @ v, lambda v: w @ v, d, delta, q, rng, symmetric=True)
+        res = ext_evec(lambda v: w @ v, d, delta, q, rng, symmetric=True)
         if res.case is SepCase.CASE_I:
             if gamma_true > 1.0 + delta:
                 fails_ext += 1
@@ -223,7 +223,7 @@ def test_criterion_06_oracle_statistical_contracts():
         w = rng.standard_normal((d, d))
         gamma_true = rng.uniform(0.5, 2.0)
         w *= 3.0 * gamma_true / np.linalg.svd(w, compute_uv=False)[0]
-        res = max_svec(lambda v: w @ v, lambda v: w.T @ v, d, delta, q, rng)
+        res = max_svec(lambda x: np.concatenate([w @ x[d:], w.T @ x[:d]]), d, delta, q, rng)
         if res.case is SepCase.CASE_I:
             if gamma_true > 1.0 + delta:
                 fails_max += 1

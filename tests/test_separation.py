@@ -18,6 +18,7 @@ from qnpe import (
     sep_feasible,
     to_hat,
 )
+from qnpe.separation import oracle_matrices
 
 
 STRUCTURES = [
@@ -200,3 +201,45 @@ def test_sep_feasible_case_two_scaled_point_is_feasible(structure):
     # separator returned inside the structural subspace, exactly
     assert np.array_equal(project_subspace(structure, s), s)
     assert np.linalg.norm(s) <= 1.0 + 1e-12
+
+
+def _random_pattern(d, n_pairs, seed):
+    rng = np.random.default_rng(seed)
+    return frozenset(zip(rng.integers(0, d, n_pairs).tolist(), rng.integers(0, d, n_pairs).tolist()))
+
+
+@pytest.mark.parametrize("d, n_pairs", [(1, 1), (6, 4), (30, 90)])
+def test_sparse_oracle_matrices_are_the_dense_operators(d, n_pairs):
+    structure = Sparse(_random_pattern(d, n_pairs, seed=d))
+    w = project_subspace(structure, np.random.default_rng(d + 1).standard_normal((d, d)))
+    sym, aug = oracle_matrices(structure.pattern, w)
+    assert np.array_equal(sym.toarray(), 0.5 * (w + w.T))
+    assert np.array_equal(aug.toarray(), np.block([[np.zeros((d, d)), w], [w.T, np.zeros((d, d))]]))
+    for m in (sym, aug):
+        assert m.indices.dtype == m.indptr.dtype == np.int32
+        for i in range(m.shape[0]):
+            assert np.all(np.diff(m.indices[m.indptr[i]: m.indptr[i + 1]]) > 0)
+
+
+def test_sparse_oracle_agrees_with_the_dense_formulas():
+    """The fused-CSR Sparse oracle against General's dense products, run from
+    the same rng: same case, gamma and projected S up to rounding."""
+    d, delta, q = 40, 0.25, 0.05
+    structure = Sparse(_random_pattern(d, 160, seed=14))
+    sparse = FeasibleSetParams(mu=0.1, l1=1.0, structure=structure)
+    dense = FeasibleSetParams(mu=0.1, l1=1.0, structure=General())
+    draws = np.random.default_rng(15)
+    cases = set()
+    for seed in range(30):
+        w = project_subspace(structure, draws.standard_normal((d, d)))
+        gamma_true = max(np.max(np.abs(np.linalg.eigvalsh(0.5 * (w + w.T)))),
+                         np.linalg.svd(w, compute_uv=False)[0] / 3.0)
+        w *= draws.uniform(0.5, 2.0) / gamma_true
+        got = sep_feasible(w, delta, q, sparse, np.random.default_rng(seed))
+        want = sep_feasible(w, delta, q, dense, np.random.default_rng(seed))
+        assert got.case is want.case
+        assert got.gamma == pytest.approx(want.gamma, rel=1e-12)
+        if want.case is SepCase.CASE_II:
+            assert np.allclose(got.s, project_subspace(structure, want.s), rtol=0, atol=1e-12)
+        cases.add(got.case)
+    assert cases == {SepCase.CASE_I, SepCase.CASE_II}

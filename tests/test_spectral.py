@@ -30,6 +30,69 @@ def test_lanczos_full_run_recovers_spectrum():
     assert np.max(np.abs(gram - np.eye(6))) <= 1e-10
 
 
+def _reference_lanczos(apply_sym, d, n_steps, rng):
+    """The recurrence as first written: a full-vector finiteness check, an
+    out-of-place alpha update and np.linalg.norm."""
+    v = rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    basis = np.zeros((d, n_steps))
+    alphas = np.zeros(n_steps)
+    betas = np.zeros(max(n_steps - 1, 0))
+    v_prev = np.zeros(d)
+    beta = 0.0
+    norm_estimate = 0.0
+    steps = 0
+    for k in range(n_steps):
+        basis[:, k] = v
+        w = apply_sym(v) - beta * v_prev
+        if not np.all(np.isfinite(w)):
+            raise FloatingPointError("NaN/Inf in Lanczos recurrence")
+        alpha = float(w @ v)
+        w = w - alpha * v
+        w -= basis[:, : k + 1] @ (basis[:, : k + 1].T @ w)
+        alphas[k] = alpha
+        steps = k + 1
+        norm_estimate = max(norm_estimate, abs(alpha) + abs(beta))
+        beta_next = float(np.linalg.norm(w))
+        if k + 1 < n_steps:
+            if beta_next <= 1e-12 * max(norm_estimate, 1e-300):
+                break
+            betas[k] = beta_next
+            v_prev = v
+            v = w / beta_next
+            beta = beta_next
+    return alphas[:steps], betas[: max(steps - 1, 0)], basis[:, :steps]
+
+
+@pytest.mark.parametrize("d, n_steps", [(1, 1), (7, 7), (40, 15), (120, 33)])
+def test_lanczos_is_bitwise_the_reference_recurrence(d, n_steps):
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((d, d))
+    a = 0.5 * (a + a.T)
+    res = lanczos(lambda v: a @ v, d, n_steps, np.random.default_rng(11))
+    alphas, betas, basis = _reference_lanczos(lambda v: a @ v, d, n_steps,
+                                              np.random.default_rng(11))
+    assert np.array_equal(res.alphas, alphas)
+    assert np.array_equal(res.betas, betas)
+    assert np.array_equal(res.basis, basis)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lanczos_raises_on_a_non_finite_operator_value(bad):
+    calls = [0]
+
+    def apply_sym(v):
+        calls[0] += 1
+        out = 2.0 * v
+        if calls[0] == 3:
+            out[4] = bad
+        return out + np.arange(len(v)) * v
+
+    with pytest.raises(FloatingPointError):
+        lanczos(apply_sym, d=10, n_steps=6, rng=np.random.default_rng(13))
+    assert calls[0] == 3
+
+
 def test_tridiag_extreme_eigs_diagonal_case():
     lam_max, v_max, lam_min, v_min = tridiag_extreme_eigs(
         np.array([1.0, 2.0, 3.0]), np.zeros(2)
@@ -71,14 +134,14 @@ def test_step_count_formula():
 
 
 def test_ext_evec_zero_matrix_is_case_one():
-    res = ext_evec(lambda v: 0 * v, lambda v: 0 * v, d=6, delta=0.25, q=0.1,
+    res = ext_evec(lambda v: 0 * v, d=6, delta=0.25, q=0.1,
                    rng=np.random.default_rng(3), symmetric=True)
     assert res.case is SepCase.CASE_I
     assert res.gamma <= 1e-12
 
 
 def test_ext_evec_scaled_identity_separates():
-    res = ext_evec(lambda v: 2.0 * v, lambda v: 2.0 * v, d=6, delta=0.25, q=0.1,
+    res = ext_evec(lambda v: 2.0 * v, d=6, delta=0.25, q=0.1,
                    rng=np.random.default_rng(4), symmetric=True)
     assert res.case is SepCase.CASE_II
     assert abs(res.gamma - 2.0) <= 1e-10
@@ -92,7 +155,7 @@ def test_ext_evec_case_two_separating_hyperplane():
     w = rng.standard_normal((10, 10))
     w = 0.5 * (w + w.T)
     w *= 2.0 / np.max(np.abs(np.linalg.eigvalsh(w)))  # true gamma = 2
-    res = ext_evec(lambda v: w @ v, lambda v: w @ v, d=10, delta=0.25, q=0.01,
+    res = ext_evec(lambda v: w @ v, d=10, delta=0.25, q=0.01,
                    rng=rng, symmetric=True)
     assert res.case is SepCase.CASE_II
     s = res.s
@@ -110,7 +173,7 @@ def test_ext_evec_nonsymmetric_uses_symmetrized_input():
     rng = np.random.default_rng(6)
     skew = rng.standard_normal((8, 8))
     skew = skew - skew.T  # sym part is zero
-    res = ext_evec(lambda v: skew @ v, lambda v: skew.T @ v, d=8, delta=0.25,
+    res = ext_evec(lambda v: 0.5 * (skew @ v + skew.T @ v), d=8, delta=0.25,
                    q=0.1, rng=rng, symmetric=False)
     assert res.case is SepCase.CASE_I
     assert res.gamma <= 1e-10
@@ -121,7 +184,7 @@ def test_ext_evec_nonsymmetric_uses_symmetrized_input():
 
 
 def test_max_svec_zero_matrix_is_case_one():
-    res = max_svec(lambda v: 0 * v, lambda v: 0 * v, d=5, delta=0.25, q=0.1,
+    res = max_svec(lambda x: 0 * x, d=5, delta=0.25, q=0.1,
                    rng=np.random.default_rng(7))
     assert res.case is SepCase.CASE_I
 
@@ -129,7 +192,7 @@ def test_max_svec_zero_matrix_is_case_one():
 def test_max_svec_rank_one_matrix():
     w = np.zeros((5, 5))
     w[0, 1] = 6.0  # sigma_max = 6, gamma = 2
-    res = max_svec(lambda v: w @ v, lambda v: w.T @ v, d=5, delta=0.25, q=0.01,
+    res = max_svec(lambda x: np.concatenate([w @ x[5:], w.T @ x[:5]]), d=5, delta=0.25, q=0.01,
                    rng=np.random.default_rng(8))
     assert res.case is SepCase.CASE_II
     assert abs(res.gamma - 2.0) <= 1e-8
@@ -142,7 +205,8 @@ def test_max_svec_alignment_on_random_matrix():
     rng = np.random.default_rng(9)
     w = rng.standard_normal((12, 12))
     w *= 9.0 / np.linalg.svd(w, compute_uv=False)[0]  # true gamma = 3
-    res = max_svec(lambda v: w @ v, lambda v: w.T @ v, d=12, delta=0.25, q=0.01, rng=rng)
+    res = max_svec(lambda x: np.concatenate([w @ x[12:], w.T @ x[:12]]), d=12, delta=0.25,
+                   q=0.01, rng=rng)
     assert res.case is SepCase.CASE_II
     assert res.gamma <= 3.0 + 1e-10  # Ritz value never exceeds the true one
     assert abs(np.tensordot(res.s, w, axes=2) - res.gamma) <= 1e-8
@@ -151,6 +215,6 @@ def test_max_svec_alignment_on_random_matrix():
 def test_oracle_argument_validation():
     rng = np.random.default_rng(10)
     with pytest.raises(ValueError):
-        ext_evec(lambda v: v, lambda v: v, 4, delta=0.0, q=0.1, rng=rng)
+        ext_evec(lambda v: v, 4, delta=0.0, q=0.1, rng=rng)
     with pytest.raises(ValueError):
-        max_svec(lambda v: v, lambda v: v, 4, delta=0.25, q=1.5, rng=rng)
+        max_svec(lambda x: x, 4, delta=0.25, q=1.5, rng=rng)
