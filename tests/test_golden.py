@@ -66,6 +66,8 @@ QNPE_CASES = {
     "sparse_d100": ("sparse100", Mode.STRONGLY_MONOTONE,
                     {"debug_certificates": True, "max_iterations": 60}),
     "quadratic_d100": ("quadratic100", Mode.STRONGLY_MONOTONE, {"rho": 0.5, "max_iterations": 60}),
+    # Sparse with Case II results: S from the fused-CSR oracle, projected on the pattern
+    "sparse_d100_rho": ("sparse100", Mode.STRONGLY_MONOTONE, {"rho": 5, "max_iterations": 60}),
 }
 CASES = list(QNPE_CASES) + [f"eg_{family}" for family in EG_FAMILIES]
 
@@ -204,6 +206,7 @@ def test_fixtures_exercise_case_ii_on_both_structures():
     case_ii = {r[0]: int(r[2]) for r in rows}
     assert case_ii["quadratic_c09"] > 0  # Symmetric: ext_evec's S as returned
     assert case_ii["bilinear_monotone_rho"] > 0  # JSymmetric: S projected into the subspace
+    assert case_ii["sparse_d100_rho"] > 0  # Sparse: S projected onto the pattern
 
 
 if __name__ == "__main__":
