@@ -21,7 +21,7 @@ import numpy as np
 from .linear_solver import MatvecCounter
 from .problems import JSymmetric, Sparse, StructureSpec, Symmetric
 from .separation import (FeasibleSetParams, from_hat, pattern_index, pattern_matvecs,
-                         sep_feasible, subspace_residual, to_hat)
+                         project_subspace, sep_feasible, subspace_residual, to_hat)
 from .spectral import SepCase, SepResult
 
 
@@ -154,13 +154,15 @@ def learner_init(
     rng: np.random.Generator,
     matvec_counter: MatvecCounter | None = None,
 ) -> LearnerState:
-    """Start at W_0 = to_hat(b0), which must lie in the structural subspace
-    (checked at every d; the updates keep W there).  The spectral check on b0
-    runs only up to B0_CHECK_MAX_DIM."""
+    """Start at W_0 = P(to_hat(b0)), the projection onto the structural
+    subspace, so that W is exactly structured from round 0 (the updates keep
+    it there).  to_hat(b0) must lie within 1e-8 of the subspace (checked at
+    every d).  The spectral check on b0 runs only up to B0_CHECK_MAX_DIM."""
     b0 = np.asarray(b0, dtype=float)
     w0 = to_hat(b0, params.feasible)
     if subspace_residual(params.feasible.structure, w0) > 1e-8:
         raise ValueError("initial matrix violates the structural subspace")
+    w0 = project_subspace(params.feasible.structure, w0)
     if b0.shape[0] <= B0_CHECK_MAX_DIM:  # the recentered set: sym part in [-1, 1], norm <= 3
         eigs = np.linalg.eigvalsh(0.5 * (w0 + w0.T))
         if eigs[0] < -1 - 1e-8 or eigs[-1] > 1 + 1e-8:

@@ -130,6 +130,29 @@ def from_hat(
     return b
 
 
+def oracle_operators(structure: StructureSpec, w: np.ndarray) -> tuple[Callable, Callable]:
+    """(v -> sym(W) v, x -> [W x[d:], W^T x[:d]]) for a non-Symmetric W in
+    its subspace.  Sparse applies one CSR matrix per operator.  JSymmetric
+    W = [[W11, W12], [-W12^T, W22]] has sym(W) = blkdiag(W11, W22) exactly,
+    and W^T u = J W J u, so the augmented product reads W once, as one d x 2
+    product.  General uses the dense products."""
+    d = w.shape[0]
+    if isinstance(structure, Sparse):
+        sym, aug = oracle_matrices(structure.pattern, w)
+        return (lambda v: sym @ v), (lambda x: aug @ x)
+    if isinstance(structure, JSymmetric):
+        m, j = structure.m, _j_signs(structure.m, structure.n)
+        w11, w22 = w[:m, :m], w[m:, m:]
+
+        def apply_aug(x: np.ndarray) -> np.ndarray:
+            y = w @ np.column_stack([x[d:], j * x[:d]])
+            return np.concatenate([y[:, 0], j * y[:, 1]])
+
+        return (lambda v: np.concatenate([w11 @ v[:m], w22 @ v[m:]])), apply_aug
+    return ((lambda v: 0.5 * (w @ v + w.T @ v)),
+            (lambda x: np.concatenate([w @ x[d:], w.T @ x[:d]])))
+
+
 def sep_feasible(
     w: np.ndarray,
     delta: float,
@@ -144,8 +167,8 @@ def sep_feasible(
     operator-norm constraint, so the extreme-eigenvalue oracle alone suffices.
     Otherwise both sub-oracles are queried with failure budget q/2 each and
     the larger gamma wins (ties go to the eigenvalue oracle); the returned S
-    is projected back into the subspace.  Sparse applies each oracle's
-    operator as one CSR matrix gathered from W.
+    is projected back into the subspace.  `oracle_operators` builds the two
+    operators from the structure.
 
     Precondition, not checked here: w lies in the structural subspace (the
     learner keeps it there; debug_certificates re-checks it).
@@ -158,12 +181,7 @@ def sep_feasible(
         return ext_evec(lambda v: w @ v, d, delta, q, rng, symmetric=True,
                         matvec_counter=matvec_counter)
 
-    if isinstance(structure, Sparse):
-        sym, aug = oracle_matrices(structure.pattern, w)
-        apply_sym, apply_aug = (lambda v: sym @ v), (lambda x: aug @ x)
-    else:
-        apply_sym = lambda v: 0.5 * (w @ v + w.T @ v)
-        apply_aug = lambda x: np.concatenate([w @ x[d:], w.T @ x[:d]])
+    apply_sym, apply_aug = oracle_operators(structure, w)
     r1 = ext_evec(apply_sym, d, delta, q / 2, rng, symmetric=False,
                   matvec_counter=matvec_counter)
     r2 = max_svec(apply_aug, d, delta, q / 2, rng, matvec_counter=matvec_counter)

@@ -106,19 +106,21 @@ def lanczos(
     )
 
 
+def tridiag_eigpair(alphas: np.ndarray, betas: np.ndarray, i: int) -> tuple[float, np.ndarray]:
+    """The i-th smallest eigenpair (lambda, z) of a symmetric tridiagonal
+    matrix, via LAPACK bisection + inverse iteration."""
+    if len(alphas) == 1:
+        return float(alphas[0]), np.ones(1)
+    lam, z = eigh_tridiagonal(alphas, betas, select="i", select_range=(i, i))
+    return float(lam[0]), z[:, 0]
+
+
 def tridiag_extreme_eigs(
     alphas: np.ndarray, betas: np.ndarray
 ) -> tuple[float, np.ndarray, float, np.ndarray]:
     """Extreme eigenpairs (lambda_max, z_max, lambda_min, z_min) of a symmetric
-    tridiagonal matrix, via LAPACK bisection + inverse iteration."""
-    n = len(alphas)
-    if n == 1:
-        e1 = np.ones(1)
-        lam = float(alphas[0])
-        return lam, e1, lam, e1.copy()
-    w_min, v_min = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
-    w_max, v_max = eigh_tridiagonal(alphas, betas, select="i", select_range=(n - 1, n - 1))
-    return float(w_max[0]), v_max[:, 0], float(w_min[0]), v_min[:, 0]
+    tridiagonal matrix."""
+    return (*tridiag_eigpair(alphas, betas, len(alphas) - 1), *tridiag_eigpair(alphas, betas, 0))
 
 
 def lanczos_step_count(d: int, delta: float, q: float, augmented: bool = False) -> int:
@@ -194,7 +196,7 @@ def max_svec(
     res = lanczos(apply_aug, 2 * d, n_steps, rng)
     if matvec_counter is not None:
         matvec_counter.add(2 * res.steps_taken)
-    lam_max, z_max, _, _ = tridiag_extreme_eigs(res.alphas, res.betas)
+    lam_max, z_max = tridiag_eigpair(res.alphas, res.betas, res.steps_taken - 1)
     gamma = lam_max / 3.0
     if gamma <= 1.0:
         return SepResult(gamma=gamma, case=SepCase.CASE_I)

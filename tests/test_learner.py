@@ -213,6 +213,18 @@ def test_init_checks_structure_above_the_spectral_check_dimension():
     learner_init(on_pattern, sparse, np.random.default_rng(3))
 
 
+def test_init_stores_the_projection_of_a_nearly_structured_b0():
+    m, n = 4, 3
+    structure = JSymmetric(m, n)
+    params = make_params(LearnerOption.OPTION_II, mu=0.0, l1=1.0, d=m + n, structure=structure)
+    rng = np.random.default_rng(11)
+    w_hat = project_subspace(structure, 0.1 * rng.standard_normal((m + n, m + n)))
+    b0 = params.feasible.l1 * (w_hat + np.eye(m + n)) + 1e-10 * rng.standard_normal((m + n, m + n))
+    state = learner_init(b0, params, rng)
+    assert np.array_equal(state.w, project_subspace(structure, state.w))
+    assert np.array_equal(state.b_current, b0)
+
+
 def test_zero_loss_observation_leaves_w_unchanged():
     params = make_params(LearnerOption.OPTION_I, mu=0.4, l1=1.0, d=5)
     state = learner_init(1.4 * np.eye(5), params, np.random.default_rng(4))

@@ -18,7 +18,7 @@ from qnpe import (
     sep_feasible,
     to_hat,
 )
-from qnpe.separation import oracle_matrices
+from qnpe.separation import oracle_matrices, oracle_operators
 
 
 STRUCTURES = [
@@ -221,12 +221,31 @@ def test_sparse_oracle_matrices_are_the_dense_operators(d, n_pairs):
             assert np.all(np.diff(m.indices[m.indptr[i]: m.indptr[i + 1]]) > 0)
 
 
-def test_sparse_oracle_agrees_with_the_dense_formulas():
-    """The fused-CSR Sparse oracle against General's dense products, run from
-    the same rng: same case, gamma and projected S up to rounding."""
+@pytest.mark.parametrize(
+    "structure, d",
+    [(JSymmetric(7, 13), 20), (Sparse(_random_pattern(30, 90, seed=30)), 30), (General(), 10)],
+    ids=["jsymmetric", "sparse", "general"],
+)
+def test_oracle_operators_apply_the_dense_operators(structure, d):
+    """JSymmetric(7, 13) has m != n, so a slip at the block boundary shows."""
+    rng = np.random.default_rng(d)
+    w = project_subspace(structure, rng.standard_normal((d, d)))
+    apply_sym, apply_aug = oracle_operators(structure, w)
+    for _ in range(5):
+        v, x = rng.standard_normal(d), rng.standard_normal(2 * d)
+        assert np.allclose(apply_sym(v), 0.5 * (w @ v + w.T @ v), rtol=0, atol=1e-13)
+        assert np.allclose(apply_aug(x), np.concatenate([w @ x[d:], w.T @ x[:d]]),
+                           rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("structure", [Sparse(_random_pattern(40, 160, seed=14)), JSymmetric(20, 20)],
+                         ids=["sparse", "jsymmetric"])
+def test_structured_oracle_agrees_with_the_dense_formulas(structure):
+    """The Sparse (fused CSR) and JSymmetric (block-diagonal sym(W), one d x 2
+    augmented product) oracles against General's dense products, run from the
+    same rng: same case, gamma and projected S up to rounding."""
     d, delta, q = 40, 0.25, 0.05
-    structure = Sparse(_random_pattern(d, 160, seed=14))
-    sparse = FeasibleSetParams(mu=0.1, l1=1.0, structure=structure)
+    structured = FeasibleSetParams(mu=0.1, l1=1.0, structure=structure)
     dense = FeasibleSetParams(mu=0.1, l1=1.0, structure=General())
     draws = np.random.default_rng(15)
     cases = set()
@@ -235,7 +254,7 @@ def test_sparse_oracle_agrees_with_the_dense_formulas():
         gamma_true = max(np.max(np.abs(np.linalg.eigvalsh(0.5 * (w + w.T)))),
                          np.linalg.svd(w, compute_uv=False)[0] / 3.0)
         w *= draws.uniform(0.5, 2.0) / gamma_true
-        got = sep_feasible(w, delta, q, sparse, np.random.default_rng(seed))
+        got = sep_feasible(w, delta, q, structured, np.random.default_rng(seed))
         want = sep_feasible(w, delta, q, dense, np.random.default_rng(seed))
         assert got.case is want.case
         assert got.gamma == pytest.approx(want.gamma, rel=1e-12)
