@@ -1,7 +1,7 @@
 """Matrix-free quasi-Newton proximal extragradient solver for smooth
 (strongly) monotone nonlinear equations."""
 
-from .certificates import CertificateCheck, CertificateReport, verify_iteration_certificates
+from .certificates import verify_iteration_certificates
 from .driver import (
     CertificateViolation,
     Mode,
@@ -12,30 +12,14 @@ from .driver import (
 from .learner import (
     LearnerOption,
     LearnerParams,
-    LearnerState,
     LossObservation,
-    current_matrix,
     learner_init,
-    loss_gradient,
     loss_value,
     observe_loss,
 )
-from .linear_solver import (
-    LinearOp,
-    MatvecCounter,
-    NumericalBreakdownError,
-    SolveReport,
-    linear_solve,
-)
-from .line_search import (
-    LineSearchError,
-    LineSearchOutcome,
-    LineSearchParams,
-    backtrack,
-    default_max_backtracks,
-)
+from .linear_solver import LinearOp, NumericalBreakdownError, linear_solve
+from .line_search import LineSearchError
 from .problems import (
-    FunctionValueGap,
     GenerationError,
     General,
     JSymmetric,
@@ -43,65 +27,43 @@ from .problems import (
     Problem,
     Sparse,
     Symmetric,
-    WeakGapBall,
     evaluate_gap,
     make_bilinear_minimax,
     make_logsumexp_min,
     make_quadratic_min,
     make_sparse_equation,
-    problem_from_descriptor,
-    problem_from_json,
-    problem_to_json,
 )
-from .separation import FeasibleSetParams, from_hat, project_subspace, sep_feasible, to_hat
-from .spectral import SepCase, SepResult, ext_evec, lanczos, max_svec
-from .trace import TRACE_VERSION, RunTrace, TraceRow, trace_from_csv, trace_to_csv, trace_to_jsonl
+from .separation import FeasibleSetParams
+from .spectral import SepCase, ext_evec, max_svec
+from .trace import RunTrace, trace_from_csv, trace_to_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CertificateCheck",
-    "CertificateReport",
     "CertificateViolation",
     "FeasibleSetParams",
-    "FunctionValueGap",
     "General",
     "GenerationError",
     "JSymmetric",
     "LearnerOption",
     "LearnerParams",
-    "LearnerState",
     "LinearOp",
     "LineSearchError",
-    "LineSearchOutcome",
-    "LineSearchParams",
     "LossObservation",
-    "MatvecCounter",
     "Mode",
     "NumericalBreakdownError",
     "PrimalDualBox",
     "Problem",
     "RunTrace",
     "SepCase",
-    "SepResult",
-    "SolveReport",
     "SolverConfig",
     "Sparse",
     "Symmetric",
-    "TRACE_VERSION",
-    "TraceRow",
-    "WeakGapBall",
-    "backtrack",
-    "current_matrix",
-    "default_max_backtracks",
     "evaluate_gap",
     "ext_evec",
     "extragradient_baseline",
-    "from_hat",
-    "lanczos",
     "learner_init",
     "linear_solve",
-    "loss_gradient",
     "loss_value",
     "make_bilinear_minimax",
     "make_logsumexp_min",
@@ -109,15 +71,8 @@ __all__ = [
     "make_sparse_equation",
     "max_svec",
     "observe_loss",
-    "problem_from_descriptor",
-    "problem_from_json",
-    "problem_to_json",
-    "project_subspace",
-    "sep_feasible",
     "solve",
-    "to_hat",
     "trace_from_csv",
     "trace_to_csv",
-    "trace_to_jsonl",
     "verify_iteration_certificates",
 ]

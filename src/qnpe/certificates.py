@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .driver import Mode, SolverConfig
-from .problems import GapSpec, Problem, evaluate_gap
+from .problems import PrimalDualBox, Problem, evaluate_gap
 from .trace import RunTrace
 
 
@@ -42,7 +42,7 @@ def verify_iteration_certificates(
     trace: RunTrace,
     problem: Problem,
     config: SolverConfig,
-    gap_spec: GapSpec | None = None,
+    gap_spec: PrimalDualBox | None = None,
 ) -> CertificateReport:
     report = CertificateReport()
     rows = trace.rows
@@ -129,15 +129,8 @@ def verify_iteration_certificates(
     return report
 
 
-def _max_sq_distance(z0: np.ndarray, gap_spec: GapSpec) -> float:
-    """max over the comparison set of ||z0 - z||^2 (closed form per family)."""
-    from .problems import PrimalDualBox, WeakGapBall
-
-    if isinstance(gap_spec, WeakGapBall):
-        return (np.linalg.norm(z0 - gap_spec.center) + gap_spec.radius) ** 2
-    if isinstance(gap_spec, PrimalDualBox):
-        lo = np.concatenate([gap_spec.x_lo, gap_spec.y_lo])
-        hi = np.concatenate([gap_spec.x_hi, gap_spec.y_hi])
-        per_coord = np.maximum((z0 - lo) ** 2, (z0 - hi) ** 2)
-        return float(per_coord.sum())
-    raise ValueError("gap bound needs a ball or box comparison set")
+def _max_sq_distance(z0: np.ndarray, box: PrimalDualBox) -> float:
+    """max over the box of ||z0 - z||^2, attained coordinate-wise at a corner."""
+    lo = np.concatenate([box.x_lo, box.y_lo])
+    hi = np.concatenate([box.x_hi, box.y_hi])
+    return float(np.maximum((z0 - lo) ** 2, (z0 - hi) ** 2).sum())

@@ -45,22 +45,7 @@ StructureSpec = General | Symmetric | JSymmetric | Sparse
 
 
 # ---------------------------------------------------------------------------
-# Gap specifications
-
-
-@dataclass(frozen=True)
-class WeakGapBall:
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-
-
-@dataclass(frozen=True)
-class FunctionValueGap:
-    pass
+# Gap comparison set
 
 
 @dataclass(frozen=True)
@@ -71,9 +56,6 @@ class PrimalDualBox:
     y_hi: np.ndarray
 
 
-GapSpec = WeakGapBall | FunctionValueGap | PrimalDualBox
-
-
 # ---------------------------------------------------------------------------
 # Problem
 
@@ -82,8 +64,8 @@ GapSpec = WeakGapBall | FunctionValueGap | PrimalDualBox
 class Problem:
     """An operator F: R^d -> R^d with its regularity metadata.
 
-    jacobian_matvec and objective are verification/reporting hooks; the solver
-    never calls them.  Problems are immutable after construction and safe to
+    jacobian_matvec is a verification/reporting hook; the solver never calls
+    it.  Problems are immutable after construction and safe to
     share across threads.
     """
 
@@ -95,19 +77,11 @@ class Problem:
     structure: StructureSpec
     known_root: np.ndarray | None = None
     jacobian_matvec: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    objective: Callable[[np.ndarray], float] | None = None
     descriptor: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.mu > self.l1:
             raise ValueError("require mu <= l1")
-
-    def jacobian_dense(self, z: np.ndarray) -> np.ndarray:
-        if self.jacobian_matvec is None:
-            raise ValueError("problem has no Jacobian matvec")
-        d = self.dim
-        eye = np.eye(d)
-        return np.column_stack([self.jacobian_matvec(z, eye[:, j]) for j in range(d)])
 
 
 class GenerationError(RuntimeError):
@@ -180,7 +154,6 @@ def make_quadratic_min(d: int, mu: float, l1: float, seed: int) -> Problem:
         structure=Symmetric(),
         known_root=z_star,
         jacobian_matvec=lambda z, v: a @ v,
-        objective=lambda z: 0.5 * float((z - z_star) @ (a @ (z - z_star))),
         descriptor={"family": "quadratic_min", "d": d, "mu": mu, "l1": l1, "seed": seed},
     )
 
@@ -206,11 +179,6 @@ def make_logsumexp_min(
         w = np.exp(t)
         return w / w.sum()
 
-    def objective(z: np.ndarray) -> float:
-        t = (amat @ z - bvec) / rho
-        tmax = t.max()
-        return float(rho * (tmax + np.log(np.exp(t - tmax).sum())) + 0.5 * mu * (z @ z))
-
     def f(z: np.ndarray) -> np.ndarray:
         return amat.T @ softmax_weights(z) + mu * z
 
@@ -229,7 +197,6 @@ def make_logsumexp_min(
         structure=Symmetric(),
         known_root=z_star,
         jacobian_matvec=lambda z, v: jac(z) @ v,
-        objective=objective,
         descriptor={
             "family": "logsumexp_min",
             "d": d,
@@ -264,10 +231,6 @@ def make_bilinear_minimax(m: int, n: int, mu: float, l1: float, seed: int) -> Pr
         vx, vy = v[:m], v[m:]
         return np.concatenate([mu * vx + c @ vy, -c.T @ vx + mu * vy])
 
-    def objective(z: np.ndarray) -> float:
-        x, y = z[:m], z[m:]
-        return float(0.5 * mu * (x @ x) + x @ (c @ y) - 0.5 * mu * (y @ y))
-
     return Problem(
         dim=d,
         eval=f,
@@ -277,7 +240,6 @@ def make_bilinear_minimax(m: int, n: int, mu: float, l1: float, seed: int) -> Pr
         structure=JSymmetric(m, n),
         known_root=np.zeros(d),
         jacobian_matvec=jmv,
-        objective=objective,
         descriptor={"family": "bilinear_minimax", "m": m, "n": n, "mu": mu, "l1": l1, "seed": seed},
     )
 
@@ -353,21 +315,10 @@ def make_sparse_equation(
 # Gap evaluation
 
 
-def evaluate_gap(problem: Problem, z: np.ndarray, spec: GapSpec) -> float:
-    z = np.asarray(z, dtype=float)
-    if isinstance(spec, FunctionValueGap):
-        if problem.objective is None or problem.known_root is None:
-            raise ValueError("FunctionValueGap needs an objective and a known root")
-        return problem.objective(z) - problem.objective(problem.known_root)
-
-    if isinstance(spec, PrimalDualBox):
-        if not isinstance(problem.structure, JSymmetric):
-            raise ValueError("PrimalDualBox applies to minimax problems")
-        return _primal_dual_box_gap(problem, z, spec)
-
-    if isinstance(spec, WeakGapBall):
-        return _weak_gap_ball(problem, z, spec)
-    raise ValueError(f"unknown gap spec: {spec!r}")
+def evaluate_gap(problem: Problem, z: np.ndarray, spec: PrimalDualBox) -> float:
+    if not isinstance(problem.structure, JSymmetric):
+        raise ValueError("PrimalDualBox applies to minimax problems")
+    return _primal_dual_box_gap(problem, np.asarray(z, dtype=float), spec)
 
 
 def _primal_dual_box_gap(problem: Problem, z: np.ndarray, spec: PrimalDualBox) -> float:
@@ -399,39 +350,6 @@ def _primal_dual_box_gap(problem: Problem, z: np.ndarray, spec: PrimalDualBox) -
         x_opt = np.where(cy >= 0, spec.x_lo, spec.x_hi)
     f_min = 0.5 * mu * float(x_opt @ x_opt) + float(cy @ x_opt) - 0.5 * mu * float(y @ y)
     return f_max - f_min
-
-
-def _weak_gap_ball(problem: Problem, z: np.ndarray, spec: WeakGapBall) -> float:
-    """max over the ball of <F(z'), z - z'> by multistart projected gradient
-    ascent (8 starts, 500 steps).  The reported value is a lower bound."""
-    if problem.jacobian_matvec is None:
-        raise ValueError("weak-gap evaluation needs the Jacobian matvec")
-    rng = np.random.default_rng(0)
-    center = np.asarray(spec.center, dtype=float)
-    r = spec.radius
-
-    def project(p: np.ndarray) -> np.ndarray:
-        delta = p - center
-        nrm = np.linalg.norm(delta)
-        return p if nrm <= r else center + delta * (r / nrm)
-
-    def value(zp: np.ndarray) -> float:
-        return float(problem.eval(zp) @ (z - zp))
-
-    best = -np.inf
-    step = 0.5 / max(problem.l1, 1e-12)
-    for trial in range(8):
-        if trial == 0:
-            zp = project(z)
-        else:
-            u = rng.standard_normal(problem.dim)
-            zp = center + u * (r * rng.uniform() / np.linalg.norm(u))
-        for _ in range(500):
-            jt_dir = problem.jacobian_dense(zp).T @ (z - zp)
-            grad = jt_dir - problem.eval(zp)
-            zp = project(zp + step * grad)
-        best = max(best, value(zp))
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -115,14 +115,6 @@ def tridiag_eigpair(alphas: np.ndarray, betas: np.ndarray, i: int) -> tuple[floa
     return float(lam[0]), z[:, 0]
 
 
-def tridiag_extreme_eigs(
-    alphas: np.ndarray, betas: np.ndarray
-) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """Extreme eigenpairs (lambda_max, z_max, lambda_min, z_min) of a symmetric
-    tridiagonal matrix."""
-    return (*tridiag_eigpair(alphas, betas, len(alphas) - 1), *tridiag_eigpair(alphas, betas, 0))
-
-
 def lanczos_step_count(d: int, delta: float, q: float, augmented: bool = False) -> int:
     """Iteration count ceil(1/4 * sqrt(2(1 + 1/delta)) * log(c*d/q^2) + 1/2)
     with c = 11 for the symmetrized oracle and c = 22 for the augmented one."""
@@ -156,7 +148,8 @@ def ext_evec(
     res = lanczos(apply_sym, d, n_steps, rng)
     if matvec_counter is not None:  # lanczos applies the operator once per step
         matvec_counter.add((1 if symmetric else 2) * res.steps_taken)
-    lam_max, z_max, lam_min, z_min = tridiag_extreme_eigs(res.alphas, res.betas)
+    lam_max, z_max = tridiag_eigpair(res.alphas, res.betas, res.steps_taken - 1)
+    lam_min, z_min = tridiag_eigpair(res.alphas, res.betas, 0)
     gamma = max(lam_max, -lam_min)
     if gamma <= 1.0:
         return SepResult(gamma=gamma, case=SepCase.CASE_I)

@@ -1,4 +1,4 @@
-"""Per-iteration run traces with CSV / JSON-lines export.
+"""Per-iteration run traces with CSV export.
 
 The CSV format is versioned via the leading comment line `# qnpe-trace-v1`
 and has a fixed column order; floats are written with full repr precision so
@@ -7,7 +7,6 @@ identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -120,9 +119,3 @@ def trace_from_csv(text: str) -> RunTrace:
         )
     return trace
 
-
-def trace_to_jsonl(trace: RunTrace) -> str:
-    lines = [json.dumps({"version": TRACE_VERSION, "solver": trace.solver})]
-    for row in trace.rows:
-        lines.append(json.dumps(dict(zip(COLUMNS, row.as_list())), sort_keys=True))
-    return "\n".join(lines) + "\n"

@@ -32,7 +32,6 @@ from qnpe import (
     extragradient_baseline,
     learner_init,
     linear_solve,
-    loss_gradient,
     loss_value,
     make_bilinear_minimax,
     make_logsumexp_min,
@@ -41,6 +40,7 @@ from qnpe import (
     observe_loss,
     solve,
 )
+from qnpe.learner import loss_gradient
 
 
 def report(num, name, ok):

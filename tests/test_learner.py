@@ -18,14 +18,19 @@ from qnpe import (
     LossObservation,
     Sparse,
     Symmetric,
-    current_matrix,
     learner_init,
-    loss_gradient,
     loss_value,
     observe_loss,
-    project_subspace,
 )
-from qnpe.learner import B0_CHECK_MAX_DIM, DEFAULT_RHO, failure_schedule, projected_gradient
+from qnpe.learner import (
+    B0_CHECK_MAX_DIM,
+    DEFAULT_RHO,
+    current_matrix,
+    failure_schedule,
+    loss_gradient,
+    projected_gradient,
+)
+from qnpe.separation import project_subspace
 
 
 def make_params(option, mu, l1, d, structure=None, rho=None):

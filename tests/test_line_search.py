@@ -6,13 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from qnpe import (
-    LineSearchError,
-    LineSearchParams,
-    MatvecCounter,
-    backtrack,
-    default_max_backtracks,
-)
+from qnpe import LineSearchError
+from qnpe.line_search import LineSearchParams, backtrack, default_max_backtracks
+from qnpe.linear_solver import MatvecCounter
 
 
 def params(alpha1=0.25, alpha2=0.25, beta=0.5, mu=0.0, max_backtracks=40):

@@ -1,0 +1,78 @@
+"""The package's public names cover every use by the demos and the benchmark.
+
+The demos and perfbench import from `qnpe` itself, and perfbench's tracer
+wraps module attributes by name.  These checks read their sources, so a
+deletion or an `__all__` trim that would break them fails here.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import qnpe
+
+ROOT = Path(__file__).resolve().parent.parent
+CALLERS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _package_names(path: Path) -> set[str]:
+    """Names imported `from qnpe`, plus every `qnpe.<attr>` that is not a
+    submodule or a dunder."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "qnpe" and node.level == 0:
+            names.update(alias.name for alias in node.names)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "qnpe"
+            and not node.attr.startswith("__")
+            and importlib.util.find_spec(f"qnpe.{node.attr}") is None
+        ):
+            names.add(node.attr)
+    return names
+
+
+def _patches() -> list[tuple[str, str]]:
+    """The (module, attribute) pairs of perfbench/tracing.py's PATCHES."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.AnnAssign | ast.Assign):
+            targets = [node.target] if isinstance(node, ast.AnnAssign) else node.targets
+            if any(isinstance(t, ast.Name) and t.id == "PATCHES" for t in targets):
+                return [(e.elts[0].value, e.elts[1].value) for e in node.value.elts]
+    raise AssertionError("PATCHES not found in perfbench/tracing.py")
+
+
+def test_callers_are_found():
+    assert any(p.parent.name == "demos" for p in CALLERS)
+    assert any(p.name == "harness.py" for p in CALLERS)
+
+
+@pytest.mark.parametrize("path", CALLERS, ids=[f"{p.parent.name}/{p.name}" for p in CALLERS])
+def test_caller_uses_only_public_names(path):
+    missing = _package_names(path) - set(qnpe.__all__)
+    assert not missing, f"{path.name} uses names outside qnpe.__all__: {sorted(missing)}"
+
+
+def test_every_public_name_resolves():
+    assert len(set(qnpe.__all__)) == len(qnpe.__all__)
+    for name in qnpe.__all__:
+        assert hasattr(qnpe, name), name
+
+
+def test_traced_attributes_exist_and_are_called_through_the_module_global():
+    patches = _patches()
+    assert patches
+    for module_name, attr in patches:
+        module = importlib.import_module(f"qnpe.{module_name}")
+        assert callable(getattr(module, attr, None)), f"qnpe.{module_name}.{attr}"
+        calls = {
+            node.func.id
+            for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert attr in calls, f"qnpe.{module_name} never calls {attr} by its global name"

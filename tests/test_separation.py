@@ -13,12 +13,15 @@ from qnpe import (
     SepCase,
     Sparse,
     Symmetric,
+)
+from qnpe.separation import (
     from_hat,
+    oracle_matrices,
+    oracle_operators,
     project_subspace,
     sep_feasible,
     to_hat,
 )
-from qnpe.separation import oracle_matrices, oracle_operators
 
 
 STRUCTURES = [

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from qnpe import SepCase, ext_evec, lanczos, max_svec
-from qnpe.spectral import lanczos_step_count, tridiag_extreme_eigs
+from qnpe import SepCase, ext_evec, max_svec
+from qnpe.spectral import lanczos, lanczos_step_count, tridiag_eigpair
 
 
 def test_lanczos_breaks_down_on_scaled_identity():
@@ -93,17 +93,19 @@ def test_lanczos_raises_on_a_non_finite_operator_value(bad):
     assert calls[0] == 3
 
 
-def test_tridiag_extreme_eigs_diagonal_case():
-    lam_max, v_max, lam_min, v_min = tridiag_extreme_eigs(
-        np.array([1.0, 2.0, 3.0]), np.zeros(2)
-    )
+def test_tridiag_eigpair_diagonal_case():
+    alphas, betas = np.array([1.0, 2.0, 3.0]), np.zeros(2)
+    lam_max, v_max = tridiag_eigpair(alphas, betas, 2)
+    lam_min, v_min = tridiag_eigpair(alphas, betas, 0)
     assert lam_max == 3.0 and lam_min == 1.0
     assert np.allclose(np.abs(v_max), [0, 0, 1], atol=1e-12)
     assert np.allclose(np.abs(v_min), [1, 0, 0], atol=1e-12)
 
 
-def test_tridiag_extreme_eigs_two_by_two():
-    lam_max, v_max, lam_min, v_min = tridiag_extreme_eigs(np.zeros(2), np.array([1.0]))
+def test_tridiag_eigpair_two_by_two():
+    alphas, betas = np.zeros(2), np.array([1.0])
+    lam_max, v_max = tridiag_eigpair(alphas, betas, 1)
+    lam_min, v_min = tridiag_eigpair(alphas, betas, 0)
     assert abs(lam_max - 1.0) <= 1e-14
     assert abs(lam_min + 1.0) <= 1e-14
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
@@ -111,13 +113,14 @@ def test_tridiag_extreme_eigs_two_by_two():
     assert np.allclose(np.abs(v_min), inv_sqrt2, atol=1e-12)
 
 
-def test_tridiag_extreme_eigs_matches_dense():
+def test_tridiag_eigpair_matches_dense():
     rng = np.random.default_rng(2)
     alphas = rng.standard_normal(12)
     betas = rng.standard_normal(11)
     t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
     dense = np.linalg.eigvalsh(t)
-    lam_max, _, lam_min, _ = tridiag_extreme_eigs(alphas, betas)
+    lam_max, _ = tridiag_eigpair(alphas, betas, 11)
+    lam_min, _ = tridiag_eigpair(alphas, betas, 0)
     assert abs(lam_max - dense[-1]) <= 1e-10
     assert abs(lam_min - dense[0]) <= 1e-10
 

@@ -1,6 +1,5 @@
-"""Trace container and its CSV / JSON-lines serialization."""
+"""Trace container and its CSV serialization."""
 
-import json
 import math
 
 import numpy as np
@@ -8,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnpe import TRACE_VERSION, RunTrace, TraceRow, trace_from_csv, trace_to_csv, trace_to_jsonl
+from qnpe import RunTrace, trace_from_csv, trace_to_csv
+from qnpe.trace import TRACE_VERSION, TraceRow
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -63,16 +63,6 @@ def test_csv_rejects_bad_header():
 def test_serialization_is_deterministic():
     trace = RunTrace(solver="qnpe", rows=[make_row(i) for i in range(5)])
     assert trace_to_csv(trace) == trace_to_csv(trace)
-
-
-def test_jsonl_shape():
-    trace = RunTrace(solver="qnpe", rows=[make_row()])
-    lines = trace_to_jsonl(trace).strip().splitlines()
-    head = json.loads(lines[0])
-    assert head["version"] == TRACE_VERSION
-    assert head["solver"] == "qnpe"
-    row = json.loads(lines[1])
-    assert row["k"] == 0 and row["eta"] == 0.5
 
 
 def test_dists_appends_final():
