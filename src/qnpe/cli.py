@@ -121,7 +121,10 @@ def _solver_config(desc: dict, problem: Problem, seed: int, debug: bool) -> Solv
         )
         if k in desc
     }
-    return SolverConfig(mode=mode, rng_seed=seed, debug_certificates=debug, **kwargs)
+    try:
+        return SolverConfig(mode=mode, rng_seed=seed, debug_certificates=debug, **kwargs)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"solver {desc.get('name')!r}: {exc}") from exc
 
 
 def _initial_point(solver_desc: dict, problem: Problem, run_seed: int) -> np.ndarray | None:
@@ -157,13 +160,11 @@ def _execute_run(spec: RunSpec) -> dict:
         _, _, trace = extragradient_baseline(problem, step, n_iters, z0=z0)
         config = None
         report = None
-    elif name == "qnpe":
+    else:  # qnpe; cmd_run has rejected every other name
         config = _solver_config(solver, problem, run_seed, spec.debug)
         _, _, trace = solve(problem, config, z0=z0)
         gap_spec = _default_gap_spec(problem) if config.mode is Mode.MONOTONE else None
         report = verify_iteration_certificates(trace, problem, config, gap_spec=gap_spec)
-    else:
-        raise ConfigError(f"unknown solver name {name!r}")
     wall = time.perf_counter() - t0
 
     return {
@@ -268,9 +269,6 @@ def cmd_run(config_path: str, out_dir: str, seed: int | None, threads: int, debu
 
     try:
         results = _run_all(specs, threads)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except Exception as exc:  # solver-side failure
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -27,7 +27,7 @@ from .learner import (
     observe_loss,
 )
 from .linear_solver import MatvecCounter
-from .line_search import LineSearchParams, backtrack, default_max_backtracks
+from .line_search import LineSearchParams, backtrack, check_step_constants, default_max_backtracks
 from .problems import Problem, Symmetric
 from .separation import FeasibleSetParams, subspace_residual
 from .trace import RunTrace, TraceRow
@@ -62,6 +62,11 @@ class SolverConfig:
     max_backtracks: int | None = None
     debug_certificates: bool = False
 
+    def __post_init__(self) -> None:
+        check_step_constants(self.alpha1, self.alpha2, self.beta)
+        if not (0 < self.p < 1):
+            raise ValueError("failure budget p must be in (0, 1)")
+
     def step_size_floor(self, l1: float) -> float:
         return self.alpha2 * self.beta / (FLOOR_DENOMINATOR[self.mode] * l1)
 
@@ -77,8 +82,6 @@ class SolverConfig:
 def _validate(problem: Problem, config: SolverConfig) -> None:
     if config.mode is Mode.STRONGLY_MONOTONE and problem.mu <= 0:
         raise ValueError("strongly monotone mode requires problem.mu > 0")
-    if not (0 < config.p < 1):
-        raise ValueError("failure budget p must be in (0, 1)")
 
 
 def _dist(z: np.ndarray, root: np.ndarray | None) -> float:
@@ -132,6 +135,10 @@ def solve(
 
     sym_structure = isinstance(problem.structure, Symmetric)
     floor = config.step_size_floor(l1)
+    # the trial cap is set each iteration, since its default follows sigma
+    ls_params = LineSearchParams(
+        alpha1=config.alpha1, alpha2=config.alpha2, beta=config.beta, mu=mu, max_backtracks=0
+    )
 
     trace = RunTrace(
         solver="qnpe",
@@ -162,17 +169,10 @@ def solve(
             break
 
         b_mat, b_mv, b_mv_t = current_matrix(state, lparams)
-        max_bt = (
+        ls_params.max_backtracks = (
             config.max_backtracks
             if config.max_backtracks is not None
             else default_max_backtracks(sigma, l1, config.alpha2, config.beta)
-        )
-        ls_params = LineSearchParams(
-            alpha1=config.alpha1,
-            alpha2=config.alpha2,
-            beta=config.beta,
-            mu=mu,
-            max_backtracks=max_bt,
         )
         out = backtrack(
             z, g, b_mv, b_mv_t, sigma, ls_params, problem.eval,

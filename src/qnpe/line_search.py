@@ -30,6 +30,16 @@ class LineSearchError(RuntimeError):
     misconfigured Lipschitz constant."""
 
 
+def check_step_constants(alpha1: float, alpha2: float, beta: float) -> None:
+    """The ranges of the line-search constants that the theory assumes."""
+    if not (0 <= alpha1 < 0.5):
+        raise ValueError("require alpha1 in [0, 1/2)")
+    if not (0 < alpha2 < 0.5):
+        raise ValueError("require alpha2 in (0, 1/2)")
+    if not (0 < beta < 1):
+        raise ValueError("require beta in (0, 1)")
+
+
 @dataclass
 class LineSearchParams:
     alpha1: float
@@ -39,14 +49,7 @@ class LineSearchParams:
     max_backtracks: int
 
     def __post_init__(self) -> None:
-        if not (0 <= self.alpha1 < 0.5):
-            raise ValueError("require alpha1 in [0, 1/2)")
-        if not (0 < self.alpha2 < 0.5):
-            raise ValueError("require alpha2 in (0, 1/2)")
-        if not (0 < self.beta < 1):
-            raise ValueError("require beta in (0, 1)")
-        if self.alpha1 + self.alpha2 >= 1:
-            raise ValueError("require alpha1 + alpha2 < 1")
+        check_step_constants(self.alpha1, self.alpha2, self.beta)
         if self.mu < 0:
             raise ValueError("require mu >= 0")
 

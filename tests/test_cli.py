@@ -72,6 +72,15 @@ def test_run_mode_mismatch_exits_2(tmp_path):
     assert "strongly_monotone" in proc.stderr
 
 
+def test_run_out_of_range_constant_exits_2(tmp_path):
+    cfg = dict(BASIC, solvers=[dict(BASIC["solvers"][0], alpha1=0.7)])
+    path = write_config(tmp_path / "cfg.json", cfg)
+    proc = run_cli("run", path, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert "alpha1" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_unknown_solver_exits_2(tmp_path):
     cfg = dict(BASIC, solvers=[{"name": "newton"}])
     path = write_config(tmp_path / "cfg.json", cfg)
