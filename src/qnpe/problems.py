@@ -330,20 +330,16 @@ def _primal_dual_box_gap(problem: Problem, z: np.ndarray, spec: PrimalDualBox) -
     m = desc["m"]
     mu = problem.mu
     x, y = z[:m], z[m:]
-    # reconstruct C via the Jacobian matvec on basis vectors (reporting only)
-    n = problem.dim - m
-    c = np.column_stack(
-        [problem.jacobian_matvec(z, np.concatenate([np.zeros(m), e]))[:m] for e in np.eye(n)]
-    )
+    # J = [[mu I, C], [-C^T, mu I]], so C^T x = -(J [x; 0])_y and C y = (J [0; y])_x
+    cx = -problem.jacobian_matvec(z, np.concatenate([x, np.zeros_like(y)]))[m:]  # coefficients of y'
+    cy = problem.jacobian_matvec(z, np.concatenate([np.zeros_like(x), y]))[:m]  # coefficients of x'
 
-    cx = c.T @ x  # linear coefficients of y'
     if mu > 0:
         y_opt = np.clip(cx / mu, spec.y_lo, spec.y_hi)
     else:
         y_opt = np.where(cx >= 0, spec.y_hi, spec.y_lo)
     f_max = 0.5 * mu * float(x @ x) + float(cx @ y_opt) - 0.5 * mu * float(y_opt @ y_opt)
 
-    cy = c @ y  # linear coefficients of x'
     if mu > 0:
         x_opt = np.clip(-cy / mu, spec.x_lo, spec.x_hi)
     else:

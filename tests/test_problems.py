@@ -6,10 +6,12 @@ central finite differences, pairwise sampling), never from the code under test.
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from qnpe import (
     JSymmetric,
     PrimalDualBox,
+    Problem,
     Sparse,
     Symmetric,
     evaluate_gap,
@@ -203,6 +205,41 @@ def test_primal_dual_box_gap_vanishes_at_saddle():
     assert evaluate_gap(p, np.zeros(10), box) <= 1e-10
     z = 0.3 * np.ones(10)
     assert evaluate_gap(p, z, box) >= 0.0
+
+
+def test_primal_dual_box_gap_matches_a_dense_reference():
+    # explicit C with m != n and mu > 0, on a box that is not symmetric about 0
+    m, n, mu = 4, 7, 0.3
+    rng = np.random.default_rng(12)
+    c = rng.standard_normal((m, n))
+    jac = np.block([[mu * np.eye(m), c], [-c.T, mu * np.eye(n)]])
+    p = Problem(
+        dim=m + n,
+        eval=lambda z: jac @ z,
+        mu=mu,
+        l1=float(np.linalg.norm(jac, 2)),
+        l2=0.0,
+        structure=JSymmetric(m, n),
+        known_root=np.zeros(m + n),
+        jacobian_matvec=lambda z, v: jac @ v,
+        descriptor={"family": "bilinear_minimax", "m": m, "n": n},
+    )
+    box = PrimalDualBox(-rng.uniform(0.5, 2, m), rng.uniform(0.5, 2, m),
+                        -rng.uniform(0.5, 2, n), rng.uniform(0.5, 2, n))
+
+    def f(x, y):
+        return 0.5 * mu * (x @ x) + x @ c @ y - 0.5 * mu * (y @ y)
+
+    opts = {"ftol": 1e-15, "gtol": 1e-12}
+    for _ in range(3):
+        z = rng.standard_normal(m + n)
+        x, y = z[:m], z[m:]
+        best_y = minimize(lambda yp: -f(x, yp), np.zeros(n), jac=lambda yp: mu * yp - c.T @ x,
+                          bounds=list(zip(box.y_lo, box.y_hi)), method="L-BFGS-B", options=opts)
+        best_x = minimize(lambda xp: f(xp, y), np.zeros(m), jac=lambda xp: mu * xp + c @ y,
+                          bounds=list(zip(box.x_lo, box.x_hi)), method="L-BFGS-B", options=opts)
+        reference = -best_y.fun - best_x.fun
+        assert abs(evaluate_gap(p, z, box) - reference) <= 1e-8 * max(1.0, abs(reference))
 
 
 # ---------------------------------------------------------------------------
