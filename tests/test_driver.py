@@ -52,18 +52,13 @@ def test_starting_at_root_stops_immediately():
     assert z_bar is None
 
 
-@pytest.mark.parametrize("bad", [{"alpha1": 0.7}, {"beta": 1.5}, {"p": 0.0}])
-def test_invalid_constants_rejected_even_at_the_root(bad):
-    # the config is checked when built, not when the first step is taken
+@pytest.mark.parametrize("bad", [{"alpha1": 0.7}, {"alpha2": 0.0}, {"beta": 1.5}, {"p": 0.0}])
+def test_invalid_constants_rejected_before_any_step(bad):
+    # the config is checked when built, so also at the root, where no step is taken
     p = make_quadratic_min(5, 0.1, 1.0, seed=0)
-    with pytest.raises(ValueError):
-        solve(p, sm_config(**bad), z0=p.known_root)
-
-
-def test_zero_alpha2_is_a_value_error():
-    p = make_quadratic_min(5, 0.1, 1.0, seed=0)
-    with pytest.raises(ValueError, match="alpha2"):
-        solve(p, sm_config(alpha2=0.0), z0=p.known_root + 1.0)
+    for z0 in (p.known_root, p.known_root + 1.0):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            solve(p, sm_config(**bad), z0=z0)
 
 
 def test_quadratic_contracts_every_iteration():
