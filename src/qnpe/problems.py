@@ -65,8 +65,8 @@ class Problem:
     """An operator F: R^d -> R^d with its regularity metadata.
 
     jacobian_matvec is a verification/reporting hook; the solver never calls
-    it.  Problems are immutable after construction and safe to
-    share across threads.
+    it.  Problems are immutable after construction and safe to share across
+    threads.
     """
 
     dim: int
