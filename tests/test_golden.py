@@ -9,10 +9,13 @@ behaviour regenerates the fixtures with
     PYTHONPATH=src python3 tests/test_golden.py --regenerate
 
 and records the regeneration in CHANGES.md.  Floating-point results depend on
-the numpy/BLAS build, so the fixtures belong to the environment that wrote
-them.  A mismatch names the first differing line and column and the largest
+the numpy/BLAS build and on its thread count, so the fixtures belong to the
+environment that wrote them, and they are written and checked with BLAS
+pinned to one thread (tests/conftest.py).  A mismatch names the first differing line and column and the largest
 distance in units in the last place (ULPs) over the float fields.
 """
+
+import conftest  # noqa: F401  first: pins BLAS to one thread before numpy loads
 
 import functools
 import hashlib
