@@ -230,6 +230,14 @@ def test_init_stores_the_projection_of_a_nearly_structured_b0():
     assert np.array_equal(state.b_current, b0)
 
 
+def test_init_stores_w_in_c_order():
+    # the J-symmetric projection of a large matrix comes back in Fortran order
+    structure = JSymmetric(300, 300)
+    params = make_params(LearnerOption.OPTION_II, mu=0.0, l1=1.0, d=600, structure=structure)
+    state = learner_init(np.eye(600), params, np.random.default_rng(12))
+    assert state.w.flags.c_contiguous
+
+
 def test_zero_loss_observation_leaves_w_unchanged():
     params = make_params(LearnerOption.OPTION_I, mu=0.4, l1=1.0, d=5)
     state = learner_init(1.4 * np.eye(5), params, np.random.default_rng(4))
