@@ -33,6 +33,7 @@ class LearnerOption(Enum):
 DEFAULT_RHO = {LearnerOption.OPTION_I: 1.0 / 121.0, LearnerOption.OPTION_II: 1.0 / 81.0}
 
 B0_CHECK_MAX_DIM = 64  # learner_init checks b0's spectrum only up to this dimension
+_STEP_ROWS = 32  # rows of W per block of the in-place learner step
 
 
 def failure_schedule(p: float) -> Callable[[int], float]:
@@ -103,35 +104,25 @@ def loss_gradient(b: np.ndarray, obs: LossObservation) -> np.ndarray:
     return -2.0 * np.outer(obs.u - b @ obs.s, obs.s) / s2
 
 
-def projected_gradient(
-    structure: StructureSpec, resid: np.ndarray, s: np.ndarray, l1: float, out: np.ndarray,
-    work: np.ndarray,
-) -> np.ndarray:
-    """project_subspace(structure, loss_gradient(B, obs)) / l1, bit for bit,
-    from resid = u - B s and s, written into `out` with `work` as scratch.
-    Symmetrization adds a contiguous outer(s, resid) instead of a transpose.
-    Sparse gathers over the pattern and leaves `out` off it as it is: zero."""
-    s2 = float(s @ s)
-    if isinstance(structure, Sparse):
-        rows, cols, flat, _ = pattern_index(structure.pattern, len(s))
-        np.put(out, flat, -2.0 * (resid[rows] * s[cols]) / s2 / l1)
-        return out
-    np.copyto(out, s)  # outer(resid, s) without np.outer's slower out= path
-    out *= resid[:, None]
-    out *= -2.0
-    out /= s2
-    if isinstance(structure, (Symmetric, JSymmetric)):
-        np.copyto(work, resid)
-        work *= s[:, None]
-        work *= -2.0
-        work /= s2
-        if isinstance(structure, JSymmetric):  # J W^T J: negate the off-diagonal blocks
-            work[: structure.m, structure.m :] *= -1.0
-            work[structure.m :, : structure.m] *= -1.0
-        out += work
-        out *= 0.5
-    out /= l1
-    return out
+def _add_rank_two(
+    w: np.ndarray, a: np.ndarray, b: np.ndarray,
+    mirror: tuple[np.ndarray, np.ndarray] | None, sep_term: tuple[float, np.ndarray] | None,
+) -> None:
+    """W += outer(a, b) + outer(*mirror) + k S, with sep_term = (k, S), in
+    place and a block of rows at a time.  Each product is rounded on its own,
+    the products are added, and the sum goes into W, so a mirror pair whose
+    terms swap places at (i, j) and (j, i) adds the same value to both."""
+    d = w.shape[0]
+    rows = min(_STEP_ROWS, d)
+    buf, work = np.empty((rows, d)), np.empty((rows, d))
+    for i in range(0, d, rows):
+        blk, n = slice(i, i + rows), min(rows, d - i)
+        step = np.multiply(a[blk, None], b, out=buf[:n])
+        if mirror is not None:
+            step += np.multiply(mirror[0][blk, None], mirror[1], out=work[:n])
+        if sep_term is not None:
+            step += np.multiply(sep_term[1][blk], sep_term[0], out=work[:n])
+        w[blk] += step
 
 
 @dataclass
@@ -142,8 +133,6 @@ class LearnerState:
     last_sep: SepResult | None
     last_delta: float
     rng: np.random.Generator
-    grad: np.ndarray  # d x d buffer of the projected loss gradient
-    work: np.ndarray  # d x d scratch
     matvec_counter: MatvecCounter = field(default_factory=MatvecCounter)
     sep_calls: int = 0
 
@@ -176,7 +165,6 @@ def learner_init(
         last_sep=None,
         last_delta=params.delta_schedule(0),
         rng=rng,
-        grad=np.zeros_like(w0), work=np.zeros_like(w0),
         matvec_counter=matvec_counter if matvec_counter is not None else MatvecCounter(),
     )
 
@@ -190,18 +178,33 @@ def observe_loss(
     separation oracle.  `resid` is u - B s when the caller has it.  Mutates
     and returns the state, updating W and B in place."""
     feas = params.feasible
+    s, w = obs.s, state.w
     if resid is None:
-        resid = obs.u - state.b_current @ obs.s
+        resid = obs.u - state.b_current @ s
+    s2 = float(s @ s)
 
-    g = projected_gradient(feas.structure, resid, obs.s, feas.l1, state.grad, state.work)
-    if state.t >= 1 and state.last_sep is not None and state.last_sep.case is SepCase.CASE_II:
-        sep = state.last_sep
-        coeff = max(0.0, -float(np.tensordot(g, state.w, axes=2)) / sep.gamma)
-        g += np.multiply(coeff, sep.s, out=state.work)
-
-    w = state.w
-    g *= params.rho
-    w -= g
+    # W <- W - rho (P(grad) / L1 + coeff S), grad = -2 resid s^T / ||s||^2.  In Case II,
+    # <P(grad), W> = <grad, W> = -2 resid^T W s / ||s||^2 since W = P(W).
+    coeff, sep = 0.0, state.last_sep
+    if state.t >= 1 and sep is not None and sep.case is SepCase.CASE_II:
+        coeff = max(0.0, 2.0 * float(resid @ (w @ s)) / (s2 * feas.l1) / sep.gamma)
+    structure = feas.structure
+    if isinstance(structure, Sparse):  # O(nnz) gather on the pattern, plus the diagonal
+        rows, cols, flat, _ = pattern_index(structure.pattern, len(s))
+        vals = -2.0 * (resid[rows] * s[cols]) / s2 / feas.l1
+        if coeff:
+            vals += coeff * sep.s.take(flat)
+        w.flat[flat] -= params.rho * vals
+    else:
+        a = (params.rho / (s2 * feas.l1)) * resid
+        if isinstance(structure, Symmetric):
+            mirror = s, a
+        elif isinstance(structure, JSymmetric):  # J (a s^T)^T J
+            m = structure.m
+            mirror = np.concatenate([s[:m], -s[m:]]), np.concatenate([a[:m], -a[m:]])
+        else:
+            a, mirror = 2.0 * a, None
+        _add_rank_two(w, a, s, mirror, (-params.rho * coeff, sep.s) if coeff else None)
     nrm = np.linalg.norm(w)
     if nrm > params.radius:
         w *= params.radius / nrm

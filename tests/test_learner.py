@@ -17,6 +17,7 @@ from qnpe import (
     LearnerParams,
     LossObservation,
     Sparse,
+    SepCase,
     Symmetric,
     learner_init,
     loss_value,
@@ -28,7 +29,6 @@ from qnpe.learner import (
     current_matrix,
     failure_schedule,
     loss_gradient,
-    projected_gradient,
 )
 from qnpe.separation import project_subspace
 
@@ -78,25 +78,45 @@ def test_loss_hand_computed():
     assert np.array_equal(loss_gradient(b, obs), -np.ones((2, 2)))
 
 
+def reference_step(state, obs, params):
+    """W - rho (P(grad) / L1 + coeff S), clipped to the ball, from the dense
+    projected gradient and the Frobenius inner product with it."""
+    feas, w = params.feasible, state.w
+    g = project_subspace(feas.structure, loss_gradient(state.b_current, obs)) / feas.l1
+    sep = state.last_sep
+    if state.t >= 1 and sep.case is SepCase.CASE_II:
+        g = g + max(0.0, -float(np.tensordot(g, w, axes=2)) / sep.gamma) * sep.s
+    w = w - params.rho * g
+    return w * min(1.0, params.radius / np.linalg.norm(w))
+
+
 @pytest.mark.parametrize("structure", ["general", "symmetric", "jsymmetric", "sparse"])
-def test_projected_gradient_is_bitwise_the_composed_formula(structure):
+def test_learner_step_is_the_projected_gradient_step_and_keeps_w_structured(structure):
     rng = np.random.default_rng(13)
-    d = 30
-    structure = {
-        "general": General(),
-        "symmetric": Symmetric(),
-        "jsymmetric": JSymmetric(12, 18),
-        "sparse": Sparse(random_pattern(rng, d, 90)),
+    d, mu, l1 = 200, 0.2, 1.5
+    structure, rho = {  # the Sparse step moves only the pattern: a larger rho
+        "general": (General(), 0.5),
+        "symmetric": (Symmetric(), 0.5),
+        "jsymmetric": (JSymmetric(70, 130), 0.5),
+        "sparse": (Sparse(random_pattern(rng, d, 1000)), 2.0),
     }[structure]
-    out, work = np.zeros((d, d)), np.zeros((d, d))  # reused, as by the learner
-    for _ in range(10):
-        b = project_subspace(structure, rng.standard_normal((d, d)))
-        obs = random_obs(rng, d)
-        l1 = float(rng.uniform(0.5, 3.0))
-        expected = project_subspace(structure, loss_gradient(b, obs)) / l1
-        got = projected_gradient(structure, obs.u - b @ obs.s, obs.s, l1, out, work)
-        assert got is out
-        assert_bitwise(got, expected)
+    params = make_params(LearnerOption.OPTION_I, mu=mu, l1=l1, d=d, structure=structure,
+                         rho=rho)
+    w0 = project_subspace(structure, rng.standard_normal((d, d)))
+    state = learner_init(l1 * 0.5 * w0 / np.linalg.norm(w0, 2) + (l1 + mu) * np.eye(d),
+                         params, rng)
+    # outside the set: Case II rounds, some of them clipped to the ball
+    target = 6.0 * l1 * rng.standard_normal((d, d)) / math.sqrt(d)
+    case_ii = 0
+    for _ in range(30):
+        s = rng.standard_normal(d)
+        obs = LossObservation(u=target @ s, s=s)
+        want = reference_step(state, obs, params)
+        case_ii += state.t >= 1 and state.last_sep.case is SepCase.CASE_II
+        observe_loss(state, obs, params)
+        assert np.linalg.norm(state.w - want) <= 1e-14 * np.linalg.norm(want)
+    assert case_ii > 0
+    assert_bitwise(state.w, project_subspace(structure, state.w))
 
 
 def test_sparse_current_matrix_matvecs_equal_dense_csr_bit_for_bit():
