@@ -18,6 +18,8 @@ The config file is a single JSON document:
 
 Exit codes: 0 success, 2 config/input error, 3 certificate failure,
 4 solver error.  Identical config + seed produce byte-identical trace CSVs.
+A run that fails writes run_*.error.json, naming the exception, in place of
+its trace; the other runs of the batch still complete and write theirs.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CERTIFICATE = 3
 EXIT_SOLVER = 4
+
+ERROR_SUFFIX = ".error.json"  # a failed run's file, next to the completed runs' sidecars
 
 
 class ConfigError(ValueError):
@@ -127,6 +131,21 @@ def _solver_config(desc: dict, problem: Problem, seed: int, debug: bool) -> Solv
         raise ConfigError(f"solver {desc.get('name')!r}: {exc}") from exc
 
 
+def _eg_params(desc: dict, problem: Problem) -> tuple[float, int]:
+    """The EG entry's (step_size, n_iters), defaulting to 0.5/L1 and 200."""
+    step = desc.get("step_size", 0.5 / problem.l1)
+    n_iters = desc.get("n_iters", 200)
+    if isinstance(step, bool) or not isinstance(step, (int, float)) or not (
+        0 < step <= 1.0 / problem.l1
+    ):
+        raise ConfigError(
+            f"solver {desc.get('name')!r}: step_size must lie in (0, 1/L1] = (0, {1.0 / problem.l1}]"
+        )
+    if isinstance(n_iters, bool) or not isinstance(n_iters, int) or n_iters < 1:
+        raise ConfigError(f"solver {desc.get('name')!r}: n_iters must be a positive integer")
+    return step, n_iters
+
+
 def _initial_point(solver_desc: dict, problem: Problem, run_seed: int) -> np.ndarray | None:
     """Optional gaussian starting point: {"z0_scale": s} draws s * N(0, I)
     with a seed derived from the run seed; omit for the zero vector."""
@@ -147,37 +166,35 @@ def _default_gap_spec(problem: Problem):
 
 
 def _execute_run(spec: RunSpec) -> dict:
+    """One run's result; a run that raises carries the error in place of a
+    trace, so that one bad run does not abort the batch."""
     problem = spec.problem
     base_seed = spec.seed_override if spec.seed_override is not None else spec.problem_desc.get("seed", 0)
     run_seed = base_seed + spec.rep
     solver = spec.solver_desc
     name = solver.get("name", "qnpe")
-    z0 = _initial_point(solver, problem, run_seed)
-    t0 = time.perf_counter()
-    if name == "eg":
-        step = solver.get("step_size", 0.5 / problem.l1)
-        n_iters = solver.get("n_iters", 200)
-        _, _, trace = extragradient_baseline(problem, step, n_iters, z0=z0)
-        config = None
-        report = None
-    else:  # qnpe; cmd_run has rejected every other name
-        config = _solver_config(solver, problem, run_seed, spec.debug)
-        _, _, trace = solve(problem, config, z0=z0)
-        gap_spec = _default_gap_spec(problem) if config.mode is Mode.MONOTONE else None
-        report = verify_iteration_certificates(trace, problem, config, gap_spec=gap_spec)
-    wall = time.perf_counter() - t0
-
-    return {
+    result = {
         "run_id": spec.run_id,
         "solver": name,
         "rep": spec.rep,
         "seed": run_seed,
         "problem": spec.problem_desc,
         "solver_desc": solver,
-        "trace": trace,
-        "report": report,
-        "wall_time": wall,
     }
+    z0 = _initial_point(solver, problem, run_seed)
+    t0 = time.perf_counter()
+    try:
+        if name == "eg":
+            _, _, trace = extragradient_baseline(problem, *_eg_params(solver, problem), z0=z0)
+            report = None
+        else:  # qnpe; cmd_run has rejected every other name
+            config = _solver_config(solver, problem, run_seed, spec.debug)
+            _, _, trace = solve(problem, config, z0=z0)
+            gap_spec = _default_gap_spec(problem) if config.mode is Mode.MONOTONE else None
+            report = verify_iteration_certificates(trace, problem, config, gap_spec=gap_spec)
+    except Exception as exc:  # solver-side failure of this run only
+        return {**result, "error": type(exc).__name__, "message": str(exc)}
+    return {**result, "trace": trace, "report": report, "wall_time": time.perf_counter() - t0}
 
 
 def _write_run(out_dir: Path, result: dict) -> dict:
@@ -255,10 +272,13 @@ def cmd_run(config_path: str, out_dir: str, seed: int | None, threads: int, debu
         specs = _make_specs(cfg, seed, debug)
         # validate every pair before running anything
         for spec in specs:
-            if spec.solver_desc.get("name", "qnpe") == "qnpe":
+            name = spec.solver_desc.get("name", "qnpe")
+            if name == "qnpe":
                 _solver_config(spec.solver_desc, spec.problem, 0, debug)
-            elif spec.solver_desc.get("name") != "eg":
-                raise ConfigError(f"unknown solver name {spec.solver_desc.get('name')!r}")
+            elif name == "eg":
+                _eg_params(spec.solver_desc, spec.problem)
+            else:
+                raise ConfigError(f"unknown solver name {name!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -267,13 +287,12 @@ def cmd_run(config_path: str, out_dir: str, seed: int | None, threads: int, debu
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True))
 
-    try:
-        results = _run_all(specs, threads)
-    except Exception as exc:  # solver-side failure
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-
-    summaries = [_write_run(out, r) for r in results]
+    results = _run_all(specs, threads)
+    failed = [r for r in results if "error" in r]
+    for r in failed:
+        print(f"solver error in {r['run_id']}: {r['message']}", file=sys.stderr)
+        (out / f"{r['run_id']}{ERROR_SUFFIX}").write_text(json.dumps(r, indent=2))
+    summaries = [_write_run(out, r) for r in results if "error" not in r]
     (out / "summary.json").write_text(json.dumps(summaries, indent=2))
 
     cert_lines = []
@@ -291,8 +310,14 @@ def cmd_run(config_path: str, out_dir: str, seed: int | None, threads: int, debu
         )
     if not all_pass:
         print("certificate failure; see certificates.txt", file=sys.stderr)
-        return EXIT_CERTIFICATE
-    return EXIT_OK
+    if failed:
+        return EXIT_SOLVER
+    return EXIT_OK if all_pass else EXIT_CERTIFICATE
+
+
+def _sidecars(out: Path) -> list[Path]:
+    """The completed runs' sidecars, without the failed runs' error files."""
+    return sorted(p for p in out.glob("run_*.json") if not p.name.endswith(ERROR_SUFFIX))
 
 
 def _cost_to_accuracy(trace: RunTrace, eps: float) -> tuple:
@@ -321,12 +346,12 @@ def cmd_compare(config_path: str, out_dir: str, seed: int | None, threads: int, 
         return EXIT_CONFIG
 
     code = cmd_run(config_path, out_dir, seed, threads, debug)
-    if code not in (EXIT_OK, EXIT_CERTIFICATE):
+    if code == EXIT_CONFIG:
         return code
 
     out = Path(out_dir)
     rows = []
-    for sidecar_path in sorted(out.glob("run_*.json")):
+    for sidecar_path in _sidecars(out):
         sidecar = json.loads(sidecar_path.read_text())
         trace = trace_from_csv((out / f"{sidecar['run_id']}.csv").read_text())
         trace.final_dist = sidecar["final_dist"]
@@ -366,7 +391,7 @@ def cmd_verify(trace_dir: str) -> int:
     if not out.is_dir():
         print(f"not a directory: {trace_dir}", file=sys.stderr)
         return EXIT_CONFIG
-    sidecars = sorted(out.glob("run_*.json"))
+    sidecars = _sidecars(out)
     if not sidecars:
         print("no run sidecars found", file=sys.stderr)
         return EXIT_CONFIG

@@ -66,6 +66,8 @@ class SolverConfig:
         check_step_constants(self.alpha1, self.alpha2, self.beta)
         if not (0 < self.p < 1):
             raise ValueError("failure budget p must be in (0, 1)")
+        if self.max_backtracks is not None and self.max_backtracks < 1:
+            raise ValueError("max_backtracks must be at least 1")
 
     def step_size_floor(self, l1: float) -> float:
         return self.alpha2 * self.beta / (FLOOR_DENOMINATOR[self.mode] * l1)

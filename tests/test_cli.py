@@ -81,6 +81,45 @@ def test_run_out_of_range_constant_exits_2(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("solver, message", [
+    ({"name": "eg", "step_size": 2.0, "n_iters": 20}, "step_size"),  # l1 = 1
+    ({"name": "qnpe", "mode": "strongly_monotone", "max_backtracks": 0}, "max_backtracks"),
+], ids=["eg_step_size", "qnpe_max_backtracks"])
+def test_run_invalid_solver_field_exits_2_and_writes_nothing(tmp_path, solver, message):
+    path = write_config(tmp_path / "cfg.json", dict(BASIC, solvers=[solver]))
+    proc = run_cli("run", path, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_failed_run_leaves_the_rest_of_the_batch(tmp_path):
+    failing = {"name": "qnpe", "mode": "strongly_monotone", "max_backtracks": 1,
+               "z0_scale": 1.0}  # the first trial step is rejected
+    cfg = dict(BASIC, solvers=[BASIC["solvers"][0], failing,
+                               {"name": "eg", "step_size": 0.5, "n_iters": 20}])
+    path = write_config(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    proc = run_cli("run", path, "--out", str(out))
+    assert proc.returncode == 4
+    errors = sorted(out.glob("run_*.error.json"))
+    assert [p.name for p in errors] == [f"run_p0_qnpe1_rep{r}.error.json" for r in range(2)]
+    error = json.loads(errors[0].read_text())
+    assert error["error"] == "LineSearchError" and "within 1 trials" in error["message"]
+    assert error["run_id"] in proc.stderr
+    completed = sorted(f"run_p0_{s}_rep{r}" for s in ("qnpe0", "eg2") for r in range(2))
+    assert sorted(p.stem for p in out.glob("run_*.csv")) == completed
+    for run_id in completed:
+        assert (out / f"{run_id}.json").is_file()
+    summary = json.loads((out / "summary.json").read_text())
+    assert sorted(s["run_id"] for s in summary) == completed
+    assert run_cli("verify", str(out)).returncode == 0  # the error files are not sidecars
+    proc = run_cli("compare", path, "--out", str(tmp_path / "cmp"))
+    assert proc.returncode == 4
+    compared = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()[1:]
+    assert sorted({r.split(",")[0] for r in compared}) == completed
+
+
 def test_run_unknown_solver_exits_2(tmp_path):
     cfg = dict(BASIC, solvers=[{"name": "newton"}])
     path = write_config(tmp_path / "cfg.json", cfg)

@@ -52,7 +52,9 @@ def test_starting_at_root_stops_immediately():
     assert z_bar is None
 
 
-@pytest.mark.parametrize("bad", [{"alpha1": 0.7}, {"alpha2": 0.0}, {"beta": 1.5}, {"p": 0.0}])
+@pytest.mark.parametrize(
+    "bad", [{"alpha1": 0.7}, {"alpha2": 0.0}, {"beta": 1.5}, {"p": 0.0}, {"max_backtracks": 0}]
+)
 def test_invalid_constants_rejected_before_any_step(bad):
     # the config is checked when built, so also at the root, where no step is taken
     p = make_quadratic_min(5, 0.1, 1.0, seed=0)
