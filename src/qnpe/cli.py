@@ -18,8 +18,8 @@ The config file is a single JSON document:
 
 Exit codes: 0 success, 2 config/input error, 3 certificate failure,
 4 solver error.  Identical config + seed produce byte-identical trace CSVs.
-A run that fails writes run_*.error.json, naming the exception, in place of
-its trace; the other runs of the batch still complete and write theirs.
+A run that fails writes run_*.error.json, naming the exception and holding
+its traceback, in place of its trace; the other runs of the batch still complete and write theirs.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -135,14 +136,11 @@ def _eg_params(desc: dict, problem: Problem) -> tuple[float, int]:
     """The EG entry's (step_size, n_iters), defaulting to 0.5/L1 and 200."""
     step = desc.get("step_size", 0.5 / problem.l1)
     n_iters = desc.get("n_iters", 200)
-    if isinstance(step, bool) or not isinstance(step, (int, float)) or not (
-        0 < step <= 1.0 / problem.l1
-    ):
-        raise ConfigError(
-            f"solver {desc.get('name')!r}: step_size must lie in (0, 1/L1] = (0, {1.0 / problem.l1}]"
-        )
+    top = 1.0 / problem.l1
+    if isinstance(step, bool) or not isinstance(step, (int, float)) or not 0 < step <= top:
+        raise ConfigError(f"solver 'eg': step_size must lie in (0, 1/L1] = (0, {top}]")
     if isinstance(n_iters, bool) or not isinstance(n_iters, int) or n_iters < 1:
-        raise ConfigError(f"solver {desc.get('name')!r}: n_iters must be a positive integer")
+        raise ConfigError("solver 'eg': n_iters must be a positive integer")
     return step, n_iters
 
 
@@ -193,7 +191,8 @@ def _execute_run(spec: RunSpec) -> dict:
             gap_spec = _default_gap_spec(problem) if config.mode is Mode.MONOTONE else None
             report = verify_iteration_certificates(trace, problem, config, gap_spec=gap_spec)
     except Exception as exc:  # solver-side failure of this run only
-        return {**result, "error": type(exc).__name__, "message": str(exc)}
+        return {**result, "error": type(exc).__name__, "message": str(exc),
+                "traceback": traceback.format_exc()}
     return {**result, "trace": trace, "report": report, "wall_time": time.perf_counter() - t0}
 
 

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .linear_solver import MatvecCounter
-from .problems import JSymmetric, Sparse, StructureSpec, Symmetric
+from .problems import JSymmetric, Sparse, Symmetric
 from .separation import (FeasibleSetParams, from_hat, pattern_index, pattern_matvecs,
                          project_subspace, sep_feasible, subspace_residual, to_hat)
 from .spectral import SepCase, SepResult
@@ -145,8 +145,9 @@ def learner_init(
 ) -> LearnerState:
     """Start at W_0 = P(to_hat(b0)), the projection onto the structural
     subspace, so that W is exactly structured from round 0 (the updates keep
-    it there), stored in C order.  to_hat(b0) must lie within 1e-8 of the subspace (checked at
-    every d).  The spectral check on b0 runs only up to B0_CHECK_MAX_DIM."""
+    it there), stored in C order.  to_hat(b0) must lie within 1e-8 of the
+    subspace (checked at every d).  The spectral check on b0 runs only up to
+    B0_CHECK_MAX_DIM."""
     b0 = np.asarray(b0, dtype=float)
     w0 = to_hat(b0, params.feasible)
     if subspace_residual(params.feasible.structure, w0) > 1e-8:

@@ -106,6 +106,7 @@ def test_failed_run_leaves_the_rest_of_the_batch(tmp_path):
     assert [p.name for p in errors] == [f"run_p0_qnpe1_rep{r}.error.json" for r in range(2)]
     error = json.loads(errors[0].read_text())
     assert error["error"] == "LineSearchError" and "within 1 trials" in error["message"]
+    assert "LineSearchError" in error["traceback"]
     assert error["run_id"] in proc.stderr
     completed = sorted(f"run_p0_{s}_rep{r}" for s in ("qnpe0", "eg2") for r in range(2))
     assert sorted(p.stem for p in out.glob("run_*.csv")) == completed
