@@ -16,6 +16,7 @@ from qnpe import (
     learner_init,
     loss_value,
     observe_loss,
+    played_matrix,
 )
 
 d, mu, l1 = 20, 0.3, 1.0
@@ -35,10 +36,10 @@ print(" t    loss        ||B - A||_F   lam_min(sym B)   ||B||_op")
 for t in range(1, 51):
     s = rng.standard_normal(d)
     obs = LossObservation(u=target @ s, s=s)
-    loss = loss_value(state.b_current, obs)
+    loss = loss_value(played_matrix(state, params), obs)
     observe_loss(state, obs, params)
     if t % 5 == 0 or t == 1:
-        b = state.b_current
+        b = played_matrix(state, params)
         lam = np.linalg.eigvalsh(0.5 * (b + b.T))[0]
         print(f"{t:3d}  {loss:10.4e}  {np.linalg.norm(b - target):11.4e}  "
               f"{lam:13.4f}  {np.linalg.norm(b, 2):9.4f}")

@@ -16,6 +16,7 @@ from .learner import (
     learner_init,
     loss_value,
     observe_loss,
+    played_matrix,
 )
 from .linear_solver import LinearOp, NumericalBreakdownError, linear_solve
 from .line_search import LineSearchError
@@ -71,6 +72,7 @@ __all__ = [
     "make_sparse_equation",
     "max_svec",
     "observe_loss",
+    "played_matrix",
     "solve",
     "trace_from_csv",
     "trace_to_csv",

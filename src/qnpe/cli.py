@@ -398,36 +398,36 @@ def cmd_verify(trace_dir: str) -> int:
     any_fail = False
     problems: dict[str, Problem] = {}  # one build per distinct descriptor
     for sidecar_path in sidecars:
-        try:
+        try:  # every field is read here: a malformed sidecar is corrupt run data
             sidecar = json.loads(sidecar_path.read_text())
-            csv_path = out / f"{sidecar['run_id']}.csv"
-            trace = trace_from_csv(csv_path.read_text())
-        except (OSError, ValueError, KeyError) as exc:
+            run_id, solver = sidecar["run_id"], sidecar["solver"]
+            trace = trace_from_csv((out / f"{run_id}.csv").read_text())
+            if solver != "qnpe":
+                continue
+            trace.meta = sidecar["meta"]
+            trace.z0, trace.z_final, trace.z_bar = (
+                None if sidecar[k] is None else np.array(sidecar[k])
+                for k in ("z0", "z_final", "z_bar"))
+            trace.eta_sum, trace.final_norm_F, trace.final_dist = (
+                sidecar["eta_sum"], sidecar["final_norm_F"], sidecar["final_dist"])
+            problem_desc, solver_desc, seed = (
+                sidecar["problem"], sidecar["solver_desc"], sidecar["seed"])
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"corrupt run data {sidecar_path.name}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        if sidecar["solver"] != "qnpe":
-            continue
-        trace.meta = sidecar["meta"]
-        trace.z0 = np.array(sidecar["z0"]) if sidecar["z0"] is not None else None
-        trace.z_final = np.array(sidecar["z_final"]) if sidecar["z_final"] is not None else None
-        trace.z_bar = np.array(sidecar["z_bar"]) if sidecar["z_bar"] is not None else None
-        trace.eta_sum = sidecar["eta_sum"]
-        trace.final_norm_F = sidecar["final_norm_F"]
-        trace.final_dist = sidecar["final_dist"]
-
-        key = json.dumps(sidecar["problem"], sort_keys=True)
+        key = json.dumps(problem_desc, sort_keys=True)
         try:
             if key not in problems:
-                problems[key] = _build_problem(sidecar["problem"])
+                problems[key] = _build_problem(problem_desc)
             problem = problems[key]
-            config = _solver_config(sidecar["solver_desc"], problem, sidecar["seed"], False)
+            config = _solver_config(solver_desc, problem, seed, False)
         except ConfigError as exc:
             print(f"bad sidecar {sidecar_path.name}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         gap_spec = _default_gap_spec(problem) if config.mode is Mode.MONOTONE else None
         report = verify_iteration_certificates(trace, problem, config, gap_spec=gap_spec)
         for line in report.lines():
-            print(f"{sidecar['run_id']}: {line}")
+            print(f"{run_id}: {line}")
         any_fail = any_fail or not report.all_passed
     return EXIT_CERTIFICATE if any_fail else EXIT_OK
 

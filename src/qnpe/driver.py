@@ -170,7 +170,7 @@ def solve(
         if norm_g <= config.stop_tolerance:
             break
 
-        b_mat, b_mv, b_mv_t = current_matrix(state, lparams)
+        b_mv, b_mv_t = current_matrix(state, lparams)
         ls_params.max_backtracks = (
             config.max_backtracks
             if config.max_backtracks is not None
@@ -199,7 +199,7 @@ def solve(
         loss = math.nan
         if out.z_tilde is not None:
             obs = LossObservation(u=out.f_ztilde - g, s=out.z_tilde - z)
-            resid = obs.u - b_mat @ obs.s  # shared with the learner
+            resid = obs.u - b_mv(obs.s)  # shared with the learner
             loss = float(resid @ resid) / float(obs.s @ obs.s)
             if config.debug_certificates:
                 # backtracking lower-bound certificate on the accepted step

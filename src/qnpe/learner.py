@@ -129,7 +129,7 @@ def _add_rank_two(
 class LearnerState:
     t: int
     w: np.ndarray  # auxiliary point, in the subspace, ||W||_F <= R
-    b_current: np.ndarray  # played matrix on the untransformed scale
+    scale: float  # the played matrix is B = L1 W / scale + (L1 + mu) I
     last_sep: SepResult | None
     last_delta: float
     rng: np.random.Generator
@@ -145,8 +145,9 @@ def learner_init(
 ) -> LearnerState:
     """Start at W_0 = P(to_hat(b0)), the projection onto the structural
     subspace, so that W is exactly structured from round 0 (the updates keep
-    it there), stored in C order.  to_hat(b0) must lie within 1e-8 of the
-    subspace (checked at every d).  The spectral check on b0 runs only up to
+    it there), stored in C order.  Round 0 plays from_hat(W_0), which is b0
+    made exactly structured.  to_hat(b0) must lie within 1e-8 of the subspace
+    (checked at every d).  The spectral check on b0 runs only up to
     B0_CHECK_MAX_DIM."""
     b0 = np.asarray(b0, dtype=float)
     w0 = to_hat(b0, params.feasible)
@@ -162,7 +163,7 @@ def learner_init(
     return LearnerState(
         t=0,
         w=w0,
-        b_current=b0.copy(),
+        scale=1.0,
         last_sep=None,
         last_delta=params.delta_schedule(0),
         rng=rng,
@@ -177,11 +178,11 @@ def observe_loss(
     """Consume one loss observation for the currently played matrix, take the
     online gradient step, and advance to the next played matrix via the
     separation oracle.  `resid` is u - B s when the caller has it.  Mutates
-    and returns the state, updating W and B in place."""
+    and returns the state, updating W in place."""
     feas = params.feasible
     s, w = obs.s, state.w
     if resid is None:
-        resid = obs.u - state.b_current @ s
+        resid = obs.u - current_matrix(state, params)[0](s)
     s2 = float(s @ s)
 
     # W <- W - rho (P(grad) / L1 + coeff S), grad = -2 resid s^T / ||s||^2.  In Case II,
@@ -217,10 +218,7 @@ def observe_loss(
     state.sep_calls += 1
 
     gamma = 1.0 if sep.case is SepCase.CASE_I else sep.gamma
-    scale = gamma if params.option is LearnerOption.OPTION_I else (1.0 + delta) * gamma
-    b = state.b_current
-    from_hat(w if scale == 1.0 else np.divide(w, scale, out=b), feas, out=b)
-
+    state.scale = gamma if params.option is LearnerOption.OPTION_I else (1.0 + delta) * gamma
     state.t = t_next
     state.last_sep = sep
     state.last_delta = delta
@@ -229,14 +227,24 @@ def observe_loss(
 
 def current_matrix(
     state: LearnerState, params: LearnerParams
-) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """The played matrix plus structure-aware matvec closures (v -> B v and
-    v -> B^T v).  B is updated in place by the next observe_loss."""
-    b = state.b_current
-    structure = params.feasible.structure
-    if isinstance(structure, Symmetric):
-        apply = lambda v: b @ v
-        return b, apply, apply
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """v -> B v and v -> B^T v for the played B = L1 W / scale + (L1 + mu) I,
+    from W's own products (its pattern's CSR matrix for Sparse): B is never
+    formed.  The closures read W, which the next observe_loss updates."""
+    feas, w = params.feasible, state.w
+    c1, c0 = feas.l1 / state.scale, feas.l1 + feas.mu
+    structure = feas.structure
     if isinstance(structure, Sparse):
-        return b, *pattern_matvecs(structure.pattern, b)
-    return b, (lambda v: b @ v), (lambda v: b.T @ v)
+        w_mv, w_mv_t = pattern_matvecs(structure.pattern, w)
+    else:
+        w_mv, w_mv_t = (lambda v: w @ v), (lambda v: w.T @ v)
+    apply = lambda v: c1 * w_mv(v) + c0 * v
+    if isinstance(structure, Symmetric):
+        return apply, apply
+    return apply, (lambda v: c1 * w_mv_t(v) + c0 * v)
+
+
+def played_matrix(state: LearnerState, params: LearnerParams) -> np.ndarray:
+    """The played B as a dense array, for checks and demos; the solver
+    applies it through current_matrix."""
+    return from_hat(state.w / state.scale, params.feasible)

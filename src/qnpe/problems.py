@@ -9,7 +9,6 @@ and identical seeds reproduce problems bit-identically.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -366,18 +365,8 @@ _FAMILIES = {
 }
 
 
-def problem_to_json(problem: Problem) -> str:
-    if not problem.descriptor:
-        raise ValueError("problem has no descriptor")
-    return json.dumps(problem.descriptor, sort_keys=True)
-
-
 def problem_from_descriptor(descriptor: dict) -> Problem:
     family = descriptor.get("family")
     if family not in _FAMILIES:
         raise ValueError(f"unknown problem family: {family!r}")
     return _FAMILIES[family](descriptor)
-
-
-def problem_from_json(text: str) -> Problem:
-    return problem_from_descriptor(json.loads(text))

@@ -121,11 +121,9 @@ def to_hat(b: np.ndarray, params: FeasibleSetParams) -> np.ndarray:
     return (b - (params.l1 + params.mu) * np.eye(b.shape[0])) / params.l1
 
 
-def from_hat(
-    b_hat: np.ndarray, params: FeasibleSetParams, out: np.ndarray | None = None
-) -> np.ndarray:
-    """B = L1 B_hat + (L1 + mu) I, into `out` (which may be b_hat) if given."""
-    b = np.multiply(params.l1, b_hat, out=out)
+def from_hat(b_hat: np.ndarray, params: FeasibleSetParams) -> np.ndarray:
+    """B = L1 B_hat + (L1 + mu) I."""
+    b = np.multiply(params.l1, b_hat)
     b.flat[:: b.shape[0] + 1] += params.l1 + params.mu
     return b
 

@@ -97,8 +97,10 @@ def trace_from_csv(text: str) -> RunTrace:
     if header != COLUMNS:
         raise ValueError("unexpected trace columns")
     trace = RunTrace(solver="")
-    for ln in lines[2:]:
+    for i, ln in enumerate(lines[2:], start=3):
         parts = ln.split(",")
+        if len(parts) != len(COLUMNS):
+            raise ValueError(f"trace line {i} has {len(parts)} fields, expected {len(COLUMNS)}")
         vals = dict(zip(COLUMNS, parts))
         trace.rows.append(
             TraceRow(

@@ -38,6 +38,7 @@ from qnpe import (
     make_quadratic_min,
     max_svec,
     observe_loss,
+    played_matrix,
     solve,
 )
 from qnpe.learner import loss_gradient
@@ -179,7 +180,7 @@ def drive_learner(option, structure, d, mu, l1, seed, rounds=60):
                 failures += 1
         elif gamma_true > sep.gamma * (1.0 + delta) * (1.0 + 1e-9):
             failures += 1
-        played.append(state.b_current.copy())
+        played.append(played_matrix(state, params))
     return failures, played
 
 

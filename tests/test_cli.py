@@ -171,6 +171,23 @@ def test_verify_empty_dir_exits_2(tmp_path):
     assert run_cli("verify", str(tmp_path / "missing")).returncode == 2
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda sc: {k: v for k, v in sc.items() if k != "meta"}, lambda sc: list(sc.values())],
+    ids=["without-meta", "a-list"],
+)
+def test_verify_reports_a_malformed_sidecar_as_corrupt_run_data(tmp_path, capsys, corrupt):
+    import qnpe.cli
+
+    cfg = write_config(tmp_path / "cfg.json", dict(BASIC, repetitions=1))
+    out = tmp_path / "out"
+    assert qnpe.cli.cmd_run(cfg, str(out), None, 1, False) == 0
+    (path,) = out.glob("run_*.json")
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    assert qnpe.cli.cmd_verify(str(out)) == 2
+    assert "corrupt run data" in capsys.readouterr().err
+
+
 def test_debug_certificates_flag_accepted(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", dict(BASIC, repetitions=1))
     proc = run_cli("run", cfg, "--out", str(tmp_path / "o"), "--debug-certificates")

@@ -8,11 +8,15 @@ behaviour regenerates the fixtures with
 
     PYTHONPATH=src python3 tests/test_golden.py --regenerate
 
-and records the regeneration in CHANGES.md.  Floating-point results depend on
-the numpy/BLAS build and on its thread count, so the fixtures belong to the
-environment that wrote them, and they are written and checked with BLAS
-pinned to one thread (tests/conftest.py).  A mismatch names the first differing line and column and the largest
-distance in units in the last place (ULPs) over the float fields.
+which prints a line per fixture before it rewrites it: the first difference
+and the largest ULP distance against the old file, and any integer column (an
+iteration count, flag, trial or cost counter) whose values moved.  CHANGES.md
+records the regeneration and quotes that report.  Floating-point results
+depend on the numpy/BLAS build and on its thread count, so the fixtures belong
+to the environment that wrote them, and they are written and checked with BLAS
+pinned to one thread (tests/conftest.py).  A mismatch names the first
+differing line and column and the largest distance in units in the last place
+(ULPs) over the float fields.
 """
 
 import conftest  # noqa: F401  first: pins BLAS to one thread before numpy loads
@@ -74,6 +78,9 @@ QNPE_CASES = {
 }
 CASES = list(QNPE_CASES) + [f"eg_{family}" for family in EG_FAMILIES]
 
+# the trace and totals columns that hold iteration counts, flags and cost counters
+INT_COLUMNS = {"k", "backtracked", "trials", "cum_evals", "cum_matvecs",
+               "iterations", "case_ii", "total_evals", "total_matvecs"}
 TOTALS_HEADER = (
     "case,iterations,case_ii,final_norm_F,final_dist,eta_sum,"
     "total_evals,total_matvecs,z_final,z_bar"
@@ -176,6 +183,27 @@ def describe_mismatch(got: str, want: str) -> str:
     return f"{first}; {largest}"
 
 
+def moved_int_columns(got: str, want: str) -> list[str]:
+    """The INT_COLUMNS of want's header whose values differ between the two
+    CSV texts, including by a differing number of rows."""
+    got_rows, want_rows = ([ln.split(",") for ln in text.splitlines() if not ln.startswith("#")]
+                           for text in (got, want))
+    header = want_rows[0] if want_rows else []
+    return [name for j, name in enumerate(header) if name in INT_COLUMNS
+            and [r[j:j + 1] for r in got_rows] != [r[j:j + 1] for r in want_rows]]
+
+
+def regeneration_report(got: str, path: Path) -> str:
+    """One line on how the regenerated text differs from the fixture at path."""
+    if not path.exists():
+        return f"{path.name}: new"
+    want = path.read_text()
+    if got == want:
+        return f"{path.name}: unchanged"
+    moved = ", ".join(moved_int_columns(got, want)) or "none"
+    return f"{path.name}: {describe_mismatch(got, want)}; integer columns moved: {moved}"
+
+
 def assert_matches_golden(got: str, path: Path) -> None:
     want = path.read_bytes()
     assert got.encode() == want, f"{path.name}: {describe_mismatch(got, want.decode())}"
@@ -204,6 +232,21 @@ def test_mismatch_names_line_column_and_ulps():
     assert describe_mismatch(want + "2,0.25,c\n", want) == "4 lines, golden 3; no float differs"
 
 
+def test_regeneration_report_names_moved_integer_columns(tmp_path):
+    want = "k,eta,trials,cum_evals\n0,1.0,1,2\n1,0.5,2,4\n"
+    assert moved_int_columns(want.replace("0.5,2,4", "0.5,3,5"), want) == ["trials", "cum_evals"]
+    assert moved_int_columns(want + "2,0.25,1,5\n", want) == ["k", "trials", "cum_evals"]
+    assert moved_int_columns(want.replace("0.5,", "0.5000000000000002,"), want) == []
+    path = tmp_path / "case.csv"
+    assert regeneration_report(want, path) == "case.csv: new"
+    path.write_text(want)
+    assert regeneration_report(want, path) == "case.csv: unchanged"
+    assert regeneration_report(want.replace("1,0.5,2", "1,0.5,3"), path) == (
+        "case.csv: first difference at line 3 (1), column trials: got 3, golden 2; "
+        "no float differs; integer columns moved: trials"
+    )
+
+
 def test_fixtures_exercise_case_ii_on_both_structures():
     rows = [ln.split(",") for ln in (GOLDEN / "totals.csv").read_text().splitlines()[1:]]
     case_ii = {r[0]: int(r[2]) for r in rows}
@@ -216,6 +259,8 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit("usage: PYTHONPATH=src python3 tests/test_golden.py --regenerate")
     GOLDEN.mkdir(exist_ok=True)
-    for case in CASES:
-        (GOLDEN / f"{case}.csv").write_text(trace_to_csv(run_case(case)[0]))
-    (GOLDEN / "totals.csv").write_text(totals_csv())
+    texts = {f"{case}.csv": trace_to_csv(run_case(case)[0]) for case in CASES}
+    texts["totals.csv"] = totals_csv()
+    for name, text in texts.items():
+        print(regeneration_report(text, GOLDEN / name))
+        (GOLDEN / name).write_text(text)

@@ -22,6 +22,7 @@ from qnpe import (
     learner_init,
     loss_value,
     observe_loss,
+    played_matrix,
 )
 from qnpe.learner import (
     B0_CHECK_MAX_DIM,
@@ -30,7 +31,7 @@ from qnpe.learner import (
     failure_schedule,
     loss_gradient,
 )
-from qnpe.separation import project_subspace
+from qnpe.separation import from_hat, pattern_matvecs, project_subspace
 
 
 def make_params(option, mu, l1, d, structure=None, rho=None):
@@ -82,7 +83,8 @@ def reference_step(state, obs, params):
     """W - rho (P(grad) / L1 + coeff S), clipped to the ball, from the dense
     projected gradient and the Frobenius inner product with it."""
     feas, w = params.feasible, state.w
-    g = project_subspace(feas.structure, loss_gradient(state.b_current, obs)) / feas.l1
+    b = played_matrix(state, params)
+    g = project_subspace(feas.structure, loss_gradient(b, obs)) / feas.l1
     sep = state.last_sep
     if state.t >= 1 and sep.case is SepCase.CASE_II:
         g = g + max(0.0, -float(np.tensordot(g, w, axes=2)) / sep.gamma) * sep.s
@@ -119,23 +121,40 @@ def test_learner_step_is_the_projected_gradient_step_and_keeps_w_structured(stru
     assert_bitwise(state.w, project_subspace(structure, state.w))
 
 
-def test_sparse_current_matrix_matvecs_equal_dense_csr_bit_for_bit():
+@pytest.mark.parametrize("structure", ["general", "symmetric", "jsymmetric", "sparse"])
+def test_current_matrix_applies_the_played_matrix(structure):
     rng = np.random.default_rng(14)
-    d, mu, l1 = 40, 0.2, 1.0
-    structure = Sparse(random_pattern(rng, d, 120))
-    params = make_params(LearnerOption.OPTION_I, mu=mu, l1=l1, d=d, structure=structure,
-                         rho=0.5)
+    d, mu, l1 = 20, 0.2, 1.5
+    structure = {
+        "general": General(),
+        "symmetric": Symmetric(),
+        "jsymmetric": JSymmetric(7, 13),
+        "sparse": Sparse(random_pattern(rng, d, 60)),
+    }[structure]
+    # Option II: scale = (1 + delta) gamma != 1; a large rho also gives Case II rounds
+    params = make_params(LearnerOption.OPTION_II, mu=mu, l1=l1, d=d, structure=structure,
+                         rho=5.0)
     state = learner_init((l1 + mu) * np.eye(d), params, rng)
-    target = project_subspace(structure, 0.3 * rng.standard_normal((d, d))) + np.eye(d)
-    for t in range(6):
-        if t:  # round 0 plays the diagonal b0: explicit zeros on the whole pattern
+    target = project_subspace(structure, 3.0 * l1 * rng.standard_normal((d, d)))
+    scales = []
+    for t in range(12):
+        if t:
             s = rng.standard_normal(d)
             observe_loss(state, LossObservation(u=target @ s, s=s), params)
-        b, b_mv, b_mv_t = current_matrix(state, params)
+        scales.append(state.scale)
+        b = played_matrix(state, params)
+        b_mv, b_mv_t = current_matrix(state, params)
+        if isinstance(structure, Symmetric):
+            assert b_mv_t is b_mv
         for _ in range(3):
             v = rng.standard_normal(d)
-            assert_bitwise(b_mv(v), sp.csr_array(b) @ v)
-            assert_bitwise(b_mv_t(v), sp.csr_array(b.T) @ v)
+            assert np.linalg.norm(b_mv(v) - b @ v) <= 1e-13 * np.linalg.norm(b @ v)
+            assert np.linalg.norm(b_mv_t(v) - b.T @ v) <= 1e-13 * np.linalg.norm(b.T @ v)
+            if isinstance(structure, Sparse):  # round 0: explicit zeros on the whole pattern
+                w_mv, w_mv_t = pattern_matvecs(structure.pattern, state.w)
+                assert_bitwise(w_mv(v), sp.csr_array(state.w) @ v)
+                assert_bitwise(w_mv_t(v), sp.csr_array(state.w.T) @ v)
+    assert scales[0] == 1.0 and max(scales) > 1.0
 
 
 def test_loss_gradient_matches_finite_differences():
@@ -247,7 +266,11 @@ def test_init_stores_the_projection_of_a_nearly_structured_b0():
     b0 = params.feasible.l1 * (w_hat + np.eye(m + n)) + 1e-10 * rng.standard_normal((m + n, m + n))
     state = learner_init(b0, params, rng)
     assert np.array_equal(state.w, project_subspace(structure, state.w))
-    assert np.array_equal(state.b_current, b0)
+    # round 0 plays the exactly J-symmetric from_hat(W_0), not the raw b0
+    b = played_matrix(state, params)
+    sgn = np.concatenate([np.ones(m), -np.ones(n)])
+    assert_bitwise(b, sgn[:, None] * b.T * sgn[None, :])
+    assert_bitwise(b, from_hat(state.w, params.feasible))
 
 
 def test_init_stores_w_in_c_order():
@@ -261,7 +284,7 @@ def test_init_stores_w_in_c_order():
 def test_zero_loss_observation_leaves_w_unchanged():
     params = make_params(LearnerOption.OPTION_I, mu=0.4, l1=1.0, d=5)
     state = learner_init(1.4 * np.eye(5), params, np.random.default_rng(4))
-    b = state.b_current.copy()
+    b = played_matrix(state, params)
     s = np.array([1.0, 0, 0, 0, 0])
     observe_loss(state, LossObservation(u=b @ s, s=s), params)
     assert np.max(np.abs(state.w)) == 0.0
@@ -272,7 +295,7 @@ def test_gradient_step_moves_w_as_expected():
     l1 = 1.0
     params = make_params(LearnerOption.OPTION_I, mu=0.4, l1=l1, d=2, rho=0.01)
     state = learner_init(1.4 * np.eye(2), params, np.random.default_rng(5))
-    b0 = state.b_current.copy()
+    b0 = played_matrix(state, params)
     obs = LossObservation(u=np.array([2.0, 0.0]), s=np.array([1.0, 0.0]))
     expected = -params.rho * loss_gradient(b0, obs) / l1
     observe_loss(state, obs, params)
@@ -284,12 +307,12 @@ def test_loss_decreases_after_observation_general_structure():
     rng = np.random.default_rng(6)
     params = make_params(LearnerOption.OPTION_I, mu=0.2, l1=1.0, d=8, rho=0.5)
     state = learner_init(1.2 * np.eye(8), params, rng)
-    a = state.b_current + 0.3 * rng.standard_normal((8, 8))
+    a = played_matrix(state, params) + 0.3 * rng.standard_normal((8, 8))
     s = rng.standard_normal(8)
     obs = LossObservation(u=a @ s, s=s)
-    before = loss_value(state.b_current, obs)
+    before = loss_value(played_matrix(state, params), obs)
     observe_loss(state, obs, params)
-    after = loss_value(state.b_current, obs)
+    after = loss_value(played_matrix(state, params), obs)
     assert after <= before
 
 
@@ -302,7 +325,8 @@ def test_played_matrices_stay_feasible_option_one():
     for _ in range(40):
         s = rng.standard_normal(d)
         observe_loss(state, LossObservation(u=target @ s, s=s), params)
-        b, b_mv, _ = current_matrix(state, params)
+        b = played_matrix(state, params)
+        b_mv, _ = current_matrix(state, params)
         assert np.linalg.eigvalsh(0.5 * (b + b.T))[0] >= mu / 2 - 1e-9
         assert np.linalg.norm(b, 2) <= 6.5 * l1 + 1e-9
         assert np.array_equal(b, b.T)
@@ -324,7 +348,7 @@ def test_played_matrices_stay_feasible_option_two():
     for _ in range(40):
         s = rng.standard_normal(d)
         observe_loss(state, LossObservation(u=target @ s, s=s), params)
-        b = state.b_current
+        b = played_matrix(state, params)
         assert np.linalg.eigvalsh(0.5 * (b + b.T))[0] >= -1e-8 * l1
         assert np.linalg.norm(b, 2) <= 4.0 * l1 + 1e-9
         assert np.array_equal(b, sgn[:, None] * b.T * sgn[None, :])

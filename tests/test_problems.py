@@ -4,6 +4,8 @@ Derived expectations come from independent dense oracles (numpy eigensolvers,
 central finite differences, pairwise sampling), never from the code under test.
 """
 
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -20,7 +22,7 @@ from qnpe import (
     make_quadratic_min,
     make_sparse_equation,
 )
-from qnpe.problems import problem_from_json, problem_to_json
+from qnpe.problems import problem_from_descriptor
 
 
 def sampled_monotonicity_range(problem, n_pairs=200, scale=2.0, seed=0):
@@ -257,7 +259,7 @@ def test_primal_dual_box_gap_matches_a_dense_reference():
 )
 def test_json_roundtrip_reproduces_operator(maker):
     p = maker()
-    q = problem_from_json(problem_to_json(p))
+    q = problem_from_descriptor(json.loads(json.dumps(p.descriptor)))  # as in a sidecar
     rng = np.random.default_rng(0)
     for _ in range(5):
         z = rng.standard_normal(p.dim)
@@ -269,4 +271,4 @@ def test_json_roundtrip_reproduces_operator(maker):
 
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
-        problem_from_json('{"family": "nope"}')
+        problem_from_descriptor({"family": "nope"})

@@ -94,7 +94,7 @@ def test_projection_rejects_nonsquare():
 # recentering transform
 
 
-def test_from_hat_shifts_the_diagonal_in_place_bit_for_bit():
+def test_from_hat_shifts_the_diagonal_bit_for_bit():
     rng = np.random.default_rng(12)
     params = FeasibleSetParams(mu=0.3, l1=1.7, structure=General())
     for d in (1, 5, 40):
@@ -102,9 +102,6 @@ def test_from_hat_shifts_the_diagonal_in_place_bit_for_bit():
         expected = params.l1 * b_hat + (params.l1 + params.mu) * np.eye(d)
         fresh = from_hat(b_hat, params)
         assert np.array_equal(fresh, expected) and fresh.tobytes() == expected.tobytes()
-        out = b_hat.copy()
-        assert from_hat(out, params, out=out) is out
-        assert out.tobytes() == expected.tobytes()
 
 
 def test_to_hat_maps_center_to_zero():

@@ -60,6 +60,15 @@ def test_csv_rejects_bad_header():
         trace_from_csv("# qnpe-trace-v0\nk,eta\n0,0.5\n")
 
 
+@pytest.mark.parametrize("edit", [lambda p: p + ["1"], lambda p: p[:-1]],
+                         ids=["extra-field", "missing-field"])
+def test_csv_rejects_a_row_with_the_wrong_field_count(edit):
+    lines = trace_to_csv(RunTrace(solver="qnpe", rows=[make_row(0), make_row(1)])).splitlines()
+    lines[3] = ",".join(edit(lines[3].split(",")))
+    with pytest.raises(ValueError, match="line 4"):
+        trace_from_csv("\n".join(lines) + "\n")
+
+
 def test_serialization_is_deterministic():
     trace = RunTrace(solver="qnpe", rows=[make_row(i) for i in range(5)])
     assert trace_to_csv(trace) == trace_to_csv(trace)
