@@ -86,6 +86,8 @@ def _load_config(path: str) -> dict:
     for key in ("problems", "solvers"):
         if key not in cfg or not isinstance(cfg[key], list) or not cfg[key]:
             raise ConfigError(f"config field '{key}' must be a nonempty list")
+        if not all(isinstance(entry, dict) for entry in cfg[key]):
+            raise ConfigError(f"every entry of config field '{key}' must be a JSON object")
     reps = cfg.get("repetitions", 1)
     if not isinstance(reps, int) or reps < 1:
         raise ConfigError("field 'repetitions' must be a positive integer")
@@ -412,6 +414,8 @@ def cmd_verify(trace_dir: str) -> int:
                 sidecar["eta_sum"], sidecar["final_norm_F"], sidecar["final_dist"])
             problem_desc, solver_desc, seed = (
                 sidecar["problem"], sidecar["solver_desc"], sidecar["seed"])
+            if not (isinstance(problem_desc, dict) and isinstance(solver_desc, dict)):
+                raise TypeError("fields 'problem' and 'solver_desc' must be JSON objects")
         except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"corrupt run data {sidecar_path.name}: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .linear_solver import MatvecCounter
 from .problems import JSymmetric, Sparse, StructureSpec, Symmetric
@@ -44,14 +44,34 @@ def pattern_index(pattern: frozenset, d: int) -> tuple[np.ndarray, ...]:
     return index
 
 
+def sparse_matvec(kernel: Callable, indptr: np.ndarray, indices: np.ndarray,
+                  data: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> A v for the square A stored as (indptr, indices, data) in CSR
+    (kernel=csr_matvec) or CSC (csc_matvec) form.  These are the compiled
+    kernels that scipy's CSR product and its transpose's reach; called
+    without scipy's Python dispatch, which costs more than the kernel at
+    oracle sizes, they give bitwise the same products."""
+    n = len(indptr) - 1
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        if v.shape != (n,):  # the kernel reads v unchecked
+            raise ValueError(f"expected a vector of length {n}, got shape {v.shape}")
+        out = np.zeros(n)
+        kernel(n, n, indptr, indices, data, v, out)
+        return out
+
+    return apply
+
+
 def pattern_matvecs(pattern: frozenset, b: np.ndarray) -> tuple[Callable, Callable]:
-    """v -> B v and v -> B^T v through the CSR matrix gathered from the dense
-    B, which must vanish off the pattern.  Its explicit zeros leave every
-    product bitwise equal to sp.csr_array(b) @ v or sp.csr_array(b.T) @ v."""
+    """v -> B v and v -> B^T v on the values gathered now from the dense B,
+    which must vanish off the pattern: B's CSR arrays, read as CSC for B^T.
+    Their explicit zeros leave every product bitwise equal to scipy's CSR
+    product with b or b.T."""
     _, cols, flat, indptr = pattern_index(pattern, b.shape[0])
-    m = sp.csr_array((b.take(flat), cols, indptr), shape=b.shape)
-    m_t = m.T  # CSC on the same arrays
-    return (lambda v: m @ v), (lambda v: m_t @ v)
+    data = b.take(flat)
+    return (sparse_matvec(csr_matvec, indptr, cols, data),
+            sparse_matvec(csc_matvec, indptr, cols, data))
 
 
 @functools.lru_cache(maxsize=8)
@@ -77,14 +97,15 @@ def oracle_index(pattern: frozenset, d: int) -> tuple[np.ndarray, ...]:
     return index
 
 
-def oracle_matrices(pattern: frozenset, w: np.ndarray) -> tuple[sp.csr_array, sp.csr_array]:
-    """(W + W^T)/2 and [[0, W], [W^T, 0]] as CSR, gathered in O(nnz) from the
-    dense W, which must vanish off the pattern."""
+def oracle_matrices(pattern: frozenset, w: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
+    """(W + W^T)/2 and [[0, W], [W^T, 0]] as CSR (indptr, indices, data)
+    triples, gathered in O(nnz) from the dense W, which must vanish off the
+    pattern."""
     d = w.shape[0]
     sym, sym_t, sym_cols, sym_indptr, aug, aug_cols, aug_indptr = oracle_index(pattern, d)
     return (
-        sp.csr_array((0.5 * (w.take(sym) + w.take(sym_t)), sym_cols, sym_indptr), shape=(d, d)),
-        sp.csr_array((w.take(aug), aug_cols, aug_indptr), shape=(2 * d, 2 * d)),
+        (sym_indptr, sym_cols, 0.5 * (w.take(sym) + w.take(sym_t))),
+        (aug_indptr, aug_cols, w.take(aug)),
     )
 
 
@@ -130,14 +151,15 @@ def from_hat(b_hat: np.ndarray, params: FeasibleSetParams) -> np.ndarray:
 
 def oracle_operators(structure: StructureSpec, w: np.ndarray) -> tuple[Callable, Callable]:
     """(v -> sym(W) v, x -> [W x[d:], W^T x[:d]]) for a non-Symmetric W in
-    its subspace.  Sparse applies one CSR matrix per operator.  JSymmetric
-    W = [[W11, W12], [-W12^T, W22]] has sym(W) = blkdiag(W11, W22) exactly,
-    and W^T u = J W J u, so the augmented product reads W once, as one d x 2
-    product.  General uses the dense products."""
+    its subspace.  Sparse applies one CSR matrix per operator through scipy's
+    compiled kernel.  JSymmetric W = [[W11, W12], [-W12^T, W22]] has
+    sym(W) = blkdiag(W11, W22) exactly, and W^T u = J W J u, so the augmented
+    product reads W once, as one d x 2 product.  General uses the dense
+    products."""
     d = w.shape[0]
     if isinstance(structure, Sparse):
         sym, aug = oracle_matrices(structure.pattern, w)
-        return (lambda v: sym @ v), (lambda x: aug @ x)
+        return sparse_matvec(csr_matvec, *sym), sparse_matvec(csr_matvec, *aug)
     if isinstance(structure, JSymmetric):
         m, j = structure.m, _j_signs(structure.m, structure.n)
         w11, w22 = w[:m, :m], w[m:, m:]

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
 from .linear_solver import MatvecCounter
 
@@ -71,23 +71,28 @@ def lanczos(
     basis = np.zeros((d, n_steps))
     alphas = np.zeros(n_steps)
     betas = np.zeros(max(n_steps - 1, 0))
-    v_prev = np.zeros(d)
+    w = np.empty(d)  # the new direction; lanczos never writes into apply_sym's output
+    scratch = np.empty(d)  # each scaled vector before it is subtracted from w
     beta = 0.0
     norm_estimate = 0.0
     steps = 0
     broke_down = False
     for k in range(n_steps):
         basis[:, k] = v
-        w = apply_sym(v) - beta * v_prev
-        alpha = float(w @ v)
+        if k:
+            np.subtract(apply_sym(v), np.multiply(beta, v_prev, out=scratch), out=w)
+        else:  # the recurrence's v_prev is zero
+            w[:] = apply_sym(v)
+        alpha = float(w.dot(v))
         if not math.isfinite(alpha):  # v is a finite unit vector: w is not finite
             raise FloatingPointError("NaN/Inf in Lanczos recurrence")
-        w -= alpha * v
-        w -= basis[:, : k + 1] @ (basis[:, : k + 1].T @ w)
+        w -= np.multiply(alpha, v, out=scratch)
+        q = basis[:, : k + 1]
+        w -= np.matmul(q, q.T @ w, out=scratch)
         alphas[k] = alpha
         steps = k + 1
         norm_estimate = max(norm_estimate, abs(alpha) + abs(beta))
-        beta_next = math.sqrt(float(w @ w))  # np.linalg.norm's formula for a 1-D vector
+        beta_next = math.sqrt(w.dot(w))  # np.linalg.norm's formula for a 1-D vector
         if k + 1 < n_steps:
             if beta_next <= 1e-12 * max(norm_estimate, 1e-300):
                 broke_down = True
@@ -108,10 +113,17 @@ def lanczos(
 
 def tridiag_eigpair(alphas: np.ndarray, betas: np.ndarray, i: int) -> tuple[float, np.ndarray]:
     """The i-th smallest eigenpair (lambda, z) of a symmetric tridiagonal
-    matrix, via LAPACK bisection + inverse iteration."""
+    matrix, via LAPACK bisection (dstebz) + inverse iteration (dstein), called
+    with the arguments scipy's tridiagonal eigensolver passes for one index.  The entries must
+    be finite, which lanczos guarantees: it raises on a non-finite alpha, and
+    a non-finite beta makes the next alpha non-finite."""
     if len(alphas) == 1:
         return float(alphas[0]), np.ones(1)
-    lam, z = eigh_tridiagonal(alphas, betas, select="i", select_range=(i, i))
+    m, lam, iblock, isplit, info = dstebz(alphas, betas, 2, 0.0, 1.0, i + 1, i + 1, 0.0, "B")
+    if info == 0:
+        z, info = dstein(alphas, betas, lam[:m], iblock, isplit)
+    if info:
+        raise np.linalg.LinAlgError(f"tridiagonal eigenpair {i}: LAPACK info={info}")
     return float(lam[0]), z[:, 0]
 
 

@@ -121,6 +121,17 @@ def test_failed_run_leaves_the_rest_of_the_batch(tmp_path):
     assert sorted({r.split(",")[0] for r in compared}) == completed
 
 
+@pytest.mark.parametrize("key", ["problems", "solvers"])
+def test_run_non_object_entry_exits_2_and_writes_nothing(tmp_path, capsys, key):
+    import qnpe.cli
+
+    cfg = write_config(tmp_path / "cfg.json", dict(BASIC, **{key: [[1]]}))
+    out = tmp_path / "out"
+    assert qnpe.cli.cmd_run(cfg, str(out), None, 1, False) == 2
+    assert f"config error: every entry of config field '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_unknown_solver_exits_2(tmp_path):
     cfg = dict(BASIC, solvers=[{"name": "newton"}])
     path = write_config(tmp_path / "cfg.json", cfg)
@@ -173,8 +184,13 @@ def test_verify_empty_dir_exits_2(tmp_path):
 
 @pytest.mark.parametrize(
     "corrupt",
-    [lambda sc: {k: v for k, v in sc.items() if k != "meta"}, lambda sc: list(sc.values())],
-    ids=["without-meta", "a-list"],
+    [
+        lambda sc: {k: v for k, v in sc.items() if k != "meta"},
+        lambda sc: list(sc.values()),
+        lambda sc: {**sc, "problem": [1]},
+        lambda sc: {**sc, "solver_desc": [1]},
+    ],
+    ids=["without-meta", "a-list", "problem-not-an-object", "solver_desc-not-an-object"],
 )
 def test_verify_reports_a_malformed_sidecar_as_corrupt_run_data(tmp_path, capsys, corrupt):
     import qnpe.cli

@@ -3,6 +3,8 @@ separation oracle."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +20,10 @@ from qnpe.separation import (
     from_hat,
     oracle_matrices,
     oracle_operators,
+    pattern_index,
     project_subspace,
     sep_feasible,
+    sparse_matvec,
     to_hat,
 )
 
@@ -208,17 +212,44 @@ def _random_pattern(d, n_pairs, seed):
     return frozenset(zip(rng.integers(0, d, n_pairs).tolist(), rng.integers(0, d, n_pairs).tolist()))
 
 
+def _dense(n, indptr, indices, data):
+    out = np.zeros((n, n))
+    for i in range(n):
+        out[i, indices[indptr[i]: indptr[i + 1]]] = data[indptr[i]: indptr[i + 1]]
+    return out
+
+
 @pytest.mark.parametrize("d, n_pairs", [(1, 1), (6, 4), (30, 90)])
 def test_sparse_oracle_matrices_are_the_dense_operators(d, n_pairs):
     structure = Sparse(_random_pattern(d, n_pairs, seed=d))
     w = project_subspace(structure, np.random.default_rng(d + 1).standard_normal((d, d)))
     sym, aug = oracle_matrices(structure.pattern, w)
-    assert np.array_equal(sym.toarray(), 0.5 * (w + w.T))
-    assert np.array_equal(aug.toarray(), np.block([[np.zeros((d, d)), w], [w.T, np.zeros((d, d))]]))
-    for m in (sym, aug):
-        assert m.indices.dtype == m.indptr.dtype == np.int32
-        for i in range(m.shape[0]):
-            assert np.all(np.diff(m.indices[m.indptr[i]: m.indptr[i + 1]]) > 0)
+    assert np.array_equal(_dense(d, *sym), 0.5 * (w + w.T))
+    zero = np.zeros((d, d))
+    assert np.array_equal(_dense(2 * d, *aug), np.block([[zero, w], [w.T, zero]]))
+    for indptr, indices, _ in (sym, aug):
+        assert indices.dtype == indptr.dtype == np.int32
+        for i in range(len(indptr) - 1):
+            assert np.all(np.diff(indices[indptr[i]: indptr[i + 1]]) > 0)
+
+
+@pytest.mark.parametrize("d, n_pairs", [(1, 1), (6, 4), (30, 90)])
+def test_sparse_matvec_is_bitwise_scipys_product(d, n_pairs):
+    """The direct kernel calls against scipy's public products, so a scipy
+    whose private kernel signature changes fails here."""
+    structure = Sparse(_random_pattern(d, n_pairs, seed=d))
+    rng = np.random.default_rng(d + 2)
+    w = project_subspace(structure, rng.standard_normal((d, d)))
+    _, cols, flat, indptr = pattern_index(structure.pattern, d)
+    data = w.take(flat)
+    apply = sparse_matvec(csr_matvec, indptr, cols, data)
+    apply_t = sparse_matvec(csc_matvec, indptr, cols, data)
+    for _ in range(3):
+        v = rng.standard_normal(d)
+        assert apply(v).tobytes() == (sp.csr_array(w) @ v).tobytes()
+        assert apply_t(v).tobytes() == (sp.csr_array(w.T) @ v).tobytes()
+    with pytest.raises(ValueError, match="length"):
+        apply(np.zeros(d + 1))
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from qnpe import SepCase, ext_evec, max_svec
 from qnpe.spectral import lanczos, lanczos_step_count, tridiag_eigpair
@@ -77,12 +78,20 @@ def test_lanczos_is_bitwise_the_reference_recurrence(d, n_steps):
     assert np.array_equal(res.basis, basis)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "overflow"])
 def test_lanczos_raises_on_a_non_finite_operator_value(bad):
+    """A non-finite value at the third call, or an operator whose finite
+    values overflow ||w||^2 (beta = inf): lanczos raises, so the tridiagonal
+    eigensolver never sees a non-finite entry."""
     calls = [0]
+    m = np.random.default_rng(14).standard_normal((10, 10))
 
     def apply_sym(v):
         calls[0] += 1
+        if bad == "overflow":
+            return 1e200 * (m + m.T) @ v
         out = 2.0 * v
         if calls[0] == 3:
             out[4] = bad
@@ -90,7 +99,18 @@ def test_lanczos_raises_on_a_non_finite_operator_value(bad):
 
     with pytest.raises(FloatingPointError):
         lanczos(apply_sym, d=10, n_steps=6, rng=np.random.default_rng(13))
-    assert calls[0] == 3
+    assert calls[0] == (2 if bad == "overflow" else 3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 45])
+def test_tridiag_eigpair_is_bitwise_eigh_tridiagonal(n):
+    rng = np.random.default_rng(n)
+    alphas, betas = rng.standard_normal(n), rng.standard_normal(n - 1)
+    for i in sorted({0, n // 2, n - 1}):
+        lam, z = tridiag_eigpair(alphas, betas, i)
+        want_lam, want_z = eigh_tridiagonal(alphas, betas, select="i", select_range=(i, i))
+        assert np.float64(lam).tobytes() == want_lam[0].tobytes()
+        assert z.tobytes() == want_z[:, 0].tobytes()
 
 
 def test_tridiag_eigpair_diagonal_case():
