@@ -146,10 +146,20 @@ def _eg_params(desc: dict, problem: Problem) -> tuple[float, int]:
     return step, n_iters
 
 
+def _z0_scale(solver_desc: dict) -> float | None:
+    """The entry's optional z0_scale, which must be a finite real number."""
+    scale = solver_desc.get("z0_scale")
+    if scale is not None and (isinstance(scale, bool) or not isinstance(scale, (int, float))
+                              or not math.isfinite(scale)):
+        raise ConfigError(f"solver {solver_desc.get('name', 'qnpe')!r}: "
+                          f"z0_scale must be a finite number, got {scale!r}")
+    return scale
+
+
 def _initial_point(solver_desc: dict, problem: Problem, run_seed: int) -> np.ndarray | None:
     """Optional gaussian starting point: {"z0_scale": s} draws s * N(0, I)
     with a seed derived from the run seed; omit for the zero vector."""
-    scale = solver_desc.get("z0_scale")
+    scale = _z0_scale(solver_desc)
     if scale is None:
         return None
     rng = np.random.default_rng([int(run_seed), 0x5EED])
@@ -181,9 +191,9 @@ def _execute_run(spec: RunSpec) -> dict:
         "problem": spec.problem_desc,
         "solver_desc": solver,
     }
-    z0 = _initial_point(solver, problem, run_seed)
     t0 = time.perf_counter()
     try:
+        z0 = _initial_point(solver, problem, run_seed)
         if name == "eg":
             _, _, trace = extragradient_baseline(problem, *_eg_params(solver, problem), z0=z0)
             report = None
@@ -273,6 +283,7 @@ def cmd_run(config_path: str, out_dir: str, seed: int | None, threads: int, debu
         specs = _make_specs(cfg, seed, debug)
         # validate every pair before running anything
         for spec in specs:
+            _z0_scale(spec.solver_desc)
             name = spec.solver_desc.get("name", "qnpe")
             if name == "qnpe":
                 _solver_config(spec.solver_desc, spec.problem, 0, debug)
@@ -407,8 +418,10 @@ def cmd_verify(trace_dir: str) -> int:
             if solver != "qnpe":
                 continue
             trace.meta = sidecar["meta"]
+            if not isinstance(trace.meta, dict):
+                raise TypeError("field 'meta' must be a JSON object")
             trace.z0, trace.z_final, trace.z_bar = (
-                None if sidecar[k] is None else np.array(sidecar[k])
+                None if sidecar[k] is None else np.array(sidecar[k], dtype=float)
                 for k in ("z0", "z_final", "z_bar"))
             trace.eta_sum, trace.final_norm_F, trace.final_dist = (
                 sidecar["eta_sum"], sidecar["final_norm_F"], sidecar["final_dist"])
@@ -427,6 +440,11 @@ def cmd_verify(trace_dir: str) -> int:
             config = _solver_config(solver_desc, problem, seed, False)
         except ConfigError as exc:
             print(f"bad sidecar {sidecar_path.name}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        if any(z is not None and z.shape != (problem.dim,)
+               for z in (trace.z0, trace.z_final, trace.z_bar)):
+            print(f"corrupt run data {sidecar_path.name}: an iterate is not a vector of "
+                  f"the problem's dimension {problem.dim}", file=sys.stderr)
             return EXIT_CONFIG
         gap_spec = _default_gap_spec(problem) if config.mode is Mode.MONOTONE else None
         report = verify_iteration_certificates(trace, problem, config, gap_spec=gap_spec)

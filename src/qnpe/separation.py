@@ -190,13 +190,27 @@ def sep_feasible(
     is projected back into the subspace.  `oracle_operators` builds the two
     operators from the structure.
 
+    Case I is certified exactly, with no Lanczos, from the Frobenius norm:
+    ||sym(W)||_op <= ||W||_op <= ||W||_F, so ||W||_F <= 1 answers ext_evec
+    and ||W||_F <= 3 answers max_svec, each with gamma the bound itself.
+
     Precondition, not checked here: w lies in the structural subspace (the
     learner keeps it there; debug_certificates re-checks it).
     """
+    if delta <= 0 or not (0 < q < 1):
+        raise ValueError("require delta > 0 and q in (0, 1)")
     w = np.asarray(w, dtype=float)
     d = w.shape[0]
     structure = params.structure
+    fro = float(np.linalg.norm(w))  # NaN for a non-finite W: no certificate, Lanczos raises
+    # Each certified call draws the start vector its Lanczos run would have drawn,
+    # so the rng stream, and every later Ritz vector and separator, stay unchanged.
 
+    if fro <= 1.0:  # answers both oracles
+        rng.standard_normal(d)
+        if not isinstance(structure, Symmetric):
+            rng.standard_normal(2 * d)
+        return SepResult(gamma=fro, case=SepCase.CASE_I)
     if isinstance(structure, Symmetric):
         return ext_evec(lambda v: w @ v, d, delta, q, rng, symmetric=True,
                         matvec_counter=matvec_counter)
@@ -204,7 +218,11 @@ def sep_feasible(
     apply_sym, apply_aug = oracle_operators(structure, w)
     r1 = ext_evec(apply_sym, d, delta, q / 2, rng, symmetric=False,
                   matvec_counter=matvec_counter)
-    r2 = max_svec(apply_aug, d, delta, q / 2, rng, matvec_counter=matvec_counter)
+    if fro <= 3.0:
+        rng.standard_normal(2 * d)
+        r2 = SepResult(gamma=fro / 3.0, case=SepCase.CASE_I)
+    else:
+        r2 = max_svec(apply_aug, d, delta, q / 2, rng, matvec_counter=matvec_counter)
     chosen = r1 if r1.gamma >= r2.gamma else r2
     if chosen.case is SepCase.CASE_II:
         chosen.s = project_subspace(structure, chosen.s)

@@ -121,6 +121,34 @@ def test_failed_run_leaves_the_rest_of_the_batch(tmp_path):
     assert sorted({r.split(",")[0] for r in compared}) == completed
 
 
+@pytest.mark.parametrize("scale", ["big", True, float("inf"), float("nan"), [1.0]],
+                         ids=["string", "bool", "inf", "nan", "list"])
+def test_run_bad_z0_scale_exits_2_and_writes_nothing(tmp_path, capsys, scale):
+    import qnpe.cli
+
+    bad = dict(BASIC["solvers"][0], z0_scale=scale)
+    path = tmp_path / "cfg.json"  # json.dumps writes inf and nan as Infinity and NaN
+    path.write_text(json.dumps(dict(BASIC, solvers=[BASIC["solvers"][0], bad])))
+    out = tmp_path / "out"
+    assert qnpe.cli.cmd_run(str(path), str(out), None, 1, False) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "z0_scale" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_bad_z0_scale_fails_only_its_own_run(tmp_path):
+    """Past the up-front check (a caller that skips cmd_run's validation), a
+    bad z0_scale is that run's error, not the batch's."""
+    import qnpe.cli
+
+    cfg = dict(BASIC, repetitions=1)
+    cfg["solvers"] = [BASIC["solvers"][0], dict(BASIC["solvers"][0], z0_scale="big")]
+    specs = qnpe.cli._make_specs(cfg, None, False)
+    good, bad = qnpe.cli._run_all(specs, 1)
+    assert "trace" in good and "error" not in good
+    assert bad["error"] == "ConfigError" and "z0_scale" in bad["message"]
+
+
 @pytest.mark.parametrize("key", ["problems", "solvers"])
 def test_run_non_object_entry_exits_2_and_writes_nothing(tmp_path, capsys, key):
     import qnpe.cli
@@ -189,8 +217,12 @@ def test_verify_empty_dir_exits_2(tmp_path):
         lambda sc: list(sc.values()),
         lambda sc: {**sc, "problem": [1]},
         lambda sc: {**sc, "solver_desc": [1]},
+        lambda sc: {**sc, "meta": [1]},
+        lambda sc: {**sc, "z_final": ["a"]},
+        lambda sc: {**sc, "z_final": sc["z_final"][1:]},
     ],
-    ids=["without-meta", "a-list", "problem-not-an-object", "solver_desc-not-an-object"],
+    ids=["without-meta", "a-list", "problem-not-an-object", "solver_desc-not-an-object",
+         "meta-not-an-object", "z_final-not-numbers", "z_final-wrong-length"],
 )
 def test_verify_reports_a_malformed_sidecar_as_corrupt_run_data(tmp_path, capsys, corrupt):
     import qnpe.cli

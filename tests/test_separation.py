@@ -15,7 +15,10 @@ from qnpe import (
     SepCase,
     Sparse,
     Symmetric,
+    ext_evec,
+    max_svec,
 )
+from qnpe.linear_solver import MatvecCounter
 from qnpe.separation import (
     from_hat,
     oracle_matrices,
@@ -293,3 +296,84 @@ def test_structured_oracle_agrees_with_the_dense_formulas(structure):
             assert np.allclose(got.s, project_subspace(structure, want.s), rtol=0, atol=1e-12)
         cases.add(got.case)
     assert cases == {SepCase.CASE_I, SepCase.CASE_II}
+
+
+# ---------------------------------------------------------------------------
+# exact Case I certificate from the Frobenius norm
+
+CERT_D = 10
+CERT_STRUCTURES = [General(), Symmetric(), JSymmetric(4, 6),
+                   Sparse(_random_pattern(CERT_D, 20, seed=21))]
+CERT_IDS = ["general", "symmetric", "jsymmetric", "sparse"]
+
+
+def _lanczos_oracle(w, delta, q, structure, rng, counter):
+    """sep_feasible without the certificate: the direct Lanczos calls."""
+    d = w.shape[0]
+    if isinstance(structure, Symmetric):
+        return ext_evec(lambda v: w @ v, d, delta, q, rng, symmetric=True,
+                        matvec_counter=counter)
+    apply_sym, apply_aug = oracle_operators(structure, w)
+    r1 = ext_evec(apply_sym, d, delta, q / 2, rng, matvec_counter=counter)
+    r2 = max_svec(apply_aug, d, delta, q / 2, rng, matvec_counter=counter)
+    chosen = r1 if r1.gamma >= r2.gamma else r2
+    if chosen.case is SepCase.CASE_II:
+        chosen.s = project_subspace(structure, chosen.s)
+    return chosen
+
+
+def _with_frobenius_norm(structure, fro, seed):
+    w = project_subspace(structure, np.random.default_rng(seed).standard_normal((CERT_D, CERT_D)))
+    return w * (fro / np.linalg.norm(w))
+
+
+@pytest.mark.parametrize("structure", CERT_STRUCTURES, ids=CERT_IDS)
+@pytest.mark.parametrize("fro", [0.0, 0.9, 1.2, 2.0, 2.99, 3.5, 5.0])
+def test_frobenius_certificate_skips_lanczos_and_keeps_the_rng_stream(structure, fro):
+    """||W||_F <= 1 skips both oracles and <= 3 skips max_svec; a skipped call
+    counts no matvecs but draws its start vector, so the generator ends where
+    the direct calls leave it, and a Case II result is bitwise theirs."""
+    delta, q = 0.25, 0.05
+    params = FeasibleSetParams(mu=0.1, l1=1.0, structure=structure)
+    for seed in range(4):
+        w = _with_frobenius_norm(structure, fro, seed)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        counter, ref_counter = MatvecCounter(), MatvecCounter()
+        got = sep_feasible(w, delta, q, params, rng, matvec_counter=counter)
+        want = _lanczos_oracle(w, delta, q, structure, ref_rng, ref_counter)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert got.case is want.case
+        if want.case is SepCase.CASE_II:
+            assert got.gamma == want.gamma and np.array_equal(got.s, want.s)
+        if fro <= 1:
+            assert got.gamma == np.linalg.norm(w) and counter.count == 0
+        elif isinstance(structure, Symmetric) or fro > 3:
+            assert got.gamma == want.gamma and counter.count == ref_counter.count
+        else:  # only ext_evec runs
+            ext_only = MatvecCounter()
+            ext_evec(oracle_operators(structure, w)[0], CERT_D, delta, q / 2,
+                     np.random.default_rng(seed), matvec_counter=ext_only)
+            assert counter.count == ext_only.count < ref_counter.count
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(range(4)),
+       st.floats(min_value=0.0, max_value=3.0))
+@settings(max_examples=60, deadline=None)
+def test_frobenius_certificate_agrees_with_lanczos(seed, which, fro):
+    """Wherever the certificate answers an oracle, the oracle itself, run
+    directly on the same W, returns Case I too."""
+    structure = CERT_STRUCTURES[which]
+    w = _with_frobenius_norm(structure, fro, seed)
+    apply_sym, apply_aug = oracle_operators(structure, w)
+    rng = np.random.default_rng(seed)
+    if np.linalg.norm(w) <= 1:
+        assert ext_evec(apply_sym, CERT_D, 0.25, 0.05, rng).case is SepCase.CASE_I
+    if not isinstance(structure, Symmetric) and np.linalg.norm(w) <= 3:
+        assert max_svec(apply_aug, CERT_D, 0.25, 0.05, rng).case is SepCase.CASE_I
+
+
+def test_frobenius_certificate_still_checks_delta_and_q():
+    params = FeasibleSetParams(mu=0.1, l1=1.0, structure=General())
+    for delta, q in ((0.0, 0.1), (0.25, 1.0), (0.25, 0.0)):
+        with pytest.raises(ValueError):
+            sep_feasible(np.zeros((4, 4)), delta, q, params, np.random.default_rng(0))
