@@ -45,5 +45,5 @@ for t in range(1, 51):
               f"{lam:13.4f}  {np.linalg.norm(b, 2):9.4f}")
 
 print(f"\nfeasibility floor lam >= mu/2 = {mu / 2}, ceiling ||B|| <= 6.5 L1 = {6.5 * l1}")
-print(f"separation oracle calls made: {state.sep_calls}, "
+print(f"separation oracle calls made: {state.t}, "
       f"model matvecs spent: {state.matvec_counter.count}")

@@ -5,21 +5,17 @@ Subcommands:
     qnpe compare <config> --out <dir>   accuracy-vs-cost comparison table
     qnpe verify <dir>                   re-check certificates from saved traces
 
-The config file is a single JSON document:
-
-    {
-      "problems": [{"family": "quadratic_min", "d": 10, "mu": 0.1,
-                    "l1": 1.0, "seed": 7}],
-      "solvers": [{"name": "qnpe", "mode": "strongly_monotone",
-                   "max_iterations": 50},
-                  {"name": "eg", "step_size": 0.5, "n_iters": 200}],
-      "repetitions": 1
-    }
+The config is one JSON object with "problems", "solvers" and "repetitions"
+(schema in README.md).  It is parsed once, before anything is written, into
+one checked RunSpec per run; a problem entry is its generator's keyword
+arguments and a qnpe entry holds SolverConfig fields, so those objects' own
+checks reject an unknown field or a value out of range.  The CLI checks only
+the JSON shape, unknown keys, z0_scale and repetitions.
 
 Exit codes: 0 success, 2 config/input error, 3 certificate failure,
 4 solver error.  Identical config + seed produce byte-identical trace CSVs.
 A run that fails writes run_*.error.json, naming the exception and holding
-its traceback, in place of its trace; the other runs of the batch still complete and write theirs.
+its traceback, in place of its trace; the other runs still complete.
 """
 
 from __future__ import annotations
@@ -33,19 +29,16 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .certificates import verify_iteration_certificates
-from .driver import Mode, SolverConfig, extragradient_baseline, solve
-from .problems import (
-    JSymmetric,
-    PrimalDualBox,
-    Problem,
-    problem_from_descriptor,
-)
+from .driver import (Mode, SolverConfig, check_extragradient, check_mode, extragradient_baseline,
+                     require, solve)
+from .problems import GenerationError, JSymmetric, PrimalDualBox, Problem, problem_from_descriptor
 from .trace import RunTrace, trace_from_csv, trace_to_csv
 
 log = logging.getLogger("qnpe")
@@ -57,23 +50,81 @@ EXIT_SOLVER = 4
 
 ERROR_SUFFIX = ".error.json"  # a failed run's file, next to the completed runs' sidecars
 
+CONFIG_FIELDS = {"problems", "solvers", "repetitions"}
+# the fields a solver entry may hold besides "name" and "z0_scale"
+SOLVER_FIELDS = {
+    "qnpe": {f.name for f in fields(SolverConfig)} - {"rng_seed", "debug_certificates"},
+    "eg": {"step_size", "n_iters"},
+}
+# the sidecar's copies of the trace's start/end points and totals
+POINT_FIELDS = ("z0", "z_final", "z_bar")
+TOTAL_FIELDS = ("eta_sum", "final_norm_F", "final_dist", "total_evals", "total_matvecs")
+
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunSpec:
+    """One checked run: everything `_execute_run` reads."""
+
     run_id: str
-    problem_desc: dict
-    problem: Problem  # built once per descriptor and shared by its runs
+    problem_desc: dict  # the config's entries, copied to the sidecar as given
     solver_desc: dict
+    problem: Problem  # built once per descriptor and shared by its runs
     rep: int
-    seed_override: int | None
-    debug: bool
+    seed: int
+    z0_scale: float | None
+    solver: SolverConfig | tuple[float, int]  # qnpe's config, or EG's (step_size, n_iters)
 
 
-def _load_config(path: str) -> dict:
+@contextmanager
+def _config_errors(what: str = ""):
+    """The library's own checks, reported as a ConfigError about `what`."""
+    try:
+        yield
+    except (ValueError, TypeError, GenerationError) as exc:
+        raise ConfigError(f"{what}: {exc}" if what else str(exc)) from exc
+
+
+def _problem(desc: dict, cache: dict[str, Problem]) -> Problem:
+    """The problem a descriptor names, built once per distinct descriptor."""
+    key = json.dumps(desc, sort_keys=True)
+    if key not in cache:
+        with _config_errors(f"bad problem descriptor {desc!r}"):
+            cache[key] = problem_from_descriptor(desc)
+    return cache[key]
+
+
+def _parse_solver(desc: dict, problem: Problem, seed: int,
+                  debug: bool) -> tuple[float | None, SolverConfig | tuple[float, int]]:
+    """A solver entry's z0_scale, and the SolverConfig or the EG
+    (step_size, n_iters) it asks for."""
+    name = desc.get("name", "qnpe")
+    if not isinstance(name, str) or name not in SOLVER_FIELDS:
+        raise ConfigError(f"unknown solver name {name!r}")
+    params = {k: v for k, v in desc.items() if k not in ("name", "z0_scale")}
+    unknown = sorted(params.keys() - SOLVER_FIELDS[name])
+    if unknown:
+        raise ConfigError(f"solver {name!r}: unknown fields {unknown}")
+    with _config_errors(f"solver {name!r}"):
+        z0_scale = desc.get("z0_scale")
+        if z0_scale is not None:
+            require("z0_scale", z0_scale)
+        if name == "eg":
+            step = params.get("step_size", 0.5 / problem.l1)
+            n_iters = params.get("n_iters", 200)
+            check_extragradient(problem, step, n_iters)
+            return z0_scale, (step, n_iters)
+        config = SolverConfig(**{"mode": "strongly_monotone", **params},
+                              rng_seed=seed, debug_certificates=debug)
+        check_mode(problem, config)
+        return z0_scale, config
+
+
+def _parse_config(path: str, seed: int | None, debug: bool) -> tuple[dict, list[RunSpec]]:
+    """The config file, and its runs with every entry checked."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -83,91 +134,43 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    unknown = sorted(cfg.keys() - CONFIG_FIELDS)
+    if unknown:
+        raise ConfigError(f"unknown config fields {unknown}")
     for key in ("problems", "solvers"):
         if key not in cfg or not isinstance(cfg[key], list) or not cfg[key]:
             raise ConfigError(f"config field '{key}' must be a nonempty list")
         if not all(isinstance(entry, dict) for entry in cfg[key]):
             raise ConfigError(f"every entry of config field '{key}' must be a JSON object")
     reps = cfg.get("repetitions", 1)
-    if not isinstance(reps, int) or reps < 1:
-        raise ConfigError("field 'repetitions' must be a positive integer")
-    return cfg
+    with _config_errors():
+        require("repetitions", reps, lambda r: r >= 1, ">= 1", integer=True)
+
+    problems: dict[str, Problem] = {}
+    specs = []
+    for pi, pdesc in enumerate(cfg["problems"]):
+        problem = _problem(pdesc, problems)
+        for si, sdesc in enumerate(cfg["solvers"]):
+            name = sdesc.get("name", "qnpe")
+            for rep in range(reps):
+                run_seed = (seed if seed is not None else pdesc["seed"]) + rep
+                z0_scale, solver = _parse_solver(sdesc, problem, run_seed, debug)
+                specs.append(RunSpec(
+                    run_id=f"run_p{pi}_{name}{si}_rep{rep}",
+                    problem_desc=pdesc,
+                    solver_desc=sdesc,
+                    problem=problem,
+                    rep=rep,
+                    seed=run_seed,
+                    z0_scale=z0_scale,
+                    solver=solver,
+                ))
+    return cfg, specs
 
 
-def _build_problem(desc: dict) -> Problem:
-    try:
-        return problem_from_descriptor(desc)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"bad problem descriptor {desc!r}: {exc}") from exc
-
-
-def _solver_config(desc: dict, problem: Problem, seed: int, debug: bool) -> SolverConfig:
-    mode_raw = desc.get("mode", "strongly_monotone")
-    try:
-        mode = Mode(mode_raw)
-    except ValueError as exc:
-        raise ConfigError(f"unknown mode {mode_raw!r}") from exc
-    if mode is Mode.STRONGLY_MONOTONE and problem.mu <= 0:
-        raise ConfigError(
-            f"solver {desc.get('name')!r} requests strongly_monotone mode "
-            f"but the problem has mu = {problem.mu}"
-        )
-    kwargs = {
-        k: desc[k]
-        for k in (
-            "alpha1",
-            "alpha2",
-            "beta",
-            "sigma0",
-            "p",
-            "max_iterations",
-            "stop_tolerance",
-            "rho",
-            "radius",
-            "max_backtracks",
-        )
-        if k in desc
-    }
-    try:
-        return SolverConfig(mode=mode, rng_seed=seed, debug_certificates=debug, **kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"solver {desc.get('name')!r}: {exc}") from exc
-
-
-def _eg_params(desc: dict, problem: Problem) -> tuple[float, int]:
-    """The EG entry's (step_size, n_iters), defaulting to 0.5/L1 and 200."""
-    step = desc.get("step_size", 0.5 / problem.l1)
-    n_iters = desc.get("n_iters", 200)
-    top = 1.0 / problem.l1
-    if isinstance(step, bool) or not isinstance(step, (int, float)) or not 0 < step <= top:
-        raise ConfigError(f"solver 'eg': step_size must lie in (0, 1/L1] = (0, {top}]")
-    if isinstance(n_iters, bool) or not isinstance(n_iters, int) or n_iters < 1:
-        raise ConfigError("solver 'eg': n_iters must be a positive integer")
-    return step, n_iters
-
-
-def _z0_scale(solver_desc: dict) -> float | None:
-    """The entry's optional z0_scale, which must be a finite real number."""
-    scale = solver_desc.get("z0_scale")
-    if scale is not None and (isinstance(scale, bool) or not isinstance(scale, (int, float))
-                              or not math.isfinite(scale)):
-        raise ConfigError(f"solver {solver_desc.get('name', 'qnpe')!r}: "
-                          f"z0_scale must be a finite number, got {scale!r}")
-    return scale
-
-
-def _initial_point(solver_desc: dict, problem: Problem, run_seed: int) -> np.ndarray | None:
-    """Optional gaussian starting point: {"z0_scale": s} draws s * N(0, I)
-    with a seed derived from the run seed; omit for the zero vector."""
-    scale = _z0_scale(solver_desc)
-    if scale is None:
-        return None
-    rng = np.random.default_rng([int(run_seed), 0x5EED])
-    return scale * rng.standard_normal(problem.dim)
-
-
-def _default_gap_spec(problem: Problem):
-    if isinstance(problem.structure, JSymmetric):
+def _gap_spec(problem: Problem, config: SolverConfig) -> PrimalDualBox | None:
+    """The unit box that monotone runs on minimax problems certify their gap on."""
+    if config.mode is Mode.MONOTONE and isinstance(problem.structure, JSymmetric):
         m, n = problem.structure.m, problem.structure.n
         return PrimalDualBox(
             x_lo=-np.ones(m), x_hi=np.ones(m), y_lo=-np.ones(n), y_hi=np.ones(n)
@@ -178,30 +181,28 @@ def _default_gap_spec(problem: Problem):
 def _execute_run(spec: RunSpec) -> dict:
     """One run's result; a run that raises carries the error in place of a
     trace, so that one bad run does not abort the batch."""
-    problem = spec.problem
-    base_seed = spec.seed_override if spec.seed_override is not None else spec.problem_desc.get("seed", 0)
-    run_seed = base_seed + spec.rep
-    solver = spec.solver_desc
-    name = solver.get("name", "qnpe")
+    problem, solver = spec.problem, spec.solver
     result = {
         "run_id": spec.run_id,
-        "solver": name,
+        "solver": "qnpe" if isinstance(solver, SolverConfig) else "eg",
         "rep": spec.rep,
-        "seed": run_seed,
+        "seed": spec.seed,
         "problem": spec.problem_desc,
-        "solver_desc": solver,
+        "solver_desc": spec.solver_desc,
     }
     t0 = time.perf_counter()
     try:
-        z0 = _initial_point(solver, problem, run_seed)
-        if name == "eg":
-            _, _, trace = extragradient_baseline(problem, *_eg_params(solver, problem), z0=z0)
+        z0 = None
+        if spec.z0_scale is not None:  # s * N(0, I), seeded from the run seed
+            rng = np.random.default_rng([int(spec.seed), 0x5EED])
+            z0 = spec.z0_scale * rng.standard_normal(problem.dim)
+        if isinstance(solver, SolverConfig):
+            _, _, trace = solve(problem, solver, z0=z0)
+            report = verify_iteration_certificates(
+                trace, problem, solver, gap_spec=_gap_spec(problem, solver))
+        else:
+            _, _, trace = extragradient_baseline(problem, *solver, z0=z0)
             report = None
-        else:  # qnpe; cmd_run has rejected every other name
-            config = _solver_config(solver, problem, run_seed, spec.debug)
-            _, _, trace = solve(problem, config, z0=z0)
-            gap_spec = _default_gap_spec(problem) if config.mode is Mode.MONOTONE else None
-            report = verify_iteration_certificates(trace, problem, config, gap_spec=gap_spec)
     except Exception as exc:  # solver-side failure of this run only
         return {**result, "error": type(exc).__name__, "message": str(exc),
                 "traceback": traceback.format_exc()}
@@ -213,23 +214,12 @@ def _write_run(out_dir: Path, result: dict) -> dict:
     csv_path = out_dir / f"{result['run_id']}.csv"
     csv_path.write_text(trace_to_csv(trace))
 
-    sidecar = {
-        "run_id": result["run_id"],
-        "solver": result["solver"],
-        "solver_desc": result["solver_desc"],
-        "rep": result["rep"],
-        "seed": result["seed"],
-        "problem": result["problem"],
-        "meta": trace.meta,
-        "z0": trace.z0.tolist() if trace.z0 is not None else None,
-        "z_final": trace.z_final.tolist() if trace.z_final is not None else None,
-        "z_bar": trace.z_bar.tolist() if trace.z_bar is not None else None,
-        "eta_sum": trace.eta_sum,
-        "final_norm_F": trace.final_norm_F,
-        "final_dist": trace.final_dist,
-        "total_evals": trace.total_evals,
-        "total_matvecs": trace.total_matvecs,
-    }
+    sidecar = {k: result[k] for k in ("run_id", "solver", "solver_desc", "rep", "seed", "problem")}
+    sidecar["meta"] = trace.meta
+    for k in POINT_FIELDS:
+        z = getattr(trace, k)
+        sidecar[k] = z.tolist() if z is not None else None
+    sidecar.update((k, getattr(trace, k)) for k in TOTAL_FIELDS)
     (out_dir / f"{result['run_id']}.json").write_text(json.dumps(sidecar, indent=2))
 
     summary = {
@@ -248,58 +238,13 @@ def _write_run(out_dir: Path, result: dict) -> dict:
     return summary
 
 
-def _make_specs(cfg: dict, seed_override: int | None, debug: bool) -> list[RunSpec]:
-    specs = []
-    reps = cfg.get("repetitions", 1)
-    for pi, pdesc in enumerate(cfg["problems"]):
-        problem = _build_problem(pdesc)
-        for si, sdesc in enumerate(cfg["solvers"]):
-            name = sdesc.get("name", "qnpe")
-            for rep in range(reps):
-                specs.append(
-                    RunSpec(
-                        run_id=f"run_p{pi}_{name}{si}_rep{rep}",
-                        problem_desc=pdesc,
-                        problem=problem,
-                        solver_desc=sdesc,
-                        rep=rep,
-                        seed_override=seed_override,
-                        debug=debug,
-                    )
-                )
-    return specs
-
-
-def _run_all(specs: list[RunSpec], threads: int) -> list[dict]:
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_execute_run, specs))
-    return [_execute_run(s) for s in specs]
-
-
-def cmd_run(config_path: str, out_dir: str, seed: int | None, threads: int, debug: bool) -> int:
-    try:
-        cfg = _load_config(config_path)
-        specs = _make_specs(cfg, seed, debug)
-        # validate every pair before running anything
-        for spec in specs:
-            _z0_scale(spec.solver_desc)
-            name = spec.solver_desc.get("name", "qnpe")
-            if name == "qnpe":
-                _solver_config(spec.solver_desc, spec.problem, 0, debug)
-            elif name == "eg":
-                _eg_params(spec.solver_desc, spec.problem)
-            else:
-                raise ConfigError(f"unknown solver name {name!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out = Path(out_dir)
+def _run_batch(cfg: dict, specs: list[RunSpec], out: Path, threads: int) -> int:
+    """Run the checked specs and write every output file; returns the exit code."""
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True))
 
-    results = _run_all(specs, threads)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+        results = list(pool.map(_execute_run, specs))
     failed = [r for r in results if "error" in r]
     for r in failed:
         print(f"solver error in {r['run_id']}: {r['message']}", file=sys.stderr)
@@ -327,9 +272,43 @@ def cmd_run(config_path: str, out_dir: str, seed: int | None, threads: int, debu
     return EXIT_OK if all_pass else EXIT_CERTIFICATE
 
 
+def cmd_run(config_path: str, out_dir: str, seed: int | None, threads: int, debug: bool) -> int:
+    try:
+        cfg, specs = _parse_config(config_path, seed, debug)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return _run_batch(cfg, specs, Path(out_dir), threads)
+
+
 def _sidecars(out: Path) -> list[Path]:
     """The completed runs' sidecars, without the failed runs' error files."""
     return sorted(p for p in out.glob("run_*.json") if not p.name.endswith(ERROR_SUFFIX))
+
+
+def _read_run(path: Path, cache: dict[str, Problem]) -> tuple[
+        RunTrace, Problem, SolverConfig | tuple[float, int]]:
+    """A sidecar's run: its trace, with the sidecar's points and totals
+    restored, its problem (built once per descriptor in `cache`) and its solver."""
+    try:
+        sidecar = json.loads(path.read_text())
+        trace = trace_from_csv((path.parent / f"{sidecar['run_id']}.csv").read_text())
+        for k in ("meta", "problem", "solver_desc"):
+            if not isinstance(sidecar[k], dict):
+                raise TypeError(f"field {k!r} must be a JSON object")
+        trace.solver, trace.meta = sidecar["solver"], sidecar["meta"]
+        for k in POINT_FIELDS:
+            setattr(trace, k, None if sidecar[k] is None else np.array(sidecar[k], dtype=float))
+        for k in TOTAL_FIELDS:
+            setattr(trace, k, sidecar[k])
+        problem = _problem(sidecar["problem"], cache)
+        if any(getattr(trace, k) is not None and getattr(trace, k).shape != (problem.dim,)
+               for k in POINT_FIELDS):
+            raise ValueError(f"an iterate is not a vector of the problem's dimension {problem.dim}")
+        _, solver = _parse_solver(sidecar["solver_desc"], problem, sidecar["seed"], False)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"corrupt run data {path.name}: {exc}") from exc
+    return trace, problem, solver
 
 
 def _cost_to_accuracy(trace: RunTrace, eps: float) -> tuple:
@@ -350,106 +329,55 @@ def _cost_to_accuracy(trace: RunTrace, eps: float) -> tuple:
 
 def cmd_compare(config_path: str, out_dir: str, seed: int | None, threads: int, debug: bool) -> int:
     try:
-        cfg = _load_config(config_path)
+        cfg, specs = _parse_config(config_path, seed, debug)
         if len(cfg["solvers"]) < 2:
             raise ConfigError("compare needs at least 2 solvers")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    code = cmd_run(config_path, out_dir, seed, threads, debug)
-    if code == EXIT_CONFIG:
-        return code
-
     out = Path(out_dir)
-    rows = []
-    for sidecar_path in _sidecars(out):
-        sidecar = json.loads(sidecar_path.read_text())
-        trace = trace_from_csv((out / f"{sidecar['run_id']}.csv").read_text())
-        trace.final_dist = sidecar["final_dist"]
-        trace.final_norm_F = sidecar["final_norm_F"]
-        for eps in (1e-2, 1e-4, 1e-6):
-            iters, evals, mv = _cost_to_accuracy(trace, eps)
-            rows.append(
-                {
-                    "run_id": sidecar["run_id"],
-                    "solver": sidecar["solver"],
-                    "epsilon": eps,
-                    "iterations": iters,
-                    "operator_evals": evals,
-                    "matvecs": mv,
-                }
-            )
-
+    code = _run_batch(cfg, specs, out, threads)
+    problems = {json.dumps(s.problem_desc, sort_keys=True): s.problem for s in specs}
     csv_lines = ["run_id,solver,epsilon,iterations,operator_evals,matvecs"]
     txt_lines = [f"{'run':28s} {'solver':8s} {'eps':>8s} {'iters':>8s} {'evals':>8s} {'matvecs':>8s}"]
-    for r in rows:
-        costs = [r[c] for c in ("iterations", "operator_evals", "matvecs")]
-        csv_lines.append(
-            f"{r['run_id']},{r['solver']},{r['epsilon']:g},"
-            + ",".join("" if c is None else str(c) for c in costs)
-        )
-        txt_lines.append(
-            f"{r['run_id']:28s} {r['solver']:8s} {r['epsilon']:>8g} "
-            + " ".join(f"{'-' if c is None else c:>8}" for c in costs)
-        )
+    for path in _sidecars(out):
+        try:
+            trace, _, _ = _read_run(path, problems)
+        except ConfigError as exc:
+            print(exc, file=sys.stderr)
+            return EXIT_CONFIG
+        for eps in (1e-2, 1e-4, 1e-6):
+            costs = _cost_to_accuracy(trace, eps)  # (iterations, evals, matvecs)
+            csv_lines.append(f"{path.stem},{trace.solver},{eps:g},"
+                             + ",".join("" if c is None else str(c) for c in costs))
+            txt_lines.append(f"{path.stem:28s} {trace.solver:8s} {eps:>8g} "
+                             + " ".join(f"{'-' if c is None else c:>8}" for c in costs))
     (out / "compare.csv").write_text("\n".join(csv_lines) + "\n")
     (out / "compare.txt").write_text("\n".join(txt_lines) + "\n")
     return code
 
 
 def cmd_verify(trace_dir: str) -> int:
-    out = Path(trace_dir)
-    if not out.is_dir():
-        print(f"not a directory: {trace_dir}", file=sys.stderr)
-        return EXIT_CONFIG
-    sidecars = _sidecars(out)
+    sidecars = _sidecars(Path(trace_dir))
     if not sidecars:
-        print("no run sidecars found", file=sys.stderr)
+        print(f"no run sidecars found in {trace_dir}", file=sys.stderr)
         return EXIT_CONFIG
 
     any_fail = False
     problems: dict[str, Problem] = {}  # one build per distinct descriptor
-    for sidecar_path in sidecars:
-        try:  # every field is read here: a malformed sidecar is corrupt run data
-            sidecar = json.loads(sidecar_path.read_text())
-            run_id, solver = sidecar["run_id"], sidecar["solver"]
-            trace = trace_from_csv((out / f"{run_id}.csv").read_text())
-            if solver != "qnpe":
-                continue
-            trace.meta = sidecar["meta"]
-            if not isinstance(trace.meta, dict):
-                raise TypeError("field 'meta' must be a JSON object")
-            trace.z0, trace.z_final, trace.z_bar = (
-                None if sidecar[k] is None else np.array(sidecar[k], dtype=float)
-                for k in ("z0", "z_final", "z_bar"))
-            trace.eta_sum, trace.final_norm_F, trace.final_dist = (
-                sidecar["eta_sum"], sidecar["final_norm_F"], sidecar["final_dist"])
-            problem_desc, solver_desc, seed = (
-                sidecar["problem"], sidecar["solver_desc"], sidecar["seed"])
-            if not (isinstance(problem_desc, dict) and isinstance(solver_desc, dict)):
-                raise TypeError("fields 'problem' and 'solver_desc' must be JSON objects")
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"corrupt run data {sidecar_path.name}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        key = json.dumps(problem_desc, sort_keys=True)
+    for path in sidecars:
         try:
-            if key not in problems:
-                problems[key] = _build_problem(problem_desc)
-            problem = problems[key]
-            config = _solver_config(solver_desc, problem, seed, False)
+            trace, problem, solver = _read_run(path, problems)
         except ConfigError as exc:
-            print(f"bad sidecar {sidecar_path.name}: {exc}", file=sys.stderr)
+            print(exc, file=sys.stderr)
             return EXIT_CONFIG
-        if any(z is not None and z.shape != (problem.dim,)
-               for z in (trace.z0, trace.z_final, trace.z_bar)):
-            print(f"corrupt run data {sidecar_path.name}: an iterate is not a vector of "
-                  f"the problem's dimension {problem.dim}", file=sys.stderr)
-            return EXIT_CONFIG
-        gap_spec = _default_gap_spec(problem) if config.mode is Mode.MONOTONE else None
-        report = verify_iteration_certificates(trace, problem, config, gap_spec=gap_spec)
+        if not isinstance(solver, SolverConfig):
+            continue  # an EG run has no certificates
+        report = verify_iteration_certificates(trace, problem, solver,
+                                               gap_spec=_gap_spec(problem, solver))
         for line in report.lines():
-            print(f"{run_id}: {line}")
+            print(f"{path.stem}: {line}")
         any_fail = any_fail or not report.all_passed
     return EXIT_CERTIFICATE if any_fail else EXIT_OK
 
@@ -458,30 +386,24 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="qnpe", description="QNPE benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run configured experiments")
-    p_run.add_argument("config")
-    p_run.add_argument("--out", required=True)
-
-    p_cmp = sub.add_parser("compare", help="compare solvers at target accuracies")
-    p_cmp.add_argument("config")
-    p_cmp.add_argument("--out", required=True)
-
-    p_ver = sub.add_parser("verify", help="re-check certificates from a run directory")
-    p_ver.add_argument("trace_dir")
-
-    for p in (p_run, p_cmp):
+    for name, help_text in (("run", "run configured experiments"),
+                            ("compare", "compare solvers at target accuracies")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("config")
+        p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--debug-certificates", action="store_true")
+    p_ver = sub.add_parser("verify", help="re-check certificates from a run directory")
+    p_ver.add_argument("trace_dir")
 
     args = parser.parse_args(argv)
     logging.basicConfig(level=os.environ.get("QNPE_LOG", "WARNING").upper())
 
-    if args.command == "run":
-        return cmd_run(args.config, args.out, args.seed, args.threads, args.debug_certificates)
-    if args.command == "compare":
-        return cmd_compare(args.config, args.out, args.seed, args.threads, args.debug_certificates)
-    return cmd_verify(args.trace_dir)
+    if args.command == "verify":
+        return cmd_verify(args.trace_dir)
+    command = cmd_run if args.command == "run" else cmd_compare
+    return command(args.config, args.out, args.seed, args.threads, args.debug_certificates)
 
 
 if __name__ == "__main__":

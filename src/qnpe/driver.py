@@ -13,8 +13,10 @@ iterates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from enum import Enum
+from typing import Any, Callable
 
 import numpy as np
 
@@ -46,9 +48,24 @@ class CertificateViolation(AssertionError):
     """An in-loop debug certificate failed."""
 
 
+def require(name: str, value: Any, ok: Callable[[Any], bool] = lambda x: True,
+            words: str = "", integer: bool = False) -> None:
+    """Raise a ValueError naming `name` unless `value` is a finite real number
+    (an integer when asked; never a bool) for which ok(value) holds; `words`
+    states that range in the message."""
+    kind = numbers.Integral if integer else numbers.Real
+    try:  # math.isfinite raises OverflowError for an int beyond the float range
+        valid = isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        valid = False
+    if not (valid and ok(value)):
+        what = "an integer" if integer else "a finite number"
+        raise ValueError(f"{name} must be {what}{' ' + words if words else ''}, got {value!r}")
+
+
 @dataclass
 class SolverConfig:
-    mode: Mode
+    mode: Mode  # or its value, e.g. "monotone"
     alpha1: float = 0.25
     alpha2: float = 0.25
     beta: float = 0.5
@@ -63,11 +80,20 @@ class SolverConfig:
     debug_certificates: bool = False
 
     def __post_init__(self) -> None:
+        """Every constant's type and range, checked once when the config is built."""
+        self.mode = Mode(self.mode)
+        for name in ("alpha1", "alpha2", "beta"):
+            require(name, getattr(self, name))
         check_step_constants(self.alpha1, self.alpha2, self.beta)
-        if not (0 < self.p < 1):
-            raise ValueError("failure budget p must be in (0, 1)")
-        if self.max_backtracks is not None and self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be at least 1")
+        require("p", self.p, lambda x: 0 < x < 1, "in (0, 1)")
+        require("sigma0", self.sigma0, lambda x: x >= 0, ">= 0")
+        require("stop_tolerance", self.stop_tolerance, lambda x: x >= 0, ">= 0")
+        require("max_iterations", self.max_iterations, lambda x: x >= 0, ">= 0", integer=True)
+        for name in ("rho", "radius"):  # None selects the theory default
+            if getattr(self, name) is not None:
+                require(name, getattr(self, name), lambda x: x > 0, "> 0")
+        if self.max_backtracks is not None:
+            require("max_backtracks", self.max_backtracks, lambda x: x >= 1, ">= 1", integer=True)
 
     def step_size_floor(self, l1: float) -> float:
         return self.alpha2 * self.beta / (FLOOR_DENOMINATOR[self.mode] * l1)
@@ -81,9 +107,17 @@ class SolverConfig:
         return 3 * n_iters + math.log(denom * sigma0 * l1 / self.alpha2) / math.log(1 / self.beta)
 
 
-def _validate(problem: Problem, config: SolverConfig) -> None:
+def check_mode(problem: Problem, config: SolverConfig) -> None:
+    """The strongly monotone mode needs a problem with mu > 0."""
     if config.mode is Mode.STRONGLY_MONOTONE and problem.mu <= 0:
-        raise ValueError("strongly monotone mode requires problem.mu > 0")
+        raise ValueError(f"strongly_monotone mode requires mu > 0; the problem has mu = {problem.mu}")
+
+
+def check_extragradient(problem: Problem, step_size: float, n_iters: int) -> None:
+    """The extragradient baseline takes a step in (0, 1/L1] for n_iters >= 1 iterations."""
+    top = 1.0 / problem.l1
+    require("step_size", step_size, lambda x: 0 < x <= top, f"in (0, 1/L1] = (0, {top}]")
+    require("n_iters", n_iters, lambda x: x >= 1, ">= 1", integer=True)
 
 
 def _dist(z: np.ndarray, root: np.ndarray | None) -> float:
@@ -117,7 +151,7 @@ def solve(
     b0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, RunTrace]:
     """Run the solver; returns (z_final, averaged iterate or None, trace)."""
-    _validate(problem, config)
+    check_mode(problem, config)
     d = problem.dim
     mu = problem.mu if config.mode is Mode.STRONGLY_MONOTONE else 0.0
     l1 = problem.l1
@@ -251,8 +285,7 @@ def extragradient_baseline(
     z0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, RunTrace]:
     """Classical fixed-step extragradient with the same trace schema."""
-    if not (0 < step_size <= 1.0 / problem.l1):
-        raise ValueError("step_size must lie in (0, 1/L1]")
+    check_extragradient(problem, step_size, n_iters)
     d = problem.dim
     z = np.zeros(d) if z0 is None else np.asarray(z0, dtype=float).copy()
     trace = RunTrace(solver="extragradient", z0=z.copy(), meta={"step_size": step_size})

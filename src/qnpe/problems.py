@@ -315,19 +315,14 @@ def make_sparse_equation(
 
 
 def evaluate_gap(problem: Problem, z: np.ndarray, spec: PrimalDualBox) -> float:
-    if not isinstance(problem.structure, JSymmetric):
-        raise ValueError("PrimalDualBox applies to minimax problems")
-    return _primal_dual_box_gap(problem, np.asarray(z, dtype=float), spec)
-
-
-def _primal_dual_box_gap(problem: Problem, z: np.ndarray, spec: PrimalDualBox) -> float:
     """max_{y' in box} f(x, y') - min_{x' in box} f(x', y) in closed form for
-    the bilinear family: both inner problems are separable quadratics."""
+    the bilinear minimax family: both inner problems are separable quadratics."""
     desc = problem.descriptor
     if desc.get("family") != "bilinear_minimax":
         raise ValueError("closed-form box gap is available for the bilinear family only")
     m = desc["m"]
     mu = problem.mu
+    z = np.asarray(z, dtype=float)
     x, y = z[:m], z[m:]
     # J = [[mu I, C], [-C^T, mu I]], so C^T x = -(J [x; 0])_y and C y = (J [0; y])_x
     cx = -problem.jacobian_matvec(z, np.concatenate([x, np.zeros_like(y)]))[m:]  # coefficients of y'
@@ -352,21 +347,19 @@ def _primal_dual_box_gap(problem: Problem, z: np.ndarray, spec: PrimalDualBox) -
 
 
 _FAMILIES = {
-    "quadratic_min": lambda d: make_quadratic_min(d["d"], d["mu"], d["l1"], d["seed"]),
-    "logsumexp_min": lambda d: make_logsumexp_min(
-        d["d"], d["n_terms"], d["mu"], d["smoothing"], d["seed"]
-    ),
-    "bilinear_minimax": lambda d: make_bilinear_minimax(
-        d["m"], d["n"], d["mu"], d["l1"], d["seed"]
-    ),
-    "sparse_equation": lambda d: make_sparse_equation(
-        d["d"], d["avg_degree"], d["mu"], d["l1"], d["seed"], d.get("eps_frac", 0.2)
-    ),
+    "quadratic_min": make_quadratic_min,
+    "logsumexp_min": make_logsumexp_min,
+    "bilinear_minimax": make_bilinear_minimax,
+    "sparse_equation": make_sparse_equation,
 }
 
 
 def problem_from_descriptor(descriptor: dict) -> Problem:
-    family = descriptor.get("family")
+    """The problem a descriptor names: `family` selects the generator and the
+    other fields are its keyword arguments, so an unknown or missing field
+    raises TypeError."""
+    fields = dict(descriptor)
+    family = fields.pop("family", None)
     if family not in _FAMILIES:
         raise ValueError(f"unknown problem family: {family!r}")
-    return _FAMILIES[family](descriptor)
+    return _FAMILIES[family](**fields)

@@ -8,27 +8,12 @@ identical runs produce byte-identical files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
 TRACE_VERSION = "qnpe-trace-v1"
-
-COLUMNS = [
-    "k",
-    "eta",
-    "theta",
-    "norm_F",
-    "dist",
-    "step_norm",
-    "backtracked",
-    "trials",
-    "loss",
-    "cond_a_margin",
-    "cond_b_margin",
-    "cum_evals",
-    "cum_matvecs",
-]
 
 
 @dataclass
@@ -49,6 +34,11 @@ class TraceRow:
 
     def as_list(self) -> list:
         return [getattr(self, c) for c in COLUMNS]
+
+
+COLUMNS = [f.name for f in fields(TraceRow)]  # the CSV's column order
+_PARSERS = {int: int, float: float, bool: lambda text: text == "1"}  # by field type
+_COLUMN_PARSERS = [_PARSERS[t] for t in map(get_type_hints(TraceRow).get, COLUMNS)]
 
 
 @dataclass
@@ -101,23 +91,6 @@ def trace_from_csv(text: str) -> RunTrace:
         parts = ln.split(",")
         if len(parts) != len(COLUMNS):
             raise ValueError(f"trace line {i} has {len(parts)} fields, expected {len(COLUMNS)}")
-        vals = dict(zip(COLUMNS, parts))
-        trace.rows.append(
-            TraceRow(
-                k=int(vals["k"]),
-                eta=float(vals["eta"]),
-                theta=float(vals["theta"]),
-                norm_F=float(vals["norm_F"]),
-                dist=float(vals["dist"]),
-                step_norm=float(vals["step_norm"]),
-                backtracked=vals["backtracked"] == "1",
-                trials=int(vals["trials"]),
-                loss=float(vals["loss"]),
-                cond_a_margin=float(vals["cond_a_margin"]),
-                cond_b_margin=float(vals["cond_b_margin"]),
-                cum_evals=int(vals["cum_evals"]),
-                cum_matvecs=int(vals["cum_matvecs"]),
-            )
-        )
+        trace.rows.append(TraceRow(*(parse(v) for parse, v in zip(_COLUMN_PARSERS, parts))))
     return trace
 

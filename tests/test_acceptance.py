@@ -170,7 +170,7 @@ def drive_learner(option, structure, d, mu, l1, seed, rounds=60):
     for _ in range(rounds):
         s = rng.standard_normal(d)
         observe_loss(state, LossObservation(u=target @ s, s=s), params)
-        sep, delta, w = state.last_sep, state.last_delta, state.w
+        sep, delta, w = state.last_sep, params.delta_schedule(state.t), state.w
         gamma_true = max(
             np.max(np.abs(np.linalg.eigvalsh(0.5 * (w + w.T)))),
             np.linalg.svd(w, compute_uv=False)[0] / 3.0,

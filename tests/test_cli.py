@@ -81,15 +81,30 @@ def test_run_out_of_range_constant_exits_2(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("solver, message", [
-    ({"name": "eg", "step_size": 2.0, "n_iters": 20}, "step_size"),  # l1 = 1
-    ({"name": "qnpe", "mode": "strongly_monotone", "max_backtracks": 0}, "max_backtracks"),
-], ids=["eg_step_size", "qnpe_max_backtracks"])
-def test_run_invalid_solver_field_exits_2_and_writes_nothing(tmp_path, solver, message):
-    path = write_config(tmp_path / "cfg.json", dict(BASIC, solvers=[solver]))
+QNPE_ENTRY = {"name": "qnpe", "mode": "strongly_monotone"}
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"solvers": [{"name": "eg", "step_size": 2.0, "n_iters": 20}]}, "step_size"),  # l1 = 1
+    ({"solvers": [dict(QNPE_ENTRY, max_backtracks=0)]}, "max_backtracks"),
+    ({"solvers": [dict(QNPE_ENTRY, rho=-1)]}, "rho"),
+    ({"solvers": [dict(QNPE_ENTRY, radius=-1)]}, "radius"),
+    ({"solvers": [dict(QNPE_ENTRY, max_iterations="10")]}, "max_iterations"),
+    ({"solvers": [dict(QNPE_ENTRY, max_iterations=2.5)]}, "max_iterations"),
+    ({"solvers": [dict(QNPE_ENTRY, max_backtracks=2.5)]}, "max_backtracks"),
+    ({"solvers": [dict(QNPE_ENTRY, stop_tolerance="x")]}, "stop_tolerance"),
+    ({"solvers": [dict(QNPE_ENTRY, max_iteration=3)]}, "max_iteration"),
+    ({"problems": [dict(BASIC["problems"][0], mu_=0.5)]}, "mu_"),
+    ({"repetitions": True}, "repetitions"),
+], ids=["eg_step_size", "qnpe_max_backtracks", "qnpe_negative_rho", "qnpe_negative_radius",
+        "qnpe_string_max_iterations", "qnpe_fractional_max_iterations",
+        "qnpe_fractional_max_backtracks", "qnpe_string_stop_tolerance",
+        "qnpe_misspelt_field", "misspelt_problem_field", "boolean_repetitions"])
+def test_run_invalid_solver_field_exits_2_and_writes_nothing(tmp_path, fields, message):
+    path = write_config(tmp_path / "cfg.json", dict(BASIC, **fields))
     proc = run_cli("run", path, "--out", str(tmp_path / "o"))
     assert proc.returncode == 2
-    assert message in proc.stderr
+    assert proc.stderr.startswith("config error: ") and message in proc.stderr
     assert not (tmp_path / "o").exists()
 
 
@@ -134,19 +149,6 @@ def test_run_bad_z0_scale_exits_2_and_writes_nothing(tmp_path, capsys, scale):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "z0_scale" in err and "Traceback" not in err
     assert not out.exists()
-
-
-def test_bad_z0_scale_fails_only_its_own_run(tmp_path):
-    """Past the up-front check (a caller that skips cmd_run's validation), a
-    bad z0_scale is that run's error, not the batch's."""
-    import qnpe.cli
-
-    cfg = dict(BASIC, repetitions=1)
-    cfg["solvers"] = [BASIC["solvers"][0], dict(BASIC["solvers"][0], z0_scale="big")]
-    specs = qnpe.cli._make_specs(cfg, None, False)
-    good, bad = qnpe.cli._run_all(specs, 1)
-    assert "trace" in good and "error" not in good
-    assert bad["error"] == "ConfigError" and "z0_scale" in bad["message"]
 
 
 @pytest.mark.parametrize("key", ["problems", "solvers"])

@@ -25,7 +25,6 @@ from qnpe import (
     played_matrix,
 )
 from qnpe.learner import (
-    B0_CHECK_MAX_DIM,
     DEFAULT_RHO,
     current_matrix,
     failure_schedule,
@@ -240,7 +239,6 @@ def test_init_rejects_infeasible_matrix():
 
 def test_init_checks_structure_above_the_spectral_check_dimension():
     d = 100
-    assert d > B0_CHECK_MAX_DIM
     params = make_params(LearnerOption.OPTION_I, mu=0.5, l1=1.0, d=d, structure=Symmetric())
     bad = 1.5 * np.eye(d)
     bad[0, 1] = 0.3  # not symmetric
@@ -255,6 +253,25 @@ def test_init_checks_structure_above_the_spectral_check_dimension():
     on_pattern = 1.5 * np.eye(d)
     on_pattern[0, 1] = 0.1
     learner_init(on_pattern, sparse, np.random.default_rng(3))
+
+
+def test_init_checks_the_spectrum_at_any_dimension():
+    """Past the Frobenius certificate (||W_0||_F > 1) the dense check runs at
+    every d: structured b0 whose symmetric part has an eigenvalue outside
+    [-1, 1], or whose operator norm exceeds 3, is rejected."""
+    d = 100
+    params = make_params(LearnerOption.OPTION_I, mu=0.5, l1=1.0, d=d, structure=Symmetric())
+    w0 = np.zeros((d, d))
+    w0[0, 0] = 1.5
+    with pytest.raises(ValueError, match="spectral constraint"):
+        learner_init(from_hat(w0, params.feasible), params, np.random.default_rng(3))
+    general = make_params(LearnerOption.OPTION_I, mu=0.5, l1=1.0, d=d)
+    w0 = np.zeros((d, d))
+    w0[0, 1], w0[1, 0] = 3.5, -3.5  # symmetric part 0
+    with pytest.raises(ValueError, match="operator-norm constraint"):
+        learner_init(from_hat(w0, general.feasible), general, np.random.default_rng(3))
+    w0 = 0.9 * np.eye(d)  # ||W_0||_F = 9, feasible
+    learner_init(from_hat(w0, params.feasible), params, np.random.default_rng(3))
 
 
 def test_init_stores_the_projection_of_a_nearly_structured_b0():
