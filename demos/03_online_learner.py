@@ -32,12 +32,14 @@ state = learner_init((l1 + mu) * np.eye(d), params, rng)
 q = np.linalg.qr(rng.standard_normal((d, d)))[0]
 target = (q * rng.uniform(mu, l1, size=d)) @ q.T
 
+oracle_matvecs = 0
 print(" t    loss        ||B - A||_F   lam_min(sym B)   ||B||_op")
 for t in range(1, 51):
     s = rng.standard_normal(d)
     obs = LossObservation(u=target @ s, s=s)
     loss = loss_value(played_matrix(state, params), obs)
     observe_loss(state, obs, params)
+    oracle_matvecs += state.last_sep.matvecs  # the W-products of this round's oracle
     if t % 5 == 0 or t == 1:
         b = played_matrix(state, params)
         lam = np.linalg.eigvalsh(0.5 * (b + b.T))[0]
@@ -46,4 +48,4 @@ for t in range(1, 51):
 
 print(f"\nfeasibility floor lam >= mu/2 = {mu / 2}, ceiling ||B|| <= 6.5 L1 = {6.5 * l1}")
 print(f"separation oracle calls made: {state.t}, "
-      f"model matvecs spent: {state.matvec_counter.count}")
+      f"oracle matvecs spent: {oracle_matvecs}")

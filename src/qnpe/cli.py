@@ -238,8 +238,10 @@ def _write_run(out_dir: Path, result: dict) -> dict:
     return summary
 
 
-def _run_batch(cfg: dict, specs: list[RunSpec], out: Path, threads: int) -> int:
-    """Run the checked specs and write every output file; returns the exit code."""
+def _run_batch(cfg: dict, specs: list[RunSpec], out: Path,
+               threads: int) -> tuple[int, list[dict]]:
+    """Run the checked specs and write every output file; returns the exit
+    code and the runs' results, failed ones included."""
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True))
 
@@ -267,9 +269,8 @@ def _run_batch(cfg: dict, specs: list[RunSpec], out: Path, threads: int) -> int:
         )
     if not all_pass:
         print("certificate failure; see certificates.txt", file=sys.stderr)
-    if failed:
-        return EXIT_SOLVER
-    return EXIT_OK if all_pass else EXIT_CERTIFICATE
+    code = EXIT_SOLVER if failed else EXIT_OK if all_pass else EXIT_CERTIFICATE
+    return code, results
 
 
 def cmd_run(config_path: str, out_dir: str, seed: int | None, threads: int, debug: bool) -> int:
@@ -278,7 +279,7 @@ def cmd_run(config_path: str, out_dir: str, seed: int | None, threads: int, debu
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return _run_batch(cfg, specs, Path(out_dir), threads)
+    return _run_batch(cfg, specs, Path(out_dir), threads)[0]
 
 
 def _sidecars(out: Path) -> list[Path]:
@@ -337,21 +338,16 @@ def cmd_compare(config_path: str, out_dir: str, seed: int | None, threads: int, 
         return EXIT_CONFIG
 
     out = Path(out_dir)
-    code = _run_batch(cfg, specs, out, threads)
-    problems = {json.dumps(s.problem_desc, sort_keys=True): s.problem for s in specs}
+    code, results = _run_batch(cfg, specs, out, threads)
     csv_lines = ["run_id,solver,epsilon,iterations,operator_evals,matvecs"]
     txt_lines = [f"{'run':28s} {'solver':8s} {'eps':>8s} {'iters':>8s} {'evals':>8s} {'matvecs':>8s}"]
-    for path in _sidecars(out):
-        try:
-            trace, _, _ = _read_run(path, problems)
-        except ConfigError as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_CONFIG
+    # this batch's completed runs only, whatever else the directory holds
+    for r in sorted((r for r in results if "error" not in r), key=lambda r: r["run_id"]):
         for eps in (1e-2, 1e-4, 1e-6):
-            costs = _cost_to_accuracy(trace, eps)  # (iterations, evals, matvecs)
-            csv_lines.append(f"{path.stem},{trace.solver},{eps:g},"
+            costs = _cost_to_accuracy(r["trace"], eps)  # (iterations, evals, matvecs)
+            csv_lines.append(f"{r['run_id']},{r['solver']},{eps:g},"
                              + ",".join("" if c is None else str(c) for c in costs))
-            txt_lines.append(f"{path.stem:28s} {trace.solver:8s} {eps:>8g} "
+            txt_lines.append(f"{r['run_id']:28s} {r['solver']:8s} {eps:>8g} "
                              + " ".join(f"{'-' if c is None else c:>8}" for c in costs))
     (out / "compare.csv").write_text("\n".join(csv_lines) + "\n")
     (out / "compare.txt").write_text("\n".join(txt_lines) + "\n")

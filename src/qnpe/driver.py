@@ -28,7 +28,6 @@ from .learner import (
     learner_init,
     observe_loss,
 )
-from .linear_solver import MatvecCounter
 from .line_search import LineSearchParams, backtrack, check_step_constants, default_max_backtracks
 from .problems import Problem, Symmetric
 from .separation import FeasibleSetParams, subspace_residual
@@ -164,10 +163,9 @@ def solve(
         option, feasible, d, config.p, rho=config.rho, radius=config.radius
     )
     rng = np.random.default_rng(config.rng_seed)
-    counter = MatvecCounter()
     if b0 is None:
         b0 = (l1 + mu) * np.eye(d)
-    state = learner_init(b0, lparams, rng, matvec_counter=counter)
+    state = learner_init(b0, lparams, rng)
 
     sym_structure = isinstance(problem.structure, Symmetric)
     floor = config.step_size_floor(l1)
@@ -194,6 +192,7 @@ def solve(
 
     sigma = sigma0
     cum_evals = 0
+    cum_matvecs = 0  # B-products of the inner solves plus W-products of the oracles
     eta_sum = 0.0
     zbar_acc = np.zeros(d)
 
@@ -211,10 +210,10 @@ def solve(
             else default_max_backtracks(sigma, l1, config.alpha2, config.beta)
         )
         out = backtrack(
-            z, g, b_mv, b_mv_t, sigma, ls_params, problem.eval,
-            b_symmetric=sym_structure, matvec_counter=counter,
+            z, g, b_mv, b_mv_t, sigma, ls_params, problem.eval, b_symmetric=sym_structure
         )
         cum_evals += out.trial_count
+        cum_matvecs += out.matvecs
 
         eta = out.eta
         theta = 1.0 / (1.0 + 2.0 * eta * mu)
@@ -245,6 +244,7 @@ def solve(
                             f"step size {eta:.3e} below backtracking bound {bound:.3e}"
                         )
             observe_loss(state, obs, lparams, resid=resid)
+            cum_matvecs += state.last_sep.matvecs
             if config.debug_certificates and subspace_residual(problem.structure, state.w) > 1e-10:
                 raise CertificateViolation(f"iteration {k}: learner iterate W left the subspace")
 
@@ -268,13 +268,13 @@ def solve(
                 cond_a_margin=cond_a_margin,
                 cond_b_margin=cond_b_margin,
                 cum_evals=cum_evals,
-                cum_matvecs=counter.count,
+                cum_matvecs=cum_matvecs,
             )
         )
         sigma = eta / config.beta
         z = z_next
 
-    z_bar = _finish_trace(trace, problem, z, zbar_acc, eta_sum, cum_evals, counter.count)
+    z_bar = _finish_trace(trace, problem, z, zbar_acc, eta_sum, cum_evals, cum_matvecs)
     return z, (z_bar if config.mode is Mode.MONOTONE else None), trace
 
 

@@ -12,13 +12,12 @@ unchanged by the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
-from .linear_solver import MatvecCounter
 from .problems import JSymmetric, Sparse, Symmetric
 from .separation import (FeasibleSetParams, from_hat, pattern_index, pattern_matvecs,
                          project_subspace, sep_feasible, subspace_residual, to_hat)
@@ -129,17 +128,11 @@ class LearnerState:
     t: int
     w: np.ndarray  # auxiliary point, in the subspace, ||W||_F <= R
     scale: float  # the played matrix is B = L1 W / scale + (L1 + mu) I
-    last_sep: SepResult | None
+    last_sep: SepResult | None  # its matvecs are those of the last round's oracle
     rng: np.random.Generator
-    matvec_counter: MatvecCounter = field(default_factory=MatvecCounter)
 
 
-def learner_init(
-    b0: np.ndarray,
-    params: LearnerParams,
-    rng: np.random.Generator,
-    matvec_counter: MatvecCounter | None = None,
-) -> LearnerState:
+def learner_init(b0: np.ndarray, params: LearnerParams, rng: np.random.Generator) -> LearnerState:
     """Start at W_0 = P(to_hat(b0)), the projection onto the structural
     subspace, so that W is exactly structured from round 0 (the updates keep
     it there), stored in C order.  Round 0 plays from_hat(W_0), which is b0
@@ -159,14 +152,7 @@ def learner_init(
             raise ValueError("initial matrix violates the spectral constraint")
         if np.linalg.norm(w0, 2) > 3 + 1e-8:
             raise ValueError("initial matrix violates the operator-norm constraint")
-    return LearnerState(
-        t=0,
-        w=w0,
-        scale=1.0,
-        last_sep=None,
-        rng=rng,
-        matvec_counter=matvec_counter if matvec_counter is not None else MatvecCounter(),
-    )
+    return LearnerState(t=0, w=w0, scale=1.0, last_sep=None, rng=rng)
 
 
 def observe_loss(
@@ -212,7 +198,7 @@ def observe_loss(
     t_next = state.t + 1
     delta = params.delta_schedule(t_next)
     q = params.failure_schedule(t_next)
-    sep = sep_feasible(w, delta, q, feas, state.rng, matvec_counter=state.matvec_counter)
+    sep = sep_feasible(w, delta, q, feas, state.rng)
 
     gamma = 1.0 if sep.case is SepCase.CASE_I else sep.gamma
     state.scale = gamma if params.option is LearnerOption.OPTION_I else (1.0 + delta) * gamma

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linear_solver import LinearOp, MatvecCounter, linear_solve
+from .linear_solver import LinearOp, linear_solve
 
 
 EXACT_SOLVE_TOL = 1e-12  # practical meaning of alpha1 = 0
@@ -70,6 +70,7 @@ class LineSearchOutcome:
     trial_count: int  # one operator evaluation per trial
     f_zhat: np.ndarray
     f_ztilde: np.ndarray | None
+    matvecs: int  # B-products of the inner solves, summed over the trials
 
 
 def backtrack(
@@ -81,7 +82,6 @@ def backtrack(
     params: LineSearchParams,
     f_eval: Callable[[np.ndarray], np.ndarray],
     b_symmetric: bool = False,
-    matvec_counter: MatvecCounter | None = None,
 ) -> LineSearchOutcome:
     """Try step sizes sigma * beta^i until (B) holds; one fresh operator
     evaluation per trial.  g = F(z) is supplied by the caller so it is never
@@ -92,7 +92,7 @@ def backtrack(
         raise LineSearchError("non-finite operator value at the base point")
 
     d = len(z)
-    counter = matvec_counter if matvec_counter is not None else MatvecCounter()
+    matvecs = 0
     eta = sigma
     z_tilde: np.ndarray | None = None
     f_ztilde: np.ndarray | None = None
@@ -105,9 +105,9 @@ def backtrack(
             apply=lambda v, e=eta: v + e * b_apply(v),
             apply_transpose=lambda v, e=eta: v + e * b_apply_t(v),
             symmetric=b_symmetric,
-            matvec_counter=counter,
         )
         report = linear_solve(op, -eta * g, rho_tol)
+        matvecs += report.matvecs
         if not report.converged:
             raise LineSearchError(
                 f"inner linear solve did not reach tolerance at eta={eta:.3e} "
@@ -127,6 +127,7 @@ def backtrack(
                 trial_count=trial,
                 f_zhat=f_zhat,
                 f_ztilde=f_ztilde,
+                matvecs=matvecs,
             )
         # a non-finite trial is rejected but yields no loss observation, and
         # so no backtracking lower bound on the accepted step size

@@ -10,22 +10,10 @@ matrix-vector product is needed per iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-
-class MatvecCounter:
-    """Shared monotone counter for matrix-vector products."""
-
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def add(self, n: int = 1) -> None:
-        self.count += n
 
 
 class NumericalBreakdownError(RuntimeError):
@@ -43,15 +31,6 @@ class LinearOp:
     apply: Callable[[np.ndarray], np.ndarray]
     apply_transpose: Callable[[np.ndarray], np.ndarray]
     symmetric: bool = False
-    matvec_counter: MatvecCounter = field(default_factory=MatvecCounter)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        self.matvec_counter.add()
-        return self.apply(v)
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        self.matvec_counter.add()
-        return self.apply_transpose(v)
 
     @staticmethod
     def from_matrix(a: np.ndarray, symmetric: bool | None = None) -> "LinearOp":
@@ -71,7 +50,7 @@ class SolveReport:
     solution: np.ndarray
     residual_norm: float
     iterations: int
-    matvecs: int
+    matvecs: int  # 1 + iterations * (1 if symmetric else 2), 0 when b = 0
     converged: bool
 
 
@@ -99,19 +78,19 @@ def linear_solve(
     if max_iters is None:
         max_iters = 20 * d
 
-    start_count = op.matvec_counter.count
     if not np.any(b):
         return SolveReport(np.zeros(d), 0.0, 0, 0, True)
 
+    per_iter = 1 if op.symmetric else 2  # CR: A v; CGLS: A p and A^T r
     s = np.zeros(d)
     r = b.copy()
     if op.symmetric:
-        v = op.matvec(r)
+        v = op.apply(r)
         p = r.copy()
         q = v.copy()
         gamma = float(v @ p)
     else:
-        v = op.rmatvec(r)
+        v = op.apply_transpose(r)
         p = v.copy()
         gamma = float(v @ p)
 
@@ -119,12 +98,12 @@ def linear_solve(
     for k in range(max_iters):
         res_norm = float(np.linalg.norm(r))
         if res_norm <= rho_tol * np.linalg.norm(s):
-            return SolveReport(s, res_norm, k, op.matvec_counter.count - start_count, True)
+            return SolveReport(s, res_norm, k, 1 + per_iter * k, True)
 
         if op.symmetric:
             qk = q
         else:
-            qk = op.matvec(p)
+            qk = op.apply(p)
         qq = float(qk @ qk)
         if not np.isfinite(qq) or not np.isfinite(gamma):
             raise NumericalBreakdownError("non-finite curvature in linear solve")
@@ -137,13 +116,13 @@ def linear_solve(
         s = s + alpha * p
         r = r - alpha * qk
         if op.symmetric:
-            v = op.matvec(r)
+            v = op.apply(r)
             gamma_next = float(v @ r)
             beta = gamma_next / gamma
             p = r + beta * p
             q = v + beta * q
         else:
-            v = op.rmatvec(r)
+            v = op.apply_transpose(r)
             gamma_next = float(v @ v)
             beta = gamma_next / gamma
             p = v + beta * p
@@ -152,4 +131,4 @@ def linear_solve(
 
     res_norm = float(np.linalg.norm(r))
     converged = res_norm <= rho_tol * np.linalg.norm(s)
-    return SolveReport(s, res_norm, max_iters, op.matvec_counter.count - start_count, converged)
+    return SolveReport(s, res_norm, max_iters, 1 + per_iter * max_iters, converged)

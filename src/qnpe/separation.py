@@ -11,7 +11,6 @@ from typing import Callable
 import numpy as np
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
-from .linear_solver import MatvecCounter
 from .problems import JSymmetric, Sparse, StructureSpec, Symmetric
 from .spectral import SepCase, SepResult, ext_evec, max_svec
 
@@ -179,7 +178,6 @@ def sep_feasible(
     q: float,
     params: FeasibleSetParams,
     rng: np.random.Generator,
-    matvec_counter: MatvecCounter | None = None,
 ) -> SepResult:
     """Composed separation oracle for the transformed feasible set.
 
@@ -187,12 +185,14 @@ def sep_feasible(
     operator-norm constraint, so the extreme-eigenvalue oracle alone suffices.
     Otherwise both sub-oracles are queried with failure budget q/2 each and
     the larger gamma wins (ties go to the eigenvalue oracle); the returned S
-    is projected back into the subspace.  `oracle_operators` builds the two
-    operators from the structure.
+    is projected back into the subspace.  The result carries the matvecs of
+    every oracle that ran.  `oracle_operators` builds the two operators from
+    the structure.
 
     Case I is certified exactly, with no Lanczos, from the Frobenius norm:
     ||sym(W)||_op <= ||W||_op <= ||W||_F, so ||W||_F <= 1 answers ext_evec
-    and ||W||_F <= 3 answers max_svec, each with gamma the bound itself.
+    and ||W||_F <= 3 answers max_svec, each with gamma the bound itself and
+    no matvecs.
 
     Precondition, not checked here: w lies in the structural subspace (the
     learner keeps it there; debug_certificates re-checks it).
@@ -212,18 +212,17 @@ def sep_feasible(
             rng.standard_normal(2 * d)
         return SepResult(gamma=fro, case=SepCase.CASE_I)
     if isinstance(structure, Symmetric):
-        return ext_evec(lambda v: w @ v, d, delta, q, rng, symmetric=True,
-                        matvec_counter=matvec_counter)
+        return ext_evec(lambda v: w @ v, d, delta, q, rng, symmetric=True)
 
     apply_sym, apply_aug = oracle_operators(structure, w)
-    r1 = ext_evec(apply_sym, d, delta, q / 2, rng, symmetric=False,
-                  matvec_counter=matvec_counter)
+    r1 = ext_evec(apply_sym, d, delta, q / 2, rng, symmetric=False)
     if fro <= 3.0:
         rng.standard_normal(2 * d)
         r2 = SepResult(gamma=fro / 3.0, case=SepCase.CASE_I)
     else:
-        r2 = max_svec(apply_aug, d, delta, q / 2, rng, matvec_counter=matvec_counter)
+        r2 = max_svec(apply_aug, d, delta, q / 2, rng)
     chosen = r1 if r1.gamma >= r2.gamma else r2
+    chosen.matvecs = r1.matvecs + r2.matvecs
     if chosen.case is SepCase.CASE_II:
         chosen.s = project_subspace(structure, chosen.s)
     return chosen

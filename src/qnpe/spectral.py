@@ -18,8 +18,6 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dstebz, dstein
 
-from .linear_solver import MatvecCounter
-
 
 class SepCase(Enum):
     CASE_I = 1
@@ -32,11 +30,13 @@ class SepResult:
 
     Case I (gamma <= 1) certifies approximate feasibility and carries no S.
     Case II carries the dense separating matrix S with ||S||_F <= 1.
+    `matvecs` counts the W-products the oracle's Lanczos runs spent.
     """
 
     gamma: float
     case: SepCase
     s: np.ndarray | None = None  # None in Case I
+    matvecs: int = 0
 
 
 @dataclass
@@ -141,7 +141,6 @@ def ext_evec(
     q: float,
     rng: np.random.Generator,
     symmetric: bool = False,
-    matvec_counter: MatvecCounter | None = None,
 ) -> SepResult:
     """Approximate extreme-eigenvalue separation oracle for the symmetrized
     input sym(W) = (W + W^T)/2, applied by `apply_sym`.  `symmetric` says
@@ -158,13 +157,12 @@ def ext_evec(
     n_steps = min(n_steps, d)
 
     res = lanczos(apply_sym, d, n_steps, rng)
-    if matvec_counter is not None:  # lanczos applies the operator once per step
-        matvec_counter.add((1 if symmetric else 2) * res.steps_taken)
+    matvecs = (1 if symmetric else 2) * res.steps_taken  # one operator application per step
     lam_max, z_max = tridiag_eigpair(res.alphas, res.betas, res.steps_taken - 1)
     lam_min, z_min = tridiag_eigpair(res.alphas, res.betas, 0)
     gamma = max(lam_max, -lam_min)
     if gamma <= 1.0:
-        return SepResult(gamma=gamma, case=SepCase.CASE_I)
+        return SepResult(gamma=gamma, case=SepCase.CASE_I, matvecs=matvecs)
     if lam_max >= -lam_min:
         u = res.basis @ z_max
         sign = 1.0
@@ -174,7 +172,8 @@ def ext_evec(
     nrm = np.linalg.norm(u)
     if nrm > 1.0:  # guard rounding so ||S||_F <= 1 holds exactly
         u = u / nrm
-    return SepResult(gamma=gamma, case=SepCase.CASE_II, s=np.outer(sign * u, u))
+    return SepResult(gamma=gamma, case=SepCase.CASE_II, s=np.outer(sign * u, u),
+                     matvecs=matvecs)
 
 
 def max_svec(
@@ -183,7 +182,6 @@ def max_svec(
     delta: float,
     q: float,
     rng: np.random.Generator,
-    matvec_counter: MatvecCounter | None = None,
 ) -> SepResult:
     """Approximate maximum-singular-triplet separation oracle.
 
@@ -199,15 +197,15 @@ def max_svec(
     n_steps = min(n_steps, 2 * d)
 
     res = lanczos(apply_aug, 2 * d, n_steps, rng)
-    if matvec_counter is not None:
-        matvec_counter.add(2 * res.steps_taken)
+    matvecs = 2 * res.steps_taken
     lam_max, z_max = tridiag_eigpair(res.alphas, res.betas, res.steps_taken - 1)
     gamma = lam_max / 3.0
     if gamma <= 1.0:
-        return SepResult(gamma=gamma, case=SepCase.CASE_I)
+        return SepResult(gamma=gamma, case=SepCase.CASE_I, matvecs=matvecs)
     v_tilde = res.basis @ z_max
     nrm = np.linalg.norm(v_tilde)
     if nrm > 1.0:
         v_tilde = v_tilde / nrm
     a, b = v_tilde[:d], v_tilde[d:]
-    return SepResult(gamma=gamma, case=SepCase.CASE_II, s=(2.0 / 3.0) * np.outer(a, b))
+    return SepResult(gamma=gamma, case=SepCase.CASE_II, s=(2.0 / 3.0) * np.outer(a, b),
+                     matvecs=matvecs)

@@ -275,6 +275,30 @@ def test_compare_produces_report(tmp_path):
     assert all(int(r[4]) == 2 * int(r[3]) for r in eg_rows)
 
 
+def test_compare_reports_only_its_own_batch(tmp_path):
+    """A directory reused across commands: compare tabulates the runs of its
+    own config, not the sidecars an earlier run left there."""
+    problem = {"family": "quadratic_min", "d": 6, "mu": 0.2, "l1": 1.0}
+    solvers = [{"name": "qnpe", "mode": "strongly_monotone", "max_iterations": 30},
+               {"name": "eg", "step_size": 0.5, "n_iters": 30}]
+    out = tmp_path / "st"
+    earlier = write_config(tmp_path / "earlier.json", {
+        "problems": [dict(problem, seed=1), dict(problem, seed=2)],
+        "solvers": solvers, "repetitions": 2})
+    assert run_cli("run", earlier, "--out", str(out)).returncode == 0
+    assert len(list(out.glob("run_*.json"))) == 8
+    cfg = write_config(tmp_path / "cfg.json", {"problems": [dict(problem, seed=1)],
+                                               "solvers": solvers, "repetitions": 1})
+    proc = run_cli("compare", cfg, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((out / "summary.json").read_text())
+    assert [s["run_id"] for s in summary] == ["run_p0_qnpe0_rep0", "run_p0_eg1_rep0"]
+    rows = [ln.split(",") for ln in (out / "compare.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows[::3]] == [("run_p0_eg1_rep0", "eg"),
+                                                 ("run_p0_qnpe0_rep0", "qnpe")]
+    assert len(rows) == 6
+
+
 def test_problems_built_once_per_descriptor(tmp_path, monkeypatch):
     import qnpe.cli
 

@@ -8,7 +8,6 @@ import pytest
 
 from qnpe import LineSearchError
 from qnpe.line_search import LineSearchParams, backtrack, default_max_backtracks
-from qnpe.linear_solver import MatvecCounter
 
 
 def params(alpha1=0.25, alpha2=0.25, beta=0.5, mu=0.0, max_backtracks=40):
@@ -67,13 +66,13 @@ def test_mismatched_model_backtracks_and_keeps_rejected_iterate():
     z_star = np.zeros(3)
     f = affine_eval(a, z_star)
     z = np.array([1.0, 1.0, 1.0])
-    counter = MatvecCounter()
-    evals = []
-    out = backtrack(z, f(z), lambda v: 0 * v, lambda v: 0 * v, sigma=4.0,
-                    params=params(), f_eval=lambda x: evals.append(x) or f(x),
-                    b_symmetric=True, matvec_counter=counter)
+    evals, products = [], []
+    out = backtrack(z, f(z), lambda v: products.append(v) or 0 * v, lambda v: 0 * v,
+                    sigma=4.0, params=params(), f_eval=lambda x: evals.append(x) or f(x),
+                    b_symmetric=True)
     assert out.backtracked
     assert out.trial_count > 1
+    assert out.matvecs == len(products)  # every trial's inner solve, not only the last
     assert out.eta == pytest.approx(4.0 * 0.5 ** (out.trial_count - 1))
     assert len(evals) == out.trial_count  # one operator evaluation per trial
     assert out.z_tilde is not None
@@ -85,6 +84,29 @@ def test_mismatched_model_backtracks_and_keeps_rejected_iterate():
     s = out.z_hat - z
     lhs = np.linalg.norm(s + out.eta * f(out.z_hat))
     assert lhs <= 0.5 * np.linalg.norm(s) + 1e-12
+
+
+@pytest.mark.parametrize("b_symmetric", [False, True])
+def test_matvecs_are_the_counted_b_products(b_symmetric):
+    """matvecs sums the inner solves' products with B and B^T over all
+    trials: the calls of b_apply and b_apply_t, counted outside."""
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal((6, 6))
+    b = b + b.T if b_symmetric else b
+    f = affine_eval(3.0 * np.eye(6) + b, rng.standard_normal(6))
+    z = rng.standard_normal(6)
+    calls = {"b": 0, "b_t": 0}
+
+    def tally(key, m):
+        return lambda v: calls.__setitem__(key, calls[key] + 1) or m @ v
+
+    solves = []
+    out = backtrack(z, f(z), tally("b", 0.1 * b), tally("b_t", 0.1 * b.T), sigma=8.0,
+                    params=params(), f_eval=lambda x: solves.append(x) or f(x),
+                    b_symmetric=b_symmetric)
+    assert out.backtracked and out.trial_count == len(solves) > 1
+    assert out.matvecs == calls["b"] + calls["b_t"] > 0
+    assert (calls["b_t"] == 0) is b_symmetric
 
 
 def test_exhaustion_raises():

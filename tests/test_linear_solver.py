@@ -59,14 +59,29 @@ def test_random_system_meets_relative_residual(symmetric):
     assert np.linalg.norm(a @ rep.solution - b) <= 0.25 * np.linalg.norm(rep.solution)
 
 
+def counted(op):
+    """op with its apply and apply_transpose calls tallied in the returned list."""
+    calls = []
+
+    def tally(fn):
+        return lambda v: calls.append(1) or fn(v)
+
+    return LinearOp(op.dim, tally(op.apply), tally(op.apply_transpose), op.symmetric), calls
+
+
 @pytest.mark.parametrize("symmetric,per_iter", [(False, 2), (True, 1)])
 def test_matvec_accounting(symmetric, per_iter):
+    """The reported matvecs are the operator calls the solver made, counted
+    outside it, and follow the rule 1 + iterations * (1 or 2), whether the
+    solve converges or hits its cap; b = 0 makes none."""
     rng = np.random.default_rng(21)
     a = random_wellposed(15, rng, symmetric=symmetric)
     b = rng.standard_normal(15)
-    rep = linear_solve(LinearOp.from_matrix(a, symmetric=symmetric), b, rho_tol=0.3)
-    assert rep.converged
-    assert rep.matvecs == per_iter * rep.iterations + 1
+    for rho_tol, max_iters, b_k in ((0.3, None, b), (1e-14, 3, b), (0.3, None, 0 * b)):
+        op, calls = counted(LinearOp.from_matrix(a, symmetric=symmetric))
+        rep = linear_solve(op, b_k, rho_tol=rho_tol, max_iters=max_iters)
+        assert rep.converged == (max_iters is None)
+        assert rep.matvecs == len(calls) == (per_iter * rep.iterations + 1 if b_k.any() else 0)
 
 
 def test_cr_residual_nonincreasing_on_spd():

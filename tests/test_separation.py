@@ -18,7 +18,6 @@ from qnpe import (
     ext_evec,
     max_svec,
 )
-from qnpe.linear_solver import MatvecCounter
 from qnpe.separation import (
     from_hat,
     oracle_matrices,
@@ -307,19 +306,20 @@ CERT_STRUCTURES = [General(), Symmetric(), JSymmetric(4, 6),
 CERT_IDS = ["general", "symmetric", "jsymmetric", "sparse"]
 
 
-def _lanczos_oracle(w, delta, q, structure, rng, counter):
-    """sep_feasible without the certificate: the direct Lanczos calls."""
+def _lanczos_oracle(w, delta, q, structure, rng):
+    """sep_feasible without the certificate: the direct Lanczos calls, and
+    the matvecs they spent."""
     d = w.shape[0]
     if isinstance(structure, Symmetric):
-        return ext_evec(lambda v: w @ v, d, delta, q, rng, symmetric=True,
-                        matvec_counter=counter)
+        r = ext_evec(lambda v: w @ v, d, delta, q, rng, symmetric=True)
+        return r, r.matvecs
     apply_sym, apply_aug = oracle_operators(structure, w)
-    r1 = ext_evec(apply_sym, d, delta, q / 2, rng, matvec_counter=counter)
-    r2 = max_svec(apply_aug, d, delta, q / 2, rng, matvec_counter=counter)
+    r1 = ext_evec(apply_sym, d, delta, q / 2, rng)
+    r2 = max_svec(apply_aug, d, delta, q / 2, rng)
     chosen = r1 if r1.gamma >= r2.gamma else r2
     if chosen.case is SepCase.CASE_II:
         chosen.s = project_subspace(structure, chosen.s)
-    return chosen
+    return chosen, r1.matvecs + r2.matvecs
 
 
 def _with_frobenius_norm(structure, fro, seed):
@@ -332,28 +332,27 @@ def _with_frobenius_norm(structure, fro, seed):
 def test_frobenius_certificate_skips_lanczos_and_keeps_the_rng_stream(structure, fro):
     """||W||_F <= 1 skips both oracles and <= 3 skips max_svec; a skipped call
     counts no matvecs but draws its start vector, so the generator ends where
-    the direct calls leave it, and a Case II result is bitwise theirs."""
+    the direct calls leave it, and a Case II result is bitwise theirs.  The
+    result carries the matvecs of the oracles that ran, summed."""
     delta, q = 0.25, 0.05
     params = FeasibleSetParams(mu=0.1, l1=1.0, structure=structure)
     for seed in range(4):
         w = _with_frobenius_norm(structure, fro, seed)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        counter, ref_counter = MatvecCounter(), MatvecCounter()
-        got = sep_feasible(w, delta, q, params, rng, matvec_counter=counter)
-        want = _lanczos_oracle(w, delta, q, structure, ref_rng, ref_counter)
+        got = sep_feasible(w, delta, q, params, rng)
+        want, want_matvecs = _lanczos_oracle(w, delta, q, structure, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert got.case is want.case
         if want.case is SepCase.CASE_II:
             assert got.gamma == want.gamma and np.array_equal(got.s, want.s)
         if fro <= 1:
-            assert got.gamma == np.linalg.norm(w) and counter.count == 0
+            assert got.gamma == np.linalg.norm(w) and got.matvecs == 0
         elif isinstance(structure, Symmetric) or fro > 3:
-            assert got.gamma == want.gamma and counter.count == ref_counter.count
+            assert got.gamma == want.gamma and got.matvecs == want_matvecs
         else:  # only ext_evec runs
-            ext_only = MatvecCounter()
-            ext_evec(oracle_operators(structure, w)[0], CERT_D, delta, q / 2,
-                     np.random.default_rng(seed), matvec_counter=ext_only)
-            assert counter.count == ext_only.count < ref_counter.count
+            ext_only = ext_evec(oracle_operators(structure, w)[0], CERT_D, delta, q / 2,
+                                np.random.default_rng(seed))
+            assert got.matvecs == ext_only.matvecs < want_matvecs
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(range(4)),

@@ -235,6 +235,37 @@ def test_max_svec_alignment_on_random_matrix():
     assert abs(np.tensordot(res.s, w, axes=2) - res.gamma) <= 1e-8
 
 
+# ---------------------------------------------------------------------------
+# matvec accounting
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0], ids=["case1", "case2"])
+def test_oracle_matvecs_are_the_counted_operator_calls(scale):
+    """Each oracle reports its operator calls, counted outside, times the
+    per-step rule: one W-product per ext_evec step when W is symmetric, two
+    otherwise, and two per max_svec step.  A breakdown stops the count early."""
+    rng = np.random.default_rng(11)
+    w = rng.standard_normal((12, 12))
+    w *= scale / np.linalg.svd(w, compute_uv=False)[0]
+    sym = 0.5 * (w + w.T)
+    calls = []
+
+    def counted(fn):
+        return lambda v: calls.append(1) or fn(v)
+
+    for symmetric in (False, True):
+        calls.clear()
+        res = ext_evec(counted(lambda v: sym @ v), 12, 0.25, 0.1, rng, symmetric=symmetric)
+        assert res.matvecs == (1 if symmetric else 2) * len(calls) > 0
+    calls.clear()
+    aug = counted(lambda x: np.concatenate([w @ x[12:], w.T @ x[:12]]))
+    res = max_svec(aug, 12, 0.25, 0.1, rng)
+    assert res.matvecs == 2 * len(calls) > 0
+    calls.clear()
+    res = ext_evec(counted(lambda v: scale * v), 12, 0.25, 0.1, rng, symmetric=True)
+    assert res.matvecs == len(calls) == 1  # the scaled identity breaks down after one step
+
+
 def test_oracle_argument_validation():
     rng = np.random.default_rng(10)
     with pytest.raises(ValueError):
