@@ -36,9 +36,9 @@ from pathlib import Path
 import numpy as np
 
 from .certificates import verify_iteration_certificates
-from .driver import (Mode, SolverConfig, check_extragradient, check_mode, extragradient_baseline,
+from .driver import (SolverConfig, check_extragradient, check_mode, extragradient_baseline,
                      require, solve)
-from .problems import GenerationError, JSymmetric, PrimalDualBox, Problem, problem_from_descriptor
+from .problems import GenerationError, Problem, problem_from_descriptor
 from .trace import RunTrace, trace_from_csv, trace_to_csv
 
 log = logging.getLogger("qnpe")
@@ -168,16 +168,6 @@ def _parse_config(path: str, seed: int | None, debug: bool) -> tuple[dict, list[
     return cfg, specs
 
 
-def _gap_spec(problem: Problem, config: SolverConfig) -> PrimalDualBox | None:
-    """The unit box that monotone runs on minimax problems certify their gap on."""
-    if config.mode is Mode.MONOTONE and isinstance(problem.structure, JSymmetric):
-        m, n = problem.structure.m, problem.structure.n
-        return PrimalDualBox(
-            x_lo=-np.ones(m), x_hi=np.ones(m), y_lo=-np.ones(n), y_hi=np.ones(n)
-        )
-    return None
-
-
 def _execute_run(spec: RunSpec) -> dict:
     """One run's result; a run that raises carries the error in place of a
     trace, so that one bad run does not abort the batch."""
@@ -198,8 +188,7 @@ def _execute_run(spec: RunSpec) -> dict:
             z0 = spec.z0_scale * rng.standard_normal(problem.dim)
         if isinstance(solver, SolverConfig):
             _, _, trace = solve(problem, solver, z0=z0)
-            report = verify_iteration_certificates(
-                trace, problem, solver, gap_spec=_gap_spec(problem, solver))
+            report = verify_iteration_certificates(trace, problem, solver)
         else:
             _, _, trace = extragradient_baseline(problem, *solver, z0=z0)
             report = None
@@ -323,8 +312,8 @@ def _cost_to_accuracy(trace: RunTrace, eps: float) -> tuple:
             return row.k, evals, matvecs
         evals, matvecs = row.cum_evals, row.cum_matvecs
     final = trace.final_dist if use_dist else trace.final_norm_F
-    if final <= eps and trace.rows:
-        return trace.rows[-1].k + 1, evals, matvecs
+    if final <= eps:  # also a run that stopped at its start, with no rows
+        return len(trace.rows), evals, matvecs
     return None, None, None
 
 
@@ -370,8 +359,7 @@ def cmd_verify(trace_dir: str) -> int:
             return EXIT_CONFIG
         if not isinstance(solver, SolverConfig):
             continue  # an EG run has no certificates
-        report = verify_iteration_certificates(trace, problem, solver,
-                                               gap_spec=_gap_spec(problem, solver))
+        report = verify_iteration_certificates(trace, problem, solver)
         for line in report.lines():
             print(f"{path.stem}: {line}")
         any_fail = any_fail or not report.all_passed
@@ -389,7 +377,8 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--debug-certificates", action="store_true")
+        p.add_argument("--debug-certificates", action="store_true",
+                       help="also check in the loop that W stays in its subspace")
     p_ver = sub.add_parser("verify", help="re-check certificates from a run directory")
     p_ver.add_argument("trace_dir")
 

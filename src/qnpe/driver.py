@@ -44,7 +44,7 @@ FLOOR_DENOMINATOR = {Mode.STRONGLY_MONOTONE: 7.5, Mode.MONOTONE: 5.0}
 
 
 class CertificateViolation(AssertionError):
-    """An in-loop debug certificate failed."""
+    """In a debug run, the learner's W left its structural subspace."""
 
 
 def require(name: str, value: Any, ok: Callable[[Any], bool] = lambda x: True,
@@ -168,7 +168,6 @@ def solve(
     state = learner_init(b0, lparams, rng)
 
     sym_structure = isinstance(problem.structure, Symmetric)
-    floor = config.step_size_floor(l1)
     # the trial cap is set each iteration, since its default follows sigma
     ls_params = LineSearchParams(
         alpha1=config.alpha1, alpha2=config.alpha2, beta=config.beta, mu=mu, max_backtracks=0
@@ -234,25 +233,11 @@ def solve(
             obs = LossObservation(u=out.f_ztilde - g, s=out.z_tilde - z)
             resid = obs.u - b_mv(obs.s)  # shared with the learner
             loss = float(resid @ resid) / float(obs.s @ obs.s)
-            if config.debug_certificates:
-                # backtracking lower-bound certificate on the accepted step
-                denom = float(np.linalg.norm(resid))
-                if denom > 0:
-                    bound = config.alpha2 * config.beta * float(np.linalg.norm(obs.s)) / denom
-                    if eta <= bound * (1 - 1e-10):
-                        raise CertificateViolation(
-                            f"step size {eta:.3e} below backtracking bound {bound:.3e}"
-                        )
             observe_loss(state, obs, lparams, resid=resid)
             cum_matvecs += state.last_sep.matvecs
+            # the one check the trace cannot show; verify_iteration_certificates has the rest
             if config.debug_certificates and subspace_residual(problem.structure, state.w) > 1e-10:
                 raise CertificateViolation(f"iteration {k}: learner iterate W left the subspace")
-
-        if config.debug_certificates:
-            if cond_b_margin < -1e-9 * max(1.0, step_norm):
-                raise CertificateViolation("accepted step violates the proximal condition")
-            if eta < floor - 1e-12:
-                raise CertificateViolation(f"step size {eta:.3e} below floor {floor:.3e}")
 
         trace.rows.append(
             TraceRow(

@@ -142,6 +142,8 @@ def learner_init(b0: np.ndarray, params: LearnerParams, rng: np.random.Generator
     either norm), so the dense eigenvalue and norm check runs, at any d, only
     when that certificate fails; the default b0 has W_0 = 0."""
     b0 = np.asarray(b0, dtype=float)
+    if not np.all(np.isfinite(b0)):  # a NaN subspace residual would pass its check
+        raise ValueError("initial matrix b0 has a non-finite entry")
     w0 = to_hat(b0, params.feasible)
     if subspace_residual(params.feasible.structure, w0) > 1e-8:
         raise ValueError("initial matrix violates the structural subspace")

@@ -299,6 +299,24 @@ def test_compare_reports_only_its_own_batch(tmp_path):
     assert len(rows) == 6
 
 
+def test_compare_counts_a_run_that_starts_at_a_root(tmp_path):
+    """z0 = z* = 0: qnpe stops before iteration 0 and records no rows, yet it
+    has reached every target at no cost, as EG from the same start has."""
+    cfg = write_config(tmp_path / "cfg.json", {
+        "problems": [{"family": "bilinear_minimax", "m": 4, "n": 4, "mu": 0.0, "l1": 1.0,
+                      "seed": 2}],
+        "solvers": [{"name": "qnpe", "mode": "monotone", "z0_scale": 0.0},
+                    {"name": "eg", "step_size": 0.5, "n_iters": 5, "z0_scale": 0.0}],
+        "repetitions": 1})
+    out = tmp_path / "cmp"
+    proc = run_cli("compare", cfg, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "summary.json").read_text())[0]["iterations"] == 0
+    rows = [ln.split() for ln in (out / "compare.txt").read_text().splitlines()[1:]]
+    assert {r[1] for r in rows} == {"qnpe", "eg"} and len(rows) == 6
+    assert all(r[3:] == ["0", "0", "0"] for r in rows)
+
+
 def test_problems_built_once_per_descriptor(tmp_path, monkeypatch):
     import qnpe.cli
 

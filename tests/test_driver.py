@@ -137,24 +137,25 @@ def test_debug_certificates_catch_learner_iterate_off_subspace(monkeypatch):
 
 
 def test_non_finite_rejected_trial_is_not_observed():
-    # F is NaN on the last rejected trial of the first backtracked iteration:
-    # that trial is rejected and the learner gets no observation from it
+    # F is NaN (or Inf) on the last rejected trial of the first backtracked
+    # iteration: that trial is rejected and the learner gets no observation from it
     p = make_quadratic_min(20, 0.2, 1.0, seed=1)
     z0 = p.known_root + np.random.default_rng(0).standard_normal(20)
     row = next(r for r in solve(p, sm_config(), z0=z0)[2].rows if r.backtracked)
     assert math.isfinite(row.loss)
-    calls = [0]
+    for bad in (math.nan, math.inf):
+        calls = [0]
 
-    def f(z):
-        calls[0] += 1
-        return np.full_like(z, np.nan) if calls[0] == row.cum_evals - 1 else p.eval(z)
+        def f(z):
+            calls[0] += 1
+            return np.full_like(z, bad) if calls[0] == row.cum_evals - 1 else p.eval(z)
 
-    config = sm_config(debug_certificates=True)
-    _, _, trace = solve(dataclasses.replace(p, eval=f), config, z0=z0)
-    poisoned = trace.rows[row.k]
-    assert poisoned.backtracked and poisoned.trials == row.trials
-    assert math.isnan(poisoned.loss)
-    assert verify_iteration_certificates(trace, p, config).all_passed
+        config = sm_config(debug_certificates=True)
+        _, _, trace = solve(dataclasses.replace(p, eval=f), config, z0=z0)
+        poisoned = trace.rows[row.k]
+        assert poisoned.backtracked and poisoned.trials == row.trials
+        assert math.isnan(poisoned.loss)
+        assert verify_iteration_certificates(trace, p, config).all_passed
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +246,43 @@ def test_monotone_gap_certificate():
     report = verify_iteration_certificates(trace, p, config, gap_spec=box)
     assert report.all_passed, "\n".join(report.lines())
     assert "averaged-gap-bound" in {c.name for c in report.checks}
+
+
+def test_default_gap_certificate_is_the_unit_box():
+    # without gap_spec, a monotone run on a minimax problem certifies its
+    # averaged gap on the unit box
+    p = make_bilinear_minimax(5, 5, mu=0.0, l1=1.0, seed=11)
+    config = SolverConfig(mode=Mode.MONOTONE, max_iterations=40, stop_tolerance=1e-12)
+    _, _, trace = solve(p, config, z0=0.4 * np.ones(10))
+    box = PrimalDualBox(-np.ones(5), np.ones(5), -np.ones(5), np.ones(5))
+    default = verify_iteration_certificates(trace, p, config)
+    assert default.all_passed, "\n".join(default.lines())
+    assert "averaged-gap-bound" in {c.name for c in default.checks}
+    assert default.lines() == verify_iteration_certificates(trace, p, config, gap_spec=box).lines()
+
+
+def test_certificates_catch_a_step_below_the_backtracking_bound():
+    p, config, trace = healthy_run()
+    observed = [r for r in trace.rows if r.loss > 0]
+    assert observed
+    bound = config.alpha2 * config.beta / math.sqrt(observed[0].loss)
+    for factor, passes in ((1 + 1e-9, True), (1 - 1e-9, False)):
+        tampered = copy.deepcopy(trace)
+        tampered.rows[observed[0].k].eta = bound * factor
+        report = verify_iteration_certificates(tampered, p, config)
+        check = next(c for c in report.checks if c.name == "backtracking-lower-bound")
+        assert check.passed is passes
+
+
+def test_certificates_scale_the_condition_tolerance_per_row():
+    # a small step's rounding slack does not grow with another row's long step
+    p, config, trace = healthy_run()
+    small = next(r.k for r in trace.rows if r.step_norm < 1.0)
+    long_step = next(r.k for r in trace.rows if r.k != small)
+    for margin, passes in ((-5e-10, True), (-2e-9, False)):
+        tampered = copy.deepcopy(trace)
+        tampered.rows[small].cond_b_margin = margin
+        tampered.rows[long_step].step_norm = 10.0
+        report = verify_iteration_certificates(tampered, p, config)
+        check = next(c for c in report.checks if c.name == "proximal-condition")
+        assert check.passed is passes and check.worst_margin == margin

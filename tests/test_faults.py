@@ -1,0 +1,113 @@
+"""Fault injection: each injected fault ends in a typed error or in a trace
+whose certificates pass, except a non-monotone operator, whose report must
+fail.  Most faults are injected into make_quadratic_min(20, 0.05, 1, seed=1)
+over 60 iterations."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from qnpe import (
+    LineSearchError,
+    Mode,
+    SolverConfig,
+    make_bilinear_minimax,
+    make_logsumexp_min,
+    make_quadratic_min,
+    make_sparse_equation,
+    solve,
+    verify_iteration_certificates,
+)
+
+FAMILIES = {  # problem and the mode it is solved in
+    "quadratic": (lambda: make_quadratic_min(20, 0.05, 1.0, seed=1), Mode.STRONGLY_MONOTONE),
+    "logsumexp": (lambda: make_logsumexp_min(20, 200, mu=0.05, smoothing=0.5, seed=1),
+                  Mode.STRONGLY_MONOTONE),
+    "sparse": (lambda: make_sparse_equation(20, 3, 0.1, 1.0, seed=1), Mode.STRONGLY_MONOTONE),
+    "bilinear": (lambda: make_bilinear_minimax(10, 10, 0.0, 1.0, seed=1), Mode.MONOTONE),
+}
+
+
+def _z0(problem):
+    return problem.known_root + np.random.default_rng(0).standard_normal(problem.dim)
+
+
+def _certified_run(problem, mode, **config):
+    """Solve and verify against the problem the solver saw; returns the trace
+    and the report's failing checks."""
+    config = SolverConfig(mode=mode, **{"max_iterations": 60, **config})
+    _, _, trace = solve(problem, config, z0=_z0(problem))
+    report = verify_iteration_certificates(trace, problem, config)
+    return trace, [c.name for c in report.checks if not c.passed]
+
+
+def test_nan_start_is_a_line_search_error():
+    p, mode = FAMILIES["quadratic"]
+    problem = p()
+    z0 = _z0(problem)
+    z0[3] = math.nan
+    with pytest.raises(LineSearchError, match="non-finite operator value at the base point"):
+        solve(problem, SolverConfig(mode=mode, max_iterations=60), z0=z0)
+
+
+def test_runaway_operator_exhausts_the_trials():
+    p, mode = FAMILIES["quadratic"]
+    problem = dataclasses.replace(p(), eval=lambda z: np.expm1(np.exp(z)))  # exp(exp(z)) - 1
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(LineSearchError, match="no acceptable step size"):
+        solve(problem, SolverConfig(mode=mode, max_iterations=60), z0=_z0(problem))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_accepted_trial_is_rejected(bad):
+    # F is poisoned at the trial that a clean run accepts: that trial is
+    # rejected, the next one is accepted, and the poisoned trial yields no loss
+    # observation.  Iteration 0 starts at sigma0 = the step-size floor, so one
+    # more backtrack there takes eta below the floor, and the report says so.
+    p, mode = FAMILIES["quadratic"]
+    problem = p()
+    config = SolverConfig(mode=mode, max_iterations=60)
+    clean, failing = _certified_run(problem, mode)
+    assert not failing
+    floor = config.step_size_floor(problem.l1)
+    above = next(r for r in clean.rows if r.eta * config.beta >= floor)
+    for row, expected in ((clean.rows[0], ["step-size-floor"]), (above, [])):
+        calls = [0]
+
+        def f(z):
+            calls[0] += 1
+            return np.full_like(z, bad) if calls[0] == row.cum_evals else problem.eval(z)
+
+        trace, failing = _certified_run(dataclasses.replace(problem, eval=f), mode)
+        poisoned = trace.rows[row.k]
+        assert poisoned.backtracked and poisoned.trials == row.trials + 1
+        assert math.isnan(poisoned.loss)
+        assert failing == expected
+
+
+@pytest.mark.parametrize("family, factor", [("quadratic", 0.1), ("quadratic", 0.5),
+                                            ("bilinear", 0.2), ("sparse", 0.3)])
+def test_understated_lipschitz_constant_still_certifies(family, factor):
+    p, mode = FAMILIES[family]
+    problem = p()
+    trace, failing = _certified_run(dataclasses.replace(problem, l1=factor * problem.l1), mode)
+    assert trace.iterations > 0 and not failing
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_huge_learner_step_still_certifies(family):
+    p, mode = FAMILIES[family]
+    with np.errstate(over="ignore"):
+        trace, failing = _certified_run(p(), mode, rho=1e300)
+    assert trace.iterations > 0 and not failing
+
+
+def test_non_monotone_operator_fails_its_certificates():
+    p, mode = FAMILIES["quadratic"]
+    diag = np.linspace(-1.0, 1.0, 20)
+    problem = dataclasses.replace(p(), eval=lambda z: diag * z, known_root=np.zeros(20),
+                                  jacobian_matvec=lambda z, v: diag * v)
+    _, failing = _certified_run(problem, mode)
+    assert {"per-iteration-contraction", "cumulative-displacement"} <= set(failing)

@@ -35,6 +35,7 @@ import pytest
 import qnpe.learner
 from qnpe import (
     Mode,
+    Problem,
     RunTrace,
     SepCase,
     SolverConfig,
@@ -45,6 +46,7 @@ from qnpe import (
     make_sparse_equation,
     solve,
     trace_to_csv,
+    verify_iteration_certificates,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -109,6 +111,12 @@ def _count_case_ii():
         qnpe.learner.sep_feasible = original
 
 
+def qnpe_case(name: str) -> tuple[Problem, SolverConfig]:
+    """A qnpe case's problem and solver config."""
+    family, mode, kwargs = QNPE_CASES[name]
+    return PROBLEMS[family](), SolverConfig(mode=mode, **{"max_iterations": ITERATIONS, **kwargs})
+
+
 @functools.lru_cache(maxsize=None)
 def run_case(name: str) -> tuple[RunTrace, int]:
     """The case's trace and its number of Case II oracle results."""
@@ -116,9 +124,7 @@ def run_case(name: str) -> tuple[RunTrace, int]:
         problem = PROBLEMS[name[3:]]()
         _, _, trace = extragradient_baseline(problem, 1.0 / problem.l1, ITERATIONS, z0=_z0(problem))
         return trace, 0
-    family, mode, kwargs = QNPE_CASES[name]
-    problem = PROBLEMS[family]()
-    config = SolverConfig(mode=mode, **{"max_iterations": ITERATIONS, **kwargs})
+    problem, config = qnpe_case(name)
     with _count_case_ii() as count:
         _, _, trace = solve(problem, config, z0=_z0(problem))
     return trace, count[0]
@@ -213,6 +219,18 @@ def assert_matches_golden(got: str, path: Path) -> None:
 def test_trace_matches_golden(name):
     trace, _ = run_case(name)
     assert_matches_golden(trace_to_csv(trace), GOLDEN / f"{name}.csv")
+
+
+@pytest.mark.parametrize("name", QNPE_CASES)
+def test_golden_trace_certifies(name):
+    # every certificate holds on the golden run, the backtracking lower bound
+    # on every case, and the averaged gap, on the default unit box, in monotone mode
+    problem, config = qnpe_case(name)
+    report = verify_iteration_certificates(run_case(name)[0], problem, config)
+    assert report.all_passed, "\n".join(report.lines())
+    names = {c.name for c in report.checks}
+    assert "backtracking-lower-bound" in names
+    assert ("averaged-gap-bound" in names) == (config.mode is Mode.MONOTONE)
 
 
 def test_totals_match_golden():

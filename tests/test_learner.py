@@ -274,6 +274,20 @@ def test_init_checks_the_spectrum_at_any_dimension():
     learner_init(from_hat(w0, params.feasible), params, np.random.default_rng(3))
 
 
+@pytest.mark.parametrize("structure", [General(), Symmetric(), JSymmetric(2, 2),
+                                       Sparse(frozenset({(0, 1), (2, 3)}))],
+                         ids=["general", "symmetric", "jsymmetric", "sparse"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_init_rejects_a_non_finite_b0(structure, bad):
+    """A NaN subspace residual compares False with its tolerance, so a non-finite
+    b0 is rejected by name before it can reach LAPACK in the dense check."""
+    params = make_params(LearnerOption.OPTION_I, mu=0.5, l1=1.0, d=4, structure=structure)
+    b0 = 1.5 * np.eye(4)
+    b0[2, 2] = bad  # on the diagonal: inside every structure's subspace
+    with pytest.raises(ValueError, match="b0"):
+        learner_init(b0, params, np.random.default_rng(3))
+
+
 def test_init_stores_the_projection_of_a_nearly_structured_b0():
     m, n = 4, 3
     structure = JSymmetric(m, n)
