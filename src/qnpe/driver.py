@@ -163,9 +163,7 @@ def solve(
         option, feasible, d, config.p, rho=config.rho, radius=config.radius
     )
     rng = np.random.default_rng(config.rng_seed)
-    if b0 is None:
-        b0 = (l1 + mu) * np.eye(d)
-    state = learner_init(b0, lparams, rng)
+    state = learner_init(b0, lparams, rng)  # b0 = None: the center (L1 + mu) I
 
     sym_structure = isinstance(problem.structure, Symmetric)
     # the trial cap is set each iteration, since its default follows sigma
@@ -235,8 +233,9 @@ def solve(
             loss = float(resid @ resid) / float(obs.s @ obs.s)
             observe_loss(state, obs, lparams, resid=resid)
             cum_matvecs += state.last_sep.matvecs
-            # the one check the trace cannot show; verify_iteration_certificates has the rest
-            if config.debug_certificates and subspace_residual(problem.structure, state.w) > 1e-10:
+            # the one check the trace cannot show; verify_iteration_certificates has the rest.
+            # It reads the stored W, not its projection, so a step off the subspace shows.
+            if config.debug_certificates and subspace_residual(problem.structure, state.stored) > 1e-10:
                 raise CertificateViolation(f"iteration {k}: learner iterate W left the subspace")
 
         trace.rows.append(

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .problems import JSymmetric, Sparse, Symmetric
+from .problems import JSymmetric, Sparse, StructureSpec, Symmetric
 from .separation import (FeasibleSetParams, from_hat, pattern_index, pattern_matvecs,
                          project_subspace, sep_feasible, subspace_residual, to_hat)
 from .spectral import SepCase, SepResult
@@ -30,8 +30,6 @@ class LearnerOption(Enum):
 
 
 DEFAULT_RHO = {LearnerOption.OPTION_I: 1.0 / 121.0, LearnerOption.OPTION_II: 1.0 / 81.0}
-
-_STEP_ROWS = 32  # rows of W per block of the in-place learner step
 
 
 def failure_schedule(p: float) -> Callable[[int], float]:
@@ -49,6 +47,7 @@ def failure_schedule(p: float) -> Callable[[int], float]:
 class LearnerParams:
     option: LearnerOption
     feasible: FeasibleSetParams
+    dim: int
     rho: float
     radius: float
     delta_schedule: Callable[[int], float]
@@ -73,6 +72,7 @@ class LearnerParams:
         return LearnerParams(
             option=option,
             feasible=feasible,
+            dim=dim,
             rho=DEFAULT_RHO[option] if rho is None else rho,
             radius=math.sqrt(dim) if radius is None else radius,
             delta_schedule=delta_schedule,
@@ -102,59 +102,200 @@ def loss_gradient(b: np.ndarray, obs: LossObservation) -> np.ndarray:
     return -2.0 * np.outer(obs.u - b @ obs.s, obs.s) / s2
 
 
-def _add_rank_two(
-    w: np.ndarray, a: np.ndarray, b: np.ndarray,
-    mirror: tuple[np.ndarray, np.ndarray] | None, sep_term: tuple[float, np.ndarray] | None,
-) -> None:
-    """W += outer(a, b) + outer(*mirror) + k S, with sep_term = (k, S), in
-    place and a block of rows at a time.  Each product is rounded on its own,
-    the products are added, and the sum goes into W, so a mirror pair whose
-    terms swap places at (i, j) and (j, i) adds the same value to both."""
-    d = w.shape[0]
-    rows = min(_STEP_ROWS, d)
-    buf, work = np.empty((rows, d)), np.empty((rows, d))
-    for i in range(0, d, rows):
-        blk, n = slice(i, i + rows), min(rows, d - i)
-        step = np.multiply(a[blk, None], b, out=buf[:n])
-        if mirror is not None:
-            step += np.multiply(mirror[0][blk, None], mirror[1], out=work[:n])
-        if sep_term is not None:
-            step += np.multiply(sep_term[1][blk], sep_term[0], out=work[:n])
-        w[blk] += step
+def _onto_ball(w: np.ndarray, radius: float) -> float:
+    """Scale the dense w in place onto the ball ||w||_F <= radius when it lies
+    outside; returns ||w||_F after.  When the squares overflow, w is divided
+    by its largest entry before it is squared, so a huge step lands on the
+    ball instead of zeroing w."""
+    nrm = float(np.linalg.norm(w))
+    if math.isinf(nrm):
+        big = float(np.max(np.abs(w)))
+        w /= big
+        nrm = float(np.linalg.norm(w))  # of w / big
+        w *= min(big, radius / nrm)
+        return min(big * nrm, radius)
+    if nrm > radius:
+        w *= radius / nrm
+        return radius
+    return nrm
+
+
+class LowRank:
+    """The learner's W = base + U V^T for General, Symmetric and JSymmetric
+    structure, in the compact form of Byrd, Nocedal & Schnabel (1994).
+
+    The factors are stored row-wise, U = u[:r]^T and V = v[:r]^T with u and v
+    of d columns, so the live rows are contiguous.  base is a dense d x d
+    array, or None when W_0 = 0.  The Gram matrices U^T U and V^T V (gu, gv)
+    are kept, so that
+    ||W||_F^2 = ||base||^2 + 2 <base, U V^T> + sum(U^T U o V^T V) costs
+    O(d r) per appended pair, and W x costs O(d r) plus base @ x.  When an
+    append would take r past d/2, where the factored product stops being
+    cheaper than a dense one, P(base + U V^T) is folded into base and r
+    restarts at 0.
+    """
+
+    def __init__(self, structure: StructureSpec, d: int, base: np.ndarray | None = None) -> None:
+        self.structure = structure
+        self.shape = (d, d)
+        self.base = base
+        self.base_sq = 0.0 if base is None else float(np.vdot(base, base))
+        self.cross = 0.0  # <base, U V^T> = sum_i u_i . (base v_i)
+        self.r = 0
+        self.u, self.v = np.empty((0, d)), np.empty((0, d))
+        self.gu, self.gv = np.empty((0, 0)), np.empty((0, 0))
+
+    def matvec(self, x: np.ndarray, block: slice = slice(None)) -> np.ndarray:
+        """W x for a vector or a stack of columns x; with `block`, the diagonal
+        block W[block, block] x."""
+        y = self.u[:self.r, block].T @ (self.v[:self.r, block] @ x)
+        if self.base is not None:
+            y += self.base[block, block] @ x
+        return y
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """W^T x."""
+        y = self.v[:self.r].T @ (self.u[:self.r] @ x)
+        if self.base is not None:
+            y += self.base.T @ x
+        return y
+
+    def dense(self) -> np.ndarray:
+        """base + U V^T as one d x d array, not projected."""
+        w = self.u[:self.r].T @ self.v[:self.r]
+        if self.base is not None:
+            w += self.base
+        return w
+
+    def fold(self) -> None:
+        """base <- P(base + U V^T) and r <- 0."""
+        self.base = np.ascontiguousarray(project_subspace(self.structure, self.dense()))
+        self.base_sq = float(np.vdot(self.base, self.base))
+        self.cross = 0.0
+        self.r = 0
+
+    def append(self, pairs: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        """W += x y^T for each (x, y), as new factor rows."""
+        d, k = self.shape[0], len(pairs)
+        if self.r and 2 * (self.r + k) > d:
+            self.fold()
+        r, n = self.r, self.r + k
+        if n > len(self.u):
+            self._grow(n)
+        for i, (x, y) in enumerate(pairs):
+            self.u[r + i], self.v[r + i] = x, y
+        for f, g in ((self.u, self.gu), (self.v, self.gv)):
+            g[r:n, :n] = f[r:n] @ f[:n].T
+            g[:r, r:n] = g[r:n, :r].T
+        if self.base is not None:
+            self.cross += float(np.vdot(self.u[r:n], self.v[r:n] @ self.base.T))
+        self.r = n
+
+    def _grow(self, n: int) -> None:
+        """Room for n factor rows: the capacity doubles, up to d/2 (or n)."""
+        r, d = self.r, self.shape[0]
+        cap = max(n, min(max(2 * len(self.u), 16), d // 2))
+        u, v = np.empty((cap, d)), np.empty((cap, d))
+        u[:r], v[:r] = self.u[:r], self.v[:r]
+        gu, gv = np.empty((cap, cap)), np.empty((cap, cap))
+        gu[:r, :r], gv[:r, :r] = self.gu[:r, :r], self.gv[:r, :r]
+        self.u, self.v, self.gu, self.gv = u, v, gu, gv
+
+    def clip(self, radius: float) -> float:
+        """Scale W onto the ball ||W||_F <= radius when it lies outside, by
+        scaling U (and base); returns ||W||_F after, from the Gram form.  A W
+        whose squares overflow, or that is not finite, is folded into base and
+        clipped densely."""
+        r = self.r
+        uv = float(np.einsum("ij,ij->", self.gu[:r, :r], self.gv[:r, :r]))  # ||U V^T||_F^2
+        sq = self.base_sq + 2.0 * self.cross + uv
+        if not math.isfinite(sq):
+            self.fold()
+            nrm = _onto_ball(self.base, radius)
+            self.base_sq = float(np.vdot(self.base, self.base))
+            return nrm
+        nrm = math.sqrt(max(sq, 0.0))
+        if nrm <= radius:
+            return nrm
+        f = radius / nrm
+        self.u[:r] *= f
+        self.gu[:r, :r] *= f * f
+        if self.base is not None:
+            self.base *= f
+            self.base_sq *= f * f
+            self.cross *= f * f
+        return radius
+
+
+def _doubled_projection(structure: StructureSpec, x: np.ndarray, y: np.ndarray) -> list[tuple]:
+    """Factor pairs of 2 P(x y^T): x y^T plus its mirror, y x^T for Symmetric
+    and J (x y^T)^T J = (J y)(J x)^T for JSymmetric; General doubles x y^T."""
+    if isinstance(structure, Symmetric):
+        return [(x, y), (y, x)]
+    if isinstance(structure, JSymmetric):
+        m = structure.m
+        return [(x, y), (np.concatenate([y[:m], -y[m:]]), np.concatenate([x[:m], -x[m:]]))]
+    return [(2.0 * x, y)]
 
 
 @dataclass
 class LearnerState:
     t: int
-    w: np.ndarray  # auxiliary point, in the subspace, ||W||_F <= R
+    model: np.ndarray | LowRank  # W: Sparse's dense array, else base + U V^T; ||W||_F <= R
     scale: float  # the played matrix is B = L1 W / scale + (L1 + mu) I
     last_sep: SepResult | None  # its matvecs are those of the last round's oracle
     rng: np.random.Generator
 
+    @property
+    def stored(self) -> np.ndarray:
+        """The stored W as one dense array, not projected: base + U V^T, or
+        Sparse's own array."""
+        return self.model if isinstance(self.model, np.ndarray) else self.model.dense()
 
-def learner_init(b0: np.ndarray, params: LearnerParams, rng: np.random.Generator) -> LearnerState:
+    @property
+    def w(self) -> np.ndarray:
+        """W as a dense C-ordered array, exactly in its subspace: P(base + U V^T),
+        or Sparse's own array.  For checks and demos; the solver uses the model."""
+        if isinstance(self.model, np.ndarray):
+            return self.model
+        return np.ascontiguousarray(project_subspace(self.model.structure, self.model.dense()))
+
+
+def learner_init(b0: np.ndarray | None, params: LearnerParams,
+                 rng: np.random.Generator) -> LearnerState:
     """Start at W_0 = P(to_hat(b0)), the projection onto the structural
     subspace, so that W is exactly structured from round 0 (the updates keep
-    it there), stored in C order.  Round 0 plays from_hat(W_0), which is b0
-    made exactly structured.  to_hat(b0) must lie within 1e-8 of the subspace,
-    and W_0 in the recentered set: its symmetric part's spectrum in [-1, 1]
-    and its operator norm at most 3.  ||W_0||_F <= 1 proves both (it bounds
+    it there).  Round 0 plays from_hat(W_0), which is b0 made exactly
+    structured.  b0 = None is the center (L1 + mu) I, whose W_0 = 0 needs no
+    check and, except for Sparse's dense W, no d x d array.  A given b0 must
+    be d x d and finite, to_hat(b0) must lie within 1e-8 of the subspace, and
+    W_0 in the recentered set: its symmetric part's spectrum in [-1, 1] and
+    its operator norm at most 3.  ||W_0||_F <= 1 proves both (it bounds
     either norm), so the dense eigenvalue and norm check runs, at any d, only
-    when that certificate fails; the default b0 has W_0 = 0."""
-    b0 = np.asarray(b0, dtype=float)
-    if not np.all(np.isfinite(b0)):  # a NaN subspace residual would pass its check
-        raise ValueError("initial matrix b0 has a non-finite entry")
-    w0 = to_hat(b0, params.feasible)
-    if subspace_residual(params.feasible.structure, w0) > 1e-8:
-        raise ValueError("initial matrix violates the structural subspace")
-    w0 = np.ascontiguousarray(project_subspace(params.feasible.structure, w0))
-    if not np.linalg.norm(w0) <= 1.0:  # NaN is no certificate
-        eigs = np.linalg.eigvalsh(0.5 * (w0 + w0.T))
-        if eigs[0] < -1 - 1e-8 or eigs[-1] > 1 + 1e-8:
-            raise ValueError("initial matrix violates the spectral constraint")
-        if np.linalg.norm(w0, 2) > 3 + 1e-8:
-            raise ValueError("initial matrix violates the operator-norm constraint")
-    return LearnerState(t=0, w=w0, scale=1.0, last_sep=None, rng=rng)
+    when that certificate fails.  A zero W_0 is stored as no base."""
+    structure, d = params.feasible.structure, params.dim
+    w0 = None
+    if b0 is not None:
+        b0 = np.asarray(b0, dtype=float)
+        if b0.shape != (d, d):
+            raise ValueError(f"initial matrix b0 must be {d} x {d}, got shape {b0.shape}")
+        if not np.all(np.isfinite(b0)):  # a NaN subspace residual would pass its check
+            raise ValueError("initial matrix b0 has a non-finite entry")
+        w0 = to_hat(b0, params.feasible)
+        if subspace_residual(structure, w0) > 1e-8:
+            raise ValueError("initial matrix violates the structural subspace")
+        w0 = np.ascontiguousarray(project_subspace(structure, w0))
+        if not np.linalg.norm(w0) <= 1.0:  # NaN is no certificate
+            eigs = np.linalg.eigvalsh(0.5 * (w0 + w0.T))
+            if eigs[0] < -1 - 1e-8 or eigs[-1] > 1 + 1e-8:
+                raise ValueError("initial matrix violates the spectral constraint")
+            if np.linalg.norm(w0, 2) > 3 + 1e-8:
+                raise ValueError("initial matrix violates the operator-norm constraint")
+    if isinstance(structure, Sparse):
+        model = np.zeros((d, d)) if w0 is None else w0
+    else:
+        model = LowRank(structure, d, w0 if w0 is not None and w0.any() else None)
+    return LearnerState(t=0, model=model, scale=1.0, last_sep=None, rng=rng)
 
 
 def observe_loss(
@@ -166,41 +307,41 @@ def observe_loss(
     separation oracle.  `resid` is u - B s when the caller has it.  Mutates
     and returns the state, updating W in place."""
     feas = params.feasible
-    s, w = obs.s, state.w
+    s, model = obs.s, state.model
     if resid is None:
         resid = obs.u - current_matrix(state, params)[0](s)
     s2 = float(s @ s)
+    structure = feas.structure
+    sparse = isinstance(structure, Sparse)
 
-    # W <- W - rho (P(grad) / L1 + coeff S), grad = -2 resid s^T / ||s||^2.  In Case II,
+    # W <- W - rho (P(grad) / L1 + coeff P(S)), grad = -2 resid s^T / ||s||^2.  In Case II,
     # <P(grad), W> = <grad, W> = -2 resid^T W s / ||s||^2 since W = P(W).
     coeff, sep = 0.0, state.last_sep
     if state.t >= 1 and sep is not None and sep.case is SepCase.CASE_II:
-        coeff = max(0.0, 2.0 * float(resid @ (w @ s)) / (s2 * feas.l1) / sep.gamma)
-    structure = feas.structure
-    if isinstance(structure, Sparse):  # O(nnz) gather on the pattern, plus the diagonal
+        ws = model @ s if sparse else model.matvec(s)
+        coeff = max(0.0, 2.0 * float(resid @ ws) / (s2 * feas.l1) / sep.gamma)
+    if sparse:  # O(nnz) gather on the pattern, plus the diagonal
         rows, cols, flat, _ = pattern_index(structure.pattern, len(s))
         vals = -2.0 * (resid[rows] * s[cols]) / s2 / feas.l1
-        if coeff:
-            vals += coeff * sep.s.take(flat)
-        w.flat[flat] -= params.rho * vals
+        if coeff:  # P(S) on the pattern is S there: c * (a_i * b_j)
+            c, a, b = sep.factors
+            vals += coeff * (c * (a[rows] * b[cols]))
+        model.flat[flat] -= params.rho * vals
+        fro = _onto_ball(model, params.radius)
     else:
-        a = (params.rho / (s2 * feas.l1)) * resid
-        if isinstance(structure, Symmetric):
-            mirror = s, a
-        elif isinstance(structure, JSymmetric):  # J (a s^T)^T J
-            m = structure.m
-            mirror = np.concatenate([s[:m], -s[m:]]), np.concatenate([a[:m], -a[m:]])
-        else:
-            a, mirror = 2.0 * a, None
-        _add_rank_two(w, a, s, mirror, (-params.rho * coeff, sep.s) if coeff else None)
-    nrm = np.linalg.norm(w)
-    if nrm > params.radius:
-        w *= params.radius / nrm
+        pairs = _doubled_projection(structure, (params.rho / (s2 * feas.l1)) * resid, s)
+        if coeff:  # Symmetric's S = +-u u^T and General's are in their subspace already
+            c, a, b = sep.factors
+            k = -params.rho * coeff * c
+            pairs += (_doubled_projection(structure, 0.5 * k * a, b)
+                      if isinstance(structure, JSymmetric) else [(k * a, b)])
+        model.append(pairs)
+        fro = model.clip(params.radius)
 
     t_next = state.t + 1
     delta = params.delta_schedule(t_next)
     q = params.failure_schedule(t_next)
-    sep = sep_feasible(w, delta, q, feas, state.rng)
+    sep = sep_feasible(model, fro, delta, q, feas, state.rng)
 
     gamma = 1.0 if sep.case is SepCase.CASE_I else sep.gamma
     state.scale = gamma if params.option is LearnerOption.OPTION_I else (1.0 + delta) * gamma
@@ -213,15 +354,16 @@ def current_matrix(
     state: LearnerState, params: LearnerParams
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
     """v -> B v and v -> B^T v for the played B = L1 W / scale + (L1 + mu) I,
-    from W's own products (its pattern's CSR matrix for Sparse): B is never
-    formed.  The closures read W, which the next observe_loss updates."""
-    feas, w = params.feasible, state.w
+    from W's own products (its factors, or its pattern's CSR matrix for
+    Sparse): B is never formed.  The factored closures read W, which the next
+    observe_loss updates."""
+    feas, model = params.feasible, state.model
     c1, c0 = feas.l1 / state.scale, feas.l1 + feas.mu
     structure = feas.structure
     if isinstance(structure, Sparse):
-        w_mv, w_mv_t = pattern_matvecs(structure.pattern, w)
+        w_mv, w_mv_t = pattern_matvecs(structure.pattern, model)
     else:
-        w_mv, w_mv_t = (lambda v: w @ v), (lambda v: w.T @ v)
+        w_mv, w_mv_t = model.matvec, model.rmatvec
     apply = lambda v: c1 * w_mv(v) + c0 * v
     if isinstance(structure, Symmetric):
         return apply, apply

@@ -6,13 +6,16 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .problems import JSymmetric, Sparse, StructureSpec, Symmetric
 from .spectral import SepCase, SepResult, ext_evec, max_svec
+
+if TYPE_CHECKING:
+    from .learner import LowRank
 
 
 @dataclass
@@ -148,46 +151,51 @@ def from_hat(b_hat: np.ndarray, params: FeasibleSetParams) -> np.ndarray:
     return b
 
 
-def oracle_operators(structure: StructureSpec, w: np.ndarray) -> tuple[Callable, Callable]:
+def oracle_operators(structure: StructureSpec, w: np.ndarray | LowRank) -> tuple[Callable, Callable]:
     """(v -> sym(W) v, x -> [W x[d:], W^T x[:d]]) for a non-Symmetric W in
-    its subspace.  Sparse applies one CSR matrix per operator through scipy's
-    compiled kernel.  JSymmetric W = [[W11, W12], [-W12^T, W22]] has
-    sym(W) = blkdiag(W11, W22) exactly, and W^T u = J W J u, so the augmented
-    product reads W once, as one d x 2 product.  General uses the dense
-    products."""
-    d = w.shape[0]
+    its subspace: Sparse's dense array, applied as one CSR matrix per
+    operator through scipy's compiled kernel, or the learner's factored
+    W = base + U V^T, applied through its factors.  JSymmetric
+    W = [[W11, W12], [-W12^T, W22]] has sym(W) = blkdiag(W11, W22), and
+    W^T u = J W J u, so the augmented product is one d x 2 product."""
     if isinstance(structure, Sparse):
         sym, aug = oracle_matrices(structure.pattern, w)
         return sparse_matvec(csr_matvec, *sym), sparse_matvec(csr_matvec, *aug)
+    d = w.shape[0]
     if isinstance(structure, JSymmetric):
         m, j = structure.m, _j_signs(structure.m, structure.n)
-        w11, w22 = w[:m, :m], w[m:, m:]
+        top, bottom = slice(None, m), slice(m, None)
 
         def apply_aug(x: np.ndarray) -> np.ndarray:
-            y = w @ np.column_stack([x[d:], j * x[:d]])
+            y = w.matvec(np.column_stack([x[d:], j * x[:d]]))
             return np.concatenate([y[:, 0], j * y[:, 1]])
 
-        return (lambda v: np.concatenate([w11 @ v[:m], w22 @ v[m:]])), apply_aug
-    return ((lambda v: 0.5 * (w @ v + w.T @ v)),
-            (lambda x: np.concatenate([w @ x[d:], w.T @ x[:d]])))
+        apply_sym = lambda v: np.concatenate([w.matvec(v[:m], top), w.matvec(v[m:], bottom)])
+        return apply_sym, apply_aug
+    return ((lambda v: 0.5 * (w.matvec(v) + w.rmatvec(v))),
+            (lambda x: np.concatenate([w.matvec(x[d:]), w.rmatvec(x[:d])])))
 
 
 def sep_feasible(
-    w: np.ndarray,
+    w: np.ndarray | LowRank,
+    fro: float,
     delta: float,
     q: float,
     params: FeasibleSetParams,
     rng: np.random.Generator,
 ) -> SepResult:
-    """Composed separation oracle for the transformed feasible set.
+    """Composed separation oracle for the transformed feasible set, at the
+    learner's W (Sparse's dense array, or the factored model) with
+    fro = ||W||_F, which the caller already holds.
 
     For Symmetric structure the eigenvalue constraint already implies the
     operator-norm constraint, so the extreme-eigenvalue oracle alone suffices.
     Otherwise both sub-oracles are queried with failure budget q/2 each and
-    the larger gamma wins (ties go to the eigenvalue oracle); the returned S
-    is projected back into the subspace.  The result carries the matvecs of
-    every oracle that ran.  `oracle_operators` builds the two operators from
-    the structure.
+    the larger gamma wins (ties go to the eigenvalue oracle).  A Case II
+    result carries the oracle's rank-one S; the learner steps along its
+    projection P(S), which has the same inner product with any W in the
+    subspace.  The result carries the matvecs of every oracle that ran.
+    `oracle_operators` builds the two operators from the structure.
 
     Case I is certified exactly, with no Lanczos, from the Frobenius norm:
     ||sym(W)||_op <= ||W||_op <= ||W||_F, so ||W||_F <= 1 answers ext_evec
@@ -199,12 +207,11 @@ def sep_feasible(
     """
     if delta <= 0 or not (0 < q < 1):
         raise ValueError("require delta > 0 and q in (0, 1)")
-    w = np.asarray(w, dtype=float)
     d = w.shape[0]
     structure = params.structure
-    fro = float(np.linalg.norm(w))  # NaN for a non-finite W: no certificate, Lanczos raises
-    # Each certified call draws the start vector its Lanczos run would have drawn,
-    # so the rng stream, and every later Ritz vector and separator, stay unchanged.
+    # fro is NaN for a non-finite W: no certificate, and Lanczos raises.  Each certified
+    # call draws the start vector its Lanczos run would have drawn, so the rng stream,
+    # and every later Ritz vector and separator, stay unchanged.
 
     if fro <= 1.0:  # answers both oracles
         rng.standard_normal(d)
@@ -212,7 +219,7 @@ def sep_feasible(
             rng.standard_normal(2 * d)
         return SepResult(gamma=fro, case=SepCase.CASE_I)
     if isinstance(structure, Symmetric):
-        return ext_evec(lambda v: w @ v, d, delta, q, rng, symmetric=True)
+        return ext_evec(w.matvec, d, delta, q, rng, symmetric=True)
 
     apply_sym, apply_aug = oracle_operators(structure, w)
     r1 = ext_evec(apply_sym, d, delta, q / 2, rng, symmetric=False)
@@ -223,6 +230,4 @@ def sep_feasible(
         r2 = max_svec(apply_aug, d, delta, q / 2, rng)
     chosen = r1 if r1.gamma >= r2.gamma else r2
     chosen.matvecs = r1.matvecs + r2.matvecs
-    if chosen.case is SepCase.CASE_II:
-        chosen.s = project_subspace(structure, chosen.s)
     return chosen

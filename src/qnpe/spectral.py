@@ -29,14 +29,23 @@ class SepResult:
     """Output (gamma, S) of an approximate separation oracle.
 
     Case I (gamma <= 1) certifies approximate feasibility and carries no S.
-    Case II carries the dense separating matrix S with ||S||_F <= 1.
+    Case II carries the separating matrix S = c a b^T, ||S||_F <= 1, as its
+    rank-one factors (c, a, b); an entry of S is c * (a_i * b_j).
     `matvecs` counts the W-products the oracle's Lanczos runs spent.
     """
 
     gamma: float
     case: SepCase
-    s: np.ndarray | None = None  # None in Case I
+    factors: tuple[float, np.ndarray, np.ndarray] | None = None  # None in Case I
     matvecs: int = 0
+
+    @property
+    def s(self) -> np.ndarray | None:
+        """S as a dense array, for checks and demos; the learner reads the factors."""
+        if self.factors is None:
+            return None
+        c, a, b = self.factors
+        return c * np.outer(a, b)
 
 
 @dataclass
@@ -172,8 +181,7 @@ def ext_evec(
     nrm = np.linalg.norm(u)
     if nrm > 1.0:  # guard rounding so ||S||_F <= 1 holds exactly
         u = u / nrm
-    return SepResult(gamma=gamma, case=SepCase.CASE_II, s=np.outer(sign * u, u),
-                     matvecs=matvecs)
+    return SepResult(gamma=gamma, case=SepCase.CASE_II, factors=(sign, u, u), matvecs=matvecs)
 
 
 def max_svec(
@@ -207,5 +215,5 @@ def max_svec(
     if nrm > 1.0:
         v_tilde = v_tilde / nrm
     a, b = v_tilde[:d], v_tilde[d:]
-    return SepResult(gamma=gamma, case=SepCase.CASE_II, s=(2.0 / 3.0) * np.outer(a, b),
+    return SepResult(gamma=gamma, case=SepCase.CASE_II, factors=(2.0 / 3.0, a, b),
                      matvecs=matvecs)

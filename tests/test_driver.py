@@ -4,6 +4,7 @@ re-verification."""
 import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,20 @@ def test_trace_bookkeeping_consistency():
     assert [r.cum_evals for r in rows] == list(expected)
 
 
+def test_default_b0_forms_no_dense_array():
+    """The default b0 has W_0 = 0, and the factored learner stores W as its
+    factors: the solve's traced peak stays below one d x d array."""
+    d = 1500
+    p = make_quadratic_min(d, 0.01, 1.0, seed=1)
+    tracemalloc.start()
+    try:
+        solve(p, sm_config(max_iterations=30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < d * d * 8
+
+
 def test_debug_certificates_clean_run():
     p = make_quadratic_min(8, 0.2, 1.0, seed=6)
     _, _, trace = solve(p, sm_config(debug_certificates=True), z0=p.known_root + 1.0)
@@ -127,8 +142,9 @@ def test_debug_certificates_catch_learner_iterate_off_subspace(monkeypatch):
 
     def perturbing(state, *args, **kwargs):
         original(state, *args, **kwargs)
-        if state.t == 3:
-            state.w[0, 1] += 1e-6  # W is no longer symmetric
+        if state.t == 3:  # an unmirrored pair: W[0, 1] += 1e-6, and W is no longer symmetric
+            e = np.eye(20)
+            state.model.append([(1e-6 * e[0], e[1])])
         return state
 
     monkeypatch.setattr(qnpe.driver, "observe_loss", perturbing)

@@ -79,45 +79,79 @@ def test_loss_hand_computed():
 
 
 def reference_step(state, obs, params):
-    """W - rho (P(grad) / L1 + coeff S), clipped to the ball, from the dense
+    """W - rho (P(grad) / L1 + coeff P(S)), clipped to the ball, from the dense
     projected gradient and the Frobenius inner product with it."""
     feas, w = params.feasible, state.w
     b = played_matrix(state, params)
     g = project_subspace(feas.structure, loss_gradient(b, obs)) / feas.l1
     sep = state.last_sep
     if state.t >= 1 and sep.case is SepCase.CASE_II:
-        g = g + max(0.0, -float(np.tensordot(g, w, axes=2)) / sep.gamma) * sep.s
+        coeff = max(0.0, -float(np.tensordot(g, w, axes=2)) / sep.gamma)
+        g = g + coeff * project_subspace(feas.structure, sep.s)
     w = w - params.rho * g
     return w * min(1.0, params.radius / np.linalg.norm(w))
 
 
-@pytest.mark.parametrize("structure", ["general", "symmetric", "jsymmetric", "sparse"])
+@pytest.mark.parametrize("structure", ["general", "symmetric", "jsymmetric", "sparse",
+                                       "general_fold", "symmetric_fold", "jsymmetric_fold"])
 def test_learner_step_is_the_projected_gradient_step_and_keeps_w_structured(structure):
+    """The _fold cases start at W_0 = 0 (no base) with d = 40, so that the
+    factors pass d/2 and fold into a base within the 30 rounds."""
     rng = np.random.default_rng(13)
-    d, mu, l1 = 200, 0.2, 1.5
+    fold = structure.endswith("_fold")
+    d, mu, l1 = 40 if fold else 200, 0.2, 1.5
     structure, rho = {  # the Sparse step moves only the pattern: a larger rho
         "general": (General(), 0.5),
         "symmetric": (Symmetric(), 0.5),
-        "jsymmetric": (JSymmetric(70, 130), 0.5),
+        "jsymmetric": (JSymmetric(7 * d // 20, 13 * d // 20), 0.5),
         "sparse": (Sparse(random_pattern(rng, d, 1000)), 2.0),
-    }[structure]
+    }[structure.removesuffix("_fold")]
     params = make_params(LearnerOption.OPTION_I, mu=mu, l1=l1, d=d, structure=structure,
                          rho=rho)
     w0 = project_subspace(structure, rng.standard_normal((d, d)))
-    state = learner_init(l1 * 0.5 * w0 / np.linalg.norm(w0, 2) + (l1 + mu) * np.eye(d),
-                         params, rng)
+    b0 = (l1 + mu) * np.eye(d)
+    if not fold:
+        b0 = l1 * 0.5 * w0 / np.linalg.norm(w0, 2) + b0
+    state = learner_init(b0, params, rng)
     # outside the set: Case II rounds, some of them clipped to the ball
     target = 6.0 * l1 * rng.standard_normal((d, d)) / math.sqrt(d)
-    case_ii = 0
+    case_ii = folds = 0
     for _ in range(30):
         s = rng.standard_normal(d)
         obs = LossObservation(u=target @ s, s=s)
         want = reference_step(state, obs, params)
         case_ii += state.t >= 1 and state.last_sep.case is SepCase.CASE_II
+        rank = getattr(state.model, "r", 0)
         observe_loss(state, obs, params)
+        folds += getattr(state.model, "r", 0) < rank
         assert np.linalg.norm(state.w - want) <= 1e-14 * np.linalg.norm(want)
     assert case_ii > 0
+    if fold:
+        assert folds > 0 and state.model.base.flags.c_contiguous
     assert_bitwise(state.w, project_subspace(structure, state.w))
+
+
+@pytest.mark.parametrize("structure", ["general", "symmetric", "jsymmetric", "sparse"])
+def test_a_huge_step_lands_on_the_ball(structure):
+    """With rho = 1e300 the squares of the step overflow: W is scaled before
+    it is squared, so the clip puts it on the ball instead of zeroing it."""
+    rng = np.random.default_rng(15)
+    d, mu, l1 = 12, 0.2, 1.5
+    structure = {
+        "general": General(),
+        "symmetric": Symmetric(),
+        "jsymmetric": JSymmetric(5, 7),
+        "sparse": Sparse(random_pattern(rng, d, 30)),
+    }[structure]
+    params = make_params(LearnerOption.OPTION_I, mu=mu, l1=l1, d=d, structure=structure,
+                         rho=1e300)
+    state = learner_init((l1 + mu) * np.eye(d), params, rng)
+    s = rng.standard_normal(d)
+    with np.errstate(over="ignore"):
+        observe_loss(state, LossObservation(u=3.0 * l1 * rng.standard_normal(d), s=s), params)
+    w = state.w
+    assert np.any(w != 0)
+    assert abs(np.linalg.norm(w) - params.radius) <= 1e-12 * params.radius
 
 
 @pytest.mark.parametrize("structure", ["general", "symmetric", "jsymmetric", "sparse"])
@@ -305,11 +339,12 @@ def test_init_stores_the_projection_of_a_nearly_structured_b0():
 
 
 def test_init_stores_w_in_c_order():
-    # the J-symmetric projection of a large matrix comes back in Fortran order
+    # the J-symmetric projection of a large matrix comes back in Fortran order;
+    # the stored base, which every product reads, and the dense view are C-ordered
     structure = JSymmetric(300, 300)
     params = make_params(LearnerOption.OPTION_II, mu=0.0, l1=1.0, d=600, structure=structure)
-    state = learner_init(np.eye(600), params, np.random.default_rng(12))
-    assert state.w.flags.c_contiguous
+    state = learner_init(1.01 * np.eye(600), params, np.random.default_rng(12))
+    assert state.model.base.flags.c_contiguous and state.w.flags.c_contiguous
 
 
 def test_zero_loss_observation_leaves_w_unchanged():

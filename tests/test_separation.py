@@ -18,6 +18,7 @@ from qnpe import (
     ext_evec,
     max_svec,
 )
+from qnpe.learner import LowRank
 from qnpe.separation import (
     from_hat,
     oracle_matrices,
@@ -28,6 +29,18 @@ from qnpe.separation import (
     sparse_matvec,
     to_hat,
 )
+
+
+def _stored(structure, w):
+    """The dense w as the learner stores it: Sparse keeps the array, the
+    other structures hold it as the base of a LowRank."""
+    return w if isinstance(structure, Sparse) else LowRank(structure, w.shape[0], w)
+
+
+def _sep(w, delta, q, params, rng):
+    """sep_feasible at the dense w, given its Frobenius norm."""
+    fro = float(np.linalg.norm(w))
+    return sep_feasible(_stored(params.structure, w), fro, delta, q, params, rng)
 
 
 STRUCTURES = [
@@ -154,7 +167,7 @@ def test_feasible_params_validation():
 
 def test_sep_feasible_zero_is_case_one():
     params = FeasibleSetParams(mu=0.1, l1=1.0, structure=General())
-    res = sep_feasible(np.zeros((6, 6)), 0.25, 0.1, params, np.random.default_rng(3))
+    res = _sep(np.zeros((6, 6)), 0.25, 0.1, params, np.random.default_rng(3))
     assert res.case is SepCase.CASE_I
 
 
@@ -164,7 +177,7 @@ def test_sep_feasible_symmetric_small_spectrum_case_one():
     w = 0.5 * (w + w.T)
     w *= 0.5 / np.max(np.abs(np.linalg.eigvalsh(w)))
     params = FeasibleSetParams(mu=0.1, l1=1.0, structure=Symmetric())
-    res = sep_feasible(w, 0.25, 0.01, params, rng)
+    res = _sep(w, 0.25, 0.01, params, rng)
     assert res.case is SepCase.CASE_I
 
 
@@ -174,7 +187,7 @@ def test_sep_feasible_skew_triggers_operator_norm_branch():
     w = a - a.T  # symmetric part zero: only the norm constraint can fire
     w *= 5.0 / np.linalg.svd(w, compute_uv=False)[0]
     params = FeasibleSetParams(mu=0.0, l1=1.0, structure=General())
-    res = sep_feasible(w, 0.25, 0.01, params, rng)
+    res = _sep(w, 0.25, 0.01, params, rng)
     assert res.case is SepCase.CASE_II
     assert abs(res.gamma - 5.0 / 3.0) <= 1e-6
     s = res.s
@@ -191,7 +204,7 @@ def test_sep_feasible_case_two_scaled_point_is_feasible(structure):
     w = project_subspace(structure, 4.0 * rng.standard_normal((d, d)))
     delta, q = 0.25, 0.01
     params = FeasibleSetParams(mu=0.2, l1=1.0, structure=structure)
-    res = sep_feasible(w, delta, q, params, rng)
+    res = _sep(w, delta, q, params, rng)
     if res.case is SepCase.CASE_I:
         gamma_true = max(
             np.max(np.abs(np.linalg.eigvalsh(0.5 * (w + w.T)))),
@@ -203,8 +216,8 @@ def test_sep_feasible_case_two_scaled_point_is_feasible(structure):
     eigs = np.linalg.eigvalsh(0.5 * (scaled + scaled.T))
     assert eigs[0] >= -(1 + delta) - 1e-8 and eigs[-1] <= (1 + delta) + 1e-8
     assert np.linalg.svd(scaled, compute_uv=False)[0] <= 3 * (1 + delta) + 1e-8
-    s = res.s
-    # separator returned inside the structural subspace, exactly
+    # the learner steps along the projected separator, exactly in the subspace
+    s = project_subspace(structure, res.s)
     assert np.array_equal(project_subspace(structure, s), s)
     assert np.linalg.norm(s) <= 1.0 + 1e-12
 
@@ -260,10 +273,20 @@ def test_sparse_matvec_is_bitwise_scipys_product(d, n_pairs):
     ids=["jsymmetric", "sparse", "general"],
 )
 def test_oracle_operators_apply_the_dense_operators(structure, d):
-    """JSymmetric(7, 13) has m != n, so a slip at the block boundary shows."""
+    """JSymmetric(7, 13) has m != n, so a slip at the block boundary shows.
+    The factored W has both a base and factor pairs, mirrored for JSymmetric."""
     rng = np.random.default_rng(d)
     w = project_subspace(structure, rng.standard_normal((d, d)))
-    apply_sym, apply_aug = oracle_operators(structure, w)
+    model = _stored(structure, w)
+    if not isinstance(structure, Sparse):
+        x, y = rng.standard_normal(d), rng.standard_normal(d)
+        if isinstance(structure, JSymmetric):
+            j = np.concatenate([np.ones(structure.m), -np.ones(structure.n)])
+            model.append([(x, y), (j * y, j * x)])
+        else:
+            model.append([(x, y)])
+        w = model.dense()
+    apply_sym, apply_aug = oracle_operators(structure, model)
     for _ in range(5):
         v, x = rng.standard_normal(d), rng.standard_normal(2 * d)
         assert np.allclose(apply_sym(v), 0.5 * (w @ v + w.T @ v), rtol=0, atol=1e-13)
@@ -287,12 +310,13 @@ def test_structured_oracle_agrees_with_the_dense_formulas(structure):
         gamma_true = max(np.max(np.abs(np.linalg.eigvalsh(0.5 * (w + w.T)))),
                          np.linalg.svd(w, compute_uv=False)[0] / 3.0)
         w *= draws.uniform(0.5, 2.0) / gamma_true
-        got = sep_feasible(w, delta, q, structured, np.random.default_rng(seed))
-        want = sep_feasible(w, delta, q, dense, np.random.default_rng(seed))
+        got = _sep(w, delta, q, structured, np.random.default_rng(seed))
+        want = _sep(w, delta, q, dense, np.random.default_rng(seed))
         assert got.case is want.case
         assert got.gamma == pytest.approx(want.gamma, rel=1e-12)
         if want.case is SepCase.CASE_II:
-            assert np.allclose(got.s, project_subspace(structure, want.s), rtol=0, atol=1e-12)
+            assert np.allclose(project_subspace(structure, got.s), project_subspace(structure, want.s),
+                               rtol=0, atol=1e-12)
         cases.add(got.case)
     assert cases == {SepCase.CASE_I, SepCase.CASE_II}
 
@@ -313,12 +337,10 @@ def _lanczos_oracle(w, delta, q, structure, rng):
     if isinstance(structure, Symmetric):
         r = ext_evec(lambda v: w @ v, d, delta, q, rng, symmetric=True)
         return r, r.matvecs
-    apply_sym, apply_aug = oracle_operators(structure, w)
+    apply_sym, apply_aug = oracle_operators(structure, _stored(structure, w))
     r1 = ext_evec(apply_sym, d, delta, q / 2, rng)
     r2 = max_svec(apply_aug, d, delta, q / 2, rng)
     chosen = r1 if r1.gamma >= r2.gamma else r2
-    if chosen.case is SepCase.CASE_II:
-        chosen.s = project_subspace(structure, chosen.s)
     return chosen, r1.matvecs + r2.matvecs
 
 
@@ -339,7 +361,7 @@ def test_frobenius_certificate_skips_lanczos_and_keeps_the_rng_stream(structure,
     for seed in range(4):
         w = _with_frobenius_norm(structure, fro, seed)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sep_feasible(w, delta, q, params, rng)
+        got = _sep(w, delta, q, params, rng)
         want, want_matvecs = _lanczos_oracle(w, delta, q, structure, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert got.case is want.case
@@ -350,8 +372,8 @@ def test_frobenius_certificate_skips_lanczos_and_keeps_the_rng_stream(structure,
         elif isinstance(structure, Symmetric) or fro > 3:
             assert got.gamma == want.gamma and got.matvecs == want_matvecs
         else:  # only ext_evec runs
-            ext_only = ext_evec(oracle_operators(structure, w)[0], CERT_D, delta, q / 2,
-                                np.random.default_rng(seed))
+            apply_sym = oracle_operators(structure, _stored(structure, w))[0]
+            ext_only = ext_evec(apply_sym, CERT_D, delta, q / 2, np.random.default_rng(seed))
             assert got.matvecs == ext_only.matvecs < want_matvecs
 
 
@@ -363,7 +385,7 @@ def test_frobenius_certificate_agrees_with_lanczos(seed, which, fro):
     directly on the same W, returns Case I too."""
     structure = CERT_STRUCTURES[which]
     w = _with_frobenius_norm(structure, fro, seed)
-    apply_sym, apply_aug = oracle_operators(structure, w)
+    apply_sym, apply_aug = oracle_operators(structure, _stored(structure, w))
     rng = np.random.default_rng(seed)
     if np.linalg.norm(w) <= 1:
         assert ext_evec(apply_sym, CERT_D, 0.25, 0.05, rng).case is SepCase.CASE_I
@@ -375,4 +397,4 @@ def test_frobenius_certificate_still_checks_delta_and_q():
     params = FeasibleSetParams(mu=0.1, l1=1.0, structure=General())
     for delta, q in ((0.0, 0.1), (0.25, 1.0), (0.25, 0.0)):
         with pytest.raises(ValueError):
-            sep_feasible(np.zeros((4, 4)), delta, q, params, np.random.default_rng(0))
+            _sep(np.zeros((4, 4)), delta, q, params, np.random.default_rng(0))
