@@ -235,7 +235,8 @@ def solve(
             cum_matvecs += state.last_sep.matvecs
             # the one check the trace cannot show; verify_iteration_certificates has the rest.
             # It reads the stored W, not its projection, so a step off the subspace shows.
-            if config.debug_certificates and subspace_residual(problem.structure, state.stored) > 1e-10:
+            if config.debug_certificates and subspace_residual(problem.structure,
+                                                                state.model.dense()) > 1e-10:
                 raise CertificateViolation(f"iteration {k}: learner iterate W left the subspace")
 
         trace.rows.append(

@@ -17,10 +17,11 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .problems import JSymmetric, Sparse, StructureSpec, Symmetric
-from .separation import (FeasibleSetParams, from_hat, pattern_index, pattern_matvecs,
-                         project_subspace, sep_feasible, subspace_residual, to_hat)
+from .separation import (FeasibleSetParams, from_hat, pattern_index, project_subspace,
+                         sep_feasible, sparse_matvec, subspace_residual, to_hat)
 from .spectral import SepCase, SepResult
 
 
@@ -103,7 +104,7 @@ def loss_gradient(b: np.ndarray, obs: LossObservation) -> np.ndarray:
 
 
 def _onto_ball(w: np.ndarray, radius: float) -> float:
-    """Scale the dense w in place onto the ball ||w||_F <= radius when it lies
+    """Scale the array w in place onto the ball ||w||_F <= radius when it lies
     outside; returns ||w||_F after.  When the squares overflow, w is divided
     by its largest entry before it is squared, so a huge step lands on the
     ball instead of zeroing w."""
@@ -227,6 +228,37 @@ class LowRank:
         return radius
 
 
+class PatternValues:
+    """The learner's W for Sparse structure, with LowRank's interface: its
+    values on the pattern plus the diagonal, a length-nnz vector in
+    pattern_index order, taken from base (dense, or None for 0).  W x and
+    W^T x are the CSR and CSC kernels over the live values, and a pair
+    (x, y) adds P(x y^T), x y^T gathered on the pattern."""
+
+    def __init__(self, structure: Sparse, d: int, base: np.ndarray | None = None) -> None:
+        self.structure = structure
+        self.shape = (d, d)
+        self.rows, self.cols, self.flat, indptr = pattern_index(structure.pattern, d)
+        self.values = np.zeros(len(self.flat)) if base is None else base.take(self.flat)
+        self.matvec = sparse_matvec(csr_matvec, indptr, self.cols, self.values)
+        self.rmatvec = sparse_matvec(csc_matvec, indptr, self.cols, self.values)
+
+    def dense(self) -> np.ndarray:
+        """W as one d x d array."""
+        w = np.zeros(self.shape)
+        np.put(w, self.flat, self.values)
+        return w
+
+    def append(self, pairs: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        """W += P(x y^T) for each (x, y): O(nnz) each."""
+        for x, y in pairs:
+            self.values += x[self.rows] * y[self.cols]
+
+    def clip(self, radius: float) -> float:
+        """Scale W onto the ball ||W||_F <= radius; returns ||W||_F after."""
+        return _onto_ball(self.values, radius)
+
+
 def _doubled_projection(structure: StructureSpec, x: np.ndarray, y: np.ndarray) -> list[tuple]:
     """Factor pairs of 2 P(x y^T): x y^T plus its mirror, y x^T for Symmetric
     and J (x y^T)^T J = (J y)(J x)^T for JSymmetric; General doubles x y^T."""
@@ -238,26 +270,24 @@ def _doubled_projection(structure: StructureSpec, x: np.ndarray, y: np.ndarray) 
     return [(2.0 * x, y)]
 
 
+def new_model(structure: StructureSpec, d: int, base: np.ndarray | None) -> LowRank | PatternValues:
+    """W = base (None for 0) stored for the structure: PatternValues for
+    Sparse, LowRank otherwise."""
+    return (PatternValues if isinstance(structure, Sparse) else LowRank)(structure, d, base)
+
+
 @dataclass
 class LearnerState:
     t: int
-    model: np.ndarray | LowRank  # W: Sparse's dense array, else base + U V^T; ||W||_F <= R
+    model: LowRank | PatternValues  # W, read only through its interface; ||W||_F <= R
     scale: float  # the played matrix is B = L1 W / scale + (L1 + mu) I
     last_sep: SepResult | None  # its matvecs are those of the last round's oracle
     rng: np.random.Generator
 
     @property
-    def stored(self) -> np.ndarray:
-        """The stored W as one dense array, not projected: base + U V^T, or
-        Sparse's own array."""
-        return self.model if isinstance(self.model, np.ndarray) else self.model.dense()
-
-    @property
     def w(self) -> np.ndarray:
-        """W as a dense C-ordered array, exactly in its subspace: P(base + U V^T),
-        or Sparse's own array.  For checks and demos; the solver uses the model."""
-        if isinstance(self.model, np.ndarray):
-            return self.model
+        """W as a dense C-ordered array, exactly in its subspace: P(model.dense()).
+        For checks and demos; the solver uses the model."""
         return np.ascontiguousarray(project_subspace(self.model.structure, self.model.dense()))
 
 
@@ -267,12 +297,13 @@ def learner_init(b0: np.ndarray | None, params: LearnerParams,
     subspace, so that W is exactly structured from round 0 (the updates keep
     it there).  Round 0 plays from_hat(W_0), which is b0 made exactly
     structured.  b0 = None is the center (L1 + mu) I, whose W_0 = 0 needs no
-    check and, except for Sparse's dense W, no d x d array.  A given b0 must
-    be d x d and finite, to_hat(b0) must lie within 1e-8 of the subspace, and
+    check and no d x d array.  A given b0 must be d x d and finite,
+    to_hat(b0) must lie within 1e-8 of the subspace, and
     W_0 in the recentered set: its symmetric part's spectrum in [-1, 1] and
     its operator norm at most 3.  ||W_0||_F <= 1 proves both (it bounds
     either norm), so the dense eigenvalue and norm check runs, at any d, only
-    when that certificate fails.  A zero W_0 is stored as no base."""
+    when that certificate fails.  W is stored by new_model, with W_0 as its
+    base; a zero W_0 is stored as no base."""
     structure, d = params.feasible.structure, params.dim
     w0 = None
     if b0 is not None:
@@ -291,10 +322,7 @@ def learner_init(b0: np.ndarray | None, params: LearnerParams,
                 raise ValueError("initial matrix violates the spectral constraint")
             if np.linalg.norm(w0, 2) > 3 + 1e-8:
                 raise ValueError("initial matrix violates the operator-norm constraint")
-    if isinstance(structure, Sparse):
-        model = np.zeros((d, d)) if w0 is None else w0
-    else:
-        model = LowRank(structure, d, w0 if w0 is not None and w0.any() else None)
+    model = new_model(structure, d, w0 if w0 is not None and w0.any() else None)
     return LearnerState(t=0, model=model, scale=1.0, last_sep=None, rng=rng)
 
 
@@ -312,31 +340,22 @@ def observe_loss(
         resid = obs.u - current_matrix(state, params)[0](s)
     s2 = float(s @ s)
     structure = feas.structure
-    sparse = isinstance(structure, Sparse)
 
-    # W <- W - rho (P(grad) / L1 + coeff P(S)), grad = -2 resid s^T / ||s||^2.  In Case II,
-    # <P(grad), W> = <grad, W> = -2 resid^T W s / ||s||^2 since W = P(W).
+    # W <- W - rho (P(grad) / L1 + coeff P(S)), grad = -2 resid s^T / ||s||^2, as factor pairs.
+    # In Case II, <P(grad), W> = <grad, W> = -2 resid^T W s / ||s||^2 since W = P(W).
     coeff, sep = 0.0, state.last_sep
     if state.t >= 1 and sep is not None and sep.case is SepCase.CASE_II:
-        ws = model @ s if sparse else model.matvec(s)
-        coeff = max(0.0, 2.0 * float(resid @ ws) / (s2 * feas.l1) / sep.gamma)
-    if sparse:  # O(nnz) gather on the pattern, plus the diagonal
-        rows, cols, flat, _ = pattern_index(structure.pattern, len(s))
-        vals = -2.0 * (resid[rows] * s[cols]) / s2 / feas.l1
-        if coeff:  # P(S) on the pattern is S there: c * (a_i * b_j)
-            c, a, b = sep.factors
-            vals += coeff * (c * (a[rows] * b[cols]))
-        model.flat[flat] -= params.rho * vals
-        fro = _onto_ball(model, params.radius)
-    else:
-        pairs = _doubled_projection(structure, (params.rho / (s2 * feas.l1)) * resid, s)
-        if coeff:  # Symmetric's S = +-u u^T and General's are in their subspace already
-            c, a, b = sep.factors
-            k = -params.rho * coeff * c
-            pairs += (_doubled_projection(structure, 0.5 * k * a, b)
-                      if isinstance(structure, JSymmetric) else [(k * a, b)])
-        model.append(pairs)
-        fro = model.clip(params.radius)
+        coeff = max(0.0, 2.0 * float(resid @ model.matvec(s)) / (s2 * feas.l1) / sep.gamma)
+    # capped at the largest float, past which the clipped W no longer moves; inf would make NaN
+    step = min(params.rho / (s2 * feas.l1), np.finfo(float).max)
+    pairs = _doubled_projection(structure, step * resid, s)
+    if coeff:  # Symmetric's S = +-u u^T and General's are in their subspace already
+        c, a, b = sep.factors
+        k = -params.rho * coeff * c
+        pairs += (_doubled_projection(structure, 0.5 * k * a, b)
+                  if isinstance(structure, JSymmetric) else [(k * a, b)])
+    model.append(pairs)
+    fro = model.clip(params.radius)
 
     t_next = state.t + 1
     delta = params.delta_schedule(t_next)
@@ -354,18 +373,14 @@ def current_matrix(
     state: LearnerState, params: LearnerParams
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
     """v -> B v and v -> B^T v for the played B = L1 W / scale + (L1 + mu) I,
-    from W's own products (its factors, or its pattern's CSR matrix for
-    Sparse): B is never formed.  The factored closures read W, which the next
-    observe_loss updates."""
-    feas, model = params.feasible, state.model
+    from the model's products of W (its factors, or its values' CSR kernels
+    for Sparse): B is never formed.  The closures read the live W, which the
+    next observe_loss updates."""
+    feas = params.feasible
     c1, c0 = feas.l1 / state.scale, feas.l1 + feas.mu
-    structure = feas.structure
-    if isinstance(structure, Sparse):
-        w_mv, w_mv_t = pattern_matvecs(structure.pattern, model)
-    else:
-        w_mv, w_mv_t = model.matvec, model.rmatvec
+    w_mv, w_mv_t = state.model.matvec, state.model.rmatvec
     apply = lambda v: c1 * w_mv(v) + c0 * v
-    if isinstance(structure, Symmetric):
+    if isinstance(feas.structure, Symmetric):
         return apply, apply
     return apply, (lambda v: c1 * w_mv_t(v) + c0 * v)
 

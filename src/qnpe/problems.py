@@ -81,6 +81,13 @@ class Problem:
     def __post_init__(self) -> None:
         if self.mu > self.l1:
             raise ValueError("require mu <= l1")
+        s, d = self.structure, self.dim
+        if isinstance(s, JSymmetric) and (min(s.m, s.n) < 0 or s.m + s.n != d):
+            raise ValueError(f"structure {s} needs m + n = dim = {d}")
+        if isinstance(s, Sparse):
+            bad = next(((i, j) for i, j in s.pattern if not (0 <= i < d and 0 <= j < d)), None)
+            if bad is not None:
+                raise ValueError(f"structure Sparse has the pair {bad} outside 0..{d - 1}")
 
 
 class GenerationError(RuntimeError):

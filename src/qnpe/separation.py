@@ -15,7 +15,7 @@ from .problems import JSymmetric, Sparse, StructureSpec, Symmetric
 from .spectral import SepCase, SepResult, ext_evec, max_svec
 
 if TYPE_CHECKING:
-    from .learner import LowRank
+    from .learner import LowRank, PatternValues
 
 
 @dataclass
@@ -65,50 +65,31 @@ def sparse_matvec(kernel: Callable, indptr: np.ndarray, indices: np.ndarray,
     return apply
 
 
-def pattern_matvecs(pattern: frozenset, b: np.ndarray) -> tuple[Callable, Callable]:
-    """v -> B v and v -> B^T v on the values gathered now from the dense B,
-    which must vanish off the pattern: B's CSR arrays, read as CSC for B^T.
-    Their explicit zeros leave every product bitwise equal to scipy's CSR
-    product with b or b.T."""
-    _, cols, flat, indptr = pattern_index(pattern, b.shape[0])
-    data = b.take(flat)
-    return (sparse_matvec(csr_matvec, indptr, cols, data),
-            sparse_matvec(csc_matvec, indptr, cols, data))
-
-
 @functools.lru_cache(maxsize=8)
 def oracle_index(pattern: frozenset, d: int) -> tuple[np.ndarray, ...]:
-    """Gather positions and CSR arrays of the two oracle operators on the
-    pattern: sym(W) on the symmetrized pattern, read at (i, j) and (j, i),
-    and the 2d x 2d augmented [[0, W], [W^T, 0]], whose W^T rows are the CSC
-    order of the same positions.  int32 throughout: d * d < 2**31 for any
-    dense W that fits in memory."""
+    """Gather positions into the values of W in pattern_index order, with one
+    zero appended for entries off the pattern, and CSR arrays of the two
+    oracle operators: sym(W) on the symmetrized pattern, read at (i, j) and
+    (j, i), and the 2d x 2d augmented [[0, W], [W^T, 0]], whose W^T rows are
+    the CSC order of the values.  int32 throughout: every entry is at most
+    2 nnz, and 2 nnz < 2**31 for any pattern that fits in memory."""
     rows, cols, flat, indptr = pattern_index(pattern, d)
+    nnz = len(flat)
     sym = np.union1d(flat, cols.astype(np.int64) * d + rows)
     sym_rows, sym_cols = np.divmod(sym, d)
+    keys = np.stack([sym, sym_cols * d + sym_rows])  # (i, j) and (j, i)
+    at = np.minimum(np.searchsorted(flat, keys), nnz - 1)
     by_col = np.lexsort((rows, cols))
     index = (
-        sym, sym_cols * d + sym_rows, sym_cols, np.searchsorted(sym_rows, np.arange(d + 1)),
-        np.concatenate([flat, flat[by_col]]),
+        *np.where(flat[at] == keys, at, nnz), sym_cols, np.searchsorted(sym_rows, np.arange(d + 1)),
+        np.concatenate([np.arange(nnz), by_col]),
         np.concatenate([cols + d, rows[by_col]]),
-        np.concatenate([indptr, len(flat) + np.searchsorted(cols[by_col], np.arange(1, d + 1))]),
+        np.concatenate([indptr, nnz + np.searchsorted(cols[by_col], np.arange(1, d + 1))]),
     )
     index = tuple(a.astype(np.int32) for a in index)
     for a in index:  # cached and shared by every caller
         a.flags.writeable = False
     return index
-
-
-def oracle_matrices(pattern: frozenset, w: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
-    """(W + W^T)/2 and [[0, W], [W^T, 0]] as CSR (indptr, indices, data)
-    triples, gathered in O(nnz) from the dense W, which must vanish off the
-    pattern."""
-    d = w.shape[0]
-    sym, sym_t, sym_cols, sym_indptr, aug, aug_cols, aug_indptr = oracle_index(pattern, d)
-    return (
-        (sym_indptr, sym_cols, 0.5 * (w.take(sym) + w.take(sym_t))),
-        (aug_indptr, aug_cols, w.take(aug)),
-    )
 
 
 def project_subspace(structure: StructureSpec, w: np.ndarray) -> np.ndarray:
@@ -151,17 +132,20 @@ def from_hat(b_hat: np.ndarray, params: FeasibleSetParams) -> np.ndarray:
     return b
 
 
-def oracle_operators(structure: StructureSpec, w: np.ndarray | LowRank) -> tuple[Callable, Callable]:
-    """(v -> sym(W) v, x -> [W x[d:], W^T x[:d]]) for a non-Symmetric W in
-    its subspace: Sparse's dense array, applied as one CSR matrix per
-    operator through scipy's compiled kernel, or the learner's factored
-    W = base + U V^T, applied through its factors.  JSymmetric
-    W = [[W11, W12], [-W12^T, W22]] has sym(W) = blkdiag(W11, W22), and
-    W^T u = J W J u, so the augmented product is one d x 2 product."""
-    if isinstance(structure, Sparse):
-        sym, aug = oracle_matrices(structure.pattern, w)
-        return sparse_matvec(csr_matvec, *sym), sparse_matvec(csr_matvec, *aug)
+def oracle_operators(structure: StructureSpec,
+                     w: LowRank | PatternValues) -> tuple[Callable, Callable]:
+    """(v -> sym(W) v, x -> [W x[d:], W^T x[:d]]) for the learner's
+    non-Symmetric W in its subspace.  Sparse's values are gathered, in
+    O(nnz), into one CSR matrix per operator, applied through scipy's
+    compiled kernel; W = base + U V^T is applied through its factors.
+    JSymmetric W = [[W11, W12], [-W12^T, W22]] has sym(W) = blkdiag(W11,
+    W22), and W^T u = J W J u, so the augmented product is one d x 2 product."""
     d = w.shape[0]
+    if isinstance(structure, Sparse):
+        sym, sym_t, cols, indptr, aug, aug_cols, aug_indptr = oracle_index(structure.pattern, d)
+        values = np.append(w.values, 0.0)
+        return (sparse_matvec(csr_matvec, indptr, cols, 0.5 * (values[sym] + values[sym_t])),
+                sparse_matvec(csr_matvec, aug_indptr, aug_cols, values[aug]))
     if isinstance(structure, JSymmetric):
         m, j = structure.m, _j_signs(structure.m, structure.n)
         top, bottom = slice(None, m), slice(m, None)
@@ -177,7 +161,7 @@ def oracle_operators(structure: StructureSpec, w: np.ndarray | LowRank) -> tuple
 
 
 def sep_feasible(
-    w: np.ndarray | LowRank,
+    w: LowRank | PatternValues,
     fro: float,
     delta: float,
     q: float,
@@ -185,8 +169,8 @@ def sep_feasible(
     rng: np.random.Generator,
 ) -> SepResult:
     """Composed separation oracle for the transformed feasible set, at the
-    learner's W (Sparse's dense array, or the factored model) with
-    fro = ||W||_F, which the caller already holds.
+    learner's model of W, read only through its products (oracle_operators),
+    with fro = ||W||_F, which the caller already holds from the clip.
 
     For Symmetric structure the eigenvalue constraint already implies the
     operator-norm constraint, so the extreme-eigenvalue oracle alone suffices.

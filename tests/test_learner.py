@@ -2,6 +2,7 @@
 of every played matrix."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from qnpe.learner import (
     failure_schedule,
     loss_gradient,
 )
-from qnpe.separation import from_hat, pattern_matvecs, project_subspace
+from qnpe.separation import from_hat, project_subspace
 
 
 def make_params(option, mu, l1, d, structure=None, rho=None):
@@ -184,10 +185,36 @@ def test_current_matrix_applies_the_played_matrix(structure):
             assert np.linalg.norm(b_mv(v) - b @ v) <= 1e-13 * np.linalg.norm(b @ v)
             assert np.linalg.norm(b_mv_t(v) - b.T @ v) <= 1e-13 * np.linalg.norm(b.T @ v)
             if isinstance(structure, Sparse):  # round 0: explicit zeros on the whole pattern
-                w_mv, w_mv_t = pattern_matvecs(structure.pattern, state.w)
-                assert_bitwise(w_mv(v), sp.csr_array(state.w) @ v)
-                assert_bitwise(w_mv_t(v), sp.csr_array(state.w.T) @ v)
+                w = state.model.dense()
+                assert_bitwise(state.model.matvec(v), sp.csr_array(w) @ v)
+                assert_bitwise(state.model.rmatvec(v), sp.csr_array(w.T) @ v)
     assert scales[0] == 1.0 and max(scales) > 1.0
+
+
+def test_a_sparse_learner_forms_no_dense_matrix():
+    """One d x d array is 72 MB at d = 3000.  The Sparse learner's start and
+    20 rounds, most of them Case II (so Lanczos runs and the separator is
+    gathered on the pattern), stay below a quarter of that."""
+    d, mu, l1 = 3000, 0.2, 1.5
+    rng = np.random.default_rng(16)
+    pattern = frozenset(zip(rng.integers(0, d, 4 * d).tolist(), rng.integers(0, d, 4 * d).tolist()))
+    params = make_params(LearnerOption.OPTION_I, mu=mu, l1=l1, d=d, structure=Sparse(pattern),
+                         rho=5.0)
+    observations = [LossObservation(u=25.0 * l1 * rng.standard_normal(d), s=rng.standard_normal(d))
+                    for _ in range(20)]
+    case_ii = 0
+    tracemalloc.start()
+    try:
+        state = learner_init(None, params, rng)
+        for obs in observations:
+            b_mv = current_matrix(state, params)[0]
+            observe_loss(state, obs, params, resid=obs.u - b_mv(obs.s))
+            case_ii += state.last_sep.case is SepCase.CASE_II
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert case_ii > 10
+    assert peak < d * d * 8 / 4
 
 
 def test_loss_gradient_matches_finite_differences():

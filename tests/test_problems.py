@@ -245,6 +245,30 @@ def test_primal_dual_box_gap_matches_a_dense_reference():
 
 
 # ---------------------------------------------------------------------------
+# structure against dimension
+
+
+def _identity_problem(structure, d=20):
+    return Problem(dim=d, eval=lambda z: z, mu=1.0, l1=1.0, l2=0.0, structure=structure)
+
+
+@pytest.mark.parametrize("structure", [
+    Sparse(frozenset({(2, 23)})),  # would alias to entry (3, 3)
+    Sparse(frozenset({(3, -1)})),  # would alias to entry (2, 19)
+    Sparse(frozenset({(19, 20)})),
+    JSymmetric(8, 10),
+], ids=["sparse-past-the-row", "sparse-negative", "sparse-past-the-end", "jsymmetric-short"])
+def test_structure_that_does_not_fit_the_dimension_is_rejected(structure):
+    with pytest.raises(ValueError, match="structure"):
+        _identity_problem(structure)
+
+
+def test_structure_that_fits_the_dimension_is_accepted():
+    _identity_problem(Sparse(frozenset({(3, 3), (0, 19), (19, 0)})))  # the diagonal too
+    _identity_problem(JSymmetric(8, 12))
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 

@@ -18,10 +18,10 @@ from qnpe import (
     ext_evec,
     max_svec,
 )
-from qnpe.learner import LowRank
+from qnpe.learner import new_model
 from qnpe.separation import (
     from_hat,
-    oracle_matrices,
+    oracle_index,
     oracle_operators,
     pattern_index,
     project_subspace,
@@ -32,9 +32,8 @@ from qnpe.separation import (
 
 
 def _stored(structure, w):
-    """The dense w as the learner stores it: Sparse keeps the array, the
-    other structures hold it as the base of a LowRank."""
-    return w if isinstance(structure, Sparse) else LowRank(structure, w.shape[0], w)
+    """The dense w as the learner stores it: the base of its structure's model."""
+    return new_model(structure, w.shape[0], w)
 
 
 def _sep(w, delta, q, params, rng):
@@ -227,23 +226,32 @@ def _random_pattern(d, n_pairs, seed):
     return frozenset(zip(rng.integers(0, d, n_pairs).tolist(), rng.integers(0, d, n_pairs).tolist()))
 
 
-def _dense(n, indptr, indices, data):
-    out = np.zeros((n, n))
-    for i in range(n):
-        out[i, indices[indptr[i]: indptr[i + 1]]] = data[indptr[i]: indptr[i + 1]]
-    return out
-
-
 @pytest.mark.parametrize("d, n_pairs", [(1, 1), (6, 4), (30, 90)])
-def test_sparse_oracle_matrices_are_the_dense_operators(d, n_pairs):
+def test_sparse_model_products_and_oracle_operators_are_the_dense_ones(d, n_pairs):
+    """The Sparse model's products are bitwise scipy's CSR products with its
+    dense W and W^T.  The fused oracle operators, gathered from its values,
+    apply exactly (W + W^T)/2 and [[0, W], [W^T, 0]]: read column by column,
+    with transposed entries off the pattern (the pattern is not symmetric)
+    read as the appended zero."""
     structure = Sparse(_random_pattern(d, n_pairs, seed=d))
-    w = project_subspace(structure, np.random.default_rng(d + 1).standard_normal((d, d)))
-    sym, aug = oracle_matrices(structure.pattern, w)
-    assert np.array_equal(_dense(d, *sym), 0.5 * (w + w.T))
+    if d > 1:
+        assert any((j, i) not in structure.pattern for i, j in structure.pattern if i != j)
+    rng = np.random.default_rng(d + 1)
+    w = project_subspace(structure, rng.standard_normal((d, d)))
+    model = _stored(structure, w)
+    assert np.array_equal(model.dense(), w)
+    for _ in range(3):
+        v = rng.standard_normal(d)
+        assert model.matvec(v).tobytes() == (sp.csr_array(model.dense()) @ v).tobytes()
+        assert model.rmatvec(v).tobytes() == (sp.csr_array(model.dense().T) @ v).tobytes()
+    apply_sym, apply_aug = oracle_operators(structure, model)
+    assert np.array_equal(np.column_stack([apply_sym(e) for e in np.eye(d)]), 0.5 * (w + w.T))
     zero = np.zeros((d, d))
-    assert np.array_equal(_dense(2 * d, *aug), np.block([[zero, w], [w.T, zero]]))
-    for indptr, indices, _ in (sym, aug):
-        assert indices.dtype == indptr.dtype == np.int32
+    assert np.array_equal(np.column_stack([apply_aug(e) for e in np.eye(2 * d)]),
+                          np.block([[zero, w], [w.T, zero]]))
+    index = oracle_index(structure.pattern, d)
+    assert all(a.dtype == np.int32 for a in index)
+    for indptr, indices in ((index[3], index[2]), (index[6], index[5])):
         for i in range(len(indptr) - 1):
             assert np.all(np.diff(indices[indptr[i]: indptr[i + 1]]) > 0)
 
@@ -274,18 +282,17 @@ def test_sparse_matvec_is_bitwise_scipys_product(d, n_pairs):
 )
 def test_oracle_operators_apply_the_dense_operators(structure, d):
     """JSymmetric(7, 13) has m != n, so a slip at the block boundary shows.
-    The factored W has both a base and factor pairs, mirrored for JSymmetric."""
+    Each model holds a base and an appended pair, mirrored for JSymmetric."""
     rng = np.random.default_rng(d)
     w = project_subspace(structure, rng.standard_normal((d, d)))
     model = _stored(structure, w)
-    if not isinstance(structure, Sparse):
-        x, y = rng.standard_normal(d), rng.standard_normal(d)
-        if isinstance(structure, JSymmetric):
-            j = np.concatenate([np.ones(structure.m), -np.ones(structure.n)])
-            model.append([(x, y), (j * y, j * x)])
-        else:
-            model.append([(x, y)])
-        w = model.dense()
+    x, y = rng.standard_normal(d), rng.standard_normal(d)
+    if isinstance(structure, JSymmetric):
+        j = np.concatenate([np.ones(structure.m), -np.ones(structure.n)])
+        model.append([(x, y), (j * y, j * x)])
+    else:  # Sparse gathers x y^T on its pattern
+        model.append([(x, y)])
+    w = model.dense()
     apply_sym, apply_aug = oracle_operators(structure, model)
     for _ in range(5):
         v, x = rng.standard_normal(d), rng.standard_normal(2 * d)
