@@ -8,8 +8,6 @@ Run:  python3 demos/03_online_learner.py
 import numpy as np
 
 from qnpe import (
-    FeasibleSetParams,
-    LearnerOption,
     LearnerParams,
     LossObservation,
     Symmetric,
@@ -22,10 +20,10 @@ from qnpe import (
 d, mu, l1 = 20, 0.3, 1.0
 rng = np.random.default_rng(2)
 
-feasible = FeasibleSetParams(mu=mu, l1=l1, structure=Symmetric())
-# the default step size is very conservative (it backs the worst-case regret
-# bound); a larger one shows the tracking behaviour within a short demo
-params = LearnerParams.make(LearnerOption.OPTION_I, feasible, d, p=0.1, rho=0.3)
+# mu > 0: Option I.  The default step size is very conservative (it backs the
+# worst-case regret bound); a larger one shows the tracking behaviour within a
+# short demo
+params = LearnerParams(Symmetric(), d, mu, l1, p=0.1, rho=0.3)
 state = learner_init((l1 + mu) * np.eye(d), params, rng)
 
 # the hidden Jacobian the learner is trying to match

@@ -3,14 +3,12 @@
 
 from .certificates import verify_iteration_certificates
 from .driver import (
-    CertificateViolation,
     Mode,
     SolverConfig,
     extragradient_baseline,
     solve,
 )
 from .learner import (
-    LearnerOption,
     LearnerParams,
     LossObservation,
     learner_init,
@@ -34,19 +32,15 @@ from .problems import (
     make_quadratic_min,
     make_sparse_equation,
 )
-from .separation import FeasibleSetParams
 from .spectral import SepCase, ext_evec, max_svec
 from .trace import RunTrace, trace_from_csv, trace_to_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CertificateViolation",
-    "FeasibleSetParams",
     "General",
     "GenerationError",
     "JSymmetric",
-    "LearnerOption",
     "LearnerParams",
     "LinearOp",
     "LineSearchError",

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .driver import Mode, SolverConfig
-from .problems import JSymmetric, PrimalDualBox, Problem, evaluate_gap
+from .problems import PrimalDualBox, Problem, evaluate_gap
 from .trace import RunTrace
 
 
@@ -116,8 +116,9 @@ def verify_iteration_certificates(
         worst = min(r.eta - scale / math.sqrt(r.loss) for r in observed)
         report.checks.append(CertificateCheck("backtracking-lower-bound", worst > 0, worst))
 
-    # averaged-iterate gap bound (monotone mode), by default on the unit box
-    if gap_spec is None and isinstance(problem.structure, JSymmetric):
+    # averaged-iterate gap bound (monotone mode), by default on the unit box for
+    # the bilinear family, the one evaluate_gap has a closed form for
+    if gap_spec is None and problem.descriptor.get("family") == "bilinear_minimax":
         m, n = problem.structure.m, problem.structure.n
         gap_spec = PrimalDualBox(-np.ones(m), np.ones(m), -np.ones(n), np.ones(n))
     if (

@@ -36,9 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from .certificates import verify_iteration_certificates
-from .driver import (SolverConfig, check_extragradient, check_mode, extragradient_baseline,
-                     require, solve)
-from .problems import GenerationError, Problem, problem_from_descriptor
+from .driver import SolverConfig, check_extragradient, check_mode, extragradient_baseline, solve
+from .problems import GenerationError, Problem, problem_from_descriptor, require
 from .trace import RunTrace, trace_from_csv, trace_to_csv
 
 log = logging.getLogger("qnpe")
@@ -53,7 +52,7 @@ ERROR_SUFFIX = ".error.json"  # a failed run's file, next to the completed runs'
 CONFIG_FIELDS = {"problems", "solvers", "repetitions"}
 # the fields a solver entry may hold besides "name" and "z0_scale"
 SOLVER_FIELDS = {
-    "qnpe": {f.name for f in fields(SolverConfig)} - {"rng_seed", "debug_certificates"},
+    "qnpe": {f.name for f in fields(SolverConfig)} - {"rng_seed"},
     "eg": {"step_size", "n_iters"},
 }
 # the sidecar's copies of the trace's start/end points and totals
@@ -97,8 +96,8 @@ def _problem(desc: dict, cache: dict[str, Problem]) -> Problem:
     return cache[key]
 
 
-def _parse_solver(desc: dict, problem: Problem, seed: int,
-                  debug: bool) -> tuple[float | None, SolverConfig | tuple[float, int]]:
+def _parse_solver(desc: dict, problem: Problem,
+                  seed: int) -> tuple[float | None, SolverConfig | tuple[float, int]]:
     """A solver entry's z0_scale, and the SolverConfig or the EG
     (step_size, n_iters) it asks for."""
     name = desc.get("name", "qnpe")
@@ -117,13 +116,12 @@ def _parse_solver(desc: dict, problem: Problem, seed: int,
             n_iters = params.get("n_iters", 200)
             check_extragradient(problem, step, n_iters)
             return z0_scale, (step, n_iters)
-        config = SolverConfig(**{"mode": "strongly_monotone", **params},
-                              rng_seed=seed, debug_certificates=debug)
+        config = SolverConfig(**{"mode": "strongly_monotone", **params}, rng_seed=seed)
         check_mode(problem, config)
         return z0_scale, config
 
 
-def _parse_config(path: str, seed: int | None, debug: bool) -> tuple[dict, list[RunSpec]]:
+def _parse_config(path: str, seed: int | None) -> tuple[dict, list[RunSpec]]:
     """The config file, and its runs with every entry checked."""
     try:
         with open(path) as fh:
@@ -154,7 +152,7 @@ def _parse_config(path: str, seed: int | None, debug: bool) -> tuple[dict, list[
             name = sdesc.get("name", "qnpe")
             for rep in range(reps):
                 run_seed = (seed if seed is not None else pdesc["seed"]) + rep
-                z0_scale, solver = _parse_solver(sdesc, problem, run_seed, debug)
+                z0_scale, solver = _parse_solver(sdesc, problem, run_seed)
                 specs.append(RunSpec(
                     run_id=f"run_p{pi}_{name}{si}_rep{rep}",
                     problem_desc=pdesc,
@@ -262,9 +260,9 @@ def _run_batch(cfg: dict, specs: list[RunSpec], out: Path,
     return code, results
 
 
-def cmd_run(config_path: str, out_dir: str, seed: int | None, threads: int, debug: bool) -> int:
+def cmd_run(config_path: str, out_dir: str, seed: int | None, threads: int) -> int:
     try:
-        cfg, specs = _parse_config(config_path, seed, debug)
+        cfg, specs = _parse_config(config_path, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -295,7 +293,7 @@ def _read_run(path: Path, cache: dict[str, Problem]) -> tuple[
         if any(getattr(trace, k) is not None and getattr(trace, k).shape != (problem.dim,)
                for k in POINT_FIELDS):
             raise ValueError(f"an iterate is not a vector of the problem's dimension {problem.dim}")
-        _, solver = _parse_solver(sidecar["solver_desc"], problem, sidecar["seed"], False)
+        _, solver = _parse_solver(sidecar["solver_desc"], problem, sidecar["seed"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"corrupt run data {path.name}: {exc}") from exc
     return trace, problem, solver
@@ -317,9 +315,9 @@ def _cost_to_accuracy(trace: RunTrace, eps: float) -> tuple:
     return None, None, None
 
 
-def cmd_compare(config_path: str, out_dir: str, seed: int | None, threads: int, debug: bool) -> int:
+def cmd_compare(config_path: str, out_dir: str, seed: int | None, threads: int) -> int:
     try:
-        cfg, specs = _parse_config(config_path, seed, debug)
+        cfg, specs = _parse_config(config_path, seed)
         if len(cfg["solvers"]) < 2:
             raise ConfigError("compare needs at least 2 solvers")
     except ConfigError as exc:
@@ -377,8 +375,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--debug-certificates", action="store_true",
-                       help="also check in the loop that W stays in its subspace")
     p_ver = sub.add_parser("verify", help="re-check certificates from a run directory")
     p_ver.add_argument("trace_dir")
 
@@ -388,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         return cmd_verify(args.trace_dir)
     command = cmd_run if args.command == "run" else cmd_compare
-    return command(args.config, args.out, args.seed, args.threads, args.debug_certificates)
+    return command(args.config, args.out, args.seed, args.threads)
 
 
 if __name__ == "__main__":

@@ -13,24 +13,14 @@ iterates.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable
 
 import numpy as np
 
-from .learner import (
-    LearnerOption,
-    LearnerParams,
-    LossObservation,
-    current_matrix,
-    learner_init,
-    observe_loss,
-)
-from .line_search import LineSearchParams, backtrack, check_step_constants, default_max_backtracks
-from .problems import Problem, Symmetric
-from .separation import FeasibleSetParams, subspace_residual
+from .learner import LearnerParams, LossObservation, current_matrix, learner_init, observe_loss
+from .line_search import backtrack, default_max_backtracks
+from .problems import Problem, Symmetric, require
 from .trace import RunTrace, TraceRow
 
 
@@ -41,25 +31,6 @@ class Mode(Enum):
 
 # the c of the step-size floor alpha2 * beta / (c * L1), per mode
 FLOOR_DENOMINATOR = {Mode.STRONGLY_MONOTONE: 7.5, Mode.MONOTONE: 5.0}
-
-
-class CertificateViolation(AssertionError):
-    """In a debug run, the learner's W left its structural subspace."""
-
-
-def require(name: str, value: Any, ok: Callable[[Any], bool] = lambda x: True,
-            words: str = "", integer: bool = False) -> None:
-    """Raise a ValueError naming `name` unless `value` is a finite real number
-    (an integer when asked; never a bool) for which ok(value) holds; `words`
-    states that range in the message."""
-    kind = numbers.Integral if integer else numbers.Real
-    try:  # math.isfinite raises OverflowError for an int beyond the float range
-        valid = isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
-    except OverflowError:
-        valid = False
-    if not (valid and ok(value)):
-        what = "an integer" if integer else "a finite number"
-        raise ValueError(f"{name} must be {what}{' ' + words if words else ''}, got {value!r}")
 
 
 @dataclass
@@ -76,14 +47,13 @@ class SolverConfig:
     rho: float | None = None  # learner step size override
     radius: float | None = None  # learner ball radius override
     max_backtracks: int | None = None
-    debug_certificates: bool = False
 
     def __post_init__(self) -> None:
         """Every constant's type and range, checked once when the config is built."""
         self.mode = Mode(self.mode)
-        for name in ("alpha1", "alpha2", "beta"):
-            require(name, getattr(self, name))
-        check_step_constants(self.alpha1, self.alpha2, self.beta)
+        require("alpha1", self.alpha1, lambda x: 0 <= x < 0.5, "in [0, 1/2)")
+        require("alpha2", self.alpha2, lambda x: 0 < x < 0.5, "in (0, 1/2)")
+        require("beta", self.beta, lambda x: 0 < x < 1, "in (0, 1)")
         require("p", self.p, lambda x: 0 < x < 1, "in (0, 1)")
         require("sigma0", self.sigma0, lambda x: x >= 0, ">= 0")
         require("stop_tolerance", self.stop_tolerance, lambda x: x >= 0, ">= 0")
@@ -157,19 +127,13 @@ def solve(
     z = np.zeros(d) if z0 is None else np.asarray(z0, dtype=float).copy()
 
     sigma0 = config.effective_sigma0(l1)
-    option = LearnerOption.OPTION_I if config.mode is Mode.STRONGLY_MONOTONE else LearnerOption.OPTION_II
-    feasible = FeasibleSetParams(mu=mu, l1=l1, structure=problem.structure)
-    lparams = LearnerParams.make(
-        option, feasible, d, config.p, rho=config.rho, radius=config.radius
-    )
+    # mu > 0 (strongly monotone mode) is the learner's Option I, mu = 0 its Option II
+    lparams = LearnerParams(problem.structure, d, mu, l1, config.p,
+                            rho=config.rho, radius=config.radius)
     rng = np.random.default_rng(config.rng_seed)
     state = learner_init(b0, lparams, rng)  # b0 = None: the center (L1 + mu) I
 
     sym_structure = isinstance(problem.structure, Symmetric)
-    # the trial cap is set each iteration, since its default follows sigma
-    ls_params = LineSearchParams(
-        alpha1=config.alpha1, alpha2=config.alpha2, beta=config.beta, mu=mu, max_backtracks=0
-    )
 
     trace = RunTrace(
         solver="qnpe",
@@ -201,13 +165,14 @@ def solve(
             break
 
         b_mv, b_mv_t = current_matrix(state, lparams)
-        ls_params.max_backtracks = (
+        max_backtracks = (
             config.max_backtracks
             if config.max_backtracks is not None
             else default_max_backtracks(sigma, l1, config.alpha2, config.beta)
         )
         out = backtrack(
-            z, g, b_mv, b_mv_t, sigma, ls_params, problem.eval, b_symmetric=sym_structure
+            z, g, b_mv, b_mv_t, sigma, problem.eval, alpha1=config.alpha1, alpha2=config.alpha2,
+            beta=config.beta, mu=mu, max_backtracks=max_backtracks, b_symmetric=sym_structure,
         )
         cum_evals += out.trial_count
         cum_matvecs += out.matvecs
@@ -233,11 +198,6 @@ def solve(
             loss = float(resid @ resid) / float(obs.s @ obs.s)
             observe_loss(state, obs, lparams, resid=resid)
             cum_matvecs += state.last_sep.matvecs
-            # the one check the trace cannot show; verify_iteration_certificates has the rest.
-            # It reads the stored W, not its projection, so a step off the subspace shows.
-            if config.debug_certificates and subspace_residual(problem.structure,
-                                                                state.model.dense()) > 1e-10:
-                raise CertificateViolation(f"iteration {k}: learner iterate W left the subspace")
 
         trace.rows.append(
             TraceRow(

@@ -13,72 +13,53 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .problems import JSymmetric, Sparse, StructureSpec, Symmetric
-from .separation import (FeasibleSetParams, from_hat, pattern_index, project_subspace,
-                         sep_feasible, sparse_matvec, subspace_residual, to_hat)
+from .separation import (from_hat, pattern_index, project_subspace, sep_feasible, sparse_matvec,
+                         subspace_residual, to_hat)
 from .spectral import SepCase, SepResult
 
 
-class LearnerOption(Enum):
-    OPTION_I = 1  # strongly monotone: play inside (1+delta)C
-    OPTION_II = 2  # monotone: play inside C
-
-
-DEFAULT_RHO = {LearnerOption.OPTION_I: 1.0 / 121.0, LearnerOption.OPTION_II: 1.0 / 81.0}
-
-
-def failure_schedule(p: float) -> Callable[[int], float]:
-    """q_t = p / (2.5 (t+1) log^2(t+1)) for t >= 1."""
-
-    def q_t(t: int) -> float:
-        if t < 1:
-            raise ValueError("no oracle call is made at round 0")
-        return p / (2.5 * (t + 1) * math.log(t + 1) ** 2)
-
-    return q_t
+# the theory step size, keyed by mu > 0: Option I, else Option II
+DEFAULT_RHO = {True: 1.0 / 121.0, False: 1.0 / 81.0}
 
 
 @dataclass
 class LearnerParams:
-    option: LearnerOption
-    feasible: FeasibleSetParams
-    dim: int
-    rho: float
-    radius: float
-    delta_schedule: Callable[[int], float]
-    failure_schedule: Callable[[int], float]
+    """The learner's constants.  mu > 0 selects Option I (strongly monotone:
+    play inside (1 + delta) C), mu = 0 Option II (monotone: play inside C).
+    rho and radius default to the theory's values, rho by the option and
+    radius sqrt(dim)."""
 
-    @staticmethod
-    def make(
-        option: LearnerOption,
-        feasible: FeasibleSetParams,
-        dim: int,
-        p: float,
-        rho: float | None = None,
-        radius: float | None = None,
-    ) -> "LearnerParams":
-        if option is LearnerOption.OPTION_I:
-            if feasible.mu <= 0:
-                raise ValueError("Option I requires mu > 0")
-            delta = feasible.mu / (2.0 * feasible.l1)
-            delta_schedule = lambda t: delta
-        else:
-            delta_schedule = lambda t: 0.5 / (t + 1) ** 0.25
-        return LearnerParams(
-            option=option,
-            feasible=feasible,
-            dim=dim,
-            rho=DEFAULT_RHO[option] if rho is None else rho,
-            radius=math.sqrt(dim) if radius is None else radius,
-            delta_schedule=delta_schedule,
-            failure_schedule=failure_schedule(p),
-        )
+    structure: StructureSpec
+    dim: int
+    mu: float
+    l1: float
+    p: float  # overall oracle failure budget
+    rho: float | None = None
+    radius: float | None = None
+
+    def __post_init__(self) -> None:
+        if not (0 <= self.mu <= self.l1):
+            raise ValueError("require 0 <= mu <= l1")
+        if self.rho is None:
+            self.rho = DEFAULT_RHO[self.mu > 0]
+        if self.radius is None:
+            self.radius = math.sqrt(self.dim)
+
+    def delta(self, t: int) -> float:
+        """delta_t: mu / (2 L1) under Option I, 0.5 / (t+1)^(1/4) under Option II."""
+        return self.mu / (2.0 * self.l1) if self.mu > 0 else 0.5 / (t + 1) ** 0.25
+
+    def q(self, t: int) -> float:
+        """q_t = p / (2.5 (t+1) log^2(t+1)) for t >= 1."""
+        if t < 1:
+            raise ValueError("no oracle call is made at round 0")
+        return self.p / (2.5 * (t + 1) * math.log(t + 1) ** 2)
 
 
 @dataclass
@@ -304,7 +285,7 @@ def learner_init(b0: np.ndarray | None, params: LearnerParams,
     either norm), so the dense eigenvalue and norm check runs, at any d, only
     when that certificate fails.  W is stored by new_model, with W_0 as its
     base; a zero W_0 is stored as no base."""
-    structure, d = params.feasible.structure, params.dim
+    structure, d = params.structure, params.dim
     w0 = None
     if b0 is not None:
         b0 = np.asarray(b0, dtype=float)
@@ -312,7 +293,7 @@ def learner_init(b0: np.ndarray | None, params: LearnerParams,
             raise ValueError(f"initial matrix b0 must be {d} x {d}, got shape {b0.shape}")
         if not np.all(np.isfinite(b0)):  # a NaN subspace residual would pass its check
             raise ValueError("initial matrix b0 has a non-finite entry")
-        w0 = to_hat(b0, params.feasible)
+        w0 = to_hat(b0, params)
         if subspace_residual(structure, w0) > 1e-8:
             raise ValueError("initial matrix violates the structural subspace")
         w0 = np.ascontiguousarray(project_subspace(structure, w0))
@@ -334,20 +315,19 @@ def observe_loss(
     online gradient step, and advance to the next played matrix via the
     separation oracle.  `resid` is u - B s when the caller has it.  Mutates
     and returns the state, updating W in place."""
-    feas = params.feasible
     s, model = obs.s, state.model
     if resid is None:
         resid = obs.u - current_matrix(state, params)[0](s)
     s2 = float(s @ s)
-    structure = feas.structure
+    structure = params.structure
 
     # W <- W - rho (P(grad) / L1 + coeff P(S)), grad = -2 resid s^T / ||s||^2, as factor pairs.
     # In Case II, <P(grad), W> = <grad, W> = -2 resid^T W s / ||s||^2 since W = P(W).
     coeff, sep = 0.0, state.last_sep
     if state.t >= 1 and sep is not None and sep.case is SepCase.CASE_II:
-        coeff = max(0.0, 2.0 * float(resid @ model.matvec(s)) / (s2 * feas.l1) / sep.gamma)
+        coeff = max(0.0, 2.0 * float(resid @ model.matvec(s)) / (s2 * params.l1) / sep.gamma)
     # capped at the largest float, past which the clipped W no longer moves; inf would make NaN
-    step = min(params.rho / (s2 * feas.l1), np.finfo(float).max)
+    step = min(params.rho / (s2 * params.l1), np.finfo(float).max)
     pairs = _doubled_projection(structure, step * resid, s)
     if coeff:  # Symmetric's S = +-u u^T and General's are in their subspace already
         c, a, b = sep.factors
@@ -358,12 +338,11 @@ def observe_loss(
     fro = model.clip(params.radius)
 
     t_next = state.t + 1
-    delta = params.delta_schedule(t_next)
-    q = params.failure_schedule(t_next)
-    sep = sep_feasible(model, fro, delta, q, feas, state.rng)
+    delta = params.delta(t_next)
+    sep = sep_feasible(model, fro, delta, params.q(t_next), structure, state.rng)
 
     gamma = 1.0 if sep.case is SepCase.CASE_I else sep.gamma
-    state.scale = gamma if params.option is LearnerOption.OPTION_I else (1.0 + delta) * gamma
+    state.scale = gamma if params.mu > 0 else (1.0 + delta) * gamma
     state.t = t_next
     state.last_sep = sep
     return state
@@ -376,11 +355,10 @@ def current_matrix(
     from the model's products of W (its factors, or its values' CSR kernels
     for Sparse): B is never formed.  The closures read the live W, which the
     next observe_loss updates."""
-    feas = params.feasible
-    c1, c0 = feas.l1 / state.scale, feas.l1 + feas.mu
+    c1, c0 = params.l1 / state.scale, params.l1 + params.mu
     w_mv, w_mv_t = state.model.matvec, state.model.rmatvec
     apply = lambda v: c1 * w_mv(v) + c0 * v
-    if isinstance(feas.structure, Symmetric):
+    if isinstance(params.structure, Symmetric):
         return apply, apply
     return apply, (lambda v: c1 * w_mv_t(v) + c0 * v)
 
@@ -388,4 +366,4 @@ def current_matrix(
 def played_matrix(state: LearnerState, params: LearnerParams) -> np.ndarray:
     """The played B as a dense array, for checks and demos; the solver
     applies it through current_matrix."""
-    return from_hat(state.w / state.scale, params.feasible)
+    return from_hat(state.w / state.scale, params)

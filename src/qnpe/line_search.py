@@ -30,30 +30,6 @@ class LineSearchError(RuntimeError):
     misconfigured Lipschitz constant."""
 
 
-def check_step_constants(alpha1: float, alpha2: float, beta: float) -> None:
-    """The ranges of the line-search constants that the theory assumes."""
-    if not (0 <= alpha1 < 0.5):
-        raise ValueError("require alpha1 in [0, 1/2)")
-    if not (0 < alpha2 < 0.5):
-        raise ValueError("require alpha2 in (0, 1/2)")
-    if not (0 < beta < 1):
-        raise ValueError("require beta in (0, 1)")
-
-
-@dataclass
-class LineSearchParams:
-    alpha1: float
-    alpha2: float
-    beta: float
-    mu: float
-    max_backtracks: int
-
-    def __post_init__(self) -> None:
-        check_step_constants(self.alpha1, self.alpha2, self.beta)
-        if self.mu < 0:
-            raise ValueError("require mu >= 0")
-
-
 def default_max_backtracks(sigma: float, l1: float, alpha2: float, beta: float) -> int:
     """Backtracking is guaranteed to stop once eta < alpha2 / (L1 + ||B||_op)
     with ||B||_op <= 7 L1, so the trial count is bounded; add slack."""
@@ -79,13 +55,19 @@ def backtrack(
     b_apply: Callable[[np.ndarray], np.ndarray],
     b_apply_t: Callable[[np.ndarray], np.ndarray],
     sigma: float,
-    params: LineSearchParams,
     f_eval: Callable[[np.ndarray], np.ndarray],
+    *,
+    alpha1: float,
+    alpha2: float,
+    beta: float,
+    mu: float,
+    max_backtracks: int,
     b_symmetric: bool = False,
 ) -> LineSearchOutcome:
-    """Try step sizes sigma * beta^i until (B) holds; one fresh operator
-    evaluation per trial.  g = F(z) is supplied by the caller so it is never
-    re-evaluated here."""
+    """Try step sizes sigma * beta^i, at most max_backtracks of them, until
+    (B) holds; one fresh operator evaluation per trial.  g = F(z) is supplied
+    by the caller so it is never re-evaluated here.  The constants' ranges
+    are checked once, by SolverConfig and Problem."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if not np.all(np.isfinite(g)):
@@ -96,8 +78,8 @@ def backtrack(
     eta = sigma
     z_tilde: np.ndarray | None = None
     f_ztilde: np.ndarray | None = None
-    for trial in range(1, params.max_backtracks + 1):
-        rho_tol = params.alpha1 * math.sqrt(1.0 + eta * params.mu)
+    for trial in range(1, max_backtracks + 1):
+        rho_tol = alpha1 * math.sqrt(1.0 + eta * mu)
         if rho_tol == 0.0:
             rho_tol = EXACT_SOLVE_TOL
         op = LinearOp(
@@ -117,7 +99,7 @@ def backtrack(
         z_hat = z + s
         f_zhat = f_eval(z_hat)
         lhs = np.linalg.norm(s + eta * f_zhat)
-        rhs = (params.alpha1 + params.alpha2) * math.sqrt(1.0 + eta * params.mu) * np.linalg.norm(s)
+        rhs = (alpha1 + alpha2) * math.sqrt(1.0 + eta * mu) * np.linalg.norm(s)
         if lhs <= rhs:
             return LineSearchOutcome(
                 eta=eta,
@@ -133,9 +115,9 @@ def backtrack(
         # so no backtracking lower bound on the accepted step size
         finite = np.all(np.isfinite(f_zhat))
         z_tilde, f_ztilde = (z_hat, f_zhat) if finite else (None, None)
-        eta *= params.beta
+        eta *= beta
 
     raise LineSearchError(
-        f"no acceptable step size within {params.max_backtracks} trials "
-        f"(last eta={eta / params.beta:.3e}); check the Lipschitz constant"
+        f"no acceptable step size within {max_backtracks} trials "
+        f"(last eta={eta / beta:.3e}); check the Lipschitz constant"
     )

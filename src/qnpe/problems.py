@@ -9,10 +9,31 @@ and identical seeds reproduce problems bit-identically.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
+
+
+# ---------------------------------------------------------------------------
+# Input checks, shared by Problem, SolverConfig and the CLI
+
+
+def require(name: str, value: Any, ok: Callable[[Any], bool] = lambda x: True,
+            words: str = "", integer: bool = False) -> None:
+    """Raise a ValueError naming `name` unless `value` is a finite real number
+    (an integer when asked; never a bool) for which ok(value) holds; `words`
+    states that range in the message."""
+    kind = numbers.Integral if integer else numbers.Real
+    try:  # math.isfinite raises OverflowError for an int beyond the float range
+        valid = isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        valid = False
+    if not (valid and ok(value)):
+        what = "an integer" if integer else "a finite number"
+        raise ValueError(f"{name} must be {what}{' ' + words if words else ''}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +100,8 @@ class Problem:
     descriptor: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.mu > self.l1:
-            raise ValueError("require mu <= l1")
+        require("l1", self.l1, lambda x: x > 0, "> 0")
+        require("mu", self.mu, lambda x: 0 <= x <= self.l1, f"in [0, l1] = [0, {self.l1}]")
         s, d = self.structure, self.dim
         if isinstance(s, JSymmetric) and (min(s.m, s.n) < 0 or s.m + s.n != d):
             raise ValueError(f"structure {s} needs m + n = dim = {d}")

@@ -5,28 +5,16 @@ Jacobian structure, and the composed approximate separation oracle."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+from scipy.sparse._sparsetools import csr_matvec
 
 from .problems import JSymmetric, Sparse, StructureSpec, Symmetric
 from .spectral import SepCase, SepResult, ext_evec, max_svec
 
 if TYPE_CHECKING:
-    from .learner import LowRank, PatternValues
-
-
-@dataclass
-class FeasibleSetParams:
-    mu: float
-    l1: float
-    structure: StructureSpec
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.mu <= self.l1):
-            raise ValueError("require 0 <= mu <= l1")
+    from .learner import LearnerParams, LowRank, PatternValues
 
 
 def _j_signs(m: int, n: int) -> np.ndarray:
@@ -119,13 +107,13 @@ def subspace_residual(structure: StructureSpec, w: np.ndarray) -> float:
     return float(np.max(np.abs(project_subspace(structure, w) - w)))
 
 
-def to_hat(b: np.ndarray, params: FeasibleSetParams) -> np.ndarray:
+def to_hat(b: np.ndarray, params: LearnerParams) -> np.ndarray:
     """B_hat = (B - (L1 + mu) I) / L1, recentering the feasible set at 0."""
     b = np.asarray(b, dtype=float)
     return (b - (params.l1 + params.mu) * np.eye(b.shape[0])) / params.l1
 
 
-def from_hat(b_hat: np.ndarray, params: FeasibleSetParams) -> np.ndarray:
+def from_hat(b_hat: np.ndarray, params: LearnerParams) -> np.ndarray:
     """B = L1 B_hat + (L1 + mu) I."""
     b = np.multiply(params.l1, b_hat)
     b.flat[:: b.shape[0] + 1] += params.l1 + params.mu
@@ -165,7 +153,7 @@ def sep_feasible(
     fro: float,
     delta: float,
     q: float,
-    params: FeasibleSetParams,
+    structure: StructureSpec,
     rng: np.random.Generator,
 ) -> SepResult:
     """Composed separation oracle for the transformed feasible set, at the
@@ -187,12 +175,11 @@ def sep_feasible(
     no matvecs.
 
     Precondition, not checked here: w lies in the structural subspace (the
-    learner keeps it there; debug_certificates re-checks it).
+    learner keeps it there by construction).
     """
     if delta <= 0 or not (0 < q < 1):
         raise ValueError("require delta > 0 and q in (0, 1)")
     d = w.shape[0]
-    structure = params.structure
     # fro is NaN for a non-finite W: no certificate, and Lanczos raises.  Each certified
     # call draws the start vector its Lanczos run would have drawn, so the rng stream,
     # and every later Ritz vector and separator, stay unchanged.

@@ -15,9 +15,7 @@ import numpy as np
 import pytest
 
 from qnpe import (
-    FeasibleSetParams,
     JSymmetric,
-    LearnerOption,
     LearnerParams,
     LinearOp,
     LossObservation,
@@ -144,11 +142,11 @@ def test_criterion_04_monotone_nonexpansion_and_gap(monotone_run):
 # learner feasibility (dense verification at small dimension)
 
 
-def drive_learner(option, structure, d, mu, l1, seed, rounds=60):
-    """Run the learner standalone against a fixed target Jacobian; returns the
-    dense-classified oracle failure count and the list of played matrices."""
-    feas = FeasibleSetParams(mu=mu, l1=l1, structure=structure)
-    params = LearnerParams.make(option, feas, d, p=0.1)
+def drive_learner(structure, d, mu, l1, seed, rounds=60):
+    """Run the learner standalone against a fixed target Jacobian (Option I
+    when mu > 0, Option II when mu = 0); returns the dense-classified oracle
+    failure count and the list of played matrices."""
+    params = LearnerParams(structure, d, mu, l1, p=0.1)
     rng = np.random.default_rng(seed)
     state = learner_init((l1 + mu) * np.eye(d), params, rng)
     if isinstance(structure, Symmetric):
@@ -170,7 +168,7 @@ def drive_learner(option, structure, d, mu, l1, seed, rounds=60):
     for _ in range(rounds):
         s = rng.standard_normal(d)
         observe_loss(state, LossObservation(u=target @ s, s=s), params)
-        sep, delta, w = state.last_sep, params.delta_schedule(state.t), state.w
+        sep, delta, w = state.last_sep, params.delta(state.t), state.w
         gamma_true = max(
             np.max(np.abs(np.linalg.eigvalsh(0.5 * (w + w.T)))),
             np.linalg.svd(w, compute_uv=False)[0] / 3.0,
@@ -186,14 +184,12 @@ def drive_learner(option, structure, d, mu, l1, seed, rounds=60):
 
 def test_criterion_05_learner_feasibility():
     mu, l1 = 0.3, 1.0
-    fails_1, played_1 = drive_learner(LearnerOption.OPTION_I, Symmetric(), 20, mu, l1, 2)
+    fails_1, played_1 = drive_learner(Symmetric(), 20, mu, l1, 2)
     ok = fails_1 == 0
     for b in played_1:
         ok = ok and np.linalg.eigvalsh(0.5 * (b + b.T))[0] >= mu / 2 - 1e-9
         ok = ok and np.linalg.norm(b, 2) <= 6.5 * l1 + 1e-9
-    fails_2, played_2 = drive_learner(
-        LearnerOption.OPTION_II, JSymmetric(15, 15), 30, 0.0, l1, 3
-    )
+    fails_2, played_2 = drive_learner(JSymmetric(15, 15), 30, 0.0, l1, 3)
     ok = ok and fails_2 == 0
     for b in played_2:
         ok = ok and np.linalg.eigvalsh(0.5 * (b + b.T))[0] >= -1e-8 * l1
@@ -321,19 +317,17 @@ def test_criterion_09_superlinear_trend():
 
 
 def test_criterion_10_structure_preservation():
-    _, sym_played = drive_learner(LearnerOption.OPTION_I, Symmetric(), 20, 0.3, 1.0, 2)
+    _, sym_played = drive_learner(Symmetric(), 20, 0.3, 1.0, 2)
     ok = all(np.array_equal(b, b.T) for b in sym_played)
 
-    _, j_played = drive_learner(LearnerOption.OPTION_II, JSymmetric(15, 15), 30, 0.0, 1.0, 3)
+    _, j_played = drive_learner(JSymmetric(15, 15), 30, 0.0, 1.0, 3)
     sgn = np.concatenate([np.ones(15), -np.ones(15)])
     ok = ok and all(
         np.array_equal(b, sgn[:, None] * b.T * sgn[None, :]) for b in j_played
     )
 
     pattern = frozenset({(0, 5), (3, 17), (8, 2), (12, 30), (39, 1), (20, 21)})
-    _, sp_played = drive_learner(
-        LearnerOption.OPTION_I, Sparse(pattern), 40, 0.3, 1.0, 5
-    )
+    _, sp_played = drive_learner(Sparse(pattern), 40, 0.3, 1.0, 5)
     allowed = np.eye(40, dtype=bool)
     for (i, j) in pattern:
         allowed[i, j] = True

@@ -145,7 +145,7 @@ def test_run_bad_z0_scale_exits_2_and_writes_nothing(tmp_path, capsys, scale):
     path = tmp_path / "cfg.json"  # json.dumps writes inf and nan as Infinity and NaN
     path.write_text(json.dumps(dict(BASIC, solvers=[BASIC["solvers"][0], bad])))
     out = tmp_path / "out"
-    assert qnpe.cli.cmd_run(str(path), str(out), None, 1, False) == 2
+    assert qnpe.cli.cmd_run(str(path), str(out), None, 1) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "z0_scale" in err and "Traceback" not in err
     assert not out.exists()
@@ -157,7 +157,7 @@ def test_run_non_object_entry_exits_2_and_writes_nothing(tmp_path, capsys, key):
 
     cfg = write_config(tmp_path / "cfg.json", dict(BASIC, **{key: [[1]]}))
     out = tmp_path / "out"
-    assert qnpe.cli.cmd_run(cfg, str(out), None, 1, False) == 2
+    assert qnpe.cli.cmd_run(cfg, str(out), None, 1) == 2
     assert f"config error: every entry of config field '{key}'" in capsys.readouterr().err
     assert not out.exists()
 
@@ -231,17 +231,11 @@ def test_verify_reports_a_malformed_sidecar_as_corrupt_run_data(tmp_path, capsys
 
     cfg = write_config(tmp_path / "cfg.json", dict(BASIC, repetitions=1))
     out = tmp_path / "out"
-    assert qnpe.cli.cmd_run(cfg, str(out), None, 1, False) == 0
+    assert qnpe.cli.cmd_run(cfg, str(out), None, 1) == 0
     (path,) = out.glob("run_*.json")
     path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
     assert qnpe.cli.cmd_verify(str(out)) == 2
     assert "corrupt run data" in capsys.readouterr().err
-
-
-def test_debug_certificates_flag_accepted(tmp_path):
-    cfg = write_config(tmp_path / "cfg.json", dict(BASIC, repetitions=1))
-    proc = run_cli("run", cfg, "--out", str(tmp_path / "o"), "--debug-certificates")
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_compare_produces_report(tmp_path):
@@ -329,7 +323,7 @@ def test_problems_built_once_per_descriptor(tmp_path, monkeypatch):
         {"name": "eg", "step_size": 0.5, "n_iters": 20},
     ])
     path = write_config(tmp_path / "cfg.json", cfg)
-    assert qnpe.cli.cmd_run(path, str(tmp_path / "o"), None, 1, False) == 0
+    assert qnpe.cli.cmd_run(path, str(tmp_path / "o"), None, 1) == 0
     assert len(calls) == 1  # P=1 problem, S=2 solvers, R=2 repetitions
     calls.clear()
     assert qnpe.cli.cmd_verify(str(tmp_path / "o")) == 0

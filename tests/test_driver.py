@@ -9,9 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import qnpe.driver
 from qnpe import (
-    CertificateViolation,
     Mode,
     PrimalDualBox,
     Problem,
@@ -125,33 +123,6 @@ def test_default_b0_forms_no_dense_array():
     assert peak < d * d * 8
 
 
-def test_debug_certificates_clean_run():
-    p = make_quadratic_min(8, 0.2, 1.0, seed=6)
-    _, _, trace = solve(p, sm_config(debug_certificates=True), z0=p.known_root + 1.0)
-    assert trace.final_norm_F <= 1e-10
-
-
-def test_debug_certificates_catch_learner_iterate_off_subspace(monkeypatch):
-    p = make_quadratic_min(20, 0.2, 1.0, seed=1)
-    z0 = p.known_root + 3.0
-    _, _, trace = solve(p, sm_config(debug_certificates=True), z0=z0)
-    observed = [row.k for row in trace.rows if not math.isnan(row.loss)]
-    assert len(observed) >= 3
-
-    original = qnpe.driver.observe_loss
-
-    def perturbing(state, *args, **kwargs):
-        original(state, *args, **kwargs)
-        if state.t == 3:  # an unmirrored pair: W[0, 1] += 1e-6, and W is no longer symmetric
-            e = np.eye(20)
-            state.model.append([(1e-6 * e[0], e[1])])
-        return state
-
-    monkeypatch.setattr(qnpe.driver, "observe_loss", perturbing)
-    with pytest.raises(CertificateViolation, match=rf"^iteration {observed[2]}: .*subspace"):
-        solve(p, sm_config(debug_certificates=True), z0=z0)
-
-
 def test_non_finite_rejected_trial_is_not_observed():
     # F is NaN (or Inf) on the last rejected trial of the first backtracked
     # iteration: that trial is rejected and the learner gets no observation from it
@@ -166,7 +137,7 @@ def test_non_finite_rejected_trial_is_not_observed():
             calls[0] += 1
             return np.full_like(z, bad) if calls[0] == row.cum_evals - 1 else p.eval(z)
 
-        config = sm_config(debug_certificates=True)
+        config = sm_config()
         _, _, trace = solve(dataclasses.replace(p, eval=f), config, z0=z0)
         poisoned = trace.rows[row.k]
         assert poisoned.backtracked and poisoned.trials == row.trials
@@ -275,6 +246,20 @@ def test_default_gap_certificate_is_the_unit_box():
     assert default.all_passed, "\n".join(default.lines())
     assert "averaged-gap-bound" in {c.name for c in default.checks}
     assert default.lines() == verify_iteration_certificates(trace, p, config, gap_spec=box).lines()
+
+
+def test_default_gap_certificate_needs_the_bilinear_family():
+    # evaluate_gap has a closed form for the bilinear family only: another
+    # J-symmetric problem gets no default gap check, and an explicit box still raises
+    p = dataclasses.replace(make_bilinear_minimax(5, 5, 0.0, 1.0, seed=1), descriptor={})
+    config = SolverConfig(mode=Mode.MONOTONE, max_iterations=40, stop_tolerance=1e-12)
+    _, _, trace = solve(p, config, z0=0.4 * np.ones(10))
+    report = verify_iteration_certificates(trace, p, config)
+    assert report.all_passed, "\n".join(report.lines())
+    assert "averaged-gap-bound" not in {c.name for c in report.checks}
+    box = PrimalDualBox(-np.ones(5), np.ones(5), -np.ones(5), np.ones(5))
+    with pytest.raises(ValueError, match="bilinear family only"):
+        verify_iteration_certificates(trace, p, config, gap_spec=box)
 
 
 def test_certificates_catch_a_step_below_the_backtracking_bound():

@@ -68,12 +68,11 @@ QNPE_CASES = {
     "quadratic_theory": ("quadratic", Mode.STRONGLY_MONOTONE, {}),
     "quadratic_c09": ("quadratic", Mode.STRONGLY_MONOTONE, C09),
     "logsumexp_c09": ("logsumexp", Mode.STRONGLY_MONOTONE, C09),
-    "sparse_debug": ("sparse", Mode.STRONGLY_MONOTONE, {"debug_certificates": True}),
+    "sparse_debug": ("sparse", Mode.STRONGLY_MONOTONE, {}),
     "bilinear_monotone": ("bilinear", Mode.MONOTONE, {}),
     "bilinear_monotone_rho": ("bilinear", Mode.MONOTONE, {"rho": 0.5}),
     # above d = 64, where learner_init used to skip every b0 check
-    "sparse_d100": ("sparse100", Mode.STRONGLY_MONOTONE,
-                    {"debug_certificates": True, "max_iterations": 60}),
+    "sparse_d100": ("sparse100", Mode.STRONGLY_MONOTONE, {"max_iterations": 60}),
     "quadratic_d100": ("quadratic100", Mode.STRONGLY_MONOTONE, {"rho": 0.5, "max_iterations": 60}),
     # Sparse with Case II results: S from the fused-CSR oracle, projected on the pattern
     "sparse_d100_rho": ("sparse100", Mode.STRONGLY_MONOTONE, {"rho": 5, "max_iterations": 60}),

@@ -11,10 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnpe import (
-    FeasibleSetParams,
     General,
     JSymmetric,
-    LearnerOption,
     LearnerParams,
     LossObservation,
     Sparse,
@@ -25,18 +23,13 @@ from qnpe import (
     observe_loss,
     played_matrix,
 )
-from qnpe.learner import (
-    DEFAULT_RHO,
-    current_matrix,
-    failure_schedule,
-    loss_gradient,
-)
-from qnpe.separation import from_hat, project_subspace
+from qnpe.learner import DEFAULT_RHO, current_matrix, loss_gradient
+from qnpe.separation import from_hat, project_subspace, subspace_residual
 
 
-def make_params(option, mu, l1, d, structure=None, rho=None):
-    feas = FeasibleSetParams(mu=mu, l1=l1, structure=structure or General())
-    return LearnerParams.make(option, feas, d, p=0.1, rho=rho)
+def make_params(mu, l1, d, structure=None, rho=None):
+    """Option I when mu > 0, Option II when mu = 0."""
+    return LearnerParams(structure or General(), d, mu, l1, p=0.1, rho=rho)
 
 
 def random_obs(rng, d):
@@ -82,13 +75,13 @@ def test_loss_hand_computed():
 def reference_step(state, obs, params):
     """W - rho (P(grad) / L1 + coeff P(S)), clipped to the ball, from the dense
     projected gradient and the Frobenius inner product with it."""
-    feas, w = params.feasible, state.w
+    w = state.w
     b = played_matrix(state, params)
-    g = project_subspace(feas.structure, loss_gradient(b, obs)) / feas.l1
+    g = project_subspace(params.structure, loss_gradient(b, obs)) / params.l1
     sep = state.last_sep
     if state.t >= 1 and sep.case is SepCase.CASE_II:
         coeff = max(0.0, -float(np.tensordot(g, w, axes=2)) / sep.gamma)
-        g = g + coeff * project_subspace(feas.structure, sep.s)
+        g = g + coeff * project_subspace(params.structure, sep.s)
     w = w - params.rho * g
     return w * min(1.0, params.radius / np.linalg.norm(w))
 
@@ -107,7 +100,7 @@ def test_learner_step_is_the_projected_gradient_step_and_keeps_w_structured(stru
         "jsymmetric": (JSymmetric(7 * d // 20, 13 * d // 20), 0.5),
         "sparse": (Sparse(random_pattern(rng, d, 1000)), 2.0),
     }[structure.removesuffix("_fold")]
-    params = make_params(LearnerOption.OPTION_I, mu=mu, l1=l1, d=d, structure=structure,
+    params = make_params(mu=mu, l1=l1, d=d, structure=structure,
                          rho=rho)
     w0 = project_subspace(structure, rng.standard_normal((d, d)))
     b0 = (l1 + mu) * np.eye(d)
@@ -126,10 +119,28 @@ def test_learner_step_is_the_projected_gradient_step_and_keeps_w_structured(stru
         observe_loss(state, obs, params)
         folds += getattr(state.model, "r", 0) < rank
         assert np.linalg.norm(state.w - want) <= 1e-14 * np.linalg.norm(want)
+        # the stored W, not its projection: a step off the subspace would show here
+        assert subspace_residual(structure, state.model.dense()) <= 1e-12
     assert case_ii > 0
     if fold:
         assert folds > 0 and state.model.base.flags.c_contiguous
     assert_bitwise(state.w, project_subspace(structure, state.w))
+
+
+def test_subspace_check_catches_an_unmirrored_pair():
+    """The check above reads the stored W: one factor pair without its mirror,
+    W[0, 1] += 1e-6, leaves the symmetric subspace by far more than rounding."""
+    rng = np.random.default_rng(13)
+    d, mu, l1 = 20, 0.2, 1.0
+    params = make_params(mu=mu, l1=l1, d=d, structure=Symmetric(), rho=0.5)
+    state = learner_init(None, params, rng)
+    for _ in range(3):
+        s = rng.standard_normal(d)
+        observe_loss(state, LossObservation(u=3.0 * rng.standard_normal(d), s=s), params)
+    assert subspace_residual(Symmetric(), state.model.dense()) <= 1e-12
+    e = np.eye(d)
+    state.model.append([(1e-6 * e[0], e[1])])
+    assert subspace_residual(Symmetric(), state.model.dense()) > 1e-10
 
 
 @pytest.mark.parametrize("structure", ["general", "symmetric", "jsymmetric", "sparse"])
@@ -144,7 +155,7 @@ def test_a_huge_step_lands_on_the_ball(structure):
         "jsymmetric": JSymmetric(5, 7),
         "sparse": Sparse(random_pattern(rng, d, 30)),
     }[structure]
-    params = make_params(LearnerOption.OPTION_I, mu=mu, l1=l1, d=d, structure=structure,
+    params = make_params(mu=mu, l1=l1, d=d, structure=structure,
                          rho=1e300)
     state = learner_init((l1 + mu) * np.eye(d), params, rng)
     s = rng.standard_normal(d)
@@ -158,16 +169,15 @@ def test_a_huge_step_lands_on_the_ball(structure):
 @pytest.mark.parametrize("structure", ["general", "symmetric", "jsymmetric", "sparse"])
 def test_current_matrix_applies_the_played_matrix(structure):
     rng = np.random.default_rng(14)
-    d, mu, l1 = 20, 0.2, 1.5
+    d, mu, l1 = 20, 0.0, 1.5
     structure = {
         "general": General(),
         "symmetric": Symmetric(),
         "jsymmetric": JSymmetric(7, 13),
         "sparse": Sparse(random_pattern(rng, d, 60)),
     }[structure]
-    # Option II: scale = (1 + delta) gamma != 1; a large rho also gives Case II rounds
-    params = make_params(LearnerOption.OPTION_II, mu=mu, l1=l1, d=d, structure=structure,
-                         rho=5.0)
+    # Option II (mu = 0): scale = (1 + delta) gamma != 1; a large rho also gives Case II rounds
+    params = make_params(mu=mu, l1=l1, d=d, structure=structure, rho=5.0)
     state = learner_init((l1 + mu) * np.eye(d), params, rng)
     target = project_subspace(structure, 3.0 * l1 * rng.standard_normal((d, d)))
     scales = []
@@ -198,7 +208,7 @@ def test_a_sparse_learner_forms_no_dense_matrix():
     d, mu, l1 = 3000, 0.2, 1.5
     rng = np.random.default_rng(16)
     pattern = frozenset(zip(rng.integers(0, d, 4 * d).tolist(), rng.integers(0, d, 4 * d).tolist()))
-    params = make_params(LearnerOption.OPTION_I, mu=mu, l1=l1, d=d, structure=Sparse(pattern),
+    params = make_params(mu=mu, l1=l1, d=d, structure=Sparse(pattern),
                          rho=5.0)
     observations = [LossObservation(u=25.0 * l1 * rng.standard_normal(d), s=rng.standard_normal(d))
                     for _ in range(20)]
@@ -253,7 +263,7 @@ def test_observation_rejects_zero_direction():
 
 
 def test_failure_schedule_values():
-    q = failure_schedule(0.1)
+    q = make_params(mu=0.2, l1=1.0, d=4).q
     assert abs(q(1) - 0.1 / (2.5 * 2 * math.log(2) ** 2)) <= 1e-15
     assert abs(q(5) - 0.1 / (2.5 * 6 * math.log(6) ** 2)) <= 1e-15
     with pytest.raises(ValueError):
@@ -263,15 +273,13 @@ def test_failure_schedule_values():
 
 
 def test_default_params():
-    p1 = make_params(LearnerOption.OPTION_I, mu=0.2, l1=1.0, d=16)
-    assert p1.rho == DEFAULT_RHO[LearnerOption.OPTION_I]
+    p1 = make_params(mu=0.2, l1=1.0, d=16)  # Option I
+    assert p1.rho == DEFAULT_RHO[True] == 1.0 / 121.0
     assert p1.radius == 4.0
-    assert p1.delta_schedule(3) == 0.1  # mu / (2 L1), constant
-    p2 = make_params(LearnerOption.OPTION_II, mu=0.0, l1=1.0, d=9)
-    assert p2.rho == DEFAULT_RHO[LearnerOption.OPTION_II]
-    assert abs(p2.delta_schedule(1) - 0.5 / 2**0.25) <= 1e-15
-    with pytest.raises(ValueError):
-        make_params(LearnerOption.OPTION_I, mu=0.0, l1=1.0, d=4)
+    assert p1.delta(3) == 0.1  # mu / (2 L1), constant
+    p2 = make_params(mu=0.0, l1=1.0, d=9)  # Option II
+    assert p2.rho == DEFAULT_RHO[False] == 1.0 / 81.0
+    assert abs(p2.delta(1) - 0.5 / 2**0.25) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -279,19 +287,17 @@ def test_default_params():
 
 
 def test_init_at_center_gives_zero_auxiliary():
-    params = make_params(LearnerOption.OPTION_I, mu=0.5, l1=2.0, d=6)
+    params = make_params(mu=0.5, l1=2.0, d=6)
     state = learner_init((2.5) * np.eye(6), params, np.random.default_rng(2))
     assert np.max(np.abs(state.w)) == 0.0
     assert state.t == 0
 
 
 def test_init_rejects_infeasible_matrix():
-    params = make_params(LearnerOption.OPTION_I, mu=0.5, l1=1.0, d=4)
+    params = make_params(mu=0.5, l1=1.0, d=4)
     with pytest.raises(ValueError):
         learner_init(100.0 * np.eye(4), params, np.random.default_rng(3))
-    sym_params = make_params(
-        LearnerOption.OPTION_I, mu=0.5, l1=1.0, d=4, structure=Symmetric()
-    )
+    sym_params = make_params(mu=0.5, l1=1.0, d=4, structure=Symmetric())
     bad = 1.5 * np.eye(4)
     bad[0, 1] = 0.3  # not symmetric
     with pytest.raises(ValueError):
@@ -300,12 +306,12 @@ def test_init_rejects_infeasible_matrix():
 
 def test_init_checks_structure_above_the_spectral_check_dimension():
     d = 100
-    params = make_params(LearnerOption.OPTION_I, mu=0.5, l1=1.0, d=d, structure=Symmetric())
+    params = make_params(mu=0.5, l1=1.0, d=d, structure=Symmetric())
     bad = 1.5 * np.eye(d)
     bad[0, 1] = 0.3  # not symmetric
     with pytest.raises(ValueError, match="structural subspace"):
         learner_init(bad, params, np.random.default_rng(3))
-    sparse = make_params(LearnerOption.OPTION_I, mu=0.5, l1=1.0, d=d,
+    sparse = make_params(mu=0.5, l1=1.0, d=d,
                          structure=Sparse(frozenset({(0, 1)})))
     off_pattern = 1.5 * np.eye(d)
     off_pattern[2, 3] = 0.1
@@ -321,18 +327,18 @@ def test_init_checks_the_spectrum_at_any_dimension():
     every d: structured b0 whose symmetric part has an eigenvalue outside
     [-1, 1], or whose operator norm exceeds 3, is rejected."""
     d = 100
-    params = make_params(LearnerOption.OPTION_I, mu=0.5, l1=1.0, d=d, structure=Symmetric())
+    params = make_params(mu=0.5, l1=1.0, d=d, structure=Symmetric())
     w0 = np.zeros((d, d))
     w0[0, 0] = 1.5
     with pytest.raises(ValueError, match="spectral constraint"):
-        learner_init(from_hat(w0, params.feasible), params, np.random.default_rng(3))
-    general = make_params(LearnerOption.OPTION_I, mu=0.5, l1=1.0, d=d)
+        learner_init(from_hat(w0, params), params, np.random.default_rng(3))
+    general = make_params(mu=0.5, l1=1.0, d=d)
     w0 = np.zeros((d, d))
     w0[0, 1], w0[1, 0] = 3.5, -3.5  # symmetric part 0
     with pytest.raises(ValueError, match="operator-norm constraint"):
-        learner_init(from_hat(w0, general.feasible), general, np.random.default_rng(3))
+        learner_init(from_hat(w0, general), general, np.random.default_rng(3))
     w0 = 0.9 * np.eye(d)  # ||W_0||_F = 9, feasible
-    learner_init(from_hat(w0, params.feasible), params, np.random.default_rng(3))
+    learner_init(from_hat(w0, params), params, np.random.default_rng(3))
 
 
 @pytest.mark.parametrize("structure", [General(), Symmetric(), JSymmetric(2, 2),
@@ -342,7 +348,7 @@ def test_init_checks_the_spectrum_at_any_dimension():
 def test_init_rejects_a_non_finite_b0(structure, bad):
     """A NaN subspace residual compares False with its tolerance, so a non-finite
     b0 is rejected by name before it can reach LAPACK in the dense check."""
-    params = make_params(LearnerOption.OPTION_I, mu=0.5, l1=1.0, d=4, structure=structure)
+    params = make_params(mu=0.5, l1=1.0, d=4, structure=structure)
     b0 = 1.5 * np.eye(4)
     b0[2, 2] = bad  # on the diagonal: inside every structure's subspace
     with pytest.raises(ValueError, match="b0"):
@@ -352,30 +358,30 @@ def test_init_rejects_a_non_finite_b0(structure, bad):
 def test_init_stores_the_projection_of_a_nearly_structured_b0():
     m, n = 4, 3
     structure = JSymmetric(m, n)
-    params = make_params(LearnerOption.OPTION_II, mu=0.0, l1=1.0, d=m + n, structure=structure)
+    params = make_params(mu=0.0, l1=1.0, d=m + n, structure=structure)
     rng = np.random.default_rng(11)
     w_hat = project_subspace(structure, 0.1 * rng.standard_normal((m + n, m + n)))
-    b0 = params.feasible.l1 * (w_hat + np.eye(m + n)) + 1e-10 * rng.standard_normal((m + n, m + n))
+    b0 = params.l1 * (w_hat + np.eye(m + n)) + 1e-10 * rng.standard_normal((m + n, m + n))
     state = learner_init(b0, params, rng)
     assert np.array_equal(state.w, project_subspace(structure, state.w))
     # round 0 plays the exactly J-symmetric from_hat(W_0), not the raw b0
     b = played_matrix(state, params)
     sgn = np.concatenate([np.ones(m), -np.ones(n)])
     assert_bitwise(b, sgn[:, None] * b.T * sgn[None, :])
-    assert_bitwise(b, from_hat(state.w, params.feasible))
+    assert_bitwise(b, from_hat(state.w, params))
 
 
 def test_init_stores_w_in_c_order():
     # the J-symmetric projection of a large matrix comes back in Fortran order;
     # the stored base, which every product reads, and the dense view are C-ordered
     structure = JSymmetric(300, 300)
-    params = make_params(LearnerOption.OPTION_II, mu=0.0, l1=1.0, d=600, structure=structure)
+    params = make_params(mu=0.0, l1=1.0, d=600, structure=structure)
     state = learner_init(1.01 * np.eye(600), params, np.random.default_rng(12))
     assert state.model.base.flags.c_contiguous and state.w.flags.c_contiguous
 
 
 def test_zero_loss_observation_leaves_w_unchanged():
-    params = make_params(LearnerOption.OPTION_I, mu=0.4, l1=1.0, d=5)
+    params = make_params(mu=0.4, l1=1.0, d=5)
     state = learner_init(1.4 * np.eye(5), params, np.random.default_rng(4))
     b = played_matrix(state, params)
     s = np.array([1.0, 0, 0, 0, 0])
@@ -386,7 +392,7 @@ def test_zero_loss_observation_leaves_w_unchanged():
 def test_gradient_step_moves_w_as_expected():
     # first round: no separator correction, W+ = -rho * grad / L1 from W0 = 0
     l1 = 1.0
-    params = make_params(LearnerOption.OPTION_I, mu=0.4, l1=l1, d=2, rho=0.01)
+    params = make_params(mu=0.4, l1=l1, d=2, rho=0.01)
     state = learner_init(1.4 * np.eye(2), params, np.random.default_rng(5))
     b0 = played_matrix(state, params)
     obs = LossObservation(u=np.array([2.0, 0.0]), s=np.array([1.0, 0.0]))
@@ -398,7 +404,7 @@ def test_gradient_step_moves_w_as_expected():
 
 def test_loss_decreases_after_observation_general_structure():
     rng = np.random.default_rng(6)
-    params = make_params(LearnerOption.OPTION_I, mu=0.2, l1=1.0, d=8, rho=0.5)
+    params = make_params(mu=0.2, l1=1.0, d=8, rho=0.5)
     state = learner_init(1.2 * np.eye(8), params, rng)
     a = played_matrix(state, params) + 0.3 * rng.standard_normal((8, 8))
     s = rng.standard_normal(8)
@@ -412,7 +418,7 @@ def test_loss_decreases_after_observation_general_structure():
 def test_played_matrices_stay_feasible_option_one():
     rng = np.random.default_rng(7)
     d, mu, l1 = 12, 0.3, 1.5
-    params = make_params(LearnerOption.OPTION_I, mu=mu, l1=l1, d=d, structure=Symmetric())
+    params = make_params(mu=mu, l1=l1, d=d, structure=Symmetric())
     state = learner_init((l1 + mu) * np.eye(d), params, rng)
     target = np.diag(rng.uniform(mu, l1, size=d))
     for _ in range(40):
@@ -431,7 +437,7 @@ def test_played_matrices_stay_feasible_option_two():
     rng = np.random.default_rng(8)
     m = n = 5
     d, l1 = m + n, 1.0
-    params = make_params(LearnerOption.OPTION_II, mu=0.0, l1=l1, d=d,
+    params = make_params(mu=0.0, l1=l1, d=d,
                          structure=JSymmetric(m, n))
     state = learner_init(l1 * np.eye(d), params, rng)
     c = rng.standard_normal((m, n))

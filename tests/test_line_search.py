@@ -1,18 +1,19 @@
 """Backtracking line search: closed-form acceptance cases, rejected-iterate
-bookkeeping, and parameter validation."""
+bookkeeping, and where its constants are validated."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from qnpe import LineSearchError
-from qnpe.line_search import LineSearchParams, backtrack, default_max_backtracks
+from qnpe import LineSearchError, SolverConfig, make_quadratic_min
+from qnpe.line_search import backtrack, default_max_backtracks
 
 
 def params(alpha1=0.25, alpha2=0.25, beta=0.5, mu=0.0, max_backtracks=40):
-    return LineSearchParams(alpha1=alpha1, alpha2=alpha2, beta=beta, mu=mu,
-                            max_backtracks=max_backtracks)
+    """backtrack's constants, as keyword arguments."""
+    return dict(alpha1=alpha1, alpha2=alpha2, beta=beta, mu=mu, max_backtracks=max_backtracks)
 
 
 def affine_eval(a, z_star):
@@ -22,7 +23,7 @@ def affine_eval(a, z_star):
 def test_zero_gradient_accepts_immediately():
     z = np.array([1.0, -1.0])
     out = backtrack(z, np.zeros(2), lambda v: v, lambda v: v, sigma=1.0,
-                    params=params(), f_eval=lambda zz: zz - z)
+                    **params(), f_eval=lambda zz: zz - z)
     assert out.eta == 1.0
     assert not out.backtracked
     assert np.array_equal(out.z_hat, z)
@@ -38,7 +39,7 @@ def test_exact_model_with_exact_solve_accepts_first_trial():
     z = z_star + rng.standard_normal(6)
     f = affine_eval(a, z_star)
     out = backtrack(z, f(z), lambda v: a @ v, lambda v: a @ v, sigma=50.0,
-                    params=params(alpha1=0.0), f_eval=f, b_symmetric=True)
+                    **params(alpha1=0.0), f_eval=f, b_symmetric=True)
     assert out.eta == 50.0
     assert not out.backtracked
     assert out.z_tilde is None
@@ -53,7 +54,7 @@ def test_identity_jacobian_closed_form_step():
     z = np.array([2.0, 0.0, -1.0])
     f = lambda zz: zz
     out = backtrack(z, z.copy(), lambda v: v, lambda v: v, sigma=1.0,
-                    params=params(alpha1=0.25), f_eval=f, b_symmetric=True)
+                    **params(alpha1=0.25), f_eval=f, b_symmetric=True)
     assert out.eta == 1.0
     expected = z - (out.eta / (1.0 + out.eta)) * z
     assert np.allclose(out.z_hat, expected, atol=1e-10)
@@ -68,7 +69,7 @@ def test_mismatched_model_backtracks_and_keeps_rejected_iterate():
     z = np.array([1.0, 1.0, 1.0])
     evals, products = [], []
     out = backtrack(z, f(z), lambda v: products.append(v) or 0 * v, lambda v: 0 * v,
-                    sigma=4.0, params=params(), f_eval=lambda x: evals.append(x) or f(x),
+                    sigma=4.0, **params(), f_eval=lambda x: evals.append(x) or f(x),
                     b_symmetric=True)
     assert out.backtracked
     assert out.trial_count > 1
@@ -102,7 +103,7 @@ def test_matvecs_are_the_counted_b_products(b_symmetric):
 
     solves = []
     out = backtrack(z, f(z), tally("b", 0.1 * b), tally("b_t", 0.1 * b.T), sigma=8.0,
-                    params=params(), f_eval=lambda x: solves.append(x) or f(x),
+                    **params(), f_eval=lambda x: solves.append(x) or f(x),
                     b_symmetric=b_symmetric)
     assert out.backtracked and out.trial_count == len(solves) > 1
     assert out.matvecs == calls["b"] + calls["b_t"] > 0
@@ -115,13 +116,13 @@ def test_exhaustion_raises():
     z = np.ones(2)
     with pytest.raises(LineSearchError):
         backtrack(z, f(z), lambda v: 0 * v, lambda v: 0 * v, sigma=4.0,
-                  params=params(max_backtracks=2), f_eval=f, b_symmetric=True)
+                  **params(max_backtracks=2), f_eval=f, b_symmetric=True)
 
 
 def test_nonfinite_gradient_rejected():
     with pytest.raises(LineSearchError):
         backtrack(np.zeros(2), np.array([np.nan, 0.0]), lambda v: v, lambda v: v,
-                  sigma=1.0, params=params(), f_eval=lambda z: z)
+                  sigma=1.0, **params(), f_eval=lambda z: z)
 
 
 def test_default_max_backtracks_formula():
@@ -145,13 +146,16 @@ def test_default_max_backtracks_formula():
     ],
 )
 def test_parameter_validation(kwargs):
-    base = dict(alpha1=0.25, alpha2=0.25, beta=0.5, mu=0.0, max_backtracks=10)
-    base.update(kwargs)
-    with pytest.raises(ValueError):
-        LineSearchParams(**base)
+    """backtrack takes its constants as given: SolverConfig checks alpha1,
+    alpha2 and beta, and Problem checks mu, each once, when it is built."""
+    constants = dict(kwargs)
+    mu = constants.pop("mu", 0.1)
+    with pytest.raises(ValueError, match=list(kwargs)[-1]):  # the last key is out of range
+        SolverConfig(mode="strongly_monotone", **constants)
+        dataclasses.replace(make_quadratic_min(5, 0.1, 1.0, seed=0), mu=mu)
 
 
 def test_sigma_must_be_positive():
     with pytest.raises(ValueError):
         backtrack(np.zeros(2), np.ones(2), lambda v: v, lambda v: v, sigma=0.0,
-                  params=params(), f_eval=lambda z: z)
+                  **params(), f_eval=lambda z: z)

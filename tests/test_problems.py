@@ -4,7 +4,9 @@ Derived expectations come from independent dense oracles (numpy eigensolvers,
 central finite differences, pairwise sampling), never from the code under test.
 """
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -266,6 +268,16 @@ def test_structure_that_does_not_fit_the_dimension_is_rejected(structure):
 def test_structure_that_fits_the_dimension_is_accepted():
     _identity_problem(Sparse(frozenset({(3, 3), (0, 19), (19, 0)})))  # the diagonal too
     _identity_problem(JSymmetric(8, 12))
+
+
+@pytest.mark.parametrize("bad", [{"l1": 0.0, "mu": 0.0}, {"l1": math.inf}, {"mu": -0.1},
+                                 {"mu": math.nan}, {"l1": math.nan}],
+                         ids=["l1_zero", "l1_inf", "mu_negative", "mu_nan", "l1_nan"])
+def test_constants_out_of_range_are_rejected(bad):
+    """l1 finite and > 0, mu finite in [0, l1]: checked once, when the problem
+    is built, so that no bad value reaches the solver."""
+    with pytest.raises(ValueError, match="l1" if "l1" in bad else "mu"):
+        dataclasses.replace(make_quadratic_min(10, 0.1, 1, seed=1), **bad)
 
 
 # ---------------------------------------------------------------------------

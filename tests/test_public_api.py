@@ -76,3 +76,22 @@ def test_traced_attributes_exist_and_are_called_through_the_module_global():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         }
         assert attr in calls, f"qnpe.{module_name} never calls {attr} by its global name"
+
+
+def test_every_module_uses_the_names_it_imports():
+    """A name that a module of src/qnpe imports and never reads as a name is
+    dead.  __init__.py is exempt: it imports to re-export."""
+    unused = []
+    for path in sorted((ROOT / "src" / "qnpe").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            future = isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            if isinstance(node, ast.Import | ast.ImportFrom) and not future:
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}: {name}")
+    assert not unused, f"imported but never used: {unused}"

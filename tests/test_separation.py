@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnpe import (
-    FeasibleSetParams,
     General,
     JSymmetric,
+    LearnerParams,
     SepCase,
     Sparse,
     Symmetric,
@@ -36,10 +36,10 @@ def _stored(structure, w):
     return new_model(structure, w.shape[0], w)
 
 
-def _sep(w, delta, q, params, rng):
+def _sep(w, delta, q, structure, rng):
     """sep_feasible at the dense w, given its Frobenius norm."""
     fro = float(np.linalg.norm(w))
-    return sep_feasible(_stored(params.structure, w), fro, delta, q, params, rng)
+    return sep_feasible(_stored(structure, w), fro, delta, q, structure, rng)
 
 
 STRUCTURES = [
@@ -114,7 +114,7 @@ def test_projection_rejects_nonsquare():
 
 def test_from_hat_shifts_the_diagonal_bit_for_bit():
     rng = np.random.default_rng(12)
-    params = FeasibleSetParams(mu=0.3, l1=1.7, structure=General())
+    params = LearnerParams(General(), 40, mu=0.3, l1=1.7, p=0.1)  # from_hat reads only l1, mu
     for d in (1, 5, 40):
         b_hat = rng.standard_normal((d, d))
         expected = params.l1 * b_hat + (params.l1 + params.mu) * np.eye(d)
@@ -123,7 +123,7 @@ def test_from_hat_shifts_the_diagonal_bit_for_bit():
 
 
 def test_to_hat_maps_center_to_zero():
-    params = FeasibleSetParams(mu=0.3, l1=2.0, structure=Symmetric())
+    params = LearnerParams(Symmetric(), 5, mu=0.3, l1=2.0, p=0.1)
     b = (params.l1 + params.mu) * np.eye(5)
     assert np.max(np.abs(to_hat(b, params))) == 0.0
 
@@ -131,7 +131,7 @@ def test_to_hat_maps_center_to_zero():
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_hat_roundtrip(seed):
-    params = FeasibleSetParams(mu=0.1, l1=1.7, structure=General())
+    params = LearnerParams(General(), 5, mu=0.1, l1=1.7, p=0.1)
     b = random_matrix(seed, d=5)
     back = from_hat(to_hat(b, params), params)
     assert np.max(np.abs(back - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
@@ -141,7 +141,7 @@ def test_hat_of_feasible_matrix_is_in_unit_set():
     # B with mu I <= sym(B) <= (2 L1 + mu) I and ||B - (L1+mu)I|| <= 3 L1
     rng = np.random.default_rng(2)
     mu, l1 = 0.2, 1.3
-    params = FeasibleSetParams(mu=mu, l1=l1, structure=General())
+    params = LearnerParams(General(), 8, mu=mu, l1=l1, p=0.1)
     for _ in range(10):
         h = rng.standard_normal((8, 8))
         h = 0.5 * (h + h.T)
@@ -156,8 +156,9 @@ def test_hat_of_feasible_matrix_is_in_unit_set():
 
 
 def test_feasible_params_validation():
-    with pytest.raises(ValueError):
-        FeasibleSetParams(mu=2.0, l1=1.0, structure=General())
+    for mu in (2.0, -0.1, np.nan):
+        with pytest.raises(ValueError, match="mu <= l1"):
+            LearnerParams(General(), 4, mu=mu, l1=1.0, p=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +166,7 @@ def test_feasible_params_validation():
 
 
 def test_sep_feasible_zero_is_case_one():
-    params = FeasibleSetParams(mu=0.1, l1=1.0, structure=General())
-    res = _sep(np.zeros((6, 6)), 0.25, 0.1, params, np.random.default_rng(3))
+    res = _sep(np.zeros((6, 6)), 0.25, 0.1, General(), np.random.default_rng(3))
     assert res.case is SepCase.CASE_I
 
 
@@ -175,8 +175,7 @@ def test_sep_feasible_symmetric_small_spectrum_case_one():
     w = rng.standard_normal((10, 10))
     w = 0.5 * (w + w.T)
     w *= 0.5 / np.max(np.abs(np.linalg.eigvalsh(w)))
-    params = FeasibleSetParams(mu=0.1, l1=1.0, structure=Symmetric())
-    res = _sep(w, 0.25, 0.01, params, rng)
+    res = _sep(w, 0.25, 0.01, Symmetric(), rng)
     assert res.case is SepCase.CASE_I
 
 
@@ -185,8 +184,7 @@ def test_sep_feasible_skew_triggers_operator_norm_branch():
     a = rng.standard_normal((8, 8))
     w = a - a.T  # symmetric part zero: only the norm constraint can fire
     w *= 5.0 / np.linalg.svd(w, compute_uv=False)[0]
-    params = FeasibleSetParams(mu=0.0, l1=1.0, structure=General())
-    res = _sep(w, 0.25, 0.01, params, rng)
+    res = _sep(w, 0.25, 0.01, General(), rng)
     assert res.case is SepCase.CASE_II
     assert abs(res.gamma - 5.0 / 3.0) <= 1e-6
     s = res.s
@@ -202,8 +200,7 @@ def test_sep_feasible_case_two_scaled_point_is_feasible(structure):
     d = 10
     w = project_subspace(structure, 4.0 * rng.standard_normal((d, d)))
     delta, q = 0.25, 0.01
-    params = FeasibleSetParams(mu=0.2, l1=1.0, structure=structure)
-    res = _sep(w, delta, q, params, rng)
+    res = _sep(w, delta, q, structure, rng)
     if res.case is SepCase.CASE_I:
         gamma_true = max(
             np.max(np.abs(np.linalg.eigvalsh(0.5 * (w + w.T)))),
@@ -308,8 +305,6 @@ def test_structured_oracle_agrees_with_the_dense_formulas(structure):
     augmented product) oracles against General's dense products, run from the
     same rng: same case, gamma and projected S up to rounding."""
     d, delta, q = 40, 0.25, 0.05
-    structured = FeasibleSetParams(mu=0.1, l1=1.0, structure=structure)
-    dense = FeasibleSetParams(mu=0.1, l1=1.0, structure=General())
     draws = np.random.default_rng(15)
     cases = set()
     for seed in range(30):
@@ -317,8 +312,8 @@ def test_structured_oracle_agrees_with_the_dense_formulas(structure):
         gamma_true = max(np.max(np.abs(np.linalg.eigvalsh(0.5 * (w + w.T)))),
                          np.linalg.svd(w, compute_uv=False)[0] / 3.0)
         w *= draws.uniform(0.5, 2.0) / gamma_true
-        got = _sep(w, delta, q, structured, np.random.default_rng(seed))
-        want = _sep(w, delta, q, dense, np.random.default_rng(seed))
+        got = _sep(w, delta, q, structure, np.random.default_rng(seed))
+        want = _sep(w, delta, q, General(), np.random.default_rng(seed))
         assert got.case is want.case
         assert got.gamma == pytest.approx(want.gamma, rel=1e-12)
         if want.case is SepCase.CASE_II:
@@ -364,11 +359,10 @@ def test_frobenius_certificate_skips_lanczos_and_keeps_the_rng_stream(structure,
     the direct calls leave it, and a Case II result is bitwise theirs.  The
     result carries the matvecs of the oracles that ran, summed."""
     delta, q = 0.25, 0.05
-    params = FeasibleSetParams(mu=0.1, l1=1.0, structure=structure)
     for seed in range(4):
         w = _with_frobenius_norm(structure, fro, seed)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _sep(w, delta, q, params, rng)
+        got = _sep(w, delta, q, structure, rng)
         want, want_matvecs = _lanczos_oracle(w, delta, q, structure, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert got.case is want.case
@@ -401,7 +395,6 @@ def test_frobenius_certificate_agrees_with_lanczos(seed, which, fro):
 
 
 def test_frobenius_certificate_still_checks_delta_and_q():
-    params = FeasibleSetParams(mu=0.1, l1=1.0, structure=General())
     for delta, q in ((0.0, 0.1), (0.25, 1.0), (0.25, 0.0)):
         with pytest.raises(ValueError):
-            _sep(np.zeros((4, 4)), delta, q, params, np.random.default_rng(0))
+            _sep(np.zeros((4, 4)), delta, q, General(), np.random.default_rng(0))
