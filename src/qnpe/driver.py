@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .learner import LearnerParams, LossObservation, current_matrix, learner_init, observe_loss
-from .line_search import backtrack, default_max_backtracks
+from .line_search import LineSearchError, backtrack, default_max_backtracks
 from .problems import Problem, Symmetric, require
 from .trace import RunTrace, TraceRow
 
@@ -89,8 +89,13 @@ def check_extragradient(problem: Problem, step_size: float, n_iters: int) -> Non
     require("n_iters", n_iters, lambda x: x >= 1, ">= 1", integer=True)
 
 
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm's own formula for a 1-D float vector, without its wrapper."""
+    return math.sqrt(x.dot(x))
+
+
 def _dist(z: np.ndarray, root: np.ndarray | None) -> float:
-    return float(np.linalg.norm(z - root)) if root is not None else math.nan
+    return _norm(z - root) if root is not None else math.nan
 
 
 def _finish_trace(
@@ -101,14 +106,19 @@ def _finish_trace(
     eta_sum: float,
     cum_evals: int,
     matvecs: int,
+    g: np.ndarray | None = None,
 ) -> np.ndarray | None:
-    """Record the end of a run (one final evaluation at z); returns z_bar."""
+    """Record the end of a run; returns z_bar.  g is F(z) if the caller has
+    already evaluated and counted it, else F(z) is evaluated and counted here."""
+    if g is None:
+        g = problem.eval(z)
+        cum_evals += 1
     trace.z_final = z
     trace.z_bar = zbar_acc / eta_sum if eta_sum > 0 else None
     trace.eta_sum = eta_sum
-    trace.final_norm_F = float(np.linalg.norm(problem.eval(z)))
+    trace.final_norm_F = _norm(g)
     trace.final_dist = _dist(z, problem.known_root)
-    trace.total_evals = cum_evals + 1
+    trace.total_evals = cum_evals
     trace.total_matvecs = matvecs
     return trace.z_bar
 
@@ -151,17 +161,20 @@ def solve(
         },
     )
 
+    floor = config.step_size_floor(l1)
     sigma = sigma0
     cum_evals = 0
     cum_matvecs = 0  # B-products of the inner solves plus W-products of the oracles
     eta_sum = 0.0
     zbar_acc = np.zeros(d)
+    g_stop = None  # F(z) when the loop stops on the tolerance
 
     for k in range(config.max_iterations):
         g = problem.eval(z)
         cum_evals += 1
-        norm_g = float(np.linalg.norm(g))
+        norm_g = _norm(g)
         if norm_g <= config.stop_tolerance:
+            g_stop = g
             break
 
         b_mv, b_mv_t = current_matrix(state, lparams)
@@ -178,17 +191,20 @@ def solve(
         cum_matvecs += out.matvecs
 
         eta = out.eta
+        if eta < floor - 1e-12:  # the step-size-floor certificate's own threshold
+            raise LineSearchError(f"accepted eta={eta:.3e} at iteration {k} is below the "
+                                  f"step-size floor {floor:.3e}; check F's values and L1")
         theta = 1.0 / (1.0 + 2.0 * eta * mu)
         z_next = theta * (z - eta * out.f_zhat) + (1.0 - theta) * out.z_hat
         eta_sum += eta
         zbar_acc += eta * out.z_hat
 
         s = out.z_hat - z
-        step_norm = float(np.linalg.norm(s))
+        step_norm = _norm(s)
         sq = math.sqrt(1.0 + eta * mu)
-        cond_a_lhs = float(np.linalg.norm(s + eta * (g + b_mv(s))))
+        cond_a_lhs = _norm(s + eta * (g + b_mv(s)))
         cond_a_margin = config.alpha1 * sq * step_norm - cond_a_lhs
-        cond_b_lhs = float(np.linalg.norm(s + eta * out.f_zhat))
+        cond_b_lhs = _norm(s + eta * out.f_zhat)
         cond_b_margin = (config.alpha1 + config.alpha2) * sq * step_norm - cond_b_lhs
 
         loss = math.nan
@@ -219,7 +235,7 @@ def solve(
         sigma = eta / config.beta
         z = z_next
 
-    z_bar = _finish_trace(trace, problem, z, zbar_acc, eta_sum, cum_evals, cum_matvecs)
+    z_bar = _finish_trace(trace, problem, z, zbar_acc, eta_sum, cum_evals, cum_matvecs, g_stop)
     return z, (z_bar if config.mode is Mode.MONOTONE else None), trace
 
 
@@ -251,9 +267,9 @@ def extragradient_baseline(
                 k=k,
                 eta=step_size,
                 theta=1.0,
-                norm_F=float(np.linalg.norm(g)),
+                norm_F=_norm(g),
                 dist=_dist(z, problem.known_root),
-                step_norm=float(np.linalg.norm(z_hat - z)),
+                step_norm=_norm(z_hat - z),
                 backtracked=False,
                 trials=2,
                 loss=math.nan,

@@ -98,8 +98,9 @@ def backtrack(
         s = report.solution
         z_hat = z + s
         f_zhat = f_eval(z_hat)
-        lhs = np.linalg.norm(s + eta * f_zhat)
-        rhs = (alpha1 + alpha2) * math.sqrt(1.0 + eta * mu) * np.linalg.norm(s)
+        resid = s + eta * f_zhat
+        lhs = math.sqrt(resid.dot(resid))
+        rhs = (alpha1 + alpha2) * math.sqrt(1.0 + eta * mu) * math.sqrt(s.dot(s))
         if lhs <= rhs:
             return LineSearchOutcome(
                 eta=eta,

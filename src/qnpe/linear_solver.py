@@ -10,6 +10,7 @@ matrix-vector product is needed per iteration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,14 +51,8 @@ class SolveReport:
     solution: np.ndarray
     residual_norm: float
     iterations: int
-    matvecs: int  # 1 + iterations * (1 if symmetric else 2), 0 when b = 0
+    matvecs: int  # iterations * (1 if symmetric else 2), so 0 when b = 0
     converged: bool
-
-
-def _check_finite(*vectors: np.ndarray) -> None:
-    for v in vectors:
-        if not np.all(np.isfinite(v)):
-            raise NumericalBreakdownError("non-finite value in Krylov recurrence")
 
 
 def linear_solve(
@@ -67,9 +62,9 @@ def linear_solve(
 
     The caller is expected to provide a well-posed system (in QNPE usage
     sym(A) >= I).  b = 0 short-circuits to s = 0.  Exhausting max_iters
-    (default 20*d) returns converged=False with the best iterate; a breakdown
-    of the recurrence is accepted as convergence only if the residual test
-    already holds.
+    (default 20*d) returns converged=False.  No product is made after the last
+    residual test.  NaN/Inf is caught in the dot products gamma, q.q, s.s and
+    r.r, so a squared norm that overflows also counts as a breakdown.
     """
     if rho_tol <= 0:
         raise ValueError("rho_tol must be positive")
@@ -81,54 +76,41 @@ def linear_solve(
     if not np.any(b):
         return SolveReport(np.zeros(d), 0.0, 0, 0, True)
 
-    per_iter = 1 if op.symmetric else 2  # CR: A v; CGLS: A p and A^T r
+    per_iter = 1 if op.symmetric else 2  # CR: A r; CGLS: A^T r and A p
     s = np.zeros(d)
     r = b.copy()
-    if op.symmetric:
-        v = op.apply(r)
-        p = r.copy()
-        q = v.copy()
-        gamma = float(v @ p)
-    else:
-        v = op.apply_transpose(r)
-        p = v.copy()
-        gamma = float(v @ p)
-
+    res_norm = math.sqrt(r.dot(r))
     tiny = np.finfo(float).tiny
-    for k in range(max_iters):
-        res_norm = float(np.linalg.norm(r))
-        if res_norm <= rho_tol * np.linalg.norm(s):
-            return SolveReport(s, res_norm, k, 1 + per_iter * k, True)
-
-        if op.symmetric:
-            qk = q
-        else:
-            qk = op.apply(p)
-        qq = float(qk @ qk)
-        if not np.isfinite(qq) or not np.isfinite(gamma):
-            raise NumericalBreakdownError("non-finite curvature in linear solve")
-        if qq <= tiny or abs(gamma) <= tiny:
-            # Krylov space exhausted; only acceptable if already converged.
-            raise NumericalBreakdownError(
-                "Krylov breakdown before reaching the residual tolerance"
-            )
-        alpha = gamma / qq
-        s = s + alpha * p
-        r = r - alpha * qk
+    for k in range(1, max_iters + 1):
+        # the next search direction p, and q = A p, from the current residual
         if op.symmetric:
             v = op.apply(r)
             gamma_next = float(v @ r)
-            beta = gamma_next / gamma
-            p = r + beta * p
-            q = v + beta * q
+            if k == 1:
+                p, q = r, v
+            else:
+                beta = gamma_next / gamma
+                p = r + beta * p
+                q = v + beta * q
         else:
             v = op.apply_transpose(r)
             gamma_next = float(v @ v)
-            beta = gamma_next / gamma
-            p = v + beta * p
+            p = v if k == 1 else v + (gamma_next / gamma) * p
+            q = op.apply(p)
         gamma = gamma_next
-        _check_finite(s, r, p)
+        qq = float(q @ q)
+        if not (math.isfinite(qq) and math.isfinite(gamma)):
+            raise NumericalBreakdownError("non-finite curvature in linear solve")
+        if qq <= tiny or abs(gamma) <= tiny:  # Krylov space exhausted
+            raise NumericalBreakdownError("Krylov breakdown before reaching the residual tolerance")
+        alpha = gamma / qq
+        s = s + alpha * p
+        r = r - alpha * q
+        ss, rr = float(s @ s), float(r @ r)
+        if not (math.isfinite(ss) and math.isfinite(rr)):
+            raise NumericalBreakdownError("non-finite or overflowing iterate in linear solve")
+        res_norm = math.sqrt(rr)
+        if res_norm <= rho_tol * math.sqrt(ss):
+            return SolveReport(s, res_norm, k, per_iter * k, True)
 
-    res_norm = float(np.linalg.norm(r))
-    converged = res_norm <= rho_tol * np.linalg.norm(s)
-    return SolveReport(s, res_norm, max_iters, 1 + per_iter * max_iters, converged)
+    return SolveReport(s, res_norm, max_iters, per_iter * max_iters, False)

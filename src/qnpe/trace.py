@@ -51,7 +51,7 @@ class RunTrace:
     eta_sum: float = 0.0
     final_norm_F: float = math.nan
     final_dist: float = math.nan
-    total_evals: int = 0  # includes the final stopping-check evaluation
+    total_evals: int = 0  # every F evaluation, so the last row's cum_evals + 1 (1 with no rows)
     total_matvecs: int = 0
     meta: dict = field(default_factory=dict)
 

@@ -109,6 +109,27 @@ def test_trace_bookkeeping_consistency():
     assert [r.cum_evals for r in rows] == list(expected)
 
 
+@pytest.mark.parametrize("start, max_iterations, stop_tolerance",
+                         [(1.0, 200, 1e-6), (1.0, 3, 1e-10), (0.0, 200, 1e-10)],
+                         ids=["stop-tolerance", "max-iterations", "at-root"])
+def test_no_operator_evaluation_is_repeated(start, max_iterations, stop_tolerance):
+    """Every call of F is counted once in total_evals, which is the last row's
+    count plus the one evaluation at the final point (1 with no rows)."""
+    p = make_quadratic_min(10, 0.1, 1.0, seed=5)
+    calls = [0]
+
+    def f(z):
+        calls[0] += 1
+        return p.eval(z)
+
+    config = sm_config(max_iterations=max_iterations, stop_tolerance=stop_tolerance)
+    _, _, trace = solve(dataclasses.replace(p, eval=f), config, z0=p.known_root + start)
+    rows = trace.rows
+    assert (trace.final_norm_F <= config.stop_tolerance) == (len(rows) < max_iterations)
+    assert (len(rows) == 0) == (start == 0.0)
+    assert calls[0] == trace.total_evals
+    assert trace.total_evals == (rows[-1].cum_evals + 1 if rows else 1)
+
 def test_default_b0_forms_no_dense_array():
     """The default b0 has W_0 = 0, and the factored learner stores W as its
     factors: the solve's traced peak stays below one d x d array."""

@@ -65,7 +65,7 @@ def test_non_finite_accepted_trial_is_rejected(bad):
     # F is poisoned at the trial that a clean run accepts: that trial is
     # rejected, the next one is accepted, and the poisoned trial yields no loss
     # observation.  Iteration 0 starts at sigma0 = the step-size floor, so one
-    # more backtrack there takes eta below the floor, and the report says so.
+    # more backtrack there takes eta below the floor, which is a typed error.
     p, mode = FAMILIES["quadratic"]
     problem = p()
     config = SolverConfig(mode=mode, max_iterations=60)
@@ -73,18 +73,23 @@ def test_non_finite_accepted_trial_is_rejected(bad):
     assert not failing
     floor = config.step_size_floor(problem.l1)
     above = next(r for r in clean.rows if r.eta * config.beta >= floor)
-    for row, expected in ((clean.rows[0], ["step-size-floor"]), (above, [])):
+
+    def poisoned_at(row):
         calls = [0]
 
         def f(z):
             calls[0] += 1
             return np.full_like(z, bad) if calls[0] == row.cum_evals else problem.eval(z)
 
-        trace, failing = _certified_run(dataclasses.replace(problem, eval=f), mode)
-        poisoned = trace.rows[row.k]
-        assert poisoned.backtracked and poisoned.trials == row.trials + 1
-        assert math.isnan(poisoned.loss)
-        assert failing == expected
+        return dataclasses.replace(problem, eval=f)
+
+    with pytest.raises(LineSearchError, match="iteration 0 is below the step-size floor"):
+        _certified_run(poisoned_at(clean.rows[0]), mode)
+    trace, failing = _certified_run(poisoned_at(above), mode)
+    poisoned = trace.rows[above.k]
+    assert poisoned.backtracked and poisoned.trials == above.trials + 1
+    assert math.isnan(poisoned.loss)
+    assert not failing
 
 
 @pytest.mark.parametrize("family, factor", [("quadratic", 0.1), ("quadratic", 0.5),

@@ -1,10 +1,12 @@
 """Inexact Krylov solver: termination contract, matvec accounting, and the
 iterate/residual monotonicity properties of both recurrences."""
 
+import math
+
 import numpy as np
 import pytest
 
-from qnpe import LinearOp, linear_solve
+from qnpe import LinearOp, NumericalBreakdownError, linear_solve
 
 
 def random_wellposed(d, rng, symmetric=False):
@@ -72,8 +74,9 @@ def counted(op):
 @pytest.mark.parametrize("symmetric,per_iter", [(False, 2), (True, 1)])
 def test_matvec_accounting(symmetric, per_iter):
     """The reported matvecs are the operator calls the solver made, counted
-    outside it, and follow the rule 1 + iterations * (1 or 2), whether the
-    solve converges or hits its cap; b = 0 makes none."""
+    outside it, and follow the rule iterations * (1 or 2), whether the solve
+    converges or hits its cap: no product is made after the last residual
+    test.  b = 0 makes none."""
     rng = np.random.default_rng(21)
     a = random_wellposed(15, rng, symmetric=symmetric)
     b = rng.standard_normal(15)
@@ -81,7 +84,8 @@ def test_matvec_accounting(symmetric, per_iter):
         op, calls = counted(LinearOp.from_matrix(a, symmetric=symmetric))
         rep = linear_solve(op, b_k, rho_tol=rho_tol, max_iters=max_iters)
         assert rep.converged == (max_iters is None)
-        assert rep.matvecs == len(calls) == (per_iter * rep.iterations + 1 if b_k.any() else 0)
+        assert rep.matvecs == len(calls) == per_iter * rep.iterations
+        assert (rep.iterations == 0) == (not b_k.any())
 
 
 def test_cr_residual_nonincreasing_on_spd():
@@ -121,3 +125,32 @@ def test_rejects_nonpositive_tolerance():
     op = LinearOp.from_matrix(np.eye(2))
     with pytest.raises(ValueError):
         linear_solve(op, np.ones(2), rho_tol=0.0)
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["cr", "cgls"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("poisoned_call", [1, 2, 3])
+def test_non_finite_operator_value_is_a_breakdown(symmetric, bad, poisoned_call):
+    """A NaN or Inf in any of the first three operator products, on a system
+    that needs more than three of them, raises NumericalBreakdownError."""
+    rng = np.random.default_rng(25)
+    a = random_wellposed(12, rng, symmetric=symmetric)
+    b = rng.standard_normal(12)
+    calls = [0]
+
+    def poison(fn):
+        def apply(v):
+            calls[0] += 1
+            out = fn(v)
+            if calls[0] == poisoned_call:
+                out[0] = bad
+            return out
+
+        return apply
+
+    op = LinearOp.from_matrix(a, symmetric=symmetric)
+    op = LinearOp(op.dim, poison(op.apply), poison(op.apply_transpose), symmetric)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NumericalBreakdownError):
+            linear_solve(op, b, rho_tol=1e-10)
+    assert calls[0] >= poisoned_call
