@@ -178,11 +178,8 @@ def solve(
             break
 
         b_mv, b_mv_t = current_matrix(state, lparams)
-        max_backtracks = (
-            config.max_backtracks
-            if config.max_backtracks is not None
-            else default_max_backtracks(sigma, l1, config.alpha2, config.beta)
-        )
+        max_backtracks = config.max_backtracks or default_max_backtracks(  # None: the default
+            sigma, l1, config.alpha2, config.beta)
         out = backtrack(
             z, g, b_mv, b_mv_t, sigma, problem.eval, alpha1=config.alpha1, alpha2=config.alpha2,
             beta=config.beta, mu=mu, max_backtracks=max_backtracks, b_symmetric=sym_structure,
@@ -202,7 +199,7 @@ def solve(
         s = out.z_hat - z
         step_norm = _norm(s)
         sq = math.sqrt(1.0 + eta * mu)
-        cond_a_lhs = _norm(s + eta * (g + b_mv(s)))
+        cond_a_lhs = _norm(s + eta * (g + (b_mv(s) if out.b_s is None else out.b_s)))
         cond_a_margin = config.alpha1 * sq * step_norm - cond_a_lhs
         cond_b_lhs = _norm(s + eta * out.f_zhat)
         cond_b_margin = (config.alpha1 + config.alpha2) * sq * step_norm - cond_b_lhs
@@ -210,7 +207,7 @@ def solve(
         loss = math.nan
         if out.z_tilde is not None:
             obs = LossObservation(u=out.f_ztilde - g, s=out.z_tilde - z)
-            resid = obs.u - b_mv(obs.s)  # shared with the learner
+            resid = obs.u - (b_mv(obs.s) if out.b_s_tilde is None else out.b_s_tilde)
             loss = float(resid @ resid) / float(obs.s @ obs.s)
             observe_loss(state, obs, lparams, resid=resid)
             cum_matvecs += state.last_sep.matvecs

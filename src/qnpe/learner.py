@@ -68,7 +68,7 @@ class LossObservation:
     s: np.ndarray  # z_tilde - z, nonzero
 
     def __post_init__(self) -> None:
-        if not np.linalg.norm(self.s) > 0:
+        if not math.sqrt(self.s.dot(self.s)) > 0:
             raise ValueError("observation direction s must be nonzero")
 
 

@@ -8,7 +8,9 @@ Condition (A) is met by driving the inner Krylov solve of
 (I + eta B) s = -eta g to relative residual alpha1 sqrt(1 + eta mu); the trial
 step is accepted once (B) holds, otherwise eta is multiplied by beta and the
 rejected iterate is retained (it feeds the learner's loss observation) unless
-its operator value is non-finite.
+its operator value is non-finite.  For a symmetric B, K_k(I + eta B, g) =
+K_k(B, g) for every eta, so all trials share one Krylov basis, extended only
+when a trial's test needs more vectors; it also gives B s with no product.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linear_solver import LinearOp, linear_solve
+from .linear_solver import KrylovBasis, LinearOp, ShiftedOp, linear_solve
 
 
 EXACT_SOLVE_TOL = 1e-12  # practical meaning of alpha1 = 0
@@ -47,22 +49,15 @@ class LineSearchOutcome:
     f_zhat: np.ndarray
     f_ztilde: np.ndarray | None
     matvecs: int  # B-products of the inner solves, summed over the trials
+    b_s: np.ndarray | None = None  # B (z_hat - z), from a symmetric B's Krylov basis
+    b_s_tilde: np.ndarray | None = None  # B (z_tilde - z) likewise; None for other B
 
 
 def backtrack(
-    z: np.ndarray,
-    g: np.ndarray,
-    b_apply: Callable[[np.ndarray], np.ndarray],
-    b_apply_t: Callable[[np.ndarray], np.ndarray],
-    sigma: float,
-    f_eval: Callable[[np.ndarray], np.ndarray],
-    *,
-    alpha1: float,
-    alpha2: float,
-    beta: float,
-    mu: float,
-    max_backtracks: int,
-    b_symmetric: bool = False,
+    z: np.ndarray, g: np.ndarray, b_apply: Callable[[np.ndarray], np.ndarray],
+    b_apply_t: Callable[[np.ndarray], np.ndarray], sigma: float,
+    f_eval: Callable[[np.ndarray], np.ndarray], *, alpha1: float, alpha2: float, beta: float,
+    mu: float, max_backtracks: int, b_symmetric: bool = False,
 ) -> LineSearchOutcome:
     """Try step sizes sigma * beta^i, at most max_backtracks of them, until
     (B) holds; one fresh operator evaluation per trial.  g = F(z) is supplied
@@ -73,28 +68,20 @@ def backtrack(
     if not np.all(np.isfinite(g)):
         raise LineSearchError("non-finite operator value at the base point")
 
-    d = len(z)
-    matvecs = 0
-    eta = sigma
-    z_tilde: np.ndarray | None = None
-    f_ztilde: np.ndarray | None = None
+    matvecs, eta = 0, sigma
+    z_tilde = f_ztilde = y_tilde = None
+    basis = KrylovBasis(b_apply, g) if b_symmetric and g.any() else None
+    image = lambda y: None if basis is None or y is None else basis.image(y)
     for trial in range(1, max_backtracks + 1):
-        rho_tol = alpha1 * math.sqrt(1.0 + eta * mu)
-        if rho_tol == 0.0:
-            rho_tol = EXACT_SOLVE_TOL
-        op = LinearOp(
-            dim=d,
-            apply=lambda v, e=eta: v + e * b_apply(v),
-            apply_transpose=lambda v, e=eta: v + e * b_apply_t(v),
-            symmetric=b_symmetric,
-        )
+        rho_tol = alpha1 * math.sqrt(1.0 + eta * mu) or EXACT_SOLVE_TOL
+        op = ShiftedOp(basis, eta) if basis is not None else LinearOp(
+            len(z), lambda v, e=eta: v + e * b_apply(v), lambda v, e=eta: v + e * b_apply_t(v),
+            b_symmetric)
         report = linear_solve(op, -eta * g, rho_tol)
         matvecs += report.matvecs
         if not report.converged:
-            raise LineSearchError(
-                f"inner linear solve did not reach tolerance at eta={eta:.3e} "
-                f"(residual {report.residual_norm:.3e})"
-            )
+            raise LineSearchError(f"inner linear solve did not reach tolerance at eta={eta:.3e} "
+                                  f"(residual {report.residual_norm:.3e})")
         s = report.solution
         z_hat = z + s
         f_zhat = f_eval(z_hat)
@@ -103,19 +90,14 @@ def backtrack(
         rhs = (alpha1 + alpha2) * math.sqrt(1.0 + eta * mu) * math.sqrt(s.dot(s))
         if lhs <= rhs:
             return LineSearchOutcome(
-                eta=eta,
-                z_hat=z_hat,
-                backtracked=trial > 1,
-                z_tilde=z_tilde,
-                trial_count=trial,
-                f_zhat=f_zhat,
-                f_ztilde=f_ztilde,
-                matvecs=matvecs,
+                eta=eta, z_hat=z_hat, backtracked=trial > 1, z_tilde=z_tilde,
+                trial_count=trial, f_zhat=f_zhat, f_ztilde=f_ztilde, matvecs=matvecs,
+                b_s=image(report.coords), b_s_tilde=image(y_tilde),
             )
         # a non-finite trial is rejected but yields no loss observation, and
         # so no backtracking lower bound on the accepted step size
         finite = np.all(np.isfinite(f_zhat))
-        z_tilde, f_ztilde = (z_hat, f_zhat) if finite else (None, None)
+        z_tilde, f_ztilde, y_tilde = (z_hat, f_zhat, report.coords) if finite else [None] * 3
         eta *= beta
 
     raise LineSearchError(

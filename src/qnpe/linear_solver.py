@@ -1,18 +1,20 @@
-"""Matrix-free inexact linear solver: CGLS for non-symmetric systems,
-conjugate residual for symmetric ones.
+"""Matrix-free inexact linear solver: minimal residual on an Arnoldi basis for
+symmetric systems, CGLS for non-symmetric ones.
 
-Both methods start from s0 = 0 and return the first iterate satisfying the
-relative termination test ||A s - b|| <= rho * ||s||.  CGLS is analytically
-equivalent to conjugate gradient on the normal equations A^T A s = A^T b; the
-conjugate residual recurrence reuses q_{k+1} = v_{k+1} + beta_k q_k so only one
-matrix-vector product is needed per iteration.
+Both start from s0 = 0 and return the first iterate with ||A s - b|| <= rho ||s||.
+On a symmetric A that is the minimal-residual (MINRES, i.e. conjugate residual)
+iterate, whose norm grows monotonically with k when A is positive definite
+(Fong & Saunders 2012), as acceptance criterion 07 checks.  Shift invariance,
+K_k(I + eta B, g) = K_k(B, g) for every eta, lets one basis serve every step
+size of a line search (Jegerlehner 1996).  CGLS, CG on A^T A s = A^T b, is not
+shift-invariant: each of its solves starts afresh.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,57 +53,126 @@ class SolveReport:
     solution: np.ndarray
     residual_norm: float
     iterations: int
-    matvecs: int  # iterations * (1 if symmetric else 2), so 0 when b = 0
+    matvecs: int  # operator products this call made: 2 per CGLS step, 1 per basis vector added
     converged: bool
+    coords: list[float] | None = None  # y with solution = y^T V_k on a KrylovBasis
+
+
+class KrylovBasis:
+    """Orthonormal rows V spanning K_k(B, b) and Arnoldi's (k+1) x k Hessenberg
+    Hbar_k, B V_k = V_{k+1} Hbar_k, to rounding even for a B symmetric only to
+    rounding.  An h_{k+1,k} below invariant_tol sqrt(d) ||B v_k|| (an inner
+    product's rounding) means K_k(B, b) is invariant: it is stored as 0, with a
+    zero row v_{k+1}, as after d rows."""
+
+    invariant_tol = 32 * np.finfo(float).eps
+
+    def __init__(self, apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray) -> None:
+        self.apply, self.cols = apply, []  # column j holds h_{1..j+2, j+1}
+        self.rows = np.zeros((min(4, len(b) + 1), len(b)))
+        self.rows[0] = b / math.sqrt(b.dot(b))
+
+    def extend(self) -> None:
+        k, d = len(self.cols), self.rows.shape[1]
+        v = self.rows[: k + 1]
+        w, h = self.apply(v[k]), np.zeros(k + 1)
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            c = v @ w
+            w, h = w - c @ v, h + c
+        hh, ww = float(h @ h), float(w @ w)
+        if not math.isfinite(hh + ww):
+            raise NumericalBreakdownError("non-finite Arnoldi coefficient in linear solve")
+        invariant = ww <= d * self.invariant_tol**2 * (hh + ww) or k + 1 == d
+        self.cols.append(h.tolist() + [0.0 if invariant else math.sqrt(ww)])
+        if k + 2 > len(self.rows):
+            self.rows = np.vstack((self.rows, np.zeros_like(self.rows)))[: d + 1]
+        if not invariant:
+            self.rows[k + 1] = w / math.sqrt(ww)
+
+    def solve(self, shift: float, scale: float, b: np.ndarray, rho_tol: float,
+              max_iters: int) -> SolveReport:
+        """Minimal-residual solve of (shift I + scale B) s = b, b parallel to v_1:
+        the first k whose y minimizing ||(v_1 . b) e1 - (shift Ibar + scale Hbar_k) y||
+        (by Givens rotations) has residual <= rho_tol ||y||.  Only a k past the
+        basis's size extends it, by one product."""
+        added, k, y, converged, rotations, r_cols = 0, 0, [], False, [], []
+        rhs = [float(self.rows[0] @ b)]  # (v_1 . b) e1, rotated; its last entry is the residual
+        while k < max_iters and not converged:
+            k += 1
+            if k > len(self.cols):
+                self.extend()
+                added += 1
+            col = [scale * h for h in self.cols[k - 1]]
+            col[k - 1] += shift
+            for i, (cs, sn) in enumerate(rotations):
+                col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
+            diag = math.hypot(col[k - 1], col[k])
+            if not diag > 0.0:
+                raise NumericalBreakdownError("singular projected system in linear solve")
+            cs, sn = col[k - 1] / diag, col[k] / diag
+            rotations.append((cs, sn))
+            r_cols.append(col[: k - 1] + [diag])
+            rhs[-1:] = [cs * rhs[-1], -sn * rhs[-1]]
+            y = rhs[:k]
+            for i in range(k - 1, -1, -1):  # back substitution, by columns of R
+                y[i] /= r_cols[i][i]
+                for j in range(i):
+                    y[j] -= r_cols[i][j] * y[i]
+            y_norm = math.hypot(*y)
+            if not math.isfinite(y_norm):
+                raise NumericalBreakdownError("non-finite iterate in linear solve")
+            converged = abs(rhs[-1]) <= rho_tol * y_norm
+        return SolveReport(np.array(y) @ self.rows[:k], abs(rhs[-1]), k, added, converged, y)
+
+    def image(self, y: list[float]) -> np.ndarray:
+        """B s for s = y^T V_k, as (Hbar_k y)^T V_{k+1}: no product with B."""
+        hy = [0.0] * (len(y) + 1)
+        for yj, col in zip(y, self.cols):
+            for i, h in enumerate(col):
+                hy[i] += h * yj
+        return np.array(hy) @ self.rows[: len(hy)]
+
+
+class ShiftedOp(NamedTuple):  # I + eta B, on a basis of K(B, g) that every eta shares
+    basis: KrylovBasis
+    eta: float
 
 
 def linear_solve(
-    op: LinearOp, b: np.ndarray, rho_tol: float, max_iters: int | None = None
+    op: LinearOp | ShiftedOp, b: np.ndarray, rho_tol: float, max_iters: int | None = None
 ) -> SolveReport:
     """Solve A s = b inexactly: return the first s_k with ||r_k|| <= rho_tol * ||s_k||.
 
     The caller is expected to provide a well-posed system (in QNPE usage
     sym(A) >= I).  b = 0 short-circuits to s = 0.  Exhausting max_iters
     (default 20*d) returns converged=False.  No product is made after the last
-    residual test.  NaN/Inf is caught in the dot products gamma, q.q, s.s and
-    r.r, so a squared norm that overflows also counts as a breakdown.
-    """
+    residual test.  NaN/Inf is caught in each step's dot products, so a
+    squared norm that overflows also counts as a breakdown."""
     if rho_tol <= 0:
         raise ValueError("rho_tol must be positive")
-    d = op.dim
     b = np.asarray(b, dtype=float)
-    if max_iters is None:
-        max_iters = 20 * d
-
-    if not np.any(b):
+    d = len(b)
+    max_iters = 20 * d if max_iters is None else max_iters
+    if not b.any():
         return SolveReport(np.zeros(d), 0.0, 0, 0, True)
+    if isinstance(op, ShiftedOp):
+        return op.basis.solve(1.0, op.eta, b, rho_tol, max_iters)
+    if op.symmetric:
+        return KrylovBasis(op.apply, b).solve(0.0, 1.0, b, rho_tol, max_iters)
 
-    per_iter = 1 if op.symmetric else 2  # CR: A r; CGLS: A^T r and A p
-    s = np.zeros(d)
-    r = b.copy()
+    s, r, tiny = np.zeros(d), b.copy(), np.finfo(float).tiny
     res_norm = math.sqrt(r.dot(r))
-    tiny = np.finfo(float).tiny
     for k in range(1, max_iters + 1):
         # the next search direction p, and q = A p, from the current residual
-        if op.symmetric:
-            v = op.apply(r)
-            gamma_next = float(v @ r)
-            if k == 1:
-                p, q = r, v
-            else:
-                beta = gamma_next / gamma
-                p = r + beta * p
-                q = v + beta * q
-        else:
-            v = op.apply_transpose(r)
-            gamma_next = float(v @ v)
-            p = v if k == 1 else v + (gamma_next / gamma) * p
-            q = op.apply(p)
+        v = op.apply_transpose(r)
+        gamma_next = float(v @ v)
+        p = v if k == 1 else v + (gamma_next / gamma) * p
+        q = op.apply(p)
         gamma = gamma_next
         qq = float(q @ q)
         if not (math.isfinite(qq) and math.isfinite(gamma)):
             raise NumericalBreakdownError("non-finite curvature in linear solve")
-        if qq <= tiny or abs(gamma) <= tiny:  # Krylov space exhausted
+        if qq <= tiny or gamma <= tiny:  # Krylov space exhausted
             raise NumericalBreakdownError("Krylov breakdown before reaching the residual tolerance")
         alpha = gamma / qq
         s = s + alpha * p
@@ -111,6 +182,6 @@ def linear_solve(
             raise NumericalBreakdownError("non-finite or overflowing iterate in linear solve")
         res_norm = math.sqrt(rr)
         if res_norm <= rho_tol * math.sqrt(ss):
-            return SolveReport(s, res_norm, k, per_iter * k, True)
+            return SolveReport(s, res_norm, k, 2 * k, True)
 
-    return SolveReport(s, res_norm, max_iters, per_iter * max_iters, False)
+    return SolveReport(s, res_norm, max_iters, 2 * max_iters, False)

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from qnpe import LineSearchError, SolverConfig, make_quadratic_min
+import qnpe.line_search
+from qnpe import LinearOp, LineSearchError, SolverConfig, linear_solve, make_quadratic_min
 from qnpe.line_search import backtrack, default_max_backtracks
 
 
@@ -108,6 +109,78 @@ def test_matvecs_are_the_counted_b_products(b_symmetric):
     assert out.backtracked and out.trial_count == len(solves) > 1
     assert out.matvecs == calls["b"] + calls["b_t"] > 0
     assert (calls["b_t"] == 0) is b_symmetric
+
+
+def recorded_solves(monkeypatch):
+    """The SolveReports of backtrack's inner solves, in trial order."""
+    reports = []
+
+    def record(*args, **kwargs):
+        reports.append(linear_solve(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(qnpe.line_search, "linear_solve", record)
+    return reports
+
+
+def test_shared_basis_changes_only_the_cost(monkeypatch):
+    """On a symmetric B every trial solves its shift from one Krylov basis:
+    each trial's step is the standalone solve of (I + eta B) s = -eta g, the
+    B-products are the largest trial's iterations, and the B s vectors the
+    basis returns are B times the accepted and the last rejected step."""
+    rng = np.random.default_rng(11)
+    d, mu = 12, 0.1
+    q = rng.standard_normal((d, d))
+    b = 0.5 * (q + q.T) / np.sqrt(d) + 1.5 * np.eye(d)
+    f = affine_eval(b + 6.0 * np.eye(d), rng.standard_normal(d))
+    z = rng.standard_normal(d)
+    calls, trials = [0], []
+    reports = recorded_solves(monkeypatch)
+
+    def b_apply(v):
+        calls[0] += 1
+        return b @ v
+
+    out = backtrack(z, f(z), b_apply, b_apply, sigma=16.0, **params(mu=mu),
+                    f_eval=lambda x: trials.append(x) or f(x), b_symmetric=True)
+    assert out.trial_count == len(trials) == len(reports) >= 3
+    for t, z_hat in enumerate(trials):
+        eta = 16.0 * 0.5**t
+        op = LinearOp.from_matrix(np.eye(d) + eta * b, symmetric=True)
+        alone = linear_solve(op, -eta * f(z), 0.25 * math.sqrt(1.0 + eta * mu)).solution
+        assert np.linalg.norm((z_hat - z) - alone) <= 1e-12 * np.linalg.norm(alone)
+    assert calls[0] == out.matvecs == max(r.iterations for r in reports) > 0
+    for b_s, z_end in ((out.b_s, out.z_hat), (out.b_s_tilde, out.z_tilde)):
+        fresh = b @ (z_end - z)
+        assert np.linalg.norm(b_s - fresh) <= 1e-12 * np.linalg.norm(fresh)
+
+
+@pytest.mark.parametrize("rank", [0, 1])
+def test_invariant_subspace_ends_the_solve_exactly(monkeypatch, rank):
+    """B = c I, or c I plus a rank-1 term: K(B, g) has dimension rank + 1, so
+    every solve stops there, with the exact-solve tolerance or one no
+    residual can meet, and the whole line search makes at most 2 products."""
+    rng = np.random.default_rng(12)
+    d = 9
+    u = rng.standard_normal((d, 1))
+    b = 0.7 * np.eye(d) + rank * (u @ u.T)
+    f = affine_eval(10.0 * np.eye(d) + b, np.zeros(d))
+    z = rng.standard_normal(d)
+    calls = [0]
+    reports = recorded_solves(monkeypatch)
+
+    def b_apply(v):
+        calls[0] += 1
+        return b @ v
+
+    out = backtrack(z, f(z), b_apply, b_apply, sigma=4.0, **params(alpha1=0.0), f_eval=f,
+                    b_symmetric=True)
+    assert out.backtracked
+    assert all(r.converged and r.iterations <= rank + 1 for r in reports)
+    assert calls[0] == out.matvecs <= rank + 1
+    rep = linear_solve(LinearOp.from_matrix(b, symmetric=True), f(z), rho_tol=1e-300)
+    assert rep.converged and rep.iterations == rep.matvecs <= rank + 1
+    assert np.allclose(b @ rep.solution, f(z), rtol=0, atol=1e-12 * np.linalg.norm(f(z)))
 
 
 def test_exhaustion_raises():
