@@ -199,7 +199,7 @@ def solve(
         s = out.z_hat - z
         step_norm = _norm(s)
         sq = math.sqrt(1.0 + eta * mu)
-        cond_a_lhs = _norm(s + eta * (g + (b_mv(s) if out.b_s is None else out.b_s)))
+        cond_a_lhs = _norm(s + eta * (g + out.b_s))
         cond_a_margin = config.alpha1 * sq * step_norm - cond_a_lhs
         cond_b_lhs = _norm(s + eta * out.f_zhat)
         cond_b_margin = (config.alpha1 + config.alpha2) * sq * step_norm - cond_b_lhs
@@ -207,7 +207,7 @@ def solve(
         loss = math.nan
         if out.z_tilde is not None:
             obs = LossObservation(u=out.f_ztilde - g, s=out.z_tilde - z)
-            resid = obs.u - (b_mv(obs.s) if out.b_s_tilde is None else out.b_s_tilde)
+            resid = obs.u - out.b_s_tilde
             loss = float(resid @ resid) / float(obs.s @ obs.s)
             observe_loss(state, obs, lparams, resid=resid)
             cum_matvecs += state.last_sep.matvecs

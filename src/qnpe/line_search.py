@@ -10,7 +10,9 @@ step is accepted once (B) holds, otherwise eta is multiplied by beta and the
 rejected iterate is retained (it feeds the learner's loss observation) unless
 its operator value is non-finite.  For a symmetric B, K_k(I + eta B, g) =
 K_k(B, g) for every eta, so all trials share one Krylov basis, extended only
-when a trial's test needs more vectors; it also gives B s with no product.
+when a trial's test needs more vectors; it also gives B s with no product.  On
+any other B the trials' CGLS solves share B^T g, made once, and form B s from
+their own products B p, so no B-product is made outside the inner solves.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linear_solver import KrylovBasis, LinearOp, ShiftedOp, linear_solve
+from .linear_solver import CglsStart, KrylovBasis, ShiftedOp, linear_solve
 
 
 EXACT_SOLVE_TOL = 1e-12  # practical meaning of alpha1 = 0
@@ -49,8 +51,8 @@ class LineSearchOutcome:
     f_zhat: np.ndarray
     f_ztilde: np.ndarray | None
     matvecs: int  # B-products of the inner solves, summed over the trials
-    b_s: np.ndarray | None = None  # B (z_hat - z), from a symmetric B's Krylov basis
-    b_s_tilde: np.ndarray | None = None  # B (z_tilde - z) likewise; None for other B
+    b_s: np.ndarray  # B (z_hat - z), from the inner solve's basis or products
+    b_s_tilde: np.ndarray | None  # B (z_tilde - z) likewise; None with no z_tilde
 
 
 def backtrack(
@@ -69,15 +71,13 @@ def backtrack(
         raise LineSearchError("non-finite operator value at the base point")
 
     matvecs, eta = 0, sigma
-    z_tilde = f_ztilde = y_tilde = None
-    basis = KrylovBasis(b_apply, g) if b_symmetric and g.any() else None
-    image = lambda y: None if basis is None or y is None else basis.image(y)
+    z_tilde = f_ztilde = report_tilde = None
+    start = (CglsStart(b_apply, b_apply_t, g) if not b_symmetric
+             else KrylovBasis(b_apply, g) if g.any() else None)  # a zero g never reads it
+    image = lambda rep: rep.image if rep.coords is None else start.image(rep.coords)  # B s
     for trial in range(1, max_backtracks + 1):
         rho_tol = alpha1 * math.sqrt(1.0 + eta * mu) or EXACT_SOLVE_TOL
-        op = ShiftedOp(basis, eta) if basis is not None else LinearOp(
-            len(z), lambda v, e=eta: v + e * b_apply(v), lambda v, e=eta: v + e * b_apply_t(v),
-            b_symmetric)
-        report = linear_solve(op, -eta * g, rho_tol)
+        report = linear_solve(ShiftedOp(start, eta), -eta * g, rho_tol)
         matvecs += report.matvecs
         if not report.converged:
             raise LineSearchError(f"inner linear solve did not reach tolerance at eta={eta:.3e} "
@@ -92,12 +92,12 @@ def backtrack(
             return LineSearchOutcome(
                 eta=eta, z_hat=z_hat, backtracked=trial > 1, z_tilde=z_tilde,
                 trial_count=trial, f_zhat=f_zhat, f_ztilde=f_ztilde, matvecs=matvecs,
-                b_s=image(report.coords), b_s_tilde=image(y_tilde),
+                b_s=image(report), b_s_tilde=None if report_tilde is None else image(report_tilde),
             )
         # a non-finite trial is rejected but yields no loss observation, and
         # so no backtracking lower bound on the accepted step size
         finite = np.all(np.isfinite(f_zhat))
-        z_tilde, f_ztilde, y_tilde = (z_hat, f_zhat, report.coords) if finite else [None] * 3
+        z_tilde, f_ztilde, report_tilde = (z_hat, f_zhat, report) if finite else [None] * 3
         eta *= beta
 
     raise LineSearchError(

@@ -7,7 +7,8 @@ iterate, whose norm grows monotonically with k when A is positive definite
 (Fong & Saunders 2012), as acceptance criterion 07 checks.  Shift invariance,
 K_k(I + eta B, g) = K_k(B, g) for every eta, lets one basis serve every step
 size of a line search (Jegerlehner 1996).  CGLS, CG on A^T A s = A^T b, is not
-shift-invariant: each of its solves starts afresh.
+shift-invariant, but on I + eta B its first direction needs only B^T g, which
+a line search makes once.  Both give B s with no further product.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ class SolveReport:
     solution: np.ndarray
     residual_norm: float
     iterations: int
-    matvecs: int  # operator products this call made: 2 per CGLS step, 1 per basis vector added
+    matvecs: int  # products made: 2 per CGLS step, less 1 on a reused B^T g; 1 per basis vector
     converged: bool
     coords: list[float] | None = None  # y with solution = y^T V_k on a KrylovBasis
+    image: np.ndarray | None = None  # B s (A = shift I + scale B), from CGLS's own products
 
 
 class KrylovBasis:
@@ -133,8 +135,52 @@ class KrylovBasis:
         return np.array(hy) @ self.rows[: len(hy)]
 
 
-class ShiftedOp(NamedTuple):  # I + eta B, on a basis of K(B, g) that every eta shares
-    basis: KrylovBasis
+class CglsStart:
+    """CGLS for A = shift I + scale B and b parallel to g: its first direction
+    A^T b needs B^T g, which the first solve makes and later solves reuse.
+    Each step's B p serves both q = A p and B s += alpha B p."""
+
+    def __init__(self, apply: Callable[[np.ndarray], np.ndarray],
+                 apply_t: Callable[[np.ndarray], np.ndarray], g: np.ndarray) -> None:
+        self.apply, self.apply_t, self.g, self.bt_g = apply, apply_t, g, None
+        self.gg = g.dot(g)  # a numpy float: dividing by an underflowed 0 gives NaN, a breakdown
+
+    def solve(self, shift: float, scale: float, b: np.ndarray, rho_tol: float,
+              max_iters: int) -> SolveReport:
+        d, tiny, made = len(b), np.finfo(float).tiny, 0
+        s, bs, r, res_norm = np.zeros(d), np.zeros(d), b, math.sqrt(b.dot(b))
+        for k in range(1, max_iters + 1):
+            # the next search direction p, and q = A p, from the current residual
+            if k == 1 and self.bt_g is None:
+                self.bt_g, made = self.apply_t(self.g), 1
+            if k == 1:  # A^T b, with B^T b = (g . b / g . g) B^T g
+                v = shift * b + (scale * float(self.g.dot(b)) / self.gg) * self.bt_g
+            else:
+                v, made = shift * r + scale * self.apply_t(r), made + 1
+            gamma_next = float(v.dot(v))
+            p = v if k == 1 else v + (gamma_next / gamma) * p
+            bp = self.apply(p)
+            q, made = shift * p + scale * bp, made + 1
+            gamma = gamma_next
+            qq = float(q.dot(q))
+            if not (math.isfinite(qq) and math.isfinite(gamma)):
+                raise NumericalBreakdownError("non-finite curvature in linear solve")
+            if qq <= tiny or gamma <= tiny:  # Krylov space exhausted
+                raise NumericalBreakdownError(
+                    "Krylov breakdown before reaching the residual tolerance")
+            alpha = gamma / qq
+            s, bs, r = s + alpha * p, bs + alpha * bp, r - alpha * q
+            ss, rr = float(s.dot(s)), float(r.dot(r))
+            if not (math.isfinite(ss) and math.isfinite(rr)):
+                raise NumericalBreakdownError("non-finite or overflowing iterate in linear solve")
+            res_norm = math.sqrt(rr)
+            if res_norm <= rho_tol * math.sqrt(ss):
+                return SolveReport(s, res_norm, k, made, True, image=bs)
+        return SolveReport(s, res_norm, max_iters, made, False, image=bs)
+
+
+class ShiftedOp(NamedTuple):  # I + eta B, on a start that every eta of a line search shares
+    start: KrylovBasis | CglsStart
     eta: float
 
 
@@ -154,34 +200,8 @@ def linear_solve(
     d = len(b)
     max_iters = 20 * d if max_iters is None else max_iters
     if not b.any():
-        return SolveReport(np.zeros(d), 0.0, 0, 0, True)
+        return SolveReport(np.zeros(d), 0.0, 0, 0, True, image=np.zeros(d))
     if isinstance(op, ShiftedOp):
-        return op.basis.solve(1.0, op.eta, b, rho_tol, max_iters)
-    if op.symmetric:
-        return KrylovBasis(op.apply, b).solve(0.0, 1.0, b, rho_tol, max_iters)
-
-    s, r, tiny = np.zeros(d), b.copy(), np.finfo(float).tiny
-    res_norm = math.sqrt(r.dot(r))
-    for k in range(1, max_iters + 1):
-        # the next search direction p, and q = A p, from the current residual
-        v = op.apply_transpose(r)
-        gamma_next = float(v @ v)
-        p = v if k == 1 else v + (gamma_next / gamma) * p
-        q = op.apply(p)
-        gamma = gamma_next
-        qq = float(q @ q)
-        if not (math.isfinite(qq) and math.isfinite(gamma)):
-            raise NumericalBreakdownError("non-finite curvature in linear solve")
-        if qq <= tiny or gamma <= tiny:  # Krylov space exhausted
-            raise NumericalBreakdownError("Krylov breakdown before reaching the residual tolerance")
-        alpha = gamma / qq
-        s = s + alpha * p
-        r = r - alpha * q
-        ss, rr = float(s @ s), float(r @ r)
-        if not (math.isfinite(ss) and math.isfinite(rr)):
-            raise NumericalBreakdownError("non-finite or overflowing iterate in linear solve")
-        res_norm = math.sqrt(rr)
-        if res_norm <= rho_tol * math.sqrt(ss):
-            return SolveReport(s, res_norm, k, 2 * k, True)
-
-    return SolveReport(s, res_norm, max_iters, 2 * max_iters, False)
+        return op.start.solve(1.0, op.eta, b, rho_tol, max_iters)
+    start = KrylovBasis(op.apply, b) if op.symmetric else CglsStart(op.apply, op.apply_transpose, b)
+    return start.solve(0.0, 1.0, b, rho_tol, max_iters)

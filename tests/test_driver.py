@@ -9,7 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qnpe.driver
 from qnpe import (
+    General,
     Mode,
     PrimalDualBox,
     Problem,
@@ -18,6 +20,7 @@ from qnpe import (
     extragradient_baseline,
     make_bilinear_minimax,
     make_quadratic_min,
+    make_sparse_equation,
     solve,
     verify_iteration_certificates,
 )
@@ -129,6 +132,40 @@ def test_no_operator_evaluation_is_repeated(start, max_iterations, stop_toleranc
     assert (len(rows) == 0) == (start == 0.0)
     assert calls[0] == trace.total_evals
     assert trace.total_evals == (rows[-1].cum_evals + 1 if rows else 1)
+
+
+B_PRODUCT_CASES = {  # theory-default solves, one per structure
+    "symmetric": (lambda: make_quadratic_min(20, 0.1, 1.0, seed=5), Mode.STRONGLY_MONOTONE),
+    "sparse": (lambda: make_sparse_equation(40, 3, 0.1, 1.5, seed=9), Mode.STRONGLY_MONOTONE),
+    "jsymmetric": (lambda: make_bilinear_minimax(15, 15, 0.0, 1.0, seed=5), Mode.MONOTONE),
+    "general": (lambda: dataclasses.replace(make_sparse_equation(30, 3, 0.1, 1.5, seed=2),
+                                            structure=General()), Mode.STRONGLY_MONOTONE),
+}
+
+
+@pytest.mark.parametrize("name", list(B_PRODUCT_CASES))
+def test_every_b_product_is_counted(monkeypatch, name):
+    """Every call of the played B's closures is in total_matvecs: the B and
+    B^T products are total_matvecs less the oracles' W-products."""
+    make, mode = B_PRODUCT_CASES[name]
+    p = make()
+    products, oracle = [0], [0]
+    played, observe = qnpe.driver.current_matrix, qnpe.driver.observe_loss
+
+    def counted(f):
+        return lambda v: products.__setitem__(0, products[0] + 1) or f(v)
+
+    def observe_counted(state, *args, **kwargs):
+        out = observe(state, *args, **kwargs)
+        oracle[0] += state.last_sep.matvecs
+        return out
+
+    monkeypatch.setattr(qnpe.driver, "current_matrix", lambda *a: tuple(map(counted, played(*a))))
+    monkeypatch.setattr(qnpe.driver, "observe_loss", observe_counted)
+    z0 = p.known_root + np.random.default_rng(0).standard_normal(p.dim)
+    _, _, trace = solve(p, SolverConfig(mode=mode, max_iterations=60), z0=z0)
+    assert any(r.backtracked for r in trace.rows)
+    assert products[0] == trace.total_matvecs - oracle[0] > 0
 
 def test_default_b0_forms_no_dense_array():
     """The default b0 has W_0 = 0, and the factored learner stores W as its

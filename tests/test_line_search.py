@@ -29,6 +29,12 @@ def test_zero_gradient_accepts_immediately():
     assert not out.backtracked
     assert np.array_equal(out.z_hat, z)
     assert out.trial_count == 1
+    # a non-symmetric B: CGLS's start is never read, and B s = 0 needs no product
+    b = np.array([[1.0, 2.0], [0.0, 1.0]])
+    out = backtrack(z, np.zeros(2), lambda v: b @ v, lambda v: b.T @ v, sigma=1.0,
+                    **params(), f_eval=lambda zz: zz - z)
+    assert out.trial_count == 1 and out.matvecs == 0
+    assert np.array_equal(out.z_hat, z) and np.array_equal(out.b_s, np.zeros(2))
 
 
 def test_exact_model_with_exact_solve_accepts_first_trial():
@@ -153,6 +159,61 @@ def test_shared_basis_changes_only_the_cost(monkeypatch):
     for b_s, z_end in ((out.b_s, out.z_hat), (out.b_s_tilde, out.z_tilde)):
         fresh = b @ (z_end - z)
         assert np.linalg.norm(b_s - fresh) <= 1e-12 * np.linalg.norm(fresh)
+
+
+def test_cgls_start_changes_only_the_cost(monkeypatch):
+    """On a non-symmetric B every trial's CGLS reuses the first trial's B^T g:
+    each trial's step is the standalone solve of (I + eta B) s = -eta g, a
+    trial of k steps makes 2k products, 1 fewer after the first trial, and
+    the B s vectors CGLS accumulates are B times the accepted and the last
+    rejected step."""
+    rng = np.random.default_rng(13)
+    d, mu = 12, 0.1
+    b = rng.standard_normal((d, d)) / np.sqrt(d) + 1.5 * np.eye(d)
+    f = affine_eval(b + 6.0 * np.eye(d), rng.standard_normal(d))
+    z = rng.standard_normal(d)
+    calls, trials = {"b": 0, "b_t": 0}, []
+    reports = recorded_solves(monkeypatch)
+
+    def tally(key, m):
+        return lambda v: calls.__setitem__(key, calls[key] + 1) or m @ v
+
+    out = backtrack(z, f(z), tally("b", b), tally("b_t", b.T), sigma=16.0, **params(mu=mu),
+                    f_eval=lambda x: trials.append(x) or f(x))
+    assert out.trial_count == len(trials) == len(reports) >= 3
+    for t, z_hat in enumerate(trials):
+        eta = 16.0 * 0.5**t
+        op = LinearOp.from_matrix(np.eye(d) + eta * b, symmetric=False)
+        alone = linear_solve(op, -eta * f(z), 0.25 * math.sqrt(1.0 + eta * mu)).solution
+        assert np.linalg.norm((z_hat - z) - alone) <= 1e-12 * np.linalg.norm(alone)
+    assert [r.matvecs for r in reports] == [2 * r.iterations - (t > 0)
+                                            for t, r in enumerate(reports)]
+    assert calls["b"] + calls["b_t"] == out.matvecs
+    assert calls["b_t"] == sum(r.iterations for r in reports) - len(reports) + 1
+    for b_s, z_end in ((out.b_s, out.z_hat), (out.b_s_tilde, out.z_tilde)):
+        fresh = b @ (z_end - z)
+        assert np.linalg.norm(b_s - fresh) <= 1e-12 * np.linalg.norm(fresh)
+
+
+def test_one_transpose_product_per_line_search(monkeypatch):
+    """When every trial's CGLS converges at its first step, B^T runs once in
+    the whole line search, for g, and each trial after the first costs one
+    product."""
+    rng = np.random.default_rng(14)
+    d = 10
+    b = 0.005 * rng.standard_normal((d, d))
+    f = affine_eval(10.0 * np.eye(d), np.zeros(d))
+    z = rng.standard_normal(d)
+    calls = {"b": 0, "b_t": 0}
+    reports = recorded_solves(monkeypatch)
+
+    def tally(key, m):
+        return lambda v: calls.__setitem__(key, calls[key] + 1) or m @ v
+
+    out = backtrack(z, f(z), tally("b", b), tally("b_t", b.T), sigma=4.0, **params(), f_eval=f)
+    assert out.trial_count >= 3 and all(r.iterations == 1 for r in reports)
+    assert calls == {"b": out.trial_count, "b_t": 1}
+    assert out.matvecs == out.trial_count + 1
 
 
 @pytest.mark.parametrize("rank", [0, 1])
