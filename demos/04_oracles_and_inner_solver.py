@@ -7,7 +7,7 @@ Run:  python3 demos/04_oracles_and_inner_solver.py
 
 import numpy as np
 
-from qnpe import LinearOp, SepCase, ext_evec, linear_solve, max_svec
+from qnpe import CglsStart, SepCase, ext_evec, linear_solve, max_svec
 
 rng = np.random.default_rng(3)
 d = 30
@@ -35,12 +35,15 @@ print(f"max_svec: case {res.case.name}, gamma = {res.gamma:.4f} "
       f"(dense truth {7.5 / 3:.4f})")
 
 # --- inexact linear solve: stop as soon as ||As - b|| <= rho ||s|| ---
+# The solver takes A = shift I + scale W on a start built on W's products (a
+# CGLS start for this non-symmetric W), the form the line search uses for
+# I + eta B.  Here shift = 0 and scale = 1, so W is A itself.
 r = rng.standard_normal((d, d))
 lam_min = np.linalg.eigvalsh(0.5 * (r + r.T))[0]
 a = 0.5 * r + (1.0 + max(0.0, -0.5 * lam_min)) * np.eye(d)
 b = rng.standard_normal(d)
 for rho in (0.5, 0.1, 1e-6):
-    rep = linear_solve(LinearOp.from_matrix(a), b, rho)
+    rep = linear_solve(CglsStart(lambda v: a @ v, lambda v: a.T @ v, b), 0.0, 1.0, b, rho)
     resid = np.linalg.norm(a @ rep.solution - b)
     print(f"rho = {rho:8.1e}: {rep.iterations:3d} iterations, "
           f"{rep.matvecs:3d} matvecs, ||As-b||/||s|| = "

@@ -16,7 +16,7 @@ from .learner import (
     observe_loss,
     played_matrix,
 )
-from .linear_solver import LinearOp, NumericalBreakdownError, linear_solve
+from .linear_solver import CglsStart, KrylovBasis, NumericalBreakdownError, linear_solve
 from .line_search import LineSearchError
 from .problems import (
     GenerationError,
@@ -38,11 +38,12 @@ from .trace import RunTrace, trace_from_csv, trace_to_csv
 __version__ = "0.1.0"
 
 __all__ = [
+    "CglsStart",
     "General",
     "GenerationError",
     "JSymmetric",
+    "KrylovBasis",
     "LearnerParams",
-    "LinearOp",
     "LineSearchError",
     "LossObservation",
     "Mode",

@@ -4,7 +4,7 @@ Each iteration evaluates the operator at the current point, runs the
 backtracking line search to obtain (eta, z_hat), applies the extragradient
 mixing step z+ = theta (z - eta F(z_hat)) + (1 - theta) z_hat with
 theta = 1 / (1 + 2 eta mu), and — only when the line search backtracked and
-its last rejected trial has a finite operator value — feeds the
+its last rejected trial is finite and moved z — feeds the
 model-mismatch loss at that rejected iterate to the online learner.  The
 monotone mode additionally maintains the eta-weighted average of the z_hat
 iterates.
@@ -164,7 +164,7 @@ def solve(
     floor = config.step_size_floor(l1)
     sigma = sigma0
     cum_evals = 0
-    cum_matvecs = 0  # B-products of the inner solves plus W-products of the oracles
+    cum_matvecs = 0  # W-products of the inner solves and of the oracles
     eta_sum = 0.0
     zbar_acc = np.zeros(d)
     g_stop = None  # F(z) when the loop stops on the tolerance
@@ -177,12 +177,12 @@ def solve(
             g_stop = g
             break
 
-        b_mv, b_mv_t = current_matrix(state, lparams)
         max_backtracks = config.max_backtracks or default_max_backtracks(  # None: the default
             sigma, l1, config.alpha2, config.beta)
-        out = backtrack(
-            z, g, b_mv, b_mv_t, sigma, problem.eval, alpha1=config.alpha1, alpha2=config.alpha2,
-            beta=config.beta, mu=mu, max_backtracks=max_backtracks, b_symmetric=sym_structure,
+        out = backtrack(  # W's products and B = c1 W + c0 I's coefficients
+            z, g, *current_matrix(state, lparams), sigma, problem.eval, alpha1=config.alpha1,
+            alpha2=config.alpha2, beta=config.beta, mu=mu, max_backtracks=max_backtracks,
+            b_symmetric=sym_structure,
         )
         cum_evals += out.trial_count
         cum_matvecs += out.matvecs
@@ -208,7 +208,7 @@ def solve(
         if out.z_tilde is not None:
             obs = LossObservation(u=out.f_ztilde - g, s=out.z_tilde - z)
             resid = obs.u - out.b_s_tilde
-            loss = float(resid @ resid) / float(obs.s @ obs.s)
+            loss = float(resid.dot(resid)) / float(obs.s.dot(obs.s))
             observe_loss(state, obs, lparams, resid=resid)
             cum_matvecs += state.last_sep.matvecs
 

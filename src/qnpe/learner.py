@@ -4,9 +4,9 @@ The learner maintains an auxiliary matrix W_t inside the Frobenius ball of
 radius R = sqrt(d), plays the structured Jacobian approximation B_t obtained
 from W_t through the separation oracle, and takes an online projected gradient
 step on the surrogate loss after every observation.  Only rounds where the
-outer line search backtracked, with a finite last rejected trial, produce
-observations; in all other iterations the played matrix is simply left
-unchanged by the caller.
+outer line search backtracked, with a finite last rejected trial that moved z,
+produce observations; in all other iterations the played matrix is simply
+left unchanged by the caller.
 """
 
 from __future__ import annotations
@@ -317,15 +317,16 @@ def observe_loss(
     and returns the state, updating W in place."""
     s, model = obs.s, state.model
     if resid is None:
-        resid = obs.u - current_matrix(state, params)[0](s)
-    s2 = float(s @ s)
+        w_apply, _, c1, c0 = current_matrix(state, params)
+        resid = obs.u - (c1 * w_apply(s) + c0 * s)
+    s2 = float(s.dot(s))
     structure = params.structure
 
     # W <- W - rho (P(grad) / L1 + coeff P(S)), grad = -2 resid s^T / ||s||^2, as factor pairs.
     # In Case II, <P(grad), W> = <grad, W> = -2 resid^T W s / ||s||^2 since W = P(W).
     coeff, sep = 0.0, state.last_sep
     if state.t >= 1 and sep is not None and sep.case is SepCase.CASE_II:
-        coeff = max(0.0, 2.0 * float(resid @ model.matvec(s)) / (s2 * params.l1) / sep.gamma)
+        coeff = max(0.0, 2.0 * float(resid.dot(model.matvec(s))) / (s2 * params.l1) / sep.gamma)
     # capped at the largest float, past which the clipped W no longer moves; inf would make NaN
     step = min(params.rho / (s2 * params.l1), np.finfo(float).max)
     pairs = _doubled_projection(structure, step * resid, s)
@@ -350,17 +351,14 @@ def observe_loss(
 
 def current_matrix(
     state: LearnerState, params: LearnerParams
-) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """v -> B v and v -> B^T v for the played B = L1 W / scale + (L1 + mu) I,
-    from the model's products of W (its factors, or its values' CSR kernels
-    for Sparse): B is never formed.  The closures read the live W, which the
-    next observe_loss updates."""
-    c1, c0 = params.l1 / state.scale, params.l1 + params.mu
-    w_mv, w_mv_t = state.model.matvec, state.model.rmatvec
-    apply = lambda v: c1 * w_mv(v) + c0 * v
-    if isinstance(params.structure, Symmetric):
-        return apply, apply
-    return apply, (lambda v: c1 * w_mv_t(v) + c0 * v)
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray], float, float]:
+    """(v -> W v, v -> W^T v, c1, c0) for the played B = c1 W + c0 I =
+    L1 W / scale + (L1 + mu) I: the model's own products of the live W, the
+    same function twice for Symmetric.  B is never formed or applied; the
+    line search folds c1 and c0 into its solves' shift and scale."""
+    w_apply = state.model.matvec
+    w_apply_t = w_apply if isinstance(params.structure, Symmetric) else state.model.rmatvec
+    return w_apply, w_apply_t, params.l1 / state.scale, params.l1 + params.mu
 
 
 def played_matrix(state: LearnerState, params: LearnerParams) -> np.ndarray:

@@ -8,11 +8,11 @@ Condition (A) is met by driving the inner Krylov solve of
 (I + eta B) s = -eta g to relative residual alpha1 sqrt(1 + eta mu); the trial
 step is accepted once (B) holds, otherwise eta is multiplied by beta and the
 rejected iterate is retained (it feeds the learner's loss observation) unless
-its operator value is non-finite.  For a symmetric B, K_k(I + eta B, g) =
-K_k(B, g) for every eta, so all trials share one Krylov basis, extended only
-when a trial's test needs more vectors; it also gives B s with no product.  On
-any other B the trials' CGLS solves share B^T g, made once, and form B s from
-their own products B p, so no B-product is made outside the inner solves.
+its operator value is non-finite or it equals z.  B = c1 W + c0 I is never
+applied: each trial solves ((1 + eta c0) I + eta c1 W) s = -eta g on W's
+products, for the unit g / ||g|| so that no squared norm underflows.  All
+trials share one Krylov basis of W, or on a non-symmetric W one W^T g for
+CGLS; both give W s with no further product, and so B s.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linear_solver import CglsStart, KrylovBasis, ShiftedOp, linear_solve
+from .linear_solver import CglsStart, KrylovBasis, linear_solve
 
 
 EXACT_SOLVE_TOL = 1e-12  # practical meaning of alpha1 = 0
@@ -50,14 +50,14 @@ class LineSearchOutcome:
     trial_count: int  # one operator evaluation per trial
     f_zhat: np.ndarray
     f_ztilde: np.ndarray | None
-    matvecs: int  # B-products of the inner solves, summed over the trials
+    matvecs: int  # W-products of the inner solves, summed over the trials
     b_s: np.ndarray  # B (z_hat - z), from the inner solve's basis or products
     b_s_tilde: np.ndarray | None  # B (z_tilde - z) likewise; None with no z_tilde
 
 
 def backtrack(
-    z: np.ndarray, g: np.ndarray, b_apply: Callable[[np.ndarray], np.ndarray],
-    b_apply_t: Callable[[np.ndarray], np.ndarray], sigma: float,
+    z: np.ndarray, g: np.ndarray, w_apply: Callable[[np.ndarray], np.ndarray],
+    w_apply_t: Callable[[np.ndarray], np.ndarray], c1: float, c0: float, sigma: float,
     f_eval: Callable[[np.ndarray], np.ndarray], *, alpha1: float, alpha2: float, beta: float,
     mu: float, max_backtracks: int, b_symmetric: bool = False,
 ) -> LineSearchOutcome:
@@ -72,17 +72,23 @@ def backtrack(
 
     matvecs, eta = 0, sigma
     z_tilde = f_ztilde = report_tilde = None
-    start = (CglsStart(b_apply, b_apply_t, g) if not b_symmetric
-             else KrylovBasis(b_apply, g) if g.any() else None)  # a zero g never reads it
-    image = lambda rep: rep.image if rep.coords is None else start.image(rep.coords)  # B s
+    norm_g = math.sqrt(g.dot(g))
+    u = g / norm_g if norm_g else g  # the solves run at unit scale; s and W s scale back
+    start = (CglsStart(w_apply, w_apply_t, u) if not b_symmetric
+             else KrylovBasis(w_apply, u) if g.any() else None)  # a zero g never reads it
+
+    def b_s(rep):  # B s = c1 W s + c0 s, from the inner solve's basis or products
+        w_s = rep.image if rep.coords is None else start.image(rep.coords)
+        return norm_g * (c1 * w_s + c0 * rep.solution)
+
     for trial in range(1, max_backtracks + 1):
         rho_tol = alpha1 * math.sqrt(1.0 + eta * mu) or EXACT_SOLVE_TOL
-        report = linear_solve(ShiftedOp(start, eta), -eta * g, rho_tol)
+        report = linear_solve(start, 1.0 + eta * c0, eta * c1, -eta * u, rho_tol)
         matvecs += report.matvecs
         if not report.converged:
             raise LineSearchError(f"inner linear solve did not reach tolerance at eta={eta:.3e} "
-                                  f"(residual {report.residual_norm:.3e})")
-        s = report.solution
+                                  f"(residual {norm_g * report.residual_norm:.3e})")
+        s = norm_g * report.solution
         z_hat = z + s
         f_zhat = f_eval(z_hat)
         resid = s + eta * f_zhat
@@ -92,12 +98,12 @@ def backtrack(
             return LineSearchOutcome(
                 eta=eta, z_hat=z_hat, backtracked=trial > 1, z_tilde=z_tilde,
                 trial_count=trial, f_zhat=f_zhat, f_ztilde=f_ztilde, matvecs=matvecs,
-                b_s=image(report), b_s_tilde=None if report_tilde is None else image(report_tilde),
+                b_s=b_s(report), b_s_tilde=None if report_tilde is None else b_s(report_tilde),
             )
-        # a non-finite trial is rejected but yields no loss observation, and
-        # so no backtracking lower bound on the accepted step size
-        finite = np.all(np.isfinite(f_zhat))
-        z_tilde, f_ztilde, report_tilde = (z_hat, f_zhat, report) if finite else [None] * 3
+        # a non-finite trial, or one that did not move z, is rejected but yields
+        # no loss observation, and so no backtracking lower bound on the accepted step
+        observable = np.all(np.isfinite(f_zhat)) and (z_hat != z).any()
+        z_tilde, f_ztilde, report_tilde = (z_hat, f_zhat, report) if observable else [None] * 3
         eta *= beta
 
     raise LineSearchError(

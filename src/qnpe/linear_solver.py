@@ -1,21 +1,21 @@
-"""Matrix-free inexact linear solver: minimal residual on an Arnoldi basis for
-symmetric systems, CGLS for non-symmetric ones.
+"""Matrix-free inexact solver of (shift I + scale W) s = b on W's products:
+minimal residual on an Arnoldi basis for symmetric W, CGLS for non-symmetric W.
 
 Both start from s0 = 0 and return the first iterate with ||A s - b|| <= rho ||s||.
 On a symmetric A that is the minimal-residual (MINRES, i.e. conjugate residual)
 iterate, whose norm grows monotonically with k when A is positive definite
 (Fong & Saunders 2012), as acceptance criterion 07 checks.  Shift invariance,
-K_k(I + eta B, g) = K_k(B, g) for every eta, lets one basis serve every step
-size of a line search (Jegerlehner 1996).  CGLS, CG on A^T A s = A^T b, is not
-shift-invariant, but on I + eta B its first direction needs only B^T g, which
-a line search makes once.  Both give B s with no further product.
+K_k(shift I + scale W, g) = K_k(W, g), lets one basis serve every system of a
+line search (Jegerlehner 1996).  CGLS, CG on A^T A s = A^T b, is not
+shift-invariant, but its first direction needs only W^T g, which a line
+search makes once.  Both give W s with no further product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -25,47 +25,22 @@ class NumericalBreakdownError(RuntimeError):
 
 
 @dataclass
-class LinearOp:
-    """A d x d linear operator given by matvec closures.
-
-    apply_transpose must equal apply when the operator is flagged symmetric.
-    """
-
-    dim: int
-    apply: Callable[[np.ndarray], np.ndarray]
-    apply_transpose: Callable[[np.ndarray], np.ndarray]
-    symmetric: bool = False
-
-    @staticmethod
-    def from_matrix(a: np.ndarray, symmetric: bool | None = None) -> "LinearOp":
-        a = np.asarray(a, dtype=float)
-        if symmetric is None:
-            symmetric = np.array_equal(a, a.T)
-        return LinearOp(
-            dim=a.shape[0],
-            apply=lambda v: a @ v,
-            apply_transpose=(lambda v: a @ v) if symmetric else (lambda v: a.T @ v),
-            symmetric=symmetric,
-        )
-
-
-@dataclass
 class SolveReport:
     solution: np.ndarray
     residual_norm: float
     iterations: int
-    matvecs: int  # products made: 2 per CGLS step, less 1 on a reused B^T g; 1 per basis vector
+    matvecs: int  # products made: 2 per CGLS step, less 1 on a reused W^T g; 1 per basis vector
     converged: bool
     coords: list[float] | None = None  # y with solution = y^T V_k on a KrylovBasis
-    image: np.ndarray | None = None  # B s (A = shift I + scale B), from CGLS's own products
+    image: np.ndarray | None = None  # W s (A = shift I + scale W), from CGLS's own products
 
 
 class KrylovBasis:
-    """Orthonormal rows V spanning K_k(B, b) and Arnoldi's (k+1) x k Hessenberg
-    Hbar_k, B V_k = V_{k+1} Hbar_k, to rounding even for a B symmetric only to
-    rounding.  An h_{k+1,k} below invariant_tol sqrt(d) ||B v_k|| (an inner
-    product's rounding) means K_k(B, b) is invariant: it is stored as 0, with a
-    zero row v_{k+1}, as after d rows."""
+    """Orthonormal rows V spanning K_k(W, b) and Arnoldi's (k+1) x k Hessenberg
+    Hbar_k, W V_k = V_{k+1} Hbar_k, to rounding even for a W symmetric only to
+    rounding.  An h_{k+1,k} below invariant_tol sqrt(d) ||W v_k|| (an inner
+    product's rounding) means K_k(W, b) is invariant: it is stored as 0, with a
+    zero row v_{k+1}, as after d rows.  A zero W v_k is invariant too."""
 
     invariant_tol = 32 * np.finfo(float).eps
 
@@ -81,7 +56,7 @@ class KrylovBasis:
         for _ in range(2):  # classical Gram-Schmidt, twice
             c = v @ w
             w, h = w - c @ v, h + c
-        hh, ww = float(h @ h), float(w @ w)
+        hh, ww = float(h.dot(h)), float(w.dot(w))
         if not math.isfinite(hh + ww):
             raise NumericalBreakdownError("non-finite Arnoldi coefficient in linear solve")
         invariant = ww <= d * self.invariant_tol**2 * (hh + ww) or k + 1 == d
@@ -93,12 +68,12 @@ class KrylovBasis:
 
     def solve(self, shift: float, scale: float, b: np.ndarray, rho_tol: float,
               max_iters: int) -> SolveReport:
-        """Minimal-residual solve of (shift I + scale B) s = b, b parallel to v_1:
+        """Minimal-residual solve of (shift I + scale W) s = b, b parallel to v_1:
         the first k whose y minimizing ||(v_1 . b) e1 - (shift Ibar + scale Hbar_k) y||
         (by Givens rotations) has residual <= rho_tol ||y||.  Only a k past the
         basis's size extends it, by one product."""
         added, k, y, converged, rotations, r_cols = 0, 0, [], False, [], []
-        rhs = [float(self.rows[0] @ b)]  # (v_1 . b) e1, rotated; its last entry is the residual
+        rhs = [float(self.rows[0].dot(b))]  # (v_1 . b) e1, rotated; its last entry is the residual
         while k < max_iters and not converged:
             k += 1
             if k > len(self.cols):
@@ -127,7 +102,7 @@ class KrylovBasis:
         return SolveReport(np.array(y) @ self.rows[:k], abs(rhs[-1]), k, added, converged, y)
 
     def image(self, y: list[float]) -> np.ndarray:
-        """B s for s = y^T V_k, as (Hbar_k y)^T V_{k+1}: no product with B."""
+        """W s for s = y^T V_k, as (Hbar_k y)^T V_{k+1}: no product with W."""
         hy = [0.0] * (len(y) + 1)
         for yj, col in zip(y, self.cols):
             for i, h in enumerate(col):
@@ -136,31 +111,31 @@ class KrylovBasis:
 
 
 class CglsStart:
-    """CGLS for A = shift I + scale B and b parallel to g: its first direction
-    A^T b needs B^T g, which the first solve makes and later solves reuse.
-    Each step's B p serves both q = A p and B s += alpha B p."""
+    """CGLS for A = shift I + scale W and b parallel to g: its first direction
+    A^T b needs W^T g, which the first solve makes and later solves reuse.
+    Each step's W p serves both q = A p and W s += alpha W p."""
 
     def __init__(self, apply: Callable[[np.ndarray], np.ndarray],
                  apply_t: Callable[[np.ndarray], np.ndarray], g: np.ndarray) -> None:
-        self.apply, self.apply_t, self.g, self.bt_g = apply, apply_t, g, None
+        self.apply, self.apply_t, self.g, self.wt_g = apply, apply_t, g, None
         self.gg = g.dot(g)  # a numpy float: dividing by an underflowed 0 gives NaN, a breakdown
 
     def solve(self, shift: float, scale: float, b: np.ndarray, rho_tol: float,
               max_iters: int) -> SolveReport:
         d, tiny, made = len(b), np.finfo(float).tiny, 0
-        s, bs, r, res_norm = np.zeros(d), np.zeros(d), b, math.sqrt(b.dot(b))
+        s, ws, r, res_norm = np.zeros(d), np.zeros(d), b, math.sqrt(b.dot(b))
         for k in range(1, max_iters + 1):
             # the next search direction p, and q = A p, from the current residual
-            if k == 1 and self.bt_g is None:
-                self.bt_g, made = self.apply_t(self.g), 1
-            if k == 1:  # A^T b, with B^T b = (g . b / g . g) B^T g
-                v = shift * b + (scale * float(self.g.dot(b)) / self.gg) * self.bt_g
+            if k == 1 and self.wt_g is None:
+                self.wt_g, made = self.apply_t(self.g), 1
+            if k == 1:  # A^T b, with W^T b = (g . b / g . g) W^T g
+                v = shift * b + (scale * float(self.g.dot(b)) / self.gg) * self.wt_g
             else:
                 v, made = shift * r + scale * self.apply_t(r), made + 1
             gamma_next = float(v.dot(v))
             p = v if k == 1 else v + (gamma_next / gamma) * p
-            bp = self.apply(p)
-            q, made = shift * p + scale * bp, made + 1
+            wp = self.apply(p)
+            q, made = shift * p + scale * wp, made + 1
             gamma = gamma_next
             qq = float(q.dot(q))
             if not (math.isfinite(qq) and math.isfinite(gamma)):
@@ -169,30 +144,28 @@ class CglsStart:
                 raise NumericalBreakdownError(
                     "Krylov breakdown before reaching the residual tolerance")
             alpha = gamma / qq
-            s, bs, r = s + alpha * p, bs + alpha * bp, r - alpha * q
+            s, ws, r = s + alpha * p, ws + alpha * wp, r - alpha * q
             ss, rr = float(s.dot(s)), float(r.dot(r))
             if not (math.isfinite(ss) and math.isfinite(rr)):
                 raise NumericalBreakdownError("non-finite or overflowing iterate in linear solve")
             res_norm = math.sqrt(rr)
             if res_norm <= rho_tol * math.sqrt(ss):
-                return SolveReport(s, res_norm, k, made, True, image=bs)
-        return SolveReport(s, res_norm, max_iters, made, False, image=bs)
-
-
-class ShiftedOp(NamedTuple):  # I + eta B, on a start that every eta of a line search shares
-    start: KrylovBasis | CglsStart
-    eta: float
+                return SolveReport(s, res_norm, k, made, True, image=ws)
+        return SolveReport(s, res_norm, max_iters, made, False, image=ws)
 
 
 def linear_solve(
-    op: LinearOp | ShiftedOp, b: np.ndarray, rho_tol: float, max_iters: int | None = None
+    start: KrylovBasis | CglsStart, shift: float, scale: float, b: np.ndarray, rho_tol: float,
+    max_iters: int | None = None,
 ) -> SolveReport:
-    """Solve A s = b inexactly: return the first s_k with ||r_k|| <= rho_tol * ||s_k||.
+    """Solve (shift I + scale W) s = b inexactly on a start built on W: return
+    the first s_k with ||r_k|| <= rho_tol * ||s_k||.
 
     The caller is expected to provide a well-posed system (in QNPE usage
-    sym(A) >= I).  b = 0 short-circuits to s = 0.  Exhausting max_iters
-    (default 20*d) returns converged=False.  No product is made after the last
-    residual test.  NaN/Inf is caught in each step's dot products, so a
+    sym(A) >= I) and a start built on a right-hand side parallel to b.  b = 0
+    short-circuits to s = 0 without reading the start.  Exhausting max_iters
+    (default 20*d) returns converged=False.  No product is made after the
+    last residual test.  NaN/Inf is caught in each step's dot products, so a
     squared norm that overflows also counts as a breakdown."""
     if rho_tol <= 0:
         raise ValueError("rho_tol must be positive")
@@ -201,7 +174,4 @@ def linear_solve(
     max_iters = 20 * d if max_iters is None else max_iters
     if not b.any():
         return SolveReport(np.zeros(d), 0.0, 0, 0, True, image=np.zeros(d))
-    if isinstance(op, ShiftedOp):
-        return op.start.solve(1.0, op.eta, b, rho_tol, max_iters)
-    start = KrylovBasis(op.apply, b) if op.symmetric else CglsStart(op.apply, op.apply_transpose, b)
-    return start.solve(0.0, 1.0, b, rho_tol, max_iters)
+    return start.solve(shift, scale, b, rho_tol, max_iters)

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from qnpe import (
+    CglsStart,
     JSymmetric,
+    KrylovBasis,
     LearnerParams,
-    LinearOp,
     LossObservation,
     Mode,
     PrimalDualBox,
@@ -231,6 +232,13 @@ def test_criterion_06_oracle_statistical_contracts():
     report(6, "oracle statistical contracts", ok)
 
 
+def start_on(a, b, symmetric):
+    """The line search's start on a, for right-hand sides parallel to b."""
+    if symmetric:
+        return KrylovBasis(lambda v: a @ v, b)
+    return CglsStart(lambda v: a @ v, lambda v: a.T @ v, b)
+
+
 def test_criterion_07_linear_solver_contract():
     d = 40
     rng = np.random.default_rng(7)
@@ -244,14 +252,14 @@ def test_criterion_07_linear_solver_contract():
         a = 0.5 * r + (1.0 + max(0.0, -0.5 * lam_min)) * np.eye(d)
         b = rng.standard_normal(d)
         rho = rng.uniform(0.05, 0.5)
-        rep = linear_solve(LinearOp.from_matrix(a, symmetric=symmetric), b, rho)
+        rep = linear_solve(start_on(a, b, symmetric), 0.0, 1.0, b, rho)
         ok = ok and rep.converged
         ok = ok and np.linalg.norm(a @ rep.solution - b) <= rho * np.linalg.norm(rep.solution)
         # iterate-norm monotonicity, recovering each Krylov iterate by rerun
         prev = 0.0
         for k in range(1, rep.iterations + 1):
             sk = linear_solve(
-                LinearOp.from_matrix(a, symmetric=symmetric), b, 1e-300, max_iters=k
+                start_on(a, b, symmetric), 0.0, 1.0, b, 1e-300, max_iters=k
             ).solution
             nrm = np.linalg.norm(sk)
             ok = ok and nrm >= prev * (1.0 - 1e-10)

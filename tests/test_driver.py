@@ -145,8 +145,9 @@ B_PRODUCT_CASES = {  # theory-default solves, one per structure
 
 @pytest.mark.parametrize("name", list(B_PRODUCT_CASES))
 def test_every_b_product_is_counted(monkeypatch, name):
-    """Every call of the played B's closures is in total_matvecs: the B and
-    B^T products are total_matvecs less the oracles' W-products."""
+    """Every call of the W products that current_matrix hands the line search
+    is in total_matvecs: the inner solves' W and W^T products are
+    total_matvecs less the oracles' W-products."""
     make, mode = B_PRODUCT_CASES[name]
     p = make()
     products, oracle = [0], [0]
@@ -160,7 +161,11 @@ def test_every_b_product_is_counted(monkeypatch, name):
         oracle[0] += state.last_sep.matvecs
         return out
 
-    monkeypatch.setattr(qnpe.driver, "current_matrix", lambda *a: tuple(map(counted, played(*a))))
+    def played_counted(*args):
+        w_apply, w_apply_t, c1, c0 = played(*args)
+        return counted(w_apply), counted(w_apply_t), c1, c0
+
+    monkeypatch.setattr(qnpe.driver, "current_matrix", played_counted)
     monkeypatch.setattr(qnpe.driver, "observe_loss", observe_counted)
     z0 = p.known_root + np.random.default_rng(0).standard_normal(p.dim)
     _, _, trace = solve(p, SolverConfig(mode=mode, max_iterations=60), z0=z0)

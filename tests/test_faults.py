@@ -116,3 +116,24 @@ def test_non_monotone_operator_fails_its_certificates():
                                   jacobian_matvec=lambda z, v: diag * v)
     _, failing = _certified_run(problem, mode)
     assert {"per-iteration-contraction", "cumulative-displacement"} <= set(failing)
+
+
+def test_underflowing_residual_norm_still_certifies():
+    # run to ||F|| = 0: near ||F|| = 3.5e-155 the squared norm of an inner
+    # right-hand side F(z) underflows, which broke CGLS down while the solves
+    # ran at F's own scale; they run for F(z) / ||F(z)|| instead
+    problem = make_bilinear_minimax(10, 10, 0.1, 1.0, seed=1)
+    trace, failing = _certified_run(problem, Mode.STRONGLY_MONOTONE, rho=0.5, stop_tolerance=0.0,
+                                    max_iterations=2000)
+    assert trace.final_norm_F == 0.0 and trace.iterations > 884
+    assert not failing
+
+
+def test_a_rejected_trial_that_does_not_move_z_is_not_observed():
+    # at the rounding floor a rejected trial can round to z itself: it gives
+    # no loss observation (its direction z_tilde - z is 0), and the run goes on
+    problem = make_quadratic_min(20, 0.1, 1.0, seed=1)
+    config = SolverConfig(mode=Mode.STRONGLY_MONOTONE, stop_tolerance=0.0, max_iterations=920)
+    _, _, trace = solve(problem, config, z0=_z0(problem))
+    assert trace.iterations == 920
+    assert any(r.backtracked and math.isnan(r.loss) for r in trace.rows[870:])

@@ -24,6 +24,7 @@ from qnpe import (
     played_matrix,
 )
 from qnpe.learner import DEFAULT_RHO, current_matrix, loss_gradient
+from qnpe.line_search import backtrack
 from qnpe.separation import from_hat, project_subspace, subspace_residual
 
 
@@ -166,39 +167,72 @@ def test_a_huge_step_lands_on_the_ball(structure):
     assert abs(np.linalg.norm(w) - params.radius) <= 1e-12 * params.radius
 
 
-@pytest.mark.parametrize("structure", ["general", "symmetric", "jsymmetric", "sparse"])
-def test_current_matrix_applies_the_played_matrix(structure):
-    rng = np.random.default_rng(14)
-    d, mu, l1 = 20, 0.0, 1.5
+def played_rounds(name, rng, rounds=12):
+    """The learner's (state, params) on d = 20 before each of `rounds` rounds
+    of observations of a random structured target: Option II (mu = 0), so
+    scale = (1 + delta) gamma != 1, and a large rho, so Case II rounds occur."""
+    d, l1 = 20, 1.5
     structure = {
         "general": General(),
         "symmetric": Symmetric(),
         "jsymmetric": JSymmetric(7, 13),
         "sparse": Sparse(random_pattern(rng, d, 60)),
-    }[structure]
-    # Option II (mu = 0): scale = (1 + delta) gamma != 1; a large rho also gives Case II rounds
-    params = make_params(mu=mu, l1=l1, d=d, structure=structure, rho=5.0)
-    state = learner_init((l1 + mu) * np.eye(d), params, rng)
+    }[name]
+    params = make_params(mu=0.0, l1=l1, d=d, structure=structure, rho=5.0)
+    state = learner_init(l1 * np.eye(d), params, rng)
     target = project_subspace(structure, 3.0 * l1 * rng.standard_normal((d, d)))
-    scales = []
-    for t in range(12):
+    for t in range(rounds):
         if t:
             s = rng.standard_normal(d)
             observe_loss(state, LossObservation(u=target @ s, s=s), params)
+        yield state, params
+
+
+@pytest.mark.parametrize("structure", ["general", "symmetric", "jsymmetric", "sparse"])
+def test_current_matrix_applies_the_played_matrix(structure):
+    """current_matrix's W products and coefficients give c1 W v + c0 v = B v
+    and c1 W^T v + c0 v = B^T v for the played B, W^T's function being W's
+    for Symmetric."""
+    rng = np.random.default_rng(14)
+    scales = []
+    for state, params in played_rounds(structure, rng):
         scales.append(state.scale)
         b = played_matrix(state, params)
-        b_mv, b_mv_t = current_matrix(state, params)
-        if isinstance(structure, Symmetric):
-            assert b_mv_t is b_mv
+        w_apply, w_apply_t, c1, c0 = current_matrix(state, params)
+        assert (w_apply_t is w_apply) == isinstance(params.structure, Symmetric)
         for _ in range(3):
-            v = rng.standard_normal(d)
-            assert np.linalg.norm(b_mv(v) - b @ v) <= 1e-13 * np.linalg.norm(b @ v)
-            assert np.linalg.norm(b_mv_t(v) - b.T @ v) <= 1e-13 * np.linalg.norm(b.T @ v)
-            if isinstance(structure, Sparse):  # round 0: explicit zeros on the whole pattern
+            v = rng.standard_normal(params.dim)
+            b_v, bt_v = c1 * w_apply(v) + c0 * v, c1 * w_apply_t(v) + c0 * v
+            assert np.linalg.norm(b_v - b @ v) <= 1e-13 * np.linalg.norm(b @ v)
+            assert np.linalg.norm(bt_v - b.T @ v) <= 1e-13 * np.linalg.norm(b.T @ v)
+            if isinstance(params.structure, Sparse):  # round 0: explicit zeros on the whole pattern
                 w = state.model.dense()
                 assert_bitwise(state.model.matvec(v), sp.csr_array(w) @ v)
                 assert_bitwise(state.model.rmatvec(v), sp.csr_array(w.T) @ v)
     assert scales[0] == 1.0 and max(scales) > 1.0
+
+
+@pytest.mark.parametrize("structure", ["general", "symmetric", "jsymmetric", "sparse"])
+def test_line_search_b_s_is_the_played_matrix_times_s(structure):
+    """backtrack folds B = c1 W + c0 I into its solves' shift and scale: the
+    B s it returns for the accepted and the last rejected step is the played
+    B times that step, also when scale != 1 and after Case II rounds."""
+    rng = np.random.default_rng(18)
+    target = 6.0 * rng.standard_normal((20, 20))  # far from B: the line search backtracks
+    scales, checked = [], 0
+    for state, params in played_rounds(structure, rng):
+        scales.append(state.scale)
+        b = played_matrix(state, params)
+        z = rng.standard_normal(params.dim)
+        out = backtrack(z, target @ z, *current_matrix(state, params), 8.0, lambda x: target @ x,
+                        alpha1=0.25, alpha2=0.25, beta=0.5, mu=0.0, max_backtracks=60,
+                        b_symmetric=isinstance(params.structure, Symmetric))
+        for b_s, z_end in ((out.b_s, out.z_hat), (out.b_s_tilde, out.z_tilde)):
+            if z_end is not None:
+                fresh = b @ (z_end - z)
+                assert np.linalg.norm(b_s - fresh) <= 1e-12 * np.linalg.norm(fresh)
+                checked += 1
+    assert checked > 12 and max(scales) > 1.0
 
 
 def test_a_sparse_learner_forms_no_dense_matrix():
@@ -217,8 +251,8 @@ def test_a_sparse_learner_forms_no_dense_matrix():
     try:
         state = learner_init(None, params, rng)
         for obs in observations:
-            b_mv = current_matrix(state, params)[0]
-            observe_loss(state, obs, params, resid=obs.u - b_mv(obs.s))
+            w_apply, _, c1, c0 = current_matrix(state, params)
+            observe_loss(state, obs, params, resid=obs.u - (c1 * w_apply(obs.s) + c0 * obs.s))
             case_ii += state.last_sep.case is SepCase.CASE_II
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -425,12 +459,12 @@ def test_played_matrices_stay_feasible_option_one():
         s = rng.standard_normal(d)
         observe_loss(state, LossObservation(u=target @ s, s=s), params)
         b = played_matrix(state, params)
-        b_mv, _ = current_matrix(state, params)
+        w_apply, _, c1, c0 = current_matrix(state, params)
         assert np.linalg.eigvalsh(0.5 * (b + b.T))[0] >= mu / 2 - 1e-9
         assert np.linalg.norm(b, 2) <= 6.5 * l1 + 1e-9
         assert np.array_equal(b, b.T)
         v = rng.standard_normal(d)
-        assert np.allclose(b_mv(v), b @ v)
+        assert np.allclose(c1 * w_apply(v) + c0 * v, b @ v)
 
 
 def test_played_matrices_stay_feasible_option_two():

@@ -1,5 +1,7 @@
 """Backtracking line search: closed-form acceptance cases, rejected-iterate
-bookkeeping, and where its constants are validated."""
+bookkeeping, and where its constants are validated.  backtrack is handed W's
+products and the played B = c1 W + c0 I's coefficients; most cases here play
+B = W (c1 = 1, c0 = 0)."""
 
 import dataclasses
 import math
@@ -8,7 +10,8 @@ import numpy as np
 import pytest
 
 import qnpe.line_search
-from qnpe import LinearOp, LineSearchError, SolverConfig, linear_solve, make_quadratic_min
+from qnpe import (CglsStart, KrylovBasis, LineSearchError, SolverConfig, linear_solve,
+                  make_quadratic_min)
 from qnpe.line_search import backtrack, default_max_backtracks
 
 
@@ -23,7 +26,7 @@ def affine_eval(a, z_star):
 
 def test_zero_gradient_accepts_immediately():
     z = np.array([1.0, -1.0])
-    out = backtrack(z, np.zeros(2), lambda v: v, lambda v: v, sigma=1.0,
+    out = backtrack(z, np.zeros(2), lambda v: v, lambda v: v, 1.0, 0.0, sigma=1.0,
                     **params(), f_eval=lambda zz: zz - z)
     assert out.eta == 1.0
     assert not out.backtracked
@@ -31,7 +34,7 @@ def test_zero_gradient_accepts_immediately():
     assert out.trial_count == 1
     # a non-symmetric B: CGLS's start is never read, and B s = 0 needs no product
     b = np.array([[1.0, 2.0], [0.0, 1.0]])
-    out = backtrack(z, np.zeros(2), lambda v: b @ v, lambda v: b.T @ v, sigma=1.0,
+    out = backtrack(z, np.zeros(2), lambda v: b @ v, lambda v: b.T @ v, 1.0, 0.0, sigma=1.0,
                     **params(), f_eval=lambda zz: zz - z)
     assert out.trial_count == 1 and out.matvecs == 0
     assert np.array_equal(out.z_hat, z) and np.array_equal(out.b_s, np.zeros(2))
@@ -45,7 +48,7 @@ def test_exact_model_with_exact_solve_accepts_first_trial():
     z_star = rng.standard_normal(6)
     z = z_star + rng.standard_normal(6)
     f = affine_eval(a, z_star)
-    out = backtrack(z, f(z), lambda v: a @ v, lambda v: a @ v, sigma=50.0,
+    out = backtrack(z, f(z), lambda v: a @ v, lambda v: a @ v, 1.0, 0.0, sigma=50.0,
                     **params(alpha1=0.0), f_eval=f, b_symmetric=True)
     assert out.eta == 50.0
     assert not out.backtracked
@@ -60,7 +63,7 @@ def test_identity_jacobian_closed_form_step():
     # acceptance residual is exactly zero
     z = np.array([2.0, 0.0, -1.0])
     f = lambda zz: zz
-    out = backtrack(z, z.copy(), lambda v: v, lambda v: v, sigma=1.0,
+    out = backtrack(z, z.copy(), lambda v: v, lambda v: v, 1.0, 0.0, sigma=1.0,
                     **params(alpha1=0.25), f_eval=f, b_symmetric=True)
     assert out.eta == 1.0
     expected = z - (out.eta / (1.0 + out.eta)) * z
@@ -75,7 +78,7 @@ def test_mismatched_model_backtracks_and_keeps_rejected_iterate():
     f = affine_eval(a, z_star)
     z = np.array([1.0, 1.0, 1.0])
     evals, products = [], []
-    out = backtrack(z, f(z), lambda v: products.append(v) or 0 * v, lambda v: 0 * v,
+    out = backtrack(z, f(z), lambda v: products.append(v) or 0 * v, lambda v: 0 * v, 1.0, 0.0,
                     sigma=4.0, **params(), f_eval=lambda x: evals.append(x) or f(x),
                     b_symmetric=True)
     assert out.backtracked
@@ -96,8 +99,8 @@ def test_mismatched_model_backtracks_and_keeps_rejected_iterate():
 
 @pytest.mark.parametrize("b_symmetric", [False, True])
 def test_matvecs_are_the_counted_b_products(b_symmetric):
-    """matvecs sums the inner solves' products with B and B^T over all
-    trials: the calls of b_apply and b_apply_t, counted outside."""
+    """matvecs sums the inner solves' products with W and W^T over all
+    trials, for B = 0.1 W: the calls of w_apply and w_apply_t, counted outside."""
     rng = np.random.default_rng(3)
     b = rng.standard_normal((6, 6))
     b = b + b.T if b_symmetric else b
@@ -109,7 +112,7 @@ def test_matvecs_are_the_counted_b_products(b_symmetric):
         return lambda v: calls.__setitem__(key, calls[key] + 1) or m @ v
 
     solves = []
-    out = backtrack(z, f(z), tally("b", 0.1 * b), tally("b_t", 0.1 * b.T), sigma=8.0,
+    out = backtrack(z, f(z), tally("b", b), tally("b_t", b.T), 0.1, 0.0, sigma=8.0,
                     **params(), f_eval=lambda x: solves.append(x) or f(x),
                     b_symmetric=b_symmetric)
     assert out.backtracked and out.trial_count == len(solves) > 1
@@ -130,30 +133,34 @@ def recorded_solves(monkeypatch):
 
 
 def test_shared_basis_changes_only_the_cost(monkeypatch):
-    """On a symmetric B every trial solves its shift from one Krylov basis:
-    each trial's step is the standalone solve of (I + eta B) s = -eta g, the
-    B-products are the largest trial's iterations, and the B s vectors the
-    basis returns are B times the accepted and the last rejected step."""
+    """On a symmetric W every trial solves its shift from one Krylov basis of
+    W: each trial's step is the standalone solve of (I + eta B) s = -eta g,
+    B = 0.5 W + 1.5 I, on a basis of I + eta B, the W-products are the
+    largest trial's iterations, and the B s vectors are B times the accepted
+    and the last rejected step."""
     rng = np.random.default_rng(11)
     d, mu = 12, 0.1
     q = rng.standard_normal((d, d))
-    b = 0.5 * (q + q.T) / np.sqrt(d) + 1.5 * np.eye(d)
+    w = (q + q.T) / np.sqrt(d)
+    b = 0.5 * w + 1.5 * np.eye(d)
     f = affine_eval(b + 6.0 * np.eye(d), rng.standard_normal(d))
     z = rng.standard_normal(d)
     calls, trials = [0], []
     reports = recorded_solves(monkeypatch)
 
-    def b_apply(v):
+    def w_apply(v):
         calls[0] += 1
-        return b @ v
+        return w @ v
 
-    out = backtrack(z, f(z), b_apply, b_apply, sigma=16.0, **params(mu=mu),
+    out = backtrack(z, f(z), w_apply, w_apply, 0.5, 1.5, sigma=16.0, **params(mu=mu),
                     f_eval=lambda x: trials.append(x) or f(x), b_symmetric=True)
     assert out.trial_count == len(trials) == len(reports) >= 3
     for t, z_hat in enumerate(trials):
         eta = 16.0 * 0.5**t
-        op = LinearOp.from_matrix(np.eye(d) + eta * b, symmetric=True)
-        alone = linear_solve(op, -eta * f(z), 0.25 * math.sqrt(1.0 + eta * mu)).solution
+        a = np.eye(d) + eta * b
+        start = KrylovBasis(lambda v: a @ v, f(z))
+        rho_tol = 0.25 * math.sqrt(1.0 + eta * mu)
+        alone = linear_solve(start, 0.0, 1.0, -eta * f(z), rho_tol).solution
         assert np.linalg.norm((z_hat - z) - alone) <= 1e-12 * np.linalg.norm(alone)
     assert calls[0] == out.matvecs == max(r.iterations for r in reports) > 0
     for b_s, z_end in ((out.b_s, out.z_hat), (out.b_s_tilde, out.z_tilde)):
@@ -162,14 +169,15 @@ def test_shared_basis_changes_only_the_cost(monkeypatch):
 
 
 def test_cgls_start_changes_only_the_cost(monkeypatch):
-    """On a non-symmetric B every trial's CGLS reuses the first trial's B^T g:
-    each trial's step is the standalone solve of (I + eta B) s = -eta g, a
-    trial of k steps makes 2k products, 1 fewer after the first trial, and
-    the B s vectors CGLS accumulates are B times the accepted and the last
-    rejected step."""
+    """On a non-symmetric W every trial's CGLS reuses the first trial's W^T g:
+    each trial's step is the standalone CGLS solve of (I + eta B) s = -eta g,
+    B = W + 1.5 I, a trial of k steps makes 2k products, 1 fewer after the
+    first trial, and the B s vectors formed from CGLS's W s are B times the
+    accepted and the last rejected step."""
     rng = np.random.default_rng(13)
     d, mu = 12, 0.1
-    b = rng.standard_normal((d, d)) / np.sqrt(d) + 1.5 * np.eye(d)
+    w = rng.standard_normal((d, d)) / np.sqrt(d)
+    b = w + 1.5 * np.eye(d)
     f = affine_eval(b + 6.0 * np.eye(d), rng.standard_normal(d))
     z = rng.standard_normal(d)
     calls, trials = {"b": 0, "b_t": 0}, []
@@ -178,13 +186,15 @@ def test_cgls_start_changes_only_the_cost(monkeypatch):
     def tally(key, m):
         return lambda v: calls.__setitem__(key, calls[key] + 1) or m @ v
 
-    out = backtrack(z, f(z), tally("b", b), tally("b_t", b.T), sigma=16.0, **params(mu=mu),
-                    f_eval=lambda x: trials.append(x) or f(x))
+    out = backtrack(z, f(z), tally("b", w), tally("b_t", w.T), 1.0, 1.5, sigma=16.0,
+                    **params(mu=mu), f_eval=lambda x: trials.append(x) or f(x))
     assert out.trial_count == len(trials) == len(reports) >= 3
     for t, z_hat in enumerate(trials):
         eta = 16.0 * 0.5**t
-        op = LinearOp.from_matrix(np.eye(d) + eta * b, symmetric=False)
-        alone = linear_solve(op, -eta * f(z), 0.25 * math.sqrt(1.0 + eta * mu)).solution
+        a = np.eye(d) + eta * b
+        start = CglsStart(lambda v: a @ v, lambda v: a.T @ v, f(z))
+        rho_tol = 0.25 * math.sqrt(1.0 + eta * mu)
+        alone = linear_solve(start, 0.0, 1.0, -eta * f(z), rho_tol).solution
         assert np.linalg.norm((z_hat - z) - alone) <= 1e-12 * np.linalg.norm(alone)
     assert [r.matvecs for r in reports] == [2 * r.iterations - (t > 0)
                                             for t, r in enumerate(reports)]
@@ -210,7 +220,8 @@ def test_one_transpose_product_per_line_search(monkeypatch):
     def tally(key, m):
         return lambda v: calls.__setitem__(key, calls[key] + 1) or m @ v
 
-    out = backtrack(z, f(z), tally("b", b), tally("b_t", b.T), sigma=4.0, **params(), f_eval=f)
+    out = backtrack(z, f(z), tally("b", b), tally("b_t", b.T), 1.0, 0.0, sigma=4.0, **params(),
+                    f_eval=f)
     assert out.trial_count >= 3 and all(r.iterations == 1 for r in reports)
     assert calls == {"b": out.trial_count, "b_t": 1}
     assert out.matvecs == out.trial_count + 1
@@ -234,12 +245,12 @@ def test_invariant_subspace_ends_the_solve_exactly(monkeypatch, rank):
         calls[0] += 1
         return b @ v
 
-    out = backtrack(z, f(z), b_apply, b_apply, sigma=4.0, **params(alpha1=0.0), f_eval=f,
-                    b_symmetric=True)
+    out = backtrack(z, f(z), b_apply, b_apply, 1.0, 0.0, sigma=4.0, **params(alpha1=0.0),
+                    f_eval=f, b_symmetric=True)
     assert out.backtracked
     assert all(r.converged and r.iterations <= rank + 1 for r in reports)
     assert calls[0] == out.matvecs <= rank + 1
-    rep = linear_solve(LinearOp.from_matrix(b, symmetric=True), f(z), rho_tol=1e-300)
+    rep = linear_solve(KrylovBasis(lambda v: b @ v, f(z)), 0.0, 1.0, f(z), rho_tol=1e-300)
     assert rep.converged and rep.iterations == rep.matvecs <= rank + 1
     assert np.allclose(b @ rep.solution, f(z), rtol=0, atol=1e-12 * np.linalg.norm(f(z)))
 
@@ -249,13 +260,13 @@ def test_exhaustion_raises():
     f = affine_eval(a, np.zeros(2))
     z = np.ones(2)
     with pytest.raises(LineSearchError):
-        backtrack(z, f(z), lambda v: 0 * v, lambda v: 0 * v, sigma=4.0,
+        backtrack(z, f(z), lambda v: 0 * v, lambda v: 0 * v, 1.0, 0.0, sigma=4.0,
                   **params(max_backtracks=2), f_eval=f, b_symmetric=True)
 
 
 def test_nonfinite_gradient_rejected():
     with pytest.raises(LineSearchError):
-        backtrack(np.zeros(2), np.array([np.nan, 0.0]), lambda v: v, lambda v: v,
+        backtrack(np.zeros(2), np.array([np.nan, 0.0]), lambda v: v, lambda v: v, 1.0, 0.0,
                   sigma=1.0, **params(), f_eval=lambda z: z)
 
 
@@ -291,5 +302,5 @@ def test_parameter_validation(kwargs):
 
 def test_sigma_must_be_positive():
     with pytest.raises(ValueError):
-        backtrack(np.zeros(2), np.ones(2), lambda v: v, lambda v: v, sigma=0.0,
+        backtrack(np.zeros(2), np.ones(2), lambda v: v, lambda v: v, 1.0, 0.0, sigma=0.0,
                   **params(), f_eval=lambda z: z)

@@ -1,12 +1,14 @@
 """Inexact Krylov solver: termination contract, matvec accounting, and the
-iterate/residual monotonicity properties of both recurrences."""
+iterate/residual monotonicity properties of both recurrences.  Each system
+is solved on the start the line search builds, a KrylovBasis or a CglsStart
+on the matrix's own products, with shift 0 and scale 1."""
 
 import math
 
 import numpy as np
 import pytest
 
-from qnpe import LinearOp, NumericalBreakdownError, linear_solve
+from qnpe import CglsStart, KrylovBasis, NumericalBreakdownError, linear_solve
 
 
 def random_wellposed(d, rng, symmetric=False):
@@ -18,32 +20,43 @@ def random_wellposed(d, rng, symmetric=False):
     return r + (1.0 + max(0.0, -lam_min)) * np.eye(d)
 
 
+def start_on(a, b, symmetric, apply=None, apply_t=None):
+    """The solver's start on a for right-hand sides parallel to b: a Krylov
+    basis when a is symmetric, else a CGLS start.  apply and apply_t default
+    to a's dense products."""
+    apply = apply or (lambda v: a @ v)
+    if symmetric:
+        return KrylovBasis(apply, b)
+    return CglsStart(apply, apply_t or (lambda v: a.T @ v), b)
+
+
+def solve_dense(a, b, rho_tol, max_iters=None, symmetric=False):
+    """linear_solve of a s = b, shift 0 and scale 1, on a fresh start."""
+    return linear_solve(start_on(a, b, symmetric), 0.0, 1.0, b, rho_tol, max_iters)
+
+
 def iterate_at(a, b, k, symmetric):
     """k-th Krylov iterate, recovered by rerunning with a hard iteration cap
     and a tolerance too tight to trigger early exit."""
-    op = LinearOp.from_matrix(a, symmetric=symmetric)
-    return linear_solve(op, b, rho_tol=1e-300, max_iters=k).solution
+    return solve_dense(a, b, rho_tol=1e-300, max_iters=k, symmetric=symmetric).solution
 
 
 def test_identity_converges_in_one_iteration():
-    op = LinearOp.from_matrix(np.eye(4))
     b = np.array([1.0, -2.0, 3.0, 0.5])
-    rep = linear_solve(op, b, rho_tol=0.5)
+    rep = solve_dense(np.eye(4), b, rho_tol=0.5, symmetric=True)
     assert rep.converged
     assert rep.iterations == 1
     assert np.allclose(rep.solution, b, atol=1e-14)
 
 
 def test_diagonal_system_exact_solution():
-    op = LinearOp.from_matrix(np.diag([1.0, 2.0, 3.0]))
-    rep = linear_solve(op, np.ones(3), rho_tol=1e-10)
+    rep = solve_dense(np.diag([1.0, 2.0, 3.0]), np.ones(3), rho_tol=1e-10, symmetric=True)
     assert rep.converged
     assert np.allclose(rep.solution, [1.0, 0.5, 1.0 / 3.0], atol=1e-8)
 
 
 def test_zero_rhs_short_circuits():
-    op = LinearOp.from_matrix(np.diag([2.0, 2.0]))
-    rep = linear_solve(op, np.zeros(2), rho_tol=0.1)
+    rep = linear_solve(None, 1.0, 2.0, np.zeros(2), rho_tol=0.1)  # the start is never read
     assert rep.converged
     assert rep.iterations == 0
     assert rep.matvecs == 0
@@ -51,24 +64,39 @@ def test_zero_rhs_short_circuits():
 
 
 @pytest.mark.parametrize("symmetric", [False, True])
+def test_shift_and_scale_solve_the_shifted_system(symmetric):
+    """One start on W serves (shift I + scale W) s = b for every shift and
+    scale, and its W s is W times the returned s."""
+    rng = np.random.default_rng(19)
+    w = random_wellposed(16, rng, symmetric=symmetric) - 1.5 * np.eye(16)
+    b = rng.standard_normal(16)
+    start = start_on(w, b, symmetric)
+    for shift, scale in ((1.0, 0.3), (2.5, 0.3), (1.0, 0.05)):
+        a = shift * np.eye(16) + scale * w
+        rep = linear_solve(start, shift, scale, -0.7 * b, rho_tol=0.2)
+        assert rep.converged
+        assert np.linalg.norm(a @ rep.solution + 0.7 * b) <= 0.2 * np.linalg.norm(rep.solution)
+        w_s = rep.image if rep.coords is None else start.image(rep.coords)
+        assert np.linalg.norm(w_s - w @ rep.solution) <= 1e-12 * np.linalg.norm(w @ rep.solution)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
 def test_random_system_meets_relative_residual(symmetric):
     rng = np.random.default_rng(20)
     a = random_wellposed(20, rng, symmetric=symmetric)
     b = rng.standard_normal(20)
-    rep = linear_solve(LinearOp.from_matrix(a, symmetric=symmetric), b, rho_tol=0.25)
+    rep = solve_dense(a, b, rho_tol=0.25, symmetric=symmetric)
     assert rep.converged
     # recomputed independently of the solver's internal residual
     assert np.linalg.norm(a @ rep.solution - b) <= 0.25 * np.linalg.norm(rep.solution)
 
 
-def counted(op):
-    """op with its apply and apply_transpose calls tallied in the returned list."""
+def counted(a, b, symmetric):
+    """start_on(a, b, symmetric) with its products of a and a^T tallied in
+    the returned list."""
     calls = []
-
-    def tally(fn):
-        return lambda v: calls.append(1) or fn(v)
-
-    return LinearOp(op.dim, tally(op.apply), tally(op.apply_transpose), op.symmetric), calls
+    return start_on(a, b, symmetric, lambda v: calls.append(1) or a @ v,
+                    lambda v: calls.append(1) or a.T @ v), calls
 
 
 @pytest.mark.parametrize("symmetric,per_iter", [(False, 2), (True, 1)])
@@ -76,13 +104,13 @@ def test_matvec_accounting(symmetric, per_iter):
     """The reported matvecs are the operator calls the solver made, counted
     outside it, and follow the rule iterations * (1 or 2), whether the solve
     converges or hits its cap: no product is made after the last residual
-    test.  b = 0 makes none."""
+    test.  b = 0 makes none, on the same start."""
     rng = np.random.default_rng(21)
     a = random_wellposed(15, rng, symmetric=symmetric)
     b = rng.standard_normal(15)
     for rho_tol, max_iters, b_k in ((0.3, None, b), (1e-14, 3, b), (0.3, None, 0 * b)):
-        op, calls = counted(LinearOp.from_matrix(a, symmetric=symmetric))
-        rep = linear_solve(op, b_k, rho_tol=rho_tol, max_iters=max_iters)
+        start, calls = counted(a, b, symmetric)
+        rep = linear_solve(start, 0.0, 1.0, b_k, rho_tol=rho_tol, max_iters=max_iters)
         assert rep.converged == (max_iters is None)
         assert rep.matvecs == len(calls) == per_iter * rep.iterations
         assert (rep.iterations == 0) == (not b_k.any())
@@ -117,14 +145,13 @@ def test_unconverged_reported_honestly():
     rng = np.random.default_rng(24)
     a = random_wellposed(30, rng)
     b = rng.standard_normal(30)
-    rep = linear_solve(LinearOp.from_matrix(a), b, rho_tol=1e-14, max_iters=2)
+    rep = solve_dense(a, b, rho_tol=1e-14, max_iters=2)
     assert not rep.converged
 
 
 def test_rejects_nonpositive_tolerance():
-    op = LinearOp.from_matrix(np.eye(2))
     with pytest.raises(ValueError):
-        linear_solve(op, np.ones(2), rho_tol=0.0)
+        solve_dense(np.eye(2), np.ones(2), rho_tol=0.0, symmetric=True)
 
 
 @pytest.mark.parametrize("symmetric", [True, False], ids=["cr", "cgls"])
@@ -148,9 +175,8 @@ def test_non_finite_operator_value_is_a_breakdown(symmetric, bad, poisoned_call)
 
         return apply
 
-    op = LinearOp.from_matrix(a, symmetric=symmetric)
-    op = LinearOp(op.dim, poison(op.apply), poison(op.apply_transpose), symmetric)
+    start = start_on(a, b, symmetric, poison(lambda v: a @ v), poison(lambda v: a.T @ v))
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(NumericalBreakdownError):
-            linear_solve(op, b, rho_tol=1e-10)
+            linear_solve(start, 0.0, 1.0, b, rho_tol=1e-10)
     assert calls[0] >= poisoned_call
