@@ -1,13 +1,14 @@
-"""Outer solver loop and the fixed-step extragradient baseline.
+"""Outer solver loop, shared by the solver and the fixed-step extragradient baseline.
 
-Each iteration evaluates the operator at the current point, runs the
-backtracking line search to obtain (eta, z_hat), applies the extragradient
-mixing step z+ = theta (z - eta F(z_hat)) + (1 - theta) z_hat with
-theta = 1 / (1 + 2 eta mu), and — only when the line search backtracked and
-its last rejected trial is finite and moved z — feeds the
-model-mismatch loss at that rejected iterate to the online learner.  The
-monotone mode additionally maintains the eta-weighted average of the z_hat
-iterates.
+Each iteration of `_outer_loop` evaluates the operator at the current point,
+takes the solver's step to obtain (eta, theta, z_hat), applies the
+extragradient mixing step z+ = theta (z - eta F(z_hat)) + (1 - theta) z_hat,
+keeps the eta-weighted average of the z_hat iterates and records one trace
+row, by one counting rule for both solvers.  The solver's step runs the
+backtracking line search, takes theta = 1 / (1 + 2 eta mu), and — only when
+the line search backtracked and its last rejected trial is finite and moved z
+— feeds the model-mismatch loss at that rejected iterate to the online
+learner.  The baseline's step is z_hat = z - eta F(z) with theta = 1.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -98,19 +100,56 @@ def _dist(z: np.ndarray, root: np.ndarray | None) -> float:
     return _norm(z - root) if root is not None else math.nan
 
 
-def _finish_trace(
-    trace: RunTrace,
-    problem: Problem,
-    z: np.ndarray,
-    zbar_acc: np.ndarray,
-    eta_sum: float,
-    cum_evals: int,
-    matvecs: int,
-    g: np.ndarray | None = None,
-) -> np.ndarray | None:
-    """Record the end of a run; returns z_bar.  g is F(z) if the caller has
-    already evaluated and counted it, else F(z) is evaluated and counted here."""
-    if g is None:
+class _Step(NamedTuple):
+    """One iteration's step, as the outer loop records it."""
+
+    eta: float
+    theta: float
+    z_hat: np.ndarray
+    f_zhat: np.ndarray
+    trials: int  # operator evaluations after F(z)
+    step_norm: float  # ||z_hat - z||
+    matvecs: int = 0
+    loss: float = math.nan
+    cond_a_margin: float = math.nan
+    cond_b_margin: float = math.nan
+
+
+def _outer_loop(problem: Problem, z0: np.ndarray | None, n_iters: int, stop_tolerance: float,
+                trace: RunTrace, step: Callable[[int, np.ndarray, np.ndarray], _Step]) -> None:
+    """Run up to n_iters iterations from z0 (None: the origin) into trace.
+
+    Iteration k evaluates F(z), stops once ||F(z)|| <= stop_tolerance, and
+    takes step(k, z, F(z)).  Then z+ = theta (z - eta F(z_hat)) + (1 - theta)
+    z_hat, z_hat joins the eta-weighted average, and one row records the
+    iteration: cum_evals adds 1 + trials and cum_matvecs the step's matvecs.
+    The end-of-run totals count F at the final point once, so total_evals is
+    the last row's cum_evals + 1."""
+    z = np.zeros(problem.dim) if z0 is None else np.asarray(z0, dtype=float).copy()
+    trace.z0 = z.copy()
+    cum_evals = cum_matvecs = 0
+    eta_sum = 0.0
+    zbar_acc = np.zeros(problem.dim)
+    for k in range(n_iters):
+        g = problem.eval(z)
+        cum_evals += 1
+        norm_g = _norm(g)
+        if norm_g <= stop_tolerance:
+            break
+        st = step(k, z, g)
+        cum_evals += st.trials
+        cum_matvecs += st.matvecs
+        z_next = st.theta * (z - st.eta * st.f_zhat) + (1.0 - st.theta) * st.z_hat
+        eta_sum += st.eta
+        zbar_acc += st.eta * st.z_hat
+        trace.rows.append(TraceRow(
+            k=k, eta=st.eta, theta=st.theta, norm_F=norm_g, dist=_dist(z, problem.known_root),
+            step_norm=st.step_norm, backtracked=st.trials > 1, trials=st.trials, loss=st.loss,
+            cond_a_margin=st.cond_a_margin, cond_b_margin=st.cond_b_margin,
+            cum_evals=cum_evals, cum_matvecs=cum_matvecs,
+        ))
+        z = z_next
+    else:  # no stop: F at the final point is evaluated here
         g = problem.eval(z)
         cum_evals += 1
     trace.z_final = z
@@ -119,64 +158,30 @@ def _finish_trace(
     trace.final_norm_F = _norm(g)
     trace.final_dist = _dist(z, problem.known_root)
     trace.total_evals = cum_evals
-    trace.total_matvecs = matvecs
-    return trace.z_bar
+    trace.total_matvecs = cum_matvecs
 
 
 def solve(
     problem: Problem,
     config: SolverConfig,
     z0: np.ndarray | None = None,
-    b0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, RunTrace]:
     """Run the solver; returns (z_final, averaged iterate or None, trace)."""
     check_mode(problem, config)
-    d = problem.dim
     mu = problem.mu if config.mode is Mode.STRONGLY_MONOTONE else 0.0
     l1 = problem.l1
-    z = np.zeros(d) if z0 is None else np.asarray(z0, dtype=float).copy()
-
     sigma0 = config.effective_sigma0(l1)
     # mu > 0 (strongly monotone mode) is the learner's Option I, mu = 0 its Option II
-    lparams = LearnerParams(problem.structure, d, mu, l1, config.p,
+    lparams = LearnerParams(problem.structure, problem.dim, mu, l1, config.p,
                             rho=config.rho, radius=config.radius)
     rng = np.random.default_rng(config.rng_seed)
-    state = learner_init(b0, lparams, rng)  # b0 = None: the center (L1 + mu) I
-
+    state = learner_init(None, lparams, rng)  # b0 = None: the center (L1 + mu) I
     sym_structure = isinstance(problem.structure, Symmetric)
-
-    trace = RunTrace(
-        solver="qnpe",
-        z0=z.copy(),
-        meta={
-            "mode": config.mode.value,
-            "alpha1": config.alpha1,
-            "alpha2": config.alpha2,
-            "beta": config.beta,
-            "sigma0": sigma0,
-            "mu": mu,
-            "l1": l1,
-            "p": config.p,
-            "rng_seed": config.rng_seed,
-        },
-    )
-
     floor = config.step_size_floor(l1)
     sigma = sigma0
-    cum_evals = 0
-    cum_matvecs = 0  # W-products of the inner solves and of the oracles
-    eta_sum = 0.0
-    zbar_acc = np.zeros(d)
-    g_stop = None  # F(z) when the loop stops on the tolerance
 
-    for k in range(config.max_iterations):
-        g = problem.eval(z)
-        cum_evals += 1
-        norm_g = _norm(g)
-        if norm_g <= config.stop_tolerance:
-            g_stop = g
-            break
-
+    def step(k: int, z: np.ndarray, g: np.ndarray) -> _Step:
+        nonlocal sigma
         max_backtracks = config.max_backtracks or default_max_backtracks(  # None: the default
             sigma, l1, config.alpha2, config.beta)
         out = backtrack(  # W's products and B = c1 W + c0 I's coefficients
@@ -184,17 +189,11 @@ def solve(
             alpha2=config.alpha2, beta=config.beta, mu=mu, max_backtracks=max_backtracks,
             b_symmetric=sym_structure,
         )
-        cum_evals += out.trial_count
-        cum_matvecs += out.matvecs
-
         eta = out.eta
         if eta < floor - 1e-12:  # the step-size-floor certificate's own threshold
             raise LineSearchError(f"accepted eta={eta:.3e} at iteration {k} is below the "
                                   f"step-size floor {floor:.3e}; check F's values and L1")
-        theta = 1.0 / (1.0 + 2.0 * eta * mu)
-        z_next = theta * (z - eta * out.f_zhat) + (1.0 - theta) * out.z_hat
-        eta_sum += eta
-        zbar_acc += eta * out.z_hat
+        sigma = eta / config.beta
 
         s = out.z_hat - z
         step_norm = _norm(s)
@@ -204,36 +203,23 @@ def solve(
         cond_b_lhs = _norm(s + eta * out.f_zhat)
         cond_b_margin = (config.alpha1 + config.alpha2) * sq * step_norm - cond_b_lhs
 
-        loss = math.nan
+        loss, matvecs = math.nan, out.matvecs
         if out.z_tilde is not None:
             obs = LossObservation(u=out.f_ztilde - g, s=out.z_tilde - z)
             resid = obs.u - out.b_s_tilde
             loss = float(resid.dot(resid)) / float(obs.s.dot(obs.s))
             observe_loss(state, obs, lparams, resid=resid)
-            cum_matvecs += state.last_sep.matvecs
+            matvecs += state.last_sep.matvecs
+        return _Step(eta, 1.0 / (1.0 + 2.0 * eta * mu), out.z_hat, out.f_zhat, out.trial_count,
+                     step_norm, matvecs, loss, cond_a_margin, cond_b_margin)
 
-        trace.rows.append(
-            TraceRow(
-                k=k,
-                eta=eta,
-                theta=theta,
-                norm_F=norm_g,
-                dist=_dist(z, problem.known_root),
-                step_norm=step_norm,
-                backtracked=out.backtracked,
-                trials=out.trial_count,
-                loss=loss,
-                cond_a_margin=cond_a_margin,
-                cond_b_margin=cond_b_margin,
-                cum_evals=cum_evals,
-                cum_matvecs=cum_matvecs,
-            )
-        )
-        sigma = eta / config.beta
-        z = z_next
-
-    z_bar = _finish_trace(trace, problem, z, zbar_acc, eta_sum, cum_evals, cum_matvecs, g_stop)
-    return z, (z_bar if config.mode is Mode.MONOTONE else None), trace
+    trace = RunTrace(solver="qnpe", meta={
+        "mode": config.mode.value, "alpha1": config.alpha1, "alpha2": config.alpha2,
+        "beta": config.beta, "sigma0": sigma0, "mu": mu, "l1": l1, "p": config.p,
+        "rng_seed": config.rng_seed,
+    })
+    _outer_loop(problem, z0, config.max_iterations, config.stop_tolerance, trace, step)
+    return trace.z_final, (trace.z_bar if config.mode is Mode.MONOTONE else None), trace
 
 
 def extragradient_baseline(
@@ -242,40 +228,15 @@ def extragradient_baseline(
     n_iters: int,
     z0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, RunTrace]:
-    """Classical fixed-step extragradient with the same trace schema."""
+    """Classical fixed-step extragradient through the solver's outer loop:
+    z_hat = z - eta F(z), then z+ = z - eta F(z_hat) (theta = 1, one trial).
+    It stops early only where F(z) is exactly 0."""
     check_extragradient(problem, step_size, n_iters)
-    d = problem.dim
-    z = np.zeros(d) if z0 is None else np.asarray(z0, dtype=float).copy()
-    trace = RunTrace(solver="extragradient", z0=z.copy(), meta={"step_size": step_size})
 
-    cum_evals = 0
-    zbar_acc = np.zeros(d)
-    eta_sum = 0.0
-    for k in range(n_iters):
-        g = problem.eval(z)
+    def step(k: int, z: np.ndarray, g: np.ndarray) -> _Step:
         z_hat = z - step_size * g
-        f_hat = problem.eval(z_hat)
-        cum_evals += 2
-        z_next = z - step_size * f_hat
-        eta_sum += step_size
-        zbar_acc += step_size * z_hat
-        trace.rows.append(
-            TraceRow(
-                k=k,
-                eta=step_size,
-                theta=1.0,
-                norm_F=_norm(g),
-                dist=_dist(z, problem.known_root),
-                step_norm=_norm(z_hat - z),
-                backtracked=False,
-                trials=2,
-                loss=math.nan,
-                cond_a_margin=math.nan,
-                cond_b_margin=math.nan,
-                cum_evals=cum_evals,
-                cum_matvecs=0,
-            )
-        )
-        z = z_next
+        return _Step(step_size, 1.0, z_hat, problem.eval(z_hat), 1, _norm(z_hat - z))
 
-    return z, _finish_trace(trace, problem, z, zbar_acc, eta_sum, cum_evals, 0), trace
+    trace = RunTrace(solver="extragradient", meta={"step_size": step_size})
+    _outer_loop(problem, z0, n_iters, 0.0, trace, step)
+    return trace.z_final, trace.z_bar, trace

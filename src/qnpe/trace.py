@@ -24,12 +24,12 @@ class TraceRow:
     norm_F: float
     dist: float  # ||z_k - z*||, nan when the root is unknown
     step_norm: float  # ||z_hat_k - z_k||
-    backtracked: bool
-    trials: int
+    backtracked: bool  # trials > 1
+    trials: int  # operator evaluations after F(z_k): line-search trials, 1 for EG
     loss: float  # model-mismatch loss, nan when not backtracked
     cond_a_margin: float  # rhs - lhs of the inner-solve condition at acceptance
     cond_b_margin: float  # rhs - lhs of the proximal condition at acceptance
-    cum_evals: int
+    cum_evals: int  # adds 1 + trials per row
     cum_matvecs: int
 
     def as_list(self) -> list:

@@ -98,9 +98,16 @@ def test_monotone_mode_nonexpansive_and_returns_average():
     assert np.isfinite(z_bar).all()
 
 
-def test_trace_bookkeeping_consistency():
+BOOKKEEPING_RUNS = {  # both solvers' traces follow one rule
+    "qnpe": lambda p, z0: solve(p, sm_config(), z0=z0),
+    "extragradient": lambda p, z0: extragradient_baseline(p, 0.5 / p.l1, 30, z0=z0),
+}
+
+
+@pytest.mark.parametrize("solver", list(BOOKKEEPING_RUNS))
+def test_trace_bookkeeping_consistency(solver):
     p = make_quadratic_min(10, 0.1, 1.0, seed=5)
-    _, _, trace = solve(p, sm_config(), z0=p.known_root + 1.0)
+    _, _, trace = BOOKKEEPING_RUNS[solver](p, p.known_root + 1.0)
     rows = trace.rows
     assert [r.k for r in rows] == list(range(len(rows)))
     assert all(r.trials >= 1 for r in rows)
@@ -231,9 +238,12 @@ def test_eg_contraction_band_on_quadratic():
 
 
 def test_eg_fixed_point_and_step_validation():
+    # F is exactly 0 at this root, so EG stops there, as qnpe does at stop_tolerance = 0
     p = make_quadratic_min(4, 0.5, 1.0, seed=8)
-    z, _, _ = extragradient_baseline(p, 0.5, 10, z0=p.known_root)
-    assert np.allclose(z, p.known_root, atol=1e-14)
+    assert not p.eval(p.known_root).any()
+    z, _, trace = extragradient_baseline(p, 0.5, 10, z0=p.known_root)
+    assert trace.iterations == 0 and trace.total_evals == 1
+    assert np.array_equal(z, p.known_root)
     with pytest.raises(ValueError):
         extragradient_baseline(p, 1.5 / p.l1, 5)
     with pytest.raises(ValueError):
