@@ -24,7 +24,7 @@ rng = np.random.default_rng(2)
 # worst-case regret bound); a larger one shows the tracking behaviour within a
 # short demo
 params = LearnerParams(Symmetric(), d, mu, l1, p=0.1, rho=0.3)
-state = learner_init((l1 + mu) * np.eye(d), params, rng)
+state = learner_init(params, rng)  # W_0 = 0: the center (L1 + mu) I
 
 # the hidden Jacobian the learner is trying to match
 q = np.linalg.qr(rng.standard_normal((d, d)))[0]

@@ -12,6 +12,7 @@ from .learner import (
     LearnerParams,
     LossObservation,
     learner_init,
+    loss_gradient,
     loss_value,
     observe_loss,
     played_matrix,
@@ -60,6 +61,7 @@ __all__ = [
     "extragradient_baseline",
     "learner_init",
     "linear_solve",
+    "loss_gradient",
     "loss_value",
     "make_bilinear_minimax",
     "make_logsumexp_min",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .learner import LearnerParams, LossObservation, current_matrix, learner_init, observe_loss
 from .line_search import LineSearchError, backtrack, default_max_backtracks
-from .problems import Problem, Symmetric, require
+from .problems import Problem, require
 from .trace import RunTrace, TraceRow
 
 
@@ -175,8 +175,7 @@ def solve(
     lparams = LearnerParams(problem.structure, problem.dim, mu, l1, config.p,
                             rho=config.rho, radius=config.radius)
     rng = np.random.default_rng(config.rng_seed)
-    state = learner_init(None, lparams, rng)  # b0 = None: the center (L1 + mu) I
-    sym_structure = isinstance(problem.structure, Symmetric)
+    state = learner_init(lparams, rng)
     floor = config.step_size_floor(l1)
     sigma = sigma0
 
@@ -187,7 +186,6 @@ def solve(
         out = backtrack(  # W's products and B = c1 W + c0 I's coefficients
             z, g, *current_matrix(state, lparams), sigma, problem.eval, alpha1=config.alpha1,
             alpha2=config.alpha2, beta=config.beta, mu=mu, max_backtracks=max_backtracks,
-            b_symmetric=sym_structure,
         )
         eta = out.eta
         if eta < floor - 1e-12:  # the step-size-floor certificate's own threshold

@@ -1,12 +1,13 @@
 """Projection-free online learner over the transformed feasible set.
 
 The learner maintains an auxiliary matrix W_t inside the Frobenius ball of
-radius R = sqrt(d), plays the structured Jacobian approximation B_t obtained
-from W_t through the separation oracle, and takes an online projected gradient
-step on the surrogate loss after every observation.  Only rounds where the
-outer line search backtracked, with a finite last rejected trial that moved z,
-produce observations; in all other iterations the played matrix is simply
-left unchanged by the caller.
+radius R = sqrt(d), starting from W_0 = 0 (the center (L1 + mu) I), plays
+the structured Jacobian approximation B_t obtained from W_t through the
+separation oracle, and takes an online projected gradient step on the
+surrogate loss after every observation.  Only rounds where the outer line
+search backtracked, with a finite last rejected trial that moved z, produce
+observations; in all other iterations the played matrix is simply left
+unchanged by the caller.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import numpy as np
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .problems import JSymmetric, Sparse, StructureSpec, Symmetric
-from .separation import (from_hat, pattern_index, project_subspace, sep_feasible, sparse_matvec,
-                         subspace_residual, to_hat)
+from .separation import from_hat, pattern_index, project_subspace, sep_feasible, sparse_matvec
 from .spectral import SepCase, SepResult
 
 
@@ -108,7 +108,8 @@ class LowRank:
 
     The factors are stored row-wise, U = u[:r]^T and V = v[:r]^T with u and v
     of d columns, so the live rows are contiguous.  base is a dense d x d
-    array, or None when W_0 = 0.  The Gram matrices U^T U and V^T V (gu, gv)
+    array in the subspace, or None for 0: the learner starts with none, and
+    the first fold makes one.  The Gram matrices U^T U and V^T V (gu, gv)
     are kept, so that
     ||W||_F^2 = ||base||^2 + 2 <base, U V^T> + sum(U^T U o V^T V) costs
     O(d r) per appended pair, and W x costs O(d r) plus base @ x.  When an
@@ -272,39 +273,11 @@ class LearnerState:
         return np.ascontiguousarray(project_subspace(self.model.structure, self.model.dense()))
 
 
-def learner_init(b0: np.ndarray | None, params: LearnerParams,
-                 rng: np.random.Generator) -> LearnerState:
-    """Start at W_0 = P(to_hat(b0)), the projection onto the structural
-    subspace, so that W is exactly structured from round 0 (the updates keep
-    it there).  Round 0 plays from_hat(W_0), which is b0 made exactly
-    structured.  b0 = None is the center (L1 + mu) I, whose W_0 = 0 needs no
-    check and no d x d array.  A given b0 must be d x d and finite,
-    to_hat(b0) must lie within 1e-8 of the subspace, and
-    W_0 in the recentered set: its symmetric part's spectrum in [-1, 1] and
-    its operator norm at most 3.  ||W_0||_F <= 1 proves both (it bounds
-    either norm), so the dense eigenvalue and norm check runs, at any d, only
-    when that certificate fails.  W is stored by new_model, with W_0 as its
-    base; a zero W_0 is stored as no base."""
-    structure, d = params.structure, params.dim
-    w0 = None
-    if b0 is not None:
-        b0 = np.asarray(b0, dtype=float)
-        if b0.shape != (d, d):
-            raise ValueError(f"initial matrix b0 must be {d} x {d}, got shape {b0.shape}")
-        if not np.all(np.isfinite(b0)):  # a NaN subspace residual would pass its check
-            raise ValueError("initial matrix b0 has a non-finite entry")
-        w0 = to_hat(b0, params)
-        if subspace_residual(structure, w0) > 1e-8:
-            raise ValueError("initial matrix violates the structural subspace")
-        w0 = np.ascontiguousarray(project_subspace(structure, w0))
-        if not np.linalg.norm(w0) <= 1.0:  # NaN is no certificate
-            eigs = np.linalg.eigvalsh(0.5 * (w0 + w0.T))
-            if eigs[0] < -1 - 1e-8 or eigs[-1] > 1 + 1e-8:
-                raise ValueError("initial matrix violates the spectral constraint")
-            if np.linalg.norm(w0, 2) > 3 + 1e-8:
-                raise ValueError("initial matrix violates the operator-norm constraint")
-    model = new_model(structure, d, w0 if w0 is not None and w0.any() else None)
-    return LearnerState(t=0, model=model, scale=1.0, last_sep=None, rng=rng)
+def learner_init(params: LearnerParams, rng: np.random.Generator) -> LearnerState:
+    """Start at the center (L1 + mu) I, W_0 = 0: it lies in every structural
+    subspace and in the feasible set, and the updates keep W in both.  W_0 is
+    stored by new_model with no base, so no d x d array is formed."""
+    return LearnerState(0, new_model(params.structure, params.dim, None), 1.0, None, rng)
 
 
 def observe_loss(
@@ -351,14 +324,15 @@ def observe_loss(
 
 def current_matrix(
     state: LearnerState, params: LearnerParams
-) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray], float, float]:
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray] | None,
+           float, float]:
     """(v -> W v, v -> W^T v, c1, c0) for the played B = c1 W + c0 I =
-    L1 W / scale + (L1 + mu) I: the model's own products of the live W, the
-    same function twice for Symmetric.  B is never formed or applied; the
-    line search folds c1 and c0 into its solves' shift and scale."""
-    w_apply = state.model.matvec
-    w_apply_t = w_apply if isinstance(params.structure, Symmetric) else state.model.rmatvec
-    return w_apply, w_apply_t, params.l1 / state.scale, params.l1 + params.mu
+    L1 W / scale + (L1 + mu) I: the model's own products of the live W, with
+    None for W^T when Symmetric structure makes W^T = W.  B is never formed
+    or applied; the line search folds c1 and c0 into its solves' shift and
+    scale."""
+    w_apply_t = None if isinstance(params.structure, Symmetric) else state.model.rmatvec
+    return state.model.matvec, w_apply_t, params.l1 / state.scale, params.l1 + params.mu
 
 
 def played_matrix(state: LearnerState, params: LearnerParams) -> np.ndarray:

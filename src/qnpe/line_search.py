@@ -57,14 +57,15 @@ class LineSearchOutcome:
 
 def backtrack(
     z: np.ndarray, g: np.ndarray, w_apply: Callable[[np.ndarray], np.ndarray],
-    w_apply_t: Callable[[np.ndarray], np.ndarray], c1: float, c0: float, sigma: float,
+    w_apply_t: Callable[[np.ndarray], np.ndarray] | None, c1: float, c0: float, sigma: float,
     f_eval: Callable[[np.ndarray], np.ndarray], *, alpha1: float, alpha2: float, beta: float,
-    mu: float, max_backtracks: int, b_symmetric: bool = False,
+    mu: float, max_backtracks: int,
 ) -> LineSearchOutcome:
     """Try step sizes sigma * beta^i, at most max_backtracks of them, until
     (B) holds; one fresh operator evaluation per trial.  g = F(z) is supplied
-    by the caller so it is never re-evaluated here.  The constants' ranges
-    are checked once, by SolverConfig and Problem."""
+    by the caller so it is never re-evaluated here.  w_apply_t = None means W
+    is symmetric: the trials share a KrylovBasis, else a CglsStart.  The
+    constants' ranges are checked once, by SolverConfig and Problem."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if not np.all(np.isfinite(g)):
@@ -74,12 +75,11 @@ def backtrack(
     z_tilde = f_ztilde = report_tilde = None
     norm_g = math.sqrt(g.dot(g))
     u = g / norm_g if norm_g else g  # the solves run at unit scale; s and W s scale back
-    start = (CglsStart(w_apply, w_apply_t, u) if not b_symmetric
+    start = (CglsStart(w_apply, w_apply_t, u) if w_apply_t is not None
              else KrylovBasis(w_apply, u) if g.any() else None)  # a zero g never reads it
 
     def b_s(rep):  # B s = c1 W s + c0 s, from the inner solve's basis or products
-        w_s = rep.image if rep.coords is None else start.image(rep.coords)
-        return norm_g * (c1 * w_s + c0 * rep.solution)
+        return norm_g * (c1 * rep.image + c0 * rep.solution)
 
     for trial in range(1, max_backtracks + 1):
         rho_tol = alpha1 * math.sqrt(1.0 + eta * mu) or EXACT_SOLVE_TOL

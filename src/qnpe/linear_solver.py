@@ -31,8 +31,7 @@ class SolveReport:
     iterations: int
     matvecs: int  # products made: 2 per CGLS step, less 1 on a reused W^T g; 1 per basis vector
     converged: bool
-    coords: list[float] | None = None  # y with solution = y^T V_k on a KrylovBasis
-    image: np.ndarray | None = None  # W s (A = shift I + scale W), from CGLS's own products
+    image: np.ndarray  # W s (A = shift I + scale W), from the basis or CGLS's own products
 
 
 class KrylovBasis:
@@ -99,7 +98,8 @@ class KrylovBasis:
             if not math.isfinite(y_norm):
                 raise NumericalBreakdownError("non-finite iterate in linear solve")
             converged = abs(rhs[-1]) <= rho_tol * y_norm
-        return SolveReport(np.array(y) @ self.rows[:k], abs(rhs[-1]), k, added, converged, y)
+        return SolveReport(np.array(y) @ self.rows[:k], abs(rhs[-1]), k, added, converged,
+                           self.image(y))
 
     def image(self, y: list[float]) -> np.ndarray:
         """W s for s = y^T V_k, as (Hbar_k y)^T V_{k+1}: no product with W."""
@@ -150,8 +150,8 @@ class CglsStart:
                 raise NumericalBreakdownError("non-finite or overflowing iterate in linear solve")
             res_norm = math.sqrt(rr)
             if res_norm <= rho_tol * math.sqrt(ss):
-                return SolveReport(s, res_norm, k, made, True, image=ws)
-        return SolveReport(s, res_norm, max_iters, made, False, image=ws)
+                return SolveReport(s, res_norm, k, made, True, ws)
+        return SolveReport(s, res_norm, max_iters, made, False, ws)
 
 
 def linear_solve(
@@ -173,5 +173,5 @@ def linear_solve(
     d = len(b)
     max_iters = 20 * d if max_iters is None else max_iters
     if not b.any():
-        return SolveReport(np.zeros(d), 0.0, 0, 0, True, image=np.zeros(d))
+        return SolveReport(np.zeros(d), 0.0, 0, 0, True, np.zeros(d))
     return start.solve(shift, scale, b, rho_tol, max_iters)

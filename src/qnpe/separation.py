@@ -1,6 +1,6 @@
-"""Feasible-set layer: the affine transform between a Jacobian approximation B
-and its recentered version B_hat, the subspace projections induced by each
-Jacobian structure, and the composed approximate separation oracle."""
+"""Feasible-set layer: the affine map from a recentered B_hat to the Jacobian
+approximation B, the subspace projections induced by each Jacobian
+structure, and the composed approximate separation oracle."""
 
 from __future__ import annotations
 
@@ -100,17 +100,6 @@ def project_subspace(structure: StructureSpec, w: np.ndarray) -> np.ndarray:
         np.put(out, flat, w.take(flat))
         return out
     return w
-
-
-def subspace_residual(structure: StructureSpec, w: np.ndarray) -> float:
-    """max |P(W) - W|: how far W is from the structural subspace."""
-    return float(np.max(np.abs(project_subspace(structure, w) - w)))
-
-
-def to_hat(b: np.ndarray, params: LearnerParams) -> np.ndarray:
-    """B_hat = (B - (L1 + mu) I) / L1, recentering the feasible set at 0."""
-    b = np.asarray(b, dtype=float)
-    return (b - (params.l1 + params.mu) * np.eye(b.shape[0])) / params.l1
 
 
 def from_hat(b_hat: np.ndarray, params: LearnerParams) -> np.ndarray:

@@ -54,7 +54,6 @@ class LanczosResult:
     betas: np.ndarray  # off-diagonal of T, length N-1
     basis: np.ndarray  # d x N orthonormal Lanczos vectors
     steps_taken: int
-    broke_down: bool
 
 
 def lanczos(
@@ -68,9 +67,9 @@ def lanczos(
 
     Every step is fully reorthogonalized; the step count is small, and
     orthogonality loss would silently void the randomized guarantee.  Stops
-    early (broke_down=True) when the new off-diagonal is negligible relative
-    to a running norm estimate, in which case the Krylov space is invariant
-    and the Ritz values are exact on it.
+    early, with steps_taken < n_steps, when the new off-diagonal is
+    negligible relative to a running norm estimate, in which case the Krylov
+    space is invariant and the Ritz values are exact on it.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -85,7 +84,6 @@ def lanczos(
     beta = 0.0
     norm_estimate = 0.0
     steps = 0
-    broke_down = False
     for k in range(n_steps):
         basis[:, k] = v
         if k:
@@ -104,7 +102,6 @@ def lanczos(
         beta_next = math.sqrt(w.dot(w))  # np.linalg.norm's formula for a 1-D vector
         if k + 1 < n_steps:
             if beta_next <= 1e-12 * max(norm_estimate, 1e-300):
-                broke_down = True
                 break
             betas[k] = beta_next
             v_prev = v
@@ -116,7 +113,6 @@ def lanczos(
         betas=betas[: max(steps - 1, 0)],
         basis=basis[:, :steps],
         steps_taken=steps,
-        broke_down=broke_down,
     )
 
 

@@ -149,7 +149,7 @@ def drive_learner(structure, d, mu, l1, seed, rounds=60):
     failure count and the list of played matrices."""
     params = LearnerParams(structure, d, mu, l1, p=0.1)
     rng = np.random.default_rng(seed)
-    state = learner_init((l1 + mu) * np.eye(d), params, rng)
+    state = learner_init(params, rng)
     if isinstance(structure, Symmetric):
         q = np.linalg.qr(rng.standard_normal((d, d)))[0]
         target = (q * rng.uniform(mu, l1, size=d)) @ q.T

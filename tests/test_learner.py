@@ -23,9 +23,9 @@ from qnpe import (
     observe_loss,
     played_matrix,
 )
-from qnpe.learner import DEFAULT_RHO, current_matrix, loss_gradient
+from qnpe.learner import DEFAULT_RHO, LearnerState, current_matrix, loss_gradient, new_model
 from qnpe.line_search import backtrack
-from qnpe.separation import from_hat, project_subspace, subspace_residual
+from qnpe.separation import project_subspace
 
 
 def make_params(mu, l1, d, structure=None, rho=None):
@@ -46,6 +46,11 @@ def random_pattern(rng, d, size):
         if i != j:
             pairs.add((i, j))
     return frozenset(pairs)
+
+
+def off_subspace(structure, w):
+    """max |P(W) - W|: how far W is from the structural subspace."""
+    return float(np.max(np.abs(project_subspace(structure, w) - w)))
 
 
 def assert_bitwise(got, expected):
@@ -104,10 +109,8 @@ def test_learner_step_is_the_projected_gradient_step_and_keeps_w_structured(stru
     params = make_params(mu=mu, l1=l1, d=d, structure=structure,
                          rho=rho)
     w0 = project_subspace(structure, rng.standard_normal((d, d)))
-    b0 = (l1 + mu) * np.eye(d)
-    if not fold:
-        b0 = l1 * 0.5 * w0 / np.linalg.norm(w0, 2) + b0
-    state = learner_init(b0, params, rng)
+    w0 = None if fold else np.ascontiguousarray(0.5 * w0 / np.linalg.norm(w0, 2))
+    state = LearnerState(0, new_model(structure, d, w0), 1.0, None, rng)
     # outside the set: Case II rounds, some of them clipped to the ball
     target = 6.0 * l1 * rng.standard_normal((d, d)) / math.sqrt(d)
     case_ii = folds = 0
@@ -121,7 +124,7 @@ def test_learner_step_is_the_projected_gradient_step_and_keeps_w_structured(stru
         folds += getattr(state.model, "r", 0) < rank
         assert np.linalg.norm(state.w - want) <= 1e-14 * np.linalg.norm(want)
         # the stored W, not its projection: a step off the subspace would show here
-        assert subspace_residual(structure, state.model.dense()) <= 1e-12
+        assert off_subspace(structure, state.model.dense()) <= 1e-12
     assert case_ii > 0
     if fold:
         assert folds > 0 and state.model.base.flags.c_contiguous
@@ -134,14 +137,14 @@ def test_subspace_check_catches_an_unmirrored_pair():
     rng = np.random.default_rng(13)
     d, mu, l1 = 20, 0.2, 1.0
     params = make_params(mu=mu, l1=l1, d=d, structure=Symmetric(), rho=0.5)
-    state = learner_init(None, params, rng)
+    state = learner_init(params, rng)
     for _ in range(3):
         s = rng.standard_normal(d)
         observe_loss(state, LossObservation(u=3.0 * rng.standard_normal(d), s=s), params)
-    assert subspace_residual(Symmetric(), state.model.dense()) <= 1e-12
+    assert off_subspace(Symmetric(), state.model.dense()) <= 1e-12
     e = np.eye(d)
     state.model.append([(1e-6 * e[0], e[1])])
-    assert subspace_residual(Symmetric(), state.model.dense()) > 1e-10
+    assert off_subspace(Symmetric(), state.model.dense()) > 1e-10
 
 
 @pytest.mark.parametrize("structure", ["general", "symmetric", "jsymmetric", "sparse"])
@@ -158,7 +161,7 @@ def test_a_huge_step_lands_on_the_ball(structure):
     }[structure]
     params = make_params(mu=mu, l1=l1, d=d, structure=structure,
                          rho=1e300)
-    state = learner_init((l1 + mu) * np.eye(d), params, rng)
+    state = learner_init(params, rng)
     s = rng.standard_normal(d)
     with np.errstate(over="ignore"):
         observe_loss(state, LossObservation(u=3.0 * l1 * rng.standard_normal(d), s=s), params)
@@ -179,7 +182,7 @@ def played_rounds(name, rng, rounds=12):
         "sparse": Sparse(random_pattern(rng, d, 60)),
     }[name]
     params = make_params(mu=0.0, l1=l1, d=d, structure=structure, rho=5.0)
-    state = learner_init(l1 * np.eye(d), params, rng)
+    state = learner_init(params, rng)
     target = project_subspace(structure, 3.0 * l1 * rng.standard_normal((d, d)))
     for t in range(rounds):
         if t:
@@ -191,15 +194,16 @@ def played_rounds(name, rng, rounds=12):
 @pytest.mark.parametrize("structure", ["general", "symmetric", "jsymmetric", "sparse"])
 def test_current_matrix_applies_the_played_matrix(structure):
     """current_matrix's W products and coefficients give c1 W v + c0 v = B v
-    and c1 W^T v + c0 v = B^T v for the played B, W^T's function being W's
-    for Symmetric."""
+    and c1 W^T v + c0 v = B^T v for the played B, W^T's function being None
+    (W's) for Symmetric."""
     rng = np.random.default_rng(14)
     scales = []
     for state, params in played_rounds(structure, rng):
         scales.append(state.scale)
         b = played_matrix(state, params)
         w_apply, w_apply_t, c1, c0 = current_matrix(state, params)
-        assert (w_apply_t is w_apply) == isinstance(params.structure, Symmetric)
+        assert (w_apply_t is None) == isinstance(params.structure, Symmetric)
+        w_apply_t = w_apply_t or w_apply
         for _ in range(3):
             v = rng.standard_normal(params.dim)
             b_v, bt_v = c1 * w_apply(v) + c0 * v, c1 * w_apply_t(v) + c0 * v
@@ -225,8 +229,7 @@ def test_line_search_b_s_is_the_played_matrix_times_s(structure):
         b = played_matrix(state, params)
         z = rng.standard_normal(params.dim)
         out = backtrack(z, target @ z, *current_matrix(state, params), 8.0, lambda x: target @ x,
-                        alpha1=0.25, alpha2=0.25, beta=0.5, mu=0.0, max_backtracks=60,
-                        b_symmetric=isinstance(params.structure, Symmetric))
+                        alpha1=0.25, alpha2=0.25, beta=0.5, mu=0.0, max_backtracks=60)
         for b_s, z_end in ((out.b_s, out.z_hat), (out.b_s_tilde, out.z_tilde)):
             if z_end is not None:
                 fresh = b @ (z_end - z)
@@ -249,7 +252,7 @@ def test_a_sparse_learner_forms_no_dense_matrix():
     case_ii = 0
     tracemalloc.start()
     try:
-        state = learner_init(None, params, rng)
+        state = learner_init(params, rng)
         for obs in observations:
             w_apply, _, c1, c0 = current_matrix(state, params)
             observe_loss(state, obs, params, resid=obs.u - (c1 * w_apply(obs.s) + c0 * obs.s))
@@ -322,101 +325,27 @@ def test_default_params():
 
 def test_init_at_center_gives_zero_auxiliary():
     params = make_params(mu=0.5, l1=2.0, d=6)
-    state = learner_init((2.5) * np.eye(6), params, np.random.default_rng(2))
+    state = learner_init(params, np.random.default_rng(2))
     assert np.max(np.abs(state.w)) == 0.0
     assert state.t == 0
+    assert_bitwise(played_matrix(state, params), 2.5 * np.eye(6))
 
 
-def test_init_rejects_infeasible_matrix():
-    params = make_params(mu=0.5, l1=1.0, d=4)
-    with pytest.raises(ValueError):
-        learner_init(100.0 * np.eye(4), params, np.random.default_rng(3))
-    sym_params = make_params(mu=0.5, l1=1.0, d=4, structure=Symmetric())
-    bad = 1.5 * np.eye(4)
-    bad[0, 1] = 0.3  # not symmetric
-    with pytest.raises(ValueError):
-        learner_init(bad, sym_params, np.random.default_rng(3))
-
-
-def test_init_checks_structure_above_the_spectral_check_dimension():
-    d = 100
-    params = make_params(mu=0.5, l1=1.0, d=d, structure=Symmetric())
-    bad = 1.5 * np.eye(d)
-    bad[0, 1] = 0.3  # not symmetric
-    with pytest.raises(ValueError, match="structural subspace"):
-        learner_init(bad, params, np.random.default_rng(3))
-    sparse = make_params(mu=0.5, l1=1.0, d=d,
-                         structure=Sparse(frozenset({(0, 1)})))
-    off_pattern = 1.5 * np.eye(d)
-    off_pattern[2, 3] = 0.1
-    with pytest.raises(ValueError, match="structural subspace"):
-        learner_init(off_pattern, sparse, np.random.default_rng(3))
-    on_pattern = 1.5 * np.eye(d)
-    on_pattern[0, 1] = 0.1
-    learner_init(on_pattern, sparse, np.random.default_rng(3))
-
-
-def test_init_checks_the_spectrum_at_any_dimension():
-    """Past the Frobenius certificate (||W_0||_F > 1) the dense check runs at
-    every d: structured b0 whose symmetric part has an eigenvalue outside
-    [-1, 1], or whose operator norm exceeds 3, is rejected."""
-    d = 100
-    params = make_params(mu=0.5, l1=1.0, d=d, structure=Symmetric())
-    w0 = np.zeros((d, d))
-    w0[0, 0] = 1.5
-    with pytest.raises(ValueError, match="spectral constraint"):
-        learner_init(from_hat(w0, params), params, np.random.default_rng(3))
-    general = make_params(mu=0.5, l1=1.0, d=d)
-    w0 = np.zeros((d, d))
-    w0[0, 1], w0[1, 0] = 3.5, -3.5  # symmetric part 0
-    with pytest.raises(ValueError, match="operator-norm constraint"):
-        learner_init(from_hat(w0, general), general, np.random.default_rng(3))
-    w0 = 0.9 * np.eye(d)  # ||W_0||_F = 9, feasible
-    learner_init(from_hat(w0, params), params, np.random.default_rng(3))
-
-
-@pytest.mark.parametrize("structure", [General(), Symmetric(), JSymmetric(2, 2),
-                                       Sparse(frozenset({(0, 1), (2, 3)}))],
-                         ids=["general", "symmetric", "jsymmetric", "sparse"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_init_rejects_a_non_finite_b0(structure, bad):
-    """A NaN subspace residual compares False with its tolerance, so a non-finite
-    b0 is rejected by name before it can reach LAPACK in the dense check."""
-    params = make_params(mu=0.5, l1=1.0, d=4, structure=structure)
-    b0 = 1.5 * np.eye(4)
-    b0[2, 2] = bad  # on the diagonal: inside every structure's subspace
-    with pytest.raises(ValueError, match="b0"):
-        learner_init(b0, params, np.random.default_rng(3))
-
-
-def test_init_stores_the_projection_of_a_nearly_structured_b0():
-    m, n = 4, 3
-    structure = JSymmetric(m, n)
-    params = make_params(mu=0.0, l1=1.0, d=m + n, structure=structure)
-    rng = np.random.default_rng(11)
-    w_hat = project_subspace(structure, 0.1 * rng.standard_normal((m + n, m + n)))
-    b0 = params.l1 * (w_hat + np.eye(m + n)) + 1e-10 * rng.standard_normal((m + n, m + n))
-    state = learner_init(b0, params, rng)
-    assert np.array_equal(state.w, project_subspace(structure, state.w))
-    # round 0 plays the exactly J-symmetric from_hat(W_0), not the raw b0
-    b = played_matrix(state, params)
-    sgn = np.concatenate([np.ones(m), -np.ones(n)])
-    assert_bitwise(b, sgn[:, None] * b.T * sgn[None, :])
-    assert_bitwise(b, from_hat(state.w, params))
-
-
-def test_init_stores_w_in_c_order():
+def test_fold_stores_w_in_c_order():
     # the J-symmetric projection of a large matrix comes back in Fortran order;
-    # the stored base, which every product reads, and the dense view are C-ordered
+    # the folded base, which every product reads, and the dense view are C-ordered
+    rng = np.random.default_rng(12)
     structure = JSymmetric(300, 300)
-    params = make_params(mu=0.0, l1=1.0, d=600, structure=structure)
-    state = learner_init(1.01 * np.eye(600), params, np.random.default_rng(12))
+    model = new_model(structure, 600, None)
+    model.append([(rng.standard_normal(600), rng.standard_normal(600)) for _ in range(3)])
+    model.fold()
+    state = LearnerState(0, model, 1.0, None, rng)
     assert state.model.base.flags.c_contiguous and state.w.flags.c_contiguous
 
 
 def test_zero_loss_observation_leaves_w_unchanged():
     params = make_params(mu=0.4, l1=1.0, d=5)
-    state = learner_init(1.4 * np.eye(5), params, np.random.default_rng(4))
+    state = learner_init(params, np.random.default_rng(4))
     b = played_matrix(state, params)
     s = np.array([1.0, 0, 0, 0, 0])
     observe_loss(state, LossObservation(u=b @ s, s=s), params)
@@ -427,7 +356,7 @@ def test_gradient_step_moves_w_as_expected():
     # first round: no separator correction, W+ = -rho * grad / L1 from W0 = 0
     l1 = 1.0
     params = make_params(mu=0.4, l1=l1, d=2, rho=0.01)
-    state = learner_init(1.4 * np.eye(2), params, np.random.default_rng(5))
+    state = learner_init(params, np.random.default_rng(5))
     b0 = played_matrix(state, params)
     obs = LossObservation(u=np.array([2.0, 0.0]), s=np.array([1.0, 0.0]))
     expected = -params.rho * loss_gradient(b0, obs) / l1
@@ -439,7 +368,7 @@ def test_gradient_step_moves_w_as_expected():
 def test_loss_decreases_after_observation_general_structure():
     rng = np.random.default_rng(6)
     params = make_params(mu=0.2, l1=1.0, d=8, rho=0.5)
-    state = learner_init(1.2 * np.eye(8), params, rng)
+    state = learner_init(params, rng)
     a = played_matrix(state, params) + 0.3 * rng.standard_normal((8, 8))
     s = rng.standard_normal(8)
     obs = LossObservation(u=a @ s, s=s)
@@ -453,7 +382,7 @@ def test_played_matrices_stay_feasible_option_one():
     rng = np.random.default_rng(7)
     d, mu, l1 = 12, 0.3, 1.5
     params = make_params(mu=mu, l1=l1, d=d, structure=Symmetric())
-    state = learner_init((l1 + mu) * np.eye(d), params, rng)
+    state = learner_init(params, rng)
     target = np.diag(rng.uniform(mu, l1, size=d))
     for _ in range(40):
         s = rng.standard_normal(d)
@@ -473,7 +402,7 @@ def test_played_matrices_stay_feasible_option_two():
     d, l1 = m + n, 1.0
     params = make_params(mu=0.0, l1=l1, d=d,
                          structure=JSymmetric(m, n))
-    state = learner_init(l1 * np.eye(d), params, rng)
+    state = learner_init(params, rng)
     c = rng.standard_normal((m, n))
     c *= 0.8 * l1 / np.linalg.svd(c, compute_uv=False)[0]
     target = np.block([[np.zeros((m, m)), c], [-c.T, np.zeros((n, n))]])

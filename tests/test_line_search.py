@@ -48,8 +48,8 @@ def test_exact_model_with_exact_solve_accepts_first_trial():
     z_star = rng.standard_normal(6)
     z = z_star + rng.standard_normal(6)
     f = affine_eval(a, z_star)
-    out = backtrack(z, f(z), lambda v: a @ v, lambda v: a @ v, 1.0, 0.0, sigma=50.0,
-                    **params(alpha1=0.0), f_eval=f, b_symmetric=True)
+    out = backtrack(z, f(z), lambda v: a @ v, None, 1.0, 0.0, sigma=50.0,
+                    **params(alpha1=0.0), f_eval=f)
     assert out.eta == 50.0
     assert not out.backtracked
     assert out.z_tilde is None
@@ -63,8 +63,8 @@ def test_identity_jacobian_closed_form_step():
     # acceptance residual is exactly zero
     z = np.array([2.0, 0.0, -1.0])
     f = lambda zz: zz
-    out = backtrack(z, z.copy(), lambda v: v, lambda v: v, 1.0, 0.0, sigma=1.0,
-                    **params(alpha1=0.25), f_eval=f, b_symmetric=True)
+    out = backtrack(z, z.copy(), lambda v: v, None, 1.0, 0.0, sigma=1.0,
+                    **params(alpha1=0.25), f_eval=f)
     assert out.eta == 1.0
     expected = z - (out.eta / (1.0 + out.eta)) * z
     assert np.allclose(out.z_hat, expected, atol=1e-10)
@@ -78,9 +78,8 @@ def test_mismatched_model_backtracks_and_keeps_rejected_iterate():
     f = affine_eval(a, z_star)
     z = np.array([1.0, 1.0, 1.0])
     evals, products = [], []
-    out = backtrack(z, f(z), lambda v: products.append(v) or 0 * v, lambda v: 0 * v, 1.0, 0.0,
-                    sigma=4.0, **params(), f_eval=lambda x: evals.append(x) or f(x),
-                    b_symmetric=True)
+    out = backtrack(z, f(z), lambda v: products.append(v) or 0 * v, None, 1.0, 0.0,
+                    sigma=4.0, **params(), f_eval=lambda x: evals.append(x) or f(x))
     assert out.backtracked
     assert out.trial_count > 1
     assert out.matvecs == len(products)  # every trial's inner solve, not only the last
@@ -97,13 +96,14 @@ def test_mismatched_model_backtracks_and_keeps_rejected_iterate():
     assert lhs <= 0.5 * np.linalg.norm(s) + 1e-12
 
 
-@pytest.mark.parametrize("b_symmetric", [False, True])
-def test_matvecs_are_the_counted_b_products(b_symmetric):
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_matvecs_are_the_counted_b_products(symmetric):
     """matvecs sums the inner solves' products with W and W^T over all
-    trials, for B = 0.1 W: the calls of w_apply and w_apply_t, counted outside."""
+    trials, for B = 0.1 W: the calls of w_apply and w_apply_t, counted
+    outside; a symmetric W is handed over with w_apply_t = None."""
     rng = np.random.default_rng(3)
     b = rng.standard_normal((6, 6))
-    b = b + b.T if b_symmetric else b
+    b = b + b.T if symmetric else b
     f = affine_eval(3.0 * np.eye(6) + b, rng.standard_normal(6))
     z = rng.standard_normal(6)
     calls = {"b": 0, "b_t": 0}
@@ -112,12 +112,11 @@ def test_matvecs_are_the_counted_b_products(b_symmetric):
         return lambda v: calls.__setitem__(key, calls[key] + 1) or m @ v
 
     solves = []
-    out = backtrack(z, f(z), tally("b", b), tally("b_t", b.T), 0.1, 0.0, sigma=8.0,
-                    **params(), f_eval=lambda x: solves.append(x) or f(x),
-                    b_symmetric=b_symmetric)
+    out = backtrack(z, f(z), tally("b", b), None if symmetric else tally("b_t", b.T), 0.1, 0.0,
+                    sigma=8.0, **params(), f_eval=lambda x: solves.append(x) or f(x))
     assert out.backtracked and out.trial_count == len(solves) > 1
     assert out.matvecs == calls["b"] + calls["b_t"] > 0
-    assert (calls["b_t"] == 0) is b_symmetric
+    assert (calls["b_t"] == 0) is symmetric
 
 
 def recorded_solves(monkeypatch):
@@ -152,8 +151,8 @@ def test_shared_basis_changes_only_the_cost(monkeypatch):
         calls[0] += 1
         return w @ v
 
-    out = backtrack(z, f(z), w_apply, w_apply, 0.5, 1.5, sigma=16.0, **params(mu=mu),
-                    f_eval=lambda x: trials.append(x) or f(x), b_symmetric=True)
+    out = backtrack(z, f(z), w_apply, None, 0.5, 1.5, sigma=16.0, **params(mu=mu),
+                    f_eval=lambda x: trials.append(x) or f(x))
     assert out.trial_count == len(trials) == len(reports) >= 3
     for t, z_hat in enumerate(trials):
         eta = 16.0 * 0.5**t
@@ -245,8 +244,8 @@ def test_invariant_subspace_ends_the_solve_exactly(monkeypatch, rank):
         calls[0] += 1
         return b @ v
 
-    out = backtrack(z, f(z), b_apply, b_apply, 1.0, 0.0, sigma=4.0, **params(alpha1=0.0),
-                    f_eval=f, b_symmetric=True)
+    out = backtrack(z, f(z), b_apply, None, 1.0, 0.0, sigma=4.0, **params(alpha1=0.0),
+                    f_eval=f)
     assert out.backtracked
     assert all(r.converged and r.iterations <= rank + 1 for r in reports)
     assert calls[0] == out.matvecs <= rank + 1
@@ -260,8 +259,8 @@ def test_exhaustion_raises():
     f = affine_eval(a, np.zeros(2))
     z = np.ones(2)
     with pytest.raises(LineSearchError):
-        backtrack(z, f(z), lambda v: 0 * v, lambda v: 0 * v, 1.0, 0.0, sigma=4.0,
-                  **params(max_backtracks=2), f_eval=f, b_symmetric=True)
+        backtrack(z, f(z), lambda v: 0 * v, None, 1.0, 0.0, sigma=4.0,
+                  **params(max_backtracks=2), f_eval=f)
 
 
 def test_nonfinite_gradient_rejected():

@@ -95,3 +95,24 @@ def test_every_module_uses_the_names_it_imports():
                     if name not in read:
                         unused.append(f"{path.name}: {name}")
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_every_definition_is_read_outside_tests():
+    """A top-level def or class of src/qnpe that no module of the package, no
+    demo and no perfbench script reads by name (perfbench's PATCHES strings
+    count), and that qnpe.__all__ does not export, is dead."""
+    read = {attr for _, attr in _patches()}
+    for path in sorted((ROOT / "src" / "qnpe").glob("*.py")) + CALLERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = [
+        f"{path.name}: {node.name}"
+        for path in sorted((ROOT / "src" / "qnpe").glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef | ast.ClassDef)
+        and node.name not in read and node.name not in qnpe.__all__
+    ]
+    assert not dead, f"defined but never read outside tests: {dead}"

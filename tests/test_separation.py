@@ -27,7 +27,6 @@ from qnpe.separation import (
     project_subspace,
     sep_feasible,
     sparse_matvec,
-    to_hat,
 )
 
 
@@ -122,19 +121,13 @@ def test_from_hat_shifts_the_diagonal_bit_for_bit():
         assert np.array_equal(fresh, expected) and fresh.tobytes() == expected.tobytes()
 
 
-def test_to_hat_maps_center_to_zero():
-    params = LearnerParams(Symmetric(), 5, mu=0.3, l1=2.0, p=0.1)
-    b = (params.l1 + params.mu) * np.eye(5)
-    assert np.max(np.abs(to_hat(b, params))) == 0.0
-
-
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_hat_roundtrip(seed):
     params = LearnerParams(General(), 5, mu=0.1, l1=1.7, p=0.1)
-    b = random_matrix(seed, d=5)
-    back = from_hat(to_hat(b, params), params)
-    assert np.max(np.abs(back - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+    b_hat = random_matrix(seed, d=5)
+    back = (from_hat(b_hat, params) - (params.l1 + params.mu) * np.eye(5)) / params.l1
+    assert np.max(np.abs(back - b_hat)) <= 1e-12 * max(1.0, np.max(np.abs(b_hat)))
 
 
 def test_hat_of_feasible_matrix_is_in_unit_set():
@@ -147,7 +140,7 @@ def test_hat_of_feasible_matrix_is_in_unit_set():
         h = 0.5 * (h + h.T)
         h *= 0.9 / np.max(np.abs(np.linalg.eigvalsh(h)))
         b = from_hat(h, params)
-        b_hat = to_hat(b, params)
+        b_hat = (b - (l1 + mu) * np.eye(8)) / l1
         eigs = np.linalg.eigvalsh(0.5 * (b_hat + b_hat.T))
         assert eigs[0] >= -1 - 1e-12 and eigs[-1] <= 1 + 1e-12
         assert np.linalg.norm(b_hat, 2) <= 3 + 1e-12

@@ -14,7 +14,7 @@ from qnpe.spectral import lanczos, lanczos_step_count, tridiag_eigpair
 def test_lanczos_breaks_down_on_scaled_identity():
     c = 2.5
     res = lanczos(lambda v: c * v, d=8, n_steps=5, rng=np.random.default_rng(0))
-    assert res.broke_down
+    assert res.steps_taken < 5
     assert res.steps_taken == 1
     assert np.allclose(res.alphas, [c])
 
