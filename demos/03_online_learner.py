@@ -16,6 +16,7 @@ from qnpe import (
     observe_loss,
     played_matrix,
 )
+from qnpe.learner import current_matrix
 
 d, mu, l1 = 20, 0.3, 1.0
 rng = np.random.default_rng(2)
@@ -23,7 +24,7 @@ rng = np.random.default_rng(2)
 # mu > 0: Option I.  The default step size is very conservative (it backs the
 # worst-case regret bound); a larger one shows the tracking behaviour within a
 # short demo
-params = LearnerParams(Symmetric(), d, mu, l1, p=0.1, rho=0.3)
+params = LearnerParams(Symmetric(), d, mu, l1, rho=0.3)
 state = learner_init(params, rng)  # W_0 = 0: the center (L1 + mu) I
 
 # the hidden Jacobian the learner is trying to match
@@ -36,7 +37,8 @@ for t in range(1, 51):
     s = rng.standard_normal(d)
     obs = LossObservation(u=target @ s, s=s)
     loss = loss_value(played_matrix(state, params), obs)
-    observe_loss(state, obs, params)
+    w_apply, _, c1, c0 = current_matrix(state, params)  # the played B = c1 W + c0 I
+    observe_loss(state, obs, params, obs.u - (c1 * w_apply(s) + c0 * s))
     oracle_matvecs += state.last_sep.matvecs  # the W-products of this round's oracle
     if t % 5 == 0 or t == 1:
         b = played_matrix(state, params)

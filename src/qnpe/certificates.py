@@ -92,8 +92,7 @@ def verify_iteration_certificates(
     report.checks.append(CertificateCheck("step-size-floor", worst >= 0, worst))
 
     # operator-evaluation budget (trace rows count one base eval + trials per iteration)
-    sigma0 = trace.meta.get("sigma0", config.effective_sigma0(l1))
-    budget = config.eval_budget(len(rows), sigma0, l1)
+    budget = config.eval_budget(len(rows))
     margin = budget - rows[-1].cum_evals
     report.checks.append(
         CertificateCheck("operator-eval-budget", margin >= 0, margin, f"budget {budget:.1f}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -38,44 +38,35 @@ FLOOR_DENOMINATOR = {Mode.STRONGLY_MONOTONE: 7.5, Mode.MONOTONE: 5.0}
 @dataclass
 class SolverConfig:
     mode: Mode  # or its value, e.g. "monotone"
-    alpha1: float = 0.25
     alpha2: float = 0.25
     beta: float = 0.5
-    sigma0: float = 0.0  # floored to the theory-backed minimum
-    p: float = 0.1  # overall oracle failure budget
     max_iterations: int = 100
     stop_tolerance: float = 1e-10
     rng_seed: int = 0
     rho: float | None = None  # learner step size override
     radius: float | None = None  # learner ball radius override
-    max_backtracks: int | None = None
+    alpha1: ClassVar[float] = 0.25  # the inexact-solve tolerance, fixed by the theory
 
     def __post_init__(self) -> None:
         """Every constant's type and range, checked once when the config is built."""
         self.mode = Mode(self.mode)
-        require("alpha1", self.alpha1, lambda x: 0 <= x < 0.5, "in [0, 1/2)")
         require("alpha2", self.alpha2, lambda x: 0 < x < 0.5, "in (0, 1/2)")
         require("beta", self.beta, lambda x: 0 < x < 1, "in (0, 1)")
-        require("p", self.p, lambda x: 0 < x < 1, "in (0, 1)")
-        require("sigma0", self.sigma0, lambda x: x >= 0, ">= 0")
         require("stop_tolerance", self.stop_tolerance, lambda x: x >= 0, ">= 0")
         require("max_iterations", self.max_iterations, lambda x: x >= 0, ">= 0", integer=True)
         for name in ("rho", "radius"):  # None selects the theory default
             if getattr(self, name) is not None:
                 require(name, getattr(self, name), lambda x: x > 0, "> 0")
-        if self.max_backtracks is not None:
-            require("max_backtracks", self.max_backtracks, lambda x: x >= 1, ">= 1", integer=True)
 
     def step_size_floor(self, l1: float) -> float:
+        """alpha2 beta / (c L1), also the first trial step."""
         return self.alpha2 * self.beta / (FLOOR_DENOMINATOR[self.mode] * l1)
 
-    def effective_sigma0(self, l1: float) -> float:
-        return max(self.sigma0, self.step_size_floor(l1))
-
-    def eval_budget(self, n_iters: int, sigma0: float, l1: float) -> float:
-        """Theory bound on total operator evaluations over n_iters iterations."""
-        denom = FLOOR_DENOMINATOR[self.mode]
-        return 3 * n_iters + math.log(denom * sigma0 * l1 / self.alpha2) / math.log(1 / self.beta)
+    def eval_budget(self, n_iters: int) -> float:
+        """Theory bound on total operator evaluations over n_iters iterations,
+        3 n + log(c sigma0 L1 / alpha2) / log(1 / beta): with the first trial
+        step sigma0 at the floor its log term is log beta / log(1 / beta) = -1."""
+        return 3.0 * n_iters - 1.0
 
 
 def check_mode(problem: Problem, config: SolverConfig) -> None:
@@ -170,19 +161,17 @@ def solve(
     check_mode(problem, config)
     mu = problem.mu if config.mode is Mode.STRONGLY_MONOTONE else 0.0
     l1 = problem.l1
-    sigma0 = config.effective_sigma0(l1)
     # mu > 0 (strongly monotone mode) is the learner's Option I, mu = 0 its Option II
-    lparams = LearnerParams(problem.structure, problem.dim, mu, l1, config.p,
+    lparams = LearnerParams(problem.structure, problem.dim, mu, l1,
                             rho=config.rho, radius=config.radius)
     rng = np.random.default_rng(config.rng_seed)
     state = learner_init(lparams, rng)
     floor = config.step_size_floor(l1)
-    sigma = sigma0
+    sigma = floor  # the first trial step
 
     def step(k: int, z: np.ndarray, g: np.ndarray) -> _Step:
         nonlocal sigma
-        max_backtracks = config.max_backtracks or default_max_backtracks(  # None: the default
-            sigma, l1, config.alpha2, config.beta)
+        max_backtracks = default_max_backtracks(sigma, l1, config.alpha2, config.beta)
         out = backtrack(  # W's products and B = c1 W + c0 I's coefficients
             z, g, *current_matrix(state, lparams), sigma, problem.eval, alpha1=config.alpha1,
             alpha2=config.alpha2, beta=config.beta, mu=mu, max_backtracks=max_backtracks,
@@ -206,14 +195,14 @@ def solve(
             obs = LossObservation(u=out.f_ztilde - g, s=out.z_tilde - z)
             resid = obs.u - out.b_s_tilde
             loss = float(resid.dot(resid)) / float(obs.s.dot(obs.s))
-            observe_loss(state, obs, lparams, resid=resid)
+            observe_loss(state, obs, lparams, resid)
             matvecs += state.last_sep.matvecs
         return _Step(eta, 1.0 / (1.0 + 2.0 * eta * mu), out.z_hat, out.f_zhat, out.trial_count,
                      step_norm, matvecs, loss, cond_a_margin, cond_b_margin)
 
     trace = RunTrace(solver="qnpe", meta={
         "mode": config.mode.value, "alpha1": config.alpha1, "alpha2": config.alpha2,
-        "beta": config.beta, "sigma0": sigma0, "mu": mu, "l1": l1, "p": config.p,
+        "beta": config.beta, "sigma0": floor, "mu": mu, "l1": l1, "p": lparams.p,
         "rng_seed": config.rng_seed,
     })
     _outer_loop(problem, z0, config.max_iterations, config.stop_tolerance, trace, step)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
@@ -33,15 +33,15 @@ class LearnerParams:
     """The learner's constants.  mu > 0 selects Option I (strongly monotone:
     play inside (1 + delta) C), mu = 0 Option II (monotone: play inside C).
     rho and radius default to the theory's values, rho by the option and
-    radius sqrt(dim)."""
+    radius sqrt(dim).  The oracle failure budget p is the theory's 0.1."""
 
     structure: StructureSpec
     dim: int
     mu: float
     l1: float
-    p: float  # overall oracle failure budget
     rho: float | None = None
     radius: float | None = None
+    p: ClassVar[float] = 0.1  # overall oracle failure budget
 
     def __post_init__(self) -> None:
         if not (0 <= self.mu <= self.l1):
@@ -281,17 +281,13 @@ def learner_init(params: LearnerParams, rng: np.random.Generator) -> LearnerStat
 
 
 def observe_loss(
-    state: LearnerState, obs: LossObservation, params: LearnerParams,
-    resid: np.ndarray | None = None,
+    state: LearnerState, obs: LossObservation, params: LearnerParams, resid: np.ndarray,
 ) -> LearnerState:
     """Consume one loss observation for the currently played matrix, take the
     online gradient step, and advance to the next played matrix via the
-    separation oracle.  `resid` is u - B s when the caller has it.  Mutates
-    and returns the state, updating W in place."""
+    separation oracle.  `resid` is u - B s for the played B.  Mutates and
+    returns the state, updating W in place."""
     s, model = obs.s, state.model
-    if resid is None:
-        w_apply, _, c1, c0 = current_matrix(state, params)
-        resid = obs.u - (c1 * w_apply(s) + c0 * s)
     s2 = float(s.dot(s))
     structure = params.structure
 

@@ -68,12 +68,12 @@ def backtrack(
     constants' ranges are checked once, by SolverConfig and Problem."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    if not np.all(np.isfinite(g)):
-        raise LineSearchError("non-finite operator value at the base point")
+    norm_g = math.sqrt(g.dot(g))
+    if not math.isfinite(norm_g):  # a non-finite entry, or squares that overflow
+        raise LineSearchError(f"non-finite operator value at the base point (||F|| = {norm_g})")
 
     matvecs, eta = 0, sigma
     z_tilde = f_ztilde = report_tilde = None
-    norm_g = math.sqrt(g.dot(g))
     u = g / norm_g if norm_g else g  # the solves run at unit scale; s and W s scale back
     start = (CglsStart(w_apply, w_apply_t, u) if w_apply_t is not None
              else KrylovBasis(w_apply, u) if g.any() else None)  # a zero g never reads it

@@ -272,10 +272,11 @@ def make_bilinear_minimax(m: int, n: int, mu: float, l1: float, seed: int) -> Pr
 
 
 def make_sparse_equation(
-    d: int, avg_degree: int, mu: float, l1: float, seed: int, eps_frac: float = 0.2
+    d: int, avg_degree: int, mu: float, l1: float, seed: int
 ) -> Problem:
     """F(z) = M z + eps*tanh(z) - c with M supported on a random pattern Omega
-    (plus diagonal), sym(M) >= mu I and ||M||_op + eps <= l1."""
+    (plus diagonal), sym(M) >= mu I and ||M||_op + eps <= l1, eps = l1 / 5."""
+    eps_frac = 0.2
     if not (0 <= avg_degree < d):
         raise ValueError("require 0 <= avg_degree < d")
     if not (0 <= mu < (1 - eps_frac) * l1):
@@ -333,7 +334,6 @@ def make_sparse_equation(
             "mu": mu,
             "l1": l1,
             "seed": seed,
-            "eps_frac": eps_frac,
         },
     )
 

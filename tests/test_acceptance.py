@@ -40,7 +40,7 @@ from qnpe import (
     played_matrix,
     solve,
 )
-from qnpe.learner import loss_gradient
+from qnpe.learner import current_matrix, loss_gradient
 
 
 def report(num, name, ok):
@@ -147,7 +147,7 @@ def drive_learner(structure, d, mu, l1, seed, rounds=60):
     """Run the learner standalone against a fixed target Jacobian (Option I
     when mu > 0, Option II when mu = 0); returns the dense-classified oracle
     failure count and the list of played matrices."""
-    params = LearnerParams(structure, d, mu, l1, p=0.1)
+    params = LearnerParams(structure, d, mu, l1)
     rng = np.random.default_rng(seed)
     state = learner_init(params, rng)
     if isinstance(structure, Symmetric):
@@ -168,7 +168,9 @@ def drive_learner(structure, d, mu, l1, seed, rounds=60):
     played = []
     for _ in range(rounds):
         s = rng.standard_normal(d)
-        observe_loss(state, LossObservation(u=target @ s, s=s), params)
+        obs = LossObservation(u=target @ s, s=s)
+        w_apply, _, c1, c0 = current_matrix(state, params)
+        observe_loss(state, obs, params, obs.u - (c1 * w_apply(s) + c0 * s))
         sep, delta, w = state.last_sep, params.delta(state.t), state.w
         gamma_true = max(
             np.max(np.abs(np.linalg.eigvalsh(0.5 * (w + w.T)))),

@@ -73,11 +73,11 @@ def test_run_mode_mismatch_exits_2(tmp_path):
 
 
 def test_run_out_of_range_constant_exits_2(tmp_path):
-    cfg = dict(BASIC, solvers=[dict(BASIC["solvers"][0], alpha1=0.7)])
+    cfg = dict(BASIC, solvers=[dict(BASIC["solvers"][0], alpha2=0.7)])
     path = write_config(tmp_path / "cfg.json", cfg)
     proc = run_cli("run", path, "--out", str(tmp_path / "o"))
     assert proc.returncode == 2
-    assert "alpha1" in proc.stderr
+    assert "alpha2" in proc.stderr
     assert not (tmp_path / "o").exists()
 
 
@@ -93,12 +93,16 @@ QNPE_ENTRY = {"name": "qnpe", "mode": "strongly_monotone"}
     ({"solvers": [dict(QNPE_ENTRY, max_iterations=2.5)]}, "max_iterations"),
     ({"solvers": [dict(QNPE_ENTRY, max_backtracks=2.5)]}, "max_backtracks"),
     ({"solvers": [dict(QNPE_ENTRY, stop_tolerance="x")]}, "stop_tolerance"),
+    ({"solvers": [dict(QNPE_ENTRY, sigma0=1.0)]}, "sigma0"),  # the first trial step is the floor
+    ({"solvers": [dict(QNPE_ENTRY, alpha1=0.25)]}, "alpha1"),  # fixed by the theory
+    ({"solvers": [dict(QNPE_ENTRY, p=0.1)]}, "'p'"),  # fixed by the theory
     ({"solvers": [dict(QNPE_ENTRY, max_iteration=3)]}, "max_iteration"),
     ({"problems": [dict(BASIC["problems"][0], mu_=0.5)]}, "mu_"),
     ({"repetitions": True}, "repetitions"),
 ], ids=["eg_step_size", "qnpe_max_backtracks", "qnpe_negative_rho", "qnpe_negative_radius",
         "qnpe_string_max_iterations", "qnpe_fractional_max_iterations",
-        "qnpe_fractional_max_backtracks", "qnpe_string_stop_tolerance",
+        "qnpe_fractional_max_backtracks", "qnpe_string_stop_tolerance", "qnpe_sigma0",
+        "qnpe_alpha1", "qnpe_p",
         "qnpe_misspelt_field", "misspelt_problem_field", "boolean_repetitions"])
 def test_run_invalid_solver_field_exits_2_and_writes_nothing(tmp_path, fields, message):
     path = write_config(tmp_path / "cfg.json", dict(BASIC, **fields))
@@ -109,8 +113,8 @@ def test_run_invalid_solver_field_exits_2_and_writes_nothing(tmp_path, fields, m
 
 
 def test_failed_run_leaves_the_rest_of_the_batch(tmp_path):
-    failing = {"name": "qnpe", "mode": "strongly_monotone", "max_backtracks": 1,
-               "z0_scale": 1.0}  # the first trial step is rejected
+    failing = {"name": "qnpe", "mode": "strongly_monotone",
+               "z0_scale": 1e308}  # ||F(z0)|| overflows
     cfg = dict(BASIC, solvers=[BASIC["solvers"][0], failing,
                                {"name": "eg", "step_size": 0.5, "n_iters": 20}])
     path = write_config(tmp_path / "cfg.json", cfg)
@@ -120,7 +124,7 @@ def test_failed_run_leaves_the_rest_of_the_batch(tmp_path):
     errors = sorted(out.glob("run_*.error.json"))
     assert [p.name for p in errors] == [f"run_p0_qnpe1_rep{r}.error.json" for r in range(2)]
     error = json.loads(errors[0].read_text())
-    assert error["error"] == "LineSearchError" and "within 1 trials" in error["message"]
+    assert error["error"] == "LineSearchError" and "at the base point" in error["message"]
     assert "LineSearchError" in error["traceback"]
     assert error["run_id"] in proc.stderr
     completed = sorted(f"run_p0_{s}_rep{r}" for s in ("qnpe0", "eg2") for r in range(2))

@@ -55,7 +55,8 @@ def test_starting_at_root_stops_immediately():
 
 
 @pytest.mark.parametrize(
-    "bad", [{"alpha1": 0.7}, {"alpha2": 0.0}, {"beta": 1.5}, {"p": 0.0}, {"max_backtracks": 0}]
+    "bad", [{"alpha2": 0.0}, {"beta": 1.5}, {"max_iterations": -1}, {"stop_tolerance": -1.0},
+            {"rho": 0.0}]
 )
 def test_invalid_constants_rejected_before_any_step(bad):
     # the config is checked when built, so also at the root, where no step is taken

@@ -52,6 +52,17 @@ def test_nan_start_is_a_line_search_error():
         solve(problem, SolverConfig(mode=mode, max_iterations=60), z0=z0)
 
 
+def test_overflowing_start_is_a_line_search_error():
+    # every entry of F(z0) is finite, but ||F(z0)||^2 overflows
+    p, mode = FAMILIES["quadratic"]
+    problem = p()
+    z0 = 1e200 * _z0(problem)
+    assert np.all(np.isfinite(problem.eval(z0)))
+    with np.errstate(over="ignore"), \
+            pytest.raises(LineSearchError, match="non-finite operator value at the base point"):
+        solve(problem, SolverConfig(mode=mode, max_iterations=60), z0=z0)
+
+
 def test_runaway_operator_exhausts_the_trials():
     p, mode = FAMILIES["quadratic"]
     problem = dataclasses.replace(p(), eval=lambda z: np.expm1(np.exp(z)))  # exp(exp(z)) - 1

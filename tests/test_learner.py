@@ -30,7 +30,13 @@ from qnpe.separation import project_subspace
 
 def make_params(mu, l1, d, structure=None, rho=None):
     """Option I when mu > 0, Option II when mu = 0."""
-    return LearnerParams(structure or General(), d, mu, l1, p=0.1, rho=rho)
+    return LearnerParams(structure or General(), d, mu, l1, rho=rho)
+
+
+def observe(state, obs, params):
+    """observe_loss with resid = u - B s from the played matrix's own products."""
+    w_apply, _, c1, c0 = current_matrix(state, params)
+    return observe_loss(state, obs, params, obs.u - (c1 * w_apply(obs.s) + c0 * obs.s))
 
 
 def random_obs(rng, d):
@@ -120,7 +126,7 @@ def test_learner_step_is_the_projected_gradient_step_and_keeps_w_structured(stru
         want = reference_step(state, obs, params)
         case_ii += state.t >= 1 and state.last_sep.case is SepCase.CASE_II
         rank = getattr(state.model, "r", 0)
-        observe_loss(state, obs, params)
+        observe(state, obs, params)
         folds += getattr(state.model, "r", 0) < rank
         assert np.linalg.norm(state.w - want) <= 1e-14 * np.linalg.norm(want)
         # the stored W, not its projection: a step off the subspace would show here
@@ -140,7 +146,7 @@ def test_subspace_check_catches_an_unmirrored_pair():
     state = learner_init(params, rng)
     for _ in range(3):
         s = rng.standard_normal(d)
-        observe_loss(state, LossObservation(u=3.0 * rng.standard_normal(d), s=s), params)
+        observe(state, LossObservation(u=3.0 * rng.standard_normal(d), s=s), params)
     assert off_subspace(Symmetric(), state.model.dense()) <= 1e-12
     e = np.eye(d)
     state.model.append([(1e-6 * e[0], e[1])])
@@ -164,7 +170,7 @@ def test_a_huge_step_lands_on_the_ball(structure):
     state = learner_init(params, rng)
     s = rng.standard_normal(d)
     with np.errstate(over="ignore"):
-        observe_loss(state, LossObservation(u=3.0 * l1 * rng.standard_normal(d), s=s), params)
+        observe(state, LossObservation(u=3.0 * l1 * rng.standard_normal(d), s=s), params)
     w = state.w
     assert np.any(w != 0)
     assert abs(np.linalg.norm(w) - params.radius) <= 1e-12 * params.radius
@@ -187,7 +193,7 @@ def played_rounds(name, rng, rounds=12):
     for t in range(rounds):
         if t:
             s = rng.standard_normal(d)
-            observe_loss(state, LossObservation(u=target @ s, s=s), params)
+            observe(state, LossObservation(u=target @ s, s=s), params)
         yield state, params
 
 
@@ -254,8 +260,7 @@ def test_a_sparse_learner_forms_no_dense_matrix():
     try:
         state = learner_init(params, rng)
         for obs in observations:
-            w_apply, _, c1, c0 = current_matrix(state, params)
-            observe_loss(state, obs, params, resid=obs.u - (c1 * w_apply(obs.s) + c0 * obs.s))
+            observe(state, obs, params)
             case_ii += state.last_sep.case is SepCase.CASE_II
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -348,7 +353,7 @@ def test_zero_loss_observation_leaves_w_unchanged():
     state = learner_init(params, np.random.default_rng(4))
     b = played_matrix(state, params)
     s = np.array([1.0, 0, 0, 0, 0])
-    observe_loss(state, LossObservation(u=b @ s, s=s), params)
+    observe(state, LossObservation(u=b @ s, s=s), params)
     assert np.max(np.abs(state.w)) == 0.0
 
 
@@ -360,7 +365,7 @@ def test_gradient_step_moves_w_as_expected():
     b0 = played_matrix(state, params)
     obs = LossObservation(u=np.array([2.0, 0.0]), s=np.array([1.0, 0.0]))
     expected = -params.rho * loss_gradient(b0, obs) / l1
-    observe_loss(state, obs, params)
+    observe(state, obs, params)
     assert np.allclose(state.w, expected, atol=1e-14)
     assert state.t == 1
 
@@ -373,7 +378,7 @@ def test_loss_decreases_after_observation_general_structure():
     s = rng.standard_normal(8)
     obs = LossObservation(u=a @ s, s=s)
     before = loss_value(played_matrix(state, params), obs)
-    observe_loss(state, obs, params)
+    observe(state, obs, params)
     after = loss_value(played_matrix(state, params), obs)
     assert after <= before
 
@@ -386,7 +391,7 @@ def test_played_matrices_stay_feasible_option_one():
     target = np.diag(rng.uniform(mu, l1, size=d))
     for _ in range(40):
         s = rng.standard_normal(d)
-        observe_loss(state, LossObservation(u=target @ s, s=s), params)
+        observe(state, LossObservation(u=target @ s, s=s), params)
         b = played_matrix(state, params)
         w_apply, _, c1, c0 = current_matrix(state, params)
         assert np.linalg.eigvalsh(0.5 * (b + b.T))[0] >= mu / 2 - 1e-9
@@ -409,7 +414,7 @@ def test_played_matrices_stay_feasible_option_two():
     sgn = np.concatenate([np.ones(m), -np.ones(n)])
     for _ in range(40):
         s = rng.standard_normal(d)
-        observe_loss(state, LossObservation(u=target @ s, s=s), params)
+        observe(state, LossObservation(u=target @ s, s=s), params)
         b = played_matrix(state, params)
         assert np.linalg.eigvalsh(0.5 * (b + b.T))[0] >= -1e-8 * l1
         assert np.linalg.norm(b, 2) <= 4.0 * l1 + 1e-9

@@ -280,18 +280,16 @@ def test_default_max_backtracks_formula():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"alpha1": -0.1},
-        {"alpha1": 0.5},
         {"alpha2": 0.0},
         {"alpha2": 0.5},
         {"beta": 0.0},
         {"beta": 1.0},
-        {"alpha1": 0.45, "alpha2": 0.45, "beta": 0.5, "mu": -1.0},
+        {"alpha2": 0.45, "beta": 0.5, "mu": -1.0},
     ],
 )
 def test_parameter_validation(kwargs):
-    """backtrack takes its constants as given: SolverConfig checks alpha1,
-    alpha2 and beta, and Problem checks mu, each once, when it is built."""
+    """backtrack takes its constants as given: SolverConfig checks alpha2 and
+    beta, and Problem checks mu, each once, when it is built."""
     constants = dict(kwargs)
     mu = constants.pop("mu", 0.1)
     with pytest.raises(ValueError, match=list(kwargs)[-1]):  # the last key is out of range

@@ -113,7 +113,7 @@ def test_projection_rejects_nonsquare():
 
 def test_from_hat_shifts_the_diagonal_bit_for_bit():
     rng = np.random.default_rng(12)
-    params = LearnerParams(General(), 40, mu=0.3, l1=1.7, p=0.1)  # from_hat reads only l1, mu
+    params = LearnerParams(General(), 40, mu=0.3, l1=1.7)  # from_hat reads only l1, mu
     for d in (1, 5, 40):
         b_hat = rng.standard_normal((d, d))
         expected = params.l1 * b_hat + (params.l1 + params.mu) * np.eye(d)
@@ -124,7 +124,7 @@ def test_from_hat_shifts_the_diagonal_bit_for_bit():
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_hat_roundtrip(seed):
-    params = LearnerParams(General(), 5, mu=0.1, l1=1.7, p=0.1)
+    params = LearnerParams(General(), 5, mu=0.1, l1=1.7)
     b_hat = random_matrix(seed, d=5)
     back = (from_hat(b_hat, params) - (params.l1 + params.mu) * np.eye(5)) / params.l1
     assert np.max(np.abs(back - b_hat)) <= 1e-12 * max(1.0, np.max(np.abs(b_hat)))
@@ -134,7 +134,7 @@ def test_hat_of_feasible_matrix_is_in_unit_set():
     # B with mu I <= sym(B) <= (2 L1 + mu) I and ||B - (L1+mu)I|| <= 3 L1
     rng = np.random.default_rng(2)
     mu, l1 = 0.2, 1.3
-    params = LearnerParams(General(), 8, mu=mu, l1=l1, p=0.1)
+    params = LearnerParams(General(), 8, mu=mu, l1=l1)
     for _ in range(10):
         h = rng.standard_normal((8, 8))
         h = 0.5 * (h + h.T)
@@ -151,7 +151,7 @@ def test_hat_of_feasible_matrix_is_in_unit_set():
 def test_feasible_params_validation():
     for mu in (2.0, -0.1, np.nan):
         with pytest.raises(ValueError, match="mu <= l1"):
-            LearnerParams(General(), 4, mu=mu, l1=1.0, p=0.1)
+            LearnerParams(General(), 4, mu=mu, l1=1.0)
 
 
 # ---------------------------------------------------------------------------
