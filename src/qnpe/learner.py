@@ -286,16 +286,20 @@ def observe_loss(
     """Consume one loss observation for the currently played matrix, take the
     online gradient step, and advance to the next played matrix via the
     separation oracle.  `resid` is u - B s for the played B.  Mutates and
-    returns the state, updating W in place."""
+    returns the state, updating W in place; the oracle's are its only
+    products with W."""
     s, model = obs.s, state.model
     s2 = float(s.dot(s))
     structure = params.structure
 
     # W <- W - rho (P(grad) / L1 + coeff P(S)), grad = -2 resid s^T / ||s||^2, as factor pairs.
-    # In Case II, <P(grad), W> = <grad, W> = -2 resid^T W s / ||s||^2 since W = P(W).
+    # In Case II, <P(grad), W> = <grad, W> = -2 resid^T W s / ||s||^2 since W = P(W),
+    # and W s = (u - resid - c0 s) / c1 since resid = u - (c1 W + c0 I) s: no product with W.
     coeff, sep = 0.0, state.last_sep
     if state.t >= 1 and sep is not None and sep.case is SepCase.CASE_II:
-        coeff = max(0.0, 2.0 * float(resid.dot(model.matvec(s))) / (s2 * params.l1) / sep.gamma)
+        _, _, c1, c0 = current_matrix(state, params)
+        w_s = (obs.u - resid - c0 * s) / c1
+        coeff = max(0.0, 2.0 * float(resid.dot(w_s)) / (s2 * params.l1) / sep.gamma)
     # capped at the largest float, past which the clipped W no longer moves; inf would make NaN
     step = min(params.rho / (s2 * params.l1), np.finfo(float).max)
     pairs = _doubled_projection(structure, step * resid, s)

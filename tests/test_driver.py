@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 import qnpe.driver
+import qnpe.learner
 from qnpe import (
     General,
     Mode,
     PrimalDualBox,
     Problem,
+    SepCase,
     SolverConfig,
     Symmetric,
     extragradient_baseline,
@@ -179,6 +181,32 @@ def test_every_b_product_is_counted(monkeypatch, name):
     _, _, trace = solve(p, SolverConfig(mode=mode, max_iterations=60), z0=z0)
     assert any(r.backtracked for r in trace.rows)
     assert products[0] == trace.total_matvecs - oracle[0] > 0
+
+def test_a_case_ii_round_makes_no_uncounted_product(monkeypatch):
+    """A learner round after a Case II oracle answer takes W s from resid, so
+    every product with the Symmetric learner's W, the line search's and the
+    oracle's, is in total_matvecs."""
+    p = make_quadratic_min(30, 0.1, 1.0, seed=4)
+    products, cases = [0], []
+    matvec, separate = qnpe.learner.LowRank.matvec, qnpe.learner.sep_feasible
+
+    def matvec_counted(self, *args, **kwargs):
+        products[0] += 1
+        return matvec(self, *args, **kwargs)
+
+    def separate_recorded(*args, **kwargs):
+        res = separate(*args, **kwargs)
+        cases.append(res.case)
+        return res
+
+    monkeypatch.setattr(qnpe.learner.LowRank, "matvec", matvec_counted)
+    monkeypatch.setattr(qnpe.learner, "sep_feasible", separate_recorded)
+    z0 = p.known_root + np.random.default_rng(0).standard_normal(p.dim)
+    _, _, trace = solve(p, SolverConfig(mode=Mode.STRONGLY_MONOTONE, rho=2, max_iterations=120),
+                        z0=z0)
+    assert SepCase.CASE_II in cases
+    assert products[0] == trace.total_matvecs
+
 
 def test_the_centre_start_forms_no_dense_array():
     """The learner starts at W_0 = 0, and the factored learner stores W as its
