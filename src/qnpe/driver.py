@@ -37,6 +37,9 @@ FLOOR_DENOMINATOR = {Mode.STRONGLY_MONOTONE: 7.5, Mode.MONOTONE: 5.0}
 
 @dataclass
 class SolverConfig:
+    """The settings a caller chooses.  The theory fixes the rest: alpha1, the
+    first trial step (the step-size floor) and the trials per line search."""
+
     mode: Mode  # or its value, e.g. "monotone"
     alpha2: float = 0.25
     beta: float = 0.5
@@ -59,13 +62,11 @@ class SolverConfig:
                 require(name, getattr(self, name), lambda x: x > 0, "> 0")
 
     def step_size_floor(self, l1: float) -> float:
-        """alpha2 beta / (c L1), also the first trial step."""
         return self.alpha2 * self.beta / (FLOOR_DENOMINATOR[self.mode] * l1)
 
     def eval_budget(self, n_iters: int) -> float:
         """Theory bound on total operator evaluations over n_iters iterations,
-        3 n + log(c sigma0 L1 / alpha2) / log(1 / beta): with the first trial
-        step sigma0 at the floor its log term is log beta / log(1 / beta) = -1."""
+        3 n + log(c sigma0 L1 / alpha2) / log(1 / beta) = 3 n - 1 at sigma0 = the floor."""
         return 3.0 * n_iters - 1.0
 
 
@@ -171,10 +172,10 @@ def solve(
 
     def step(k: int, z: np.ndarray, g: np.ndarray) -> _Step:
         nonlocal sigma
-        max_backtracks = default_max_backtracks(sigma, l1, config.alpha2, config.beta)
         out = backtrack(  # W's products and B = c1 W + c0 I's coefficients
             z, g, *current_matrix(state, lparams), sigma, problem.eval, alpha1=config.alpha1,
-            alpha2=config.alpha2, beta=config.beta, mu=mu, max_backtracks=max_backtracks,
+            alpha2=config.alpha2, beta=config.beta, mu=mu,
+            max_backtracks=default_max_backtracks(sigma, l1, config.alpha2, config.beta),
         )
         eta = out.eta
         if eta < floor - 1e-12:  # the step-size-floor certificate's own threshold

@@ -3,10 +3,14 @@ comparison report."""
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+from qnpe.cli import SOLVER_FIELDS
 
 QNPE = [sys.executable, "-c", "import sys; from qnpe.cli import main; sys.exit(main())"]
 
@@ -79,6 +83,14 @@ def test_run_out_of_range_constant_exits_2(tmp_path):
     assert proc.returncode == 2
     assert "alpha2" in proc.stderr
     assert not (tmp_path / "o").exists()
+
+
+def test_readme_lists_the_qnpe_solver_fields():
+    """README's list of the fields a qnpe solver entry accepts is the CLI's."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.search(r"accepting the `SolverConfig` fields ([^)]*)\)", readme)
+    assert listed is not None
+    assert set(re.findall(r"`(\w+)`", listed.group(1))) == SOLVER_FIELDS["qnpe"]
 
 
 QNPE_ENTRY = {"name": "qnpe", "mode": "strongly_monotone"}

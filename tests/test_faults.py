@@ -44,23 +44,17 @@ def _certified_run(problem, mode, **config):
 
 
 def test_nan_start_is_a_line_search_error():
+    # a NaN entry of F(z0), and finite entries whose squares overflow ||F(z0)||
     p, mode = FAMILIES["quadratic"]
     problem = p()
-    z0 = _z0(problem)
-    z0[3] = math.nan
-    with pytest.raises(LineSearchError, match="non-finite operator value at the base point"):
-        solve(problem, SolverConfig(mode=mode, max_iterations=60), z0=z0)
-
-
-def test_overflowing_start_is_a_line_search_error():
-    # every entry of F(z0) is finite, but ||F(z0)||^2 overflows
-    p, mode = FAMILIES["quadratic"]
-    problem = p()
-    z0 = 1e200 * _z0(problem)
-    assert np.all(np.isfinite(problem.eval(z0)))
-    with np.errstate(over="ignore"), \
-            pytest.raises(LineSearchError, match="non-finite operator value at the base point"):
-        solve(problem, SolverConfig(mode=mode, max_iterations=60), z0=z0)
+    nan_start = _z0(problem)
+    nan_start[3] = math.nan
+    overflowing_start = 1e200 * _z0(problem)
+    assert np.all(np.isfinite(problem.eval(overflowing_start)))
+    for z0 in (nan_start, overflowing_start):
+        with np.errstate(over="ignore"), \
+                pytest.raises(LineSearchError, match="non-finite operator value at the base point"):
+            solve(problem, SolverConfig(mode=mode, max_iterations=60), z0=z0)
 
 
 def test_runaway_operator_exhausts_the_trials():
