@@ -17,14 +17,14 @@ from .learner import (
     observe_loss,
     played_matrix,
 )
-from .linear_solver import CglsStart, KrylovBasis, NumericalBreakdownError, linear_solve
-from .line_search import LineSearchError
+from .linear_solver import CglsStart, KrylovBasis, linear_solve
 from .problems import (
     GenerationError,
     General,
     JSymmetric,
     PrimalDualBox,
     Problem,
+    SolverError,
     Sparse,
     Symmetric,
     evaluate_gap,
@@ -45,15 +45,14 @@ __all__ = [
     "JSymmetric",
     "KrylovBasis",
     "LearnerParams",
-    "LineSearchError",
     "LossObservation",
     "Mode",
-    "NumericalBreakdownError",
     "PrimalDualBox",
     "Problem",
     "RunTrace",
     "SepCase",
     "SolverConfig",
+    "SolverError",
     "Sparse",
     "Symmetric",
     "evaluate_gap",

@@ -23,9 +23,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
-import logging
 import math
-import os
 import sys
 import time
 import traceback
@@ -39,8 +37,6 @@ from .certificates import verify_iteration_certificates
 from .driver import SolverConfig, check_extragradient, check_mode, extragradient_baseline, solve
 from .problems import GenerationError, Problem, problem_from_descriptor, require
 from .trace import RunTrace, trace_from_csv, trace_to_csv
-
-log = logging.getLogger("qnpe")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -250,10 +246,6 @@ def _run_batch(cfg: dict, specs: list[RunSpec], out: Path,
             all_pass = all_pass and s["certificates_passed"]
     (out / "certificates.txt").write_text("\n".join(cert_lines) + "\n" if cert_lines else "")
 
-    for s in summaries:
-        log.info(
-            "%s: %d iters, final ||F|| = %.3e", s["run_id"], s["iterations"], s["final_norm_F"]
-        )
     if not all_pass:
         print("certificate failure; see certificates.txt", file=sys.stderr)
     code = EXIT_SOLVER if failed else EXIT_OK if all_pass else EXIT_CERTIFICATE
@@ -379,8 +371,6 @@ def main(argv: list[str] | None = None) -> int:
     p_ver.add_argument("trace_dir")
 
     args = parser.parse_args(argv)
-    logging.basicConfig(level=os.environ.get("QNPE_LOG", "WARNING").upper())
-
     if args.command == "verify":
         return cmd_verify(args.trace_dir)
     command = cmd_run if args.command == "run" else cmd_compare

@@ -21,8 +21,8 @@ from typing import Callable, ClassVar, NamedTuple
 import numpy as np
 
 from .learner import LearnerParams, LossObservation, current_matrix, learner_init, observe_loss
-from .line_search import LineSearchError, backtrack, default_max_backtracks
-from .problems import Problem, require
+from .line_search import backtrack, default_max_backtracks
+from .problems import Problem, SolverError, require
 from .trace import RunTrace, TraceRow
 
 
@@ -108,27 +108,36 @@ class _Step(NamedTuple):
 
 
 def _outer_loop(problem: Problem, z0: np.ndarray | None, n_iters: int, stop_tolerance: float,
-                trace: RunTrace, step: Callable[[int, np.ndarray, np.ndarray], _Step]) -> None:
+                trace: RunTrace, step: Callable[[np.ndarray, np.ndarray], _Step]) -> None:
     """Run up to n_iters iterations from z0 (None: the origin) into trace.
 
     Iteration k evaluates F(z), stops once ||F(z)|| <= stop_tolerance, and
-    takes step(k, z, F(z)).  Then z+ = theta (z - eta F(z_hat)) + (1 - theta)
+    takes step(z, F(z)).  Then z+ = theta (z - eta F(z_hat)) + (1 - theta)
     z_hat, z_hat joins the eta-weighted average, and one row records the
     iteration: cum_evals adds 1 + trials and cum_matvecs the step's matvecs.
     The end-of-run totals count F at the final point once, so total_evals is
-    the last row's cum_evals + 1."""
+    the last row's cum_evals + 1.  This loop alone checks that ||F(z)|| is
+    finite, for both solvers, and sets k on every SolverError of its iteration."""
     z = np.zeros(problem.dim) if z0 is None else np.asarray(z0, dtype=float).copy()
     trace.z0 = z.copy()
     cum_evals = cum_matvecs = 0
     eta_sum = 0.0
     zbar_acc = np.zeros(problem.dim)
-    for k in range(n_iters):
+    for k in range(n_iters + 1):  # the last pass only evaluates F at the final point
         g = problem.eval(z)
         cum_evals += 1
-        norm_g = _norm(g)
-        if norm_g <= stop_tolerance:
+        with np.errstate(over="ignore"):  # squares that overflow give inf, caught below
+            norm_g = _norm(g)
+        if k == n_iters or norm_g <= stop_tolerance:
             break
-        st = step(k, z, g)
+        try:
+            if not math.isfinite(norm_g):
+                raise SolverError("driver", f"non-finite operator value at the base point "
+                                            f"(||F|| = {norm_g})")
+            st = step(z, g)
+        except SolverError as exc:
+            exc.k = k
+            raise
         cum_evals += st.trials
         cum_matvecs += st.matvecs
         z_next = st.theta * (z - st.eta * st.f_zhat) + (1.0 - st.theta) * st.z_hat
@@ -141,13 +150,10 @@ def _outer_loop(problem: Problem, z0: np.ndarray | None, n_iters: int, stop_tole
             cum_evals=cum_evals, cum_matvecs=cum_matvecs,
         ))
         z = z_next
-    else:  # no stop: F at the final point is evaluated here
-        g = problem.eval(z)
-        cum_evals += 1
     trace.z_final = z
     trace.z_bar = zbar_acc / eta_sum if eta_sum > 0 else None
     trace.eta_sum = eta_sum
-    trace.final_norm_F = _norm(g)
+    trace.final_norm_F = norm_g
     trace.final_dist = _dist(z, problem.known_root)
     trace.total_evals = cum_evals
     trace.total_matvecs = cum_matvecs
@@ -170,7 +176,7 @@ def solve(
     floor = config.step_size_floor(l1)
     sigma = floor  # the first trial step
 
-    def step(k: int, z: np.ndarray, g: np.ndarray) -> _Step:
+    def step(z: np.ndarray, g: np.ndarray) -> _Step:
         nonlocal sigma
         out = backtrack(  # W's products and B = c1 W + c0 I's coefficients
             z, g, *current_matrix(state, lparams), sigma, problem.eval, alpha1=config.alpha1,
@@ -179,8 +185,8 @@ def solve(
         )
         eta = out.eta
         if eta < floor - 1e-12:  # the step-size-floor certificate's own threshold
-            raise LineSearchError(f"accepted eta={eta:.3e} at iteration {k} is below the "
-                                  f"step-size floor {floor:.3e}; check F's values and L1")
+            raise SolverError("driver", f"accepted eta={eta:.3e} is below the step-size floor "
+                                        f"{floor:.3e}; check F's values and L1")
         sigma = eta / config.beta
 
         s = out.z_hat - z
@@ -221,7 +227,7 @@ def extragradient_baseline(
     It stops early only where F(z) is exactly 0."""
     check_extragradient(problem, step_size, n_iters)
 
-    def step(k: int, z: np.ndarray, g: np.ndarray) -> _Step:
+    def step(z: np.ndarray, g: np.ndarray) -> _Step:
         z_hat = z - step_size * g
         return _Step(step_size, 1.0, z_hat, problem.eval(z_hat), 1, _norm(z_hat - z))
 

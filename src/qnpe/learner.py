@@ -308,8 +308,9 @@ def observe_loss(
         k = -params.rho * coeff * c
         pairs += (_doubled_projection(structure, 0.5 * k * a, b)
                   if isinstance(structure, JSymmetric) else [(k * a, b)])
-    model.append(pairs)
-    fro = model.clip(params.radius)
+    with np.errstate(over="ignore"):  # a huge step overflows W's Gram update and norm; clip copes
+        model.append(pairs)
+        fro = model.clip(params.radius)
 
     t_next = state.t + 1
     delta = params.delta(t_next)

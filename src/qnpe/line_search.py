@@ -12,7 +12,8 @@ its operator value is non-finite or it equals z.  B = c1 W + c0 I is never
 applied: each trial solves ((1 + eta c0) I + eta c1 W) s = -eta g on W's
 products, for the unit g / ||g|| so that no squared norm underflows.  All
 trials share one Krylov basis of W, or on a non-symmetric W one W^T g for
-CGLS; both give W s with no further product, and so B s.
+CGLS; both give W s with no further product, and so B s.  A search that
+cannot accept a step raises SolverError (layer line_search).
 """
 
 from __future__ import annotations
@@ -24,14 +25,10 @@ from typing import Callable
 import numpy as np
 
 from .linear_solver import CglsStart, KrylovBasis, linear_solve
+from .problems import SolverError
 
 
 EXACT_SOLVE_TOL = 1e-12  # practical meaning of alpha1 = 0
-
-
-class LineSearchError(RuntimeError):
-    """Backtracking exhausted or the inner solver failed; usually signals a
-    misconfigured Lipschitz constant."""
 
 
 def default_max_backtracks(sigma: float, l1: float, alpha2: float, beta: float) -> int:
@@ -62,15 +59,13 @@ def backtrack(
     mu: float, max_backtracks: int,
 ) -> LineSearchOutcome:
     """Try step sizes sigma * beta^i, at most max_backtracks of them, until
-    (B) holds; one fresh operator evaluation per trial.  g = F(z) is supplied
-    by the caller so it is never re-evaluated here.  w_apply_t = None means W
-    is symmetric: the trials share a KrylovBasis, else a CglsStart.  The
+    (B) holds; one fresh operator evaluation per trial.  The caller supplies
+    g = F(z) and has checked that ||g|| is finite.  W is symmetric when
+    w_apply_t = None: the trials share a KrylovBasis, else a CglsStart.  The
     constants' ranges are checked once, by SolverConfig and Problem."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     norm_g = math.sqrt(g.dot(g))
-    if not math.isfinite(norm_g):  # a non-finite entry, or squares that overflow
-        raise LineSearchError(f"non-finite operator value at the base point (||F|| = {norm_g})")
 
     matvecs, eta = 0, sigma
     z_tilde = f_ztilde = report_tilde = None
@@ -86,8 +81,8 @@ def backtrack(
         report = linear_solve(start, 1.0 + eta * c0, eta * c1, -eta * u, rho_tol)
         matvecs += report.matvecs
         if not report.converged:
-            raise LineSearchError(f"inner linear solve did not reach tolerance at eta={eta:.3e} "
-                                  f"(residual {norm_g * report.residual_norm:.3e})")
+            raise SolverError("line_search", f"inner linear solve did not reach tolerance at "
+                              f"eta={eta:.3e} (residual {norm_g * report.residual_norm:.3e})")
         s = norm_g * report.solution
         z_hat = z + s
         f_zhat = f_eval(z_hat)
@@ -106,7 +101,7 @@ def backtrack(
         z_tilde, f_ztilde, report_tilde = (z_hat, f_zhat, report) if observable else [None] * 3
         eta *= beta
 
-    raise LineSearchError(
-        f"no acceptable step size within {max_backtracks} trials "
+    raise SolverError(
+        "line_search", f"no acceptable step size within {max_backtracks} trials "
         f"(last eta={eta / beta:.3e}); check the Lipschitz constant"
     )

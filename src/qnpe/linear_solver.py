@@ -8,7 +8,8 @@ iterate, whose norm grows monotonically with k when A is positive definite
 K_k(shift I + scale W, g) = K_k(W, g), lets one basis serve every system of a
 line search (Jegerlehner 1996).  CGLS, CG on A^T A s = A^T b, is not
 shift-invariant, but its first direction needs only W^T g, which a line
-search makes once.  Both give W s with no further product.
+search makes once.  Both give W s with no further product.  A breakdown,
+NaN/Inf included, raises SolverError with layer linear_solver.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-
-class NumericalBreakdownError(RuntimeError):
-    """Raised when the Krylov recurrence produces NaN/Inf or a fatal breakdown."""
+from .problems import SolverError
 
 
 @dataclass
@@ -57,7 +56,7 @@ class KrylovBasis:
             w, h = w - c @ v, h + c
         hh, ww = float(h.dot(h)), float(w.dot(w))
         if not math.isfinite(hh + ww):
-            raise NumericalBreakdownError("non-finite Arnoldi coefficient in linear solve")
+            raise SolverError("linear_solver", "non-finite Arnoldi coefficient")
         invariant = ww <= d * self.invariant_tol**2 * (hh + ww) or k + 1 == d
         self.cols.append(h.tolist() + [0.0 if invariant else math.sqrt(ww)])
         if k + 2 > len(self.rows):
@@ -84,7 +83,7 @@ class KrylovBasis:
                 col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
             diag = math.hypot(col[k - 1], col[k])
             if not diag > 0.0:
-                raise NumericalBreakdownError("singular projected system in linear solve")
+                raise SolverError("linear_solver", "singular projected system")
             cs, sn = col[k - 1] / diag, col[k] / diag
             rotations.append((cs, sn))
             r_cols.append(col[: k - 1] + [diag])
@@ -96,7 +95,7 @@ class KrylovBasis:
                     y[j] -= r_cols[i][j] * y[i]
             y_norm = math.hypot(*y)
             if not math.isfinite(y_norm):
-                raise NumericalBreakdownError("non-finite iterate in linear solve")
+                raise SolverError("linear_solver", "non-finite iterate")
             converged = abs(rhs[-1]) <= rho_tol * y_norm
         return SolveReport(np.array(y) @ self.rows[:k], abs(rhs[-1]), k, added, converged,
                            self.image(y))
@@ -139,15 +138,15 @@ class CglsStart:
             gamma = gamma_next
             qq = float(q.dot(q))
             if not (math.isfinite(qq) and math.isfinite(gamma)):
-                raise NumericalBreakdownError("non-finite curvature in linear solve")
+                raise SolverError("linear_solver", "non-finite curvature")
             if qq <= tiny or gamma <= tiny:  # Krylov space exhausted
-                raise NumericalBreakdownError(
-                    "Krylov breakdown before reaching the residual tolerance")
+                raise SolverError("linear_solver",
+                                  "Krylov breakdown before reaching the residual tolerance")
             alpha = gamma / qq
             s, ws, r = s + alpha * p, ws + alpha * wp, r - alpha * q
             ss, rr = float(s.dot(s)), float(r.dot(r))
             if not (math.isfinite(ss) and math.isfinite(rr)):
-                raise NumericalBreakdownError("non-finite or overflowing iterate in linear solve")
+                raise SolverError("linear_solver", "non-finite or overflowing iterate")
             res_norm = math.sqrt(rr)
             if res_norm <= rho_tol * math.sqrt(ss):
                 return SolveReport(s, res_norm, k, made, True, ws)

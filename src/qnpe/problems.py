@@ -115,6 +115,20 @@ class GenerationError(RuntimeError):
     """Raised when a synthetic instance cannot be constructed as specified."""
 
 
+class SolverError(RuntimeError):
+    """A solve that cannot go on.  `layer` is the module that raised (driver,
+    line_search, linear_solver or spectral); `k` is the outer iteration, set
+    by the driver's loop, and None on a direct call into a layer."""
+
+    def __init__(self, layer: str, message: str) -> None:
+        super().__init__(layer, message)  # both in args, so that the error pickles
+        self.layer, self.k = layer, None
+
+    def __str__(self) -> str:
+        where = self.layer if self.k is None else f"iteration {self.k}, {self.layer}"
+        return f"{where}: {self.args[1]}"
+
+
 def _damped_newton_root(
     f: Callable[[np.ndarray], np.ndarray],
     jac: Callable[[np.ndarray], np.ndarray],

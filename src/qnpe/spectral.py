@@ -18,6 +18,8 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dstebz, dstein
 
+from .problems import SolverError
+
 
 class SepCase(Enum):
     CASE_I = 1
@@ -69,7 +71,8 @@ def lanczos(
     orthogonality loss would silently void the randomized guarantee.  Stops
     early, with steps_taken < n_steps, when the new off-diagonal is
     negligible relative to a running norm estimate, in which case the Krylov
-    space is invariant and the Ritz values are exact on it.
+    space is invariant and the Ritz values are exact on it.  A non-finite
+    operator value raises SolverError with layer spectral.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -92,7 +95,7 @@ def lanczos(
             w[:] = apply_sym(v)
         alpha = float(w.dot(v))
         if not math.isfinite(alpha):  # v is a finite unit vector: w is not finite
-            raise FloatingPointError("NaN/Inf in Lanczos recurrence")
+            raise SolverError("spectral", "NaN/Inf in Lanczos recurrence")
         w -= np.multiply(alpha, v, out=scratch)
         q = basis[:, : k + 1]
         w -= np.matmul(q, q.T @ w, out=scratch)
@@ -108,12 +111,7 @@ def lanczos(
             v = w / beta_next
             beta = beta_next
 
-    return LanczosResult(
-        alphas=alphas[:steps],
-        betas=betas[: max(steps - 1, 0)],
-        basis=basis[:, :steps],
-        steps_taken=steps,
-    )
+    return LanczosResult(alphas[:steps], betas[: max(steps - 1, 0)], basis[:, :steps], steps)
 
 
 def tridiag_eigpair(alphas: np.ndarray, betas: np.ndarray, i: int) -> tuple[float, np.ndarray]:
@@ -128,7 +126,7 @@ def tridiag_eigpair(alphas: np.ndarray, betas: np.ndarray, i: int) -> tuple[floa
     if info == 0:
         z, info = dstein(alphas, betas, lam[:m], iblock, isplit)
     if info:
-        raise np.linalg.LinAlgError(f"tridiagonal eigenpair {i}: LAPACK info={info}")
+        raise SolverError("spectral", f"tridiagonal eigenpair {i}: LAPACK info={info}")
     return float(lam[0]), z[:, 0]
 
 
@@ -158,8 +156,7 @@ def ext_evec(
     """
     if delta <= 0 or not (0 < q < 1):
         raise ValueError("require delta > 0 and q in (0, 1)")
-    n_steps = lanczos_step_count(d, delta, q, augmented=False)
-    n_steps = min(n_steps, d)
+    n_steps = min(lanczos_step_count(d, delta, q, augmented=False), d)
 
     res = lanczos(apply_sym, d, n_steps, rng)
     matvecs = (1 if symmetric else 2) * res.steps_taken  # one operator application per step
@@ -197,8 +194,7 @@ def max_svec(
     """
     if delta <= 0 or not (0 < q < 1):
         raise ValueError("require delta > 0 and q in (0, 1)")
-    n_steps = lanczos_step_count(d, delta, q, augmented=True)
-    n_steps = min(n_steps, 2 * d)
+    n_steps = min(lanczos_step_count(d, delta, q, augmented=True), 2 * d)
 
     res = lanczos(apply_aug, 2 * d, n_steps, rng)
     matvecs = 2 * res.steps_taken

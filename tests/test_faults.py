@@ -5,14 +5,17 @@ over 60 iterations."""
 
 import dataclasses
 import math
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 from qnpe import (
-    LineSearchError,
     Mode,
     SolverConfig,
+    SolverError,
+    extragradient_baseline,
     make_bilinear_minimax,
     make_logsumexp_min,
     make_quadratic_min,
@@ -43,6 +46,80 @@ def _certified_run(problem, mode, **config):
     return trace, [c.name for c in report.checks if not c.passed]
 
 
+def _poisoned(problem, bad, poisoned):
+    """The problem with F = bad at every operator call whose number (from 1)
+    satisfies poisoned(number)."""
+    calls = [0]
+
+    def f(z):
+        calls[0] += 1
+        return np.full_like(z, bad) if poisoned(calls[0]) else problem.eval(z)
+
+    return dataclasses.replace(problem, eval=f)
+
+
+def _run_quadratic(solver="qnpe", start=lambda z0: z0, operator=None):
+    """Run a solver 60 iterations on FAMILIES["quadratic"] from start(z0), with
+    the problem replaced by operator(problem, a clean qnpe run's rows) if given."""
+    p, mode = FAMILIES["quadratic"]
+    problem = p()
+    z0 = start(_z0(problem))
+    if operator is not None:
+        problem = operator(problem, _certified_run(problem, mode)[0].rows)
+    if solver == "eg":
+        return extragradient_baseline(problem, 0.5 / problem.l1, 60, z0=z0)
+    return solve(problem, SolverConfig(mode=mode, max_iterations=60), z0=z0)
+
+
+def _nan_entry(z0):
+    z0[3] = math.nan
+    return z0
+
+
+def _overflowing(z0):
+    return 1e200 * z0  # finite F(z0), whose squares overflow ||F(z0)||
+
+
+def _nan_from_call(first):
+    """Every operator call from number first(rows) on is NaN."""
+    return lambda problem, rows: _poisoned(problem, math.nan, lambda c: c >= first(rows))
+
+
+BASE_POINT = "non-finite operator value at the base point"
+# case: (run, the raising layer, the iteration k, what the message says)
+FAILURES = {
+    "nan_start": (partial(_run_quadratic, start=_nan_entry), "driver", 0, BASE_POINT),
+    "overflowing_start": (partial(_run_quadratic, start=_overflowing), "driver", 0, BASE_POINT),
+    "runaway_operator": (  # exp(exp(z)) - 1
+        partial(_run_quadratic, operator=lambda problem, rows: dataclasses.replace(
+            problem, eval=lambda z: np.expm1(np.exp(z)))),
+        "line_search", 0, "no acceptable step size within 9 trials"),
+    "step_size_floor": (  # the trial that iteration 0 accepts, at the floor, is NaN
+        partial(_run_quadratic, operator=lambda problem, rows: _poisoned(
+            problem, math.nan, lambda c: c == rows[0].cum_evals)),
+        "driver", 0, "below the step-size floor"),
+    "nan_from_iteration_12": (  # from F(z_12) on
+        partial(_run_quadratic, operator=_nan_from_call(lambda rows: rows[11].cum_evals + 1)),
+        "driver", 12, BASE_POINT),
+    "nan_trials_at_iteration_12": (  # from iteration 12's first trial on
+        partial(_run_quadratic, operator=_nan_from_call(lambda rows: rows[11].cum_evals + 2)),
+        "line_search", 12, "no acceptable step size"),
+    "eg_nan_start": (partial(_run_quadratic, "eg", _nan_entry), "driver", 0, BASE_POINT),
+    "eg_overflowing_start": (partial(_run_quadratic, "eg", _overflowing), "driver", 0,
+                             BASE_POINT),
+}
+
+
+@pytest.mark.parametrize("case", FAILURES)
+def test_every_failure_is_a_solver_error_naming_iteration_and_layer(case):
+    run, layer, k, message = FAILURES[case]
+    with warnings.catch_warnings(), pytest.raises(SolverError, match=message) as info:
+        warnings.simplefilter("error")  # an overflow the solver handles must not warn
+        run()
+    assert (info.value.layer, info.value.k) == (layer, k)
+    assert str(info.value).startswith(f"iteration {k}, {layer}: ")
+
+
 def test_nan_start_is_a_line_search_error():
     # a NaN entry of F(z0), and finite entries whose squares overflow ||F(z0)||
     p, mode = FAMILIES["quadratic"]
@@ -52,8 +129,9 @@ def test_nan_start_is_a_line_search_error():
     overflowing_start = 1e200 * _z0(problem)
     assert np.all(np.isfinite(problem.eval(overflowing_start)))
     for z0 in (nan_start, overflowing_start):
-        with np.errstate(over="ignore"), \
-                pytest.raises(LineSearchError, match="non-finite operator value at the base point"):
+        with warnings.catch_warnings(), \
+                pytest.raises(SolverError, match="non-finite operator value at the base point"):
+            warnings.simplefilter("error")
             solve(problem, SolverConfig(mode=mode, max_iterations=60), z0=z0)
 
 
@@ -61,7 +139,7 @@ def test_runaway_operator_exhausts_the_trials():
     p, mode = FAMILIES["quadratic"]
     problem = dataclasses.replace(p(), eval=lambda z: np.expm1(np.exp(z)))  # exp(exp(z)) - 1
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(LineSearchError, match="no acceptable step size"):
+            pytest.raises(SolverError, match="no acceptable step size"):
         solve(problem, SolverConfig(mode=mode, max_iterations=60), z0=_z0(problem))
 
 
@@ -80,15 +158,10 @@ def test_non_finite_accepted_trial_is_rejected(bad):
     above = next(r for r in clean.rows if r.eta * config.beta >= floor)
 
     def poisoned_at(row):
-        calls = [0]
+        return _poisoned(problem, bad, lambda call: call == row.cum_evals)
 
-        def f(z):
-            calls[0] += 1
-            return np.full_like(z, bad) if calls[0] == row.cum_evals else problem.eval(z)
-
-        return dataclasses.replace(problem, eval=f)
-
-    with pytest.raises(LineSearchError, match="iteration 0 is below the step-size floor"):
+    with pytest.raises(SolverError, match="iteration 0, driver: accepted eta=.* is below the "
+                                          "step-size floor"):
         _certified_run(poisoned_at(clean.rows[0]), mode)
     trace, failing = _certified_run(poisoned_at(above), mode)
     poisoned = trace.rows[above.k]
@@ -109,7 +182,8 @@ def test_understated_lipschitz_constant_still_certifies(family, factor):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_huge_learner_step_still_certifies(family):
     p, mode = FAMILIES[family]
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         trace, failing = _certified_run(p(), mode, rho=1e300)
     assert trace.iterations > 0 and not failing
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qnpe.line_search
-from qnpe import (CglsStart, KrylovBasis, LineSearchError, SolverConfig, linear_solve,
+from qnpe import (CglsStart, KrylovBasis, SolverConfig, SolverError, linear_solve,
                   make_quadratic_min)
 from qnpe.line_search import backtrack, default_max_backtracks
 
@@ -258,13 +258,16 @@ def test_exhaustion_raises():
     a = 10.0 * np.eye(2)
     f = affine_eval(a, np.zeros(2))
     z = np.ones(2)
-    with pytest.raises(LineSearchError):
+    with pytest.raises(SolverError, match="no acceptable step size within 2 trials") as info:
         backtrack(z, f(z), lambda v: 0 * v, None, 1.0, 0.0, sigma=4.0,
                   **params(max_backtracks=2), f_eval=f)
+    assert (info.value.layer, info.value.k) == ("line_search", None)
 
 
 def test_nonfinite_gradient_rejected():
-    with pytest.raises(LineSearchError):
+    # the driver's loop checks ||F(z)|| before it calls backtrack; called
+    # directly on a NaN g, backtrack's inner solve breaks down on it
+    with pytest.raises(SolverError):
         backtrack(np.zeros(2), np.array([np.nan, 0.0]), lambda v: v, lambda v: v, 1.0, 0.0,
                   sigma=1.0, **params(), f_eval=lambda z: z)
 

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from qnpe import CglsStart, KrylovBasis, NumericalBreakdownError, linear_solve
+from qnpe import CglsStart, KrylovBasis, SolverError, linear_solve
 
 
 def random_wellposed(d, rng, symmetric=False):
@@ -158,7 +158,8 @@ def test_rejects_nonpositive_tolerance():
 @pytest.mark.parametrize("poisoned_call", [1, 2, 3])
 def test_non_finite_operator_value_is_a_breakdown(symmetric, bad, poisoned_call):
     """A NaN or Inf in any of the first three operator products, on a system
-    that needs more than three of them, raises NumericalBreakdownError."""
+    that needs more than three of them, raises SolverError from layer
+    linear_solver, with no iteration outside a solve."""
     rng = np.random.default_rng(25)
     a = random_wellposed(12, rng, symmetric=symmetric)
     b = rng.standard_normal(12)
@@ -176,6 +177,8 @@ def test_non_finite_operator_value_is_a_breakdown(symmetric, bad, poisoned_call)
 
     start = start_on(a, b, symmetric, poison(lambda v: a @ v), poison(lambda v: a.T @ v))
     with np.errstate(invalid="ignore", over="ignore"):
-        with pytest.raises(NumericalBreakdownError):
+        with pytest.raises(SolverError) as info:
             linear_solve(start, 0.0, 1.0, b, rho_tol=1e-10)
     assert calls[0] >= poisoned_call
+    assert (info.value.layer, info.value.k) == ("linear_solver", None)
+    assert str(info.value).startswith("linear_solver: non-finite")

@@ -116,3 +116,19 @@ def test_every_definition_is_read_outside_tests():
         and node.name not in read and node.name not in qnpe.__all__
     ]
     assert not dead, f"defined but never read outside tests: {dead}"
+
+
+def test_every_raise_names_one_of_the_package_error_types():
+    """A failed solve raises SolverError; a bad argument or config raises
+    ValueError, TypeError or ConfigError; a generator that cannot build its
+    instance raises GenerationError.  A bare `raise` re-raises."""
+    allowed = {"SolverError", "GenerationError", "ConfigError", "ValueError", "TypeError"}
+    other = []
+    for path in sorted((ROOT / "src" / "qnpe").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+                if name not in allowed:
+                    other.append(f"{path.name}:{node.lineno}: {name}")
+    assert not other, f"raises outside the package's error types: {other}"

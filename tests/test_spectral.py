@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from qnpe import SepCase, ext_evec, max_svec
+from qnpe import SepCase, SolverError, ext_evec, max_svec
 from qnpe.spectral import lanczos, lanczos_step_count, tridiag_eigpair
 
 
@@ -97,9 +97,10 @@ def test_lanczos_raises_on_a_non_finite_operator_value(bad):
             out[4] = bad
         return out + np.arange(len(v)) * v
 
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(SolverError, match="NaN/Inf in Lanczos recurrence") as info:
         lanczos(apply_sym, d=10, n_steps=6, rng=np.random.default_rng(13))
     assert calls[0] == (2 if bad == "overflow" else 3)
+    assert (info.value.layer, info.value.k) == ("spectral", None)
 
 
 @pytest.mark.parametrize("n", [2, 3, 45])
