@@ -12,9 +12,7 @@ from qnpe import (
     LossObservation,
     Symmetric,
     learner_init,
-    loss_value,
     observe_loss,
-    played_matrix,
 )
 from qnpe.learner import current_matrix
 
@@ -36,12 +34,14 @@ print(" t    loss        ||B - A||_F   lam_min(sym B)   ||B||_op")
 for t in range(1, 51):
     s = rng.standard_normal(d)
     obs = LossObservation(u=target @ s, s=s)
-    loss = loss_value(played_matrix(state, params), obs)
     w_apply, _, c1, c0 = current_matrix(state, params)  # the played B = c1 W + c0 I
-    observe_loss(state, obs, params, obs.u - (c1 * w_apply(s) + c0 * s))
+    resid = obs.u - (c1 * w_apply(s) + c0 * s)
+    loss = float(resid @ resid) / float(s @ s)  # ||u - B s||^2 / ||s||^2
+    observe_loss(state, obs, params, resid)
     oracle_matvecs += state.last_sep.matvecs  # the W-products of this round's oracle
     if t % 5 == 0 or t == 1:
-        b = played_matrix(state, params)
+        _, _, c1, c0 = current_matrix(state, params)
+        b = c1 * state.model.dense() + c0 * np.eye(d)  # the new B, formed for the checks
         lam = np.linalg.eigvalsh(0.5 * (b + b.T))[0]
         print(f"{t:3d}  {loss:10.4e}  {np.linalg.norm(b - target):11.4e}  "
               f"{lam:13.4f}  {np.linalg.norm(b, 2):9.4f}")

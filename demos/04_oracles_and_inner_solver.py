@@ -22,7 +22,8 @@ res = ext_evec(lambda v: w @ v, d, delta=0.25, q=0.01,
 print(f"ext_evec: case {res.case.name}, gamma = {res.gamma:.4f} "
       f"(dense truth 1.8000)")
 if res.case is SepCase.CASE_II:
-    s = res.s
+    c, x, y = res.factors
+    s = c * np.outer(x, y)  # S = c x y^T, formed for the check
     print(f"  separator alignment <S, W> = {np.tensordot(s, w, axes=2):.4f}, "
           f"||S||_F = {np.linalg.norm(s):.4f}")
 

@@ -13,9 +13,7 @@ from .learner import (
     LossObservation,
     learner_init,
     loss_gradient,
-    loss_value,
     observe_loss,
-    played_matrix,
 )
 from .linear_solver import CglsStart, KrylovBasis, linear_solve
 from .problems import (
@@ -61,14 +59,12 @@ __all__ = [
     "learner_init",
     "linear_solve",
     "loss_gradient",
-    "loss_value",
     "make_bilinear_minimax",
     "make_logsumexp_min",
     "make_quadratic_min",
     "make_sparse_equation",
     "max_svec",
     "observe_loss",
-    "played_matrix",
     "solve",
     "trace_from_csv",
     "trace_to_csv",

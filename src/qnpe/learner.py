@@ -20,7 +20,7 @@ import numpy as np
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .problems import JSymmetric, Sparse, StructureSpec, Symmetric
-from .separation import from_hat, pattern_index, project_subspace, sep_feasible, sparse_matvec
+from .separation import pattern_index, project_subspace, sep_feasible, sparse_matvec
 from .spectral import SepCase, SepResult
 
 
@@ -57,8 +57,6 @@ class LearnerParams:
 
     def q(self, t: int) -> float:
         """q_t = p / (2.5 (t+1) log^2(t+1)) for t >= 1."""
-        if t < 1:
-            raise ValueError("no oracle call is made at round 0")
         return self.p / (2.5 * (t + 1) * math.log(t + 1) ** 2)
 
 
@@ -70,12 +68,6 @@ class LossObservation:
     def __post_init__(self) -> None:
         if not math.sqrt(self.s.dot(self.s)) > 0:
             raise ValueError("observation direction s must be nonzero")
-
-
-def loss_value(b: np.ndarray, obs: LossObservation) -> float:
-    s2 = float(obs.s @ obs.s)
-    resid = obs.u - b @ obs.s
-    return float(resid @ resid) / s2
 
 
 def loss_gradient(b: np.ndarray, obs: LossObservation) -> np.ndarray:
@@ -261,16 +253,10 @@ def new_model(structure: StructureSpec, d: int, base: np.ndarray | None) -> LowR
 @dataclass
 class LearnerState:
     t: int
-    model: LowRank | PatternValues  # W, read only through its interface; ||W||_F <= R
-    scale: float  # the played matrix is B = L1 W / scale + (L1 + mu) I
+    model: LowRank | PatternValues  # W's one form, read only through its interface; ||W||_F <= R
+    scale: float  # the played B = L1 W / scale + (L1 + mu) I, never formed
     last_sep: SepResult | None  # its matvecs are those of the last round's oracle
     rng: np.random.Generator
-
-    @property
-    def w(self) -> np.ndarray:
-        """W as a dense C-ordered array, exactly in its subspace: P(model.dense()).
-        For checks and demos; the solver uses the model."""
-        return np.ascontiguousarray(project_subspace(self.model.structure, self.model.dense()))
 
 
 def learner_init(params: LearnerParams, rng: np.random.Generator) -> LearnerState:
@@ -334,9 +320,3 @@ def current_matrix(
     scale."""
     w_apply_t = None if isinstance(params.structure, Symmetric) else state.model.rmatvec
     return state.model.matvec, w_apply_t, params.l1 / state.scale, params.l1 + params.mu
-
-
-def played_matrix(state: LearnerState, params: LearnerParams) -> np.ndarray:
-    """The played B as a dense array, for checks and demos; the solver
-    applies it through current_matrix."""
-    return from_hat(state.w / state.scale, params)

@@ -62,9 +62,7 @@ def backtrack(
     (B) holds; one fresh operator evaluation per trial.  The caller supplies
     g = F(z) and has checked that ||g|| is finite.  W is symmetric when
     w_apply_t = None: the trials share a KrylovBasis, else a CglsStart.  The
-    constants' ranges are checked once, by SolverConfig and Problem."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    constants' ranges are checked once, by SolverConfig and Problem; sigma > 0 follows."""
     norm_g = math.sqrt(g.dot(g))
 
     matvecs, eta = 0, sigma

@@ -1,6 +1,6 @@
-"""Feasible-set layer: the affine map from a recentered B_hat to the Jacobian
-approximation B, the subspace projections induced by each Jacobian
-structure, and the composed approximate separation oracle."""
+"""Feasible-set layer: the subspace projections induced by each Jacobian
+structure, the oracle operators on the learner's W, and the composed
+approximate separation oracle."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from .problems import JSymmetric, Sparse, StructureSpec, Symmetric
 from .spectral import SepCase, SepResult, ext_evec, max_svec
 
 if TYPE_CHECKING:
-    from .learner import LearnerParams, LowRank, PatternValues
+    from .learner import LowRank, PatternValues
 
 
 def _j_signs(m: int, n: int) -> np.ndarray:
@@ -83,14 +83,9 @@ def oracle_index(pattern: frozenset, d: int) -> tuple[np.ndarray, ...]:
 def project_subspace(structure: StructureSpec, w: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the structural subspace: symmetrization,
     J-symmetrization (W + J W^T J)/2, pattern masking, or identity."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError("expected a square matrix")
     if isinstance(structure, Symmetric):
         return 0.5 * (w + w.T)
     if isinstance(structure, JSymmetric):
-        if structure.m + structure.n != w.shape[0]:
-            raise ValueError("J-symmetric block sizes do not match matrix dimension")
         s = _j_signs(structure.m, structure.n)
         # (W + J W^T J) / 2 with J = diag(s)
         return 0.5 * (w + s[:, None] * w.T * s[None, :])
@@ -100,13 +95,6 @@ def project_subspace(structure: StructureSpec, w: np.ndarray) -> np.ndarray:
         np.put(out, flat, w.take(flat))
         return out
     return w
-
-
-def from_hat(b_hat: np.ndarray, params: LearnerParams) -> np.ndarray:
-    """B = L1 B_hat + (L1 + mu) I."""
-    b = np.multiply(params.l1, b_hat)
-    b.flat[:: b.shape[0] + 1] += params.l1 + params.mu
-    return b
 
 
 def oracle_operators(structure: StructureSpec,
@@ -163,11 +151,9 @@ def sep_feasible(
     and ||W||_F <= 3 answers max_svec, each with gamma the bound itself and
     no matvecs.
 
-    Precondition, not checked here: w lies in the structural subspace (the
-    learner keeps it there by construction).
+    Preconditions, not checked here: delta > 0, q in (0, 1) and w in the
+    structural subspace; the learner gives all three by construction.
     """
-    if delta <= 0 or not (0 < q < 1):
-        raise ValueError("require delta > 0 and q in (0, 1)")
     d = w.shape[0]
     # fro is NaN for a non-finite W: no certificate, and Lanczos raises.  Each certified
     # call draws the start vector its Lanczos run would have drawn, so the rng stream,

@@ -32,7 +32,7 @@ class SepResult:
 
     Case I (gamma <= 1) certifies approximate feasibility and carries no S.
     Case II carries the separating matrix S = c a b^T, ||S||_F <= 1, as its
-    rank-one factors (c, a, b); an entry of S is c * (a_i * b_j).
+    rank-one factors (c, a, b), and is never formed: an entry is c * (a_i * b_j).
     `matvecs` counts the W-products the oracle's Lanczos runs spent.
     """
 
@@ -40,14 +40,6 @@ class SepResult:
     case: SepCase
     factors: tuple[float, np.ndarray, np.ndarray] | None = None  # None in Case I
     matvecs: int = 0
-
-    @property
-    def s(self) -> np.ndarray | None:
-        """S as a dense array, for checks and demos; the learner reads the factors."""
-        if self.factors is None:
-            return None
-        c, a, b = self.factors
-        return c * np.outer(a, b)
 
 
 @dataclass

@@ -31,16 +31,16 @@ from qnpe import (
     extragradient_baseline,
     learner_init,
     linear_solve,
-    loss_value,
     make_bilinear_minimax,
     make_logsumexp_min,
     make_quadratic_min,
     max_svec,
     observe_loss,
-    played_matrix,
     solve,
 )
 from qnpe.learner import current_matrix, loss_gradient
+
+from dense import dense_w, loss_value, played_matrix
 
 
 def report(num, name, ok):
@@ -171,7 +171,7 @@ def drive_learner(structure, d, mu, l1, seed, rounds=60):
         obs = LossObservation(u=target @ s, s=s)
         w_apply, _, c1, c0 = current_matrix(state, params)
         observe_loss(state, obs, params, obs.u - (c1 * w_apply(s) + c0 * s))
-        sep, delta, w = state.last_sep, params.delta(state.t), state.w
+        sep, delta, w = state.last_sep, params.delta(state.t), dense_w(state)
         gamma_true = max(
             np.max(np.abs(np.linalg.eigvalsh(0.5 * (w + w.T)))),
             np.linalg.svd(w, compute_uv=False)[0] / 3.0,

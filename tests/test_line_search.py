@@ -298,9 +298,3 @@ def test_parameter_validation(kwargs):
     with pytest.raises(ValueError, match=list(kwargs)[-1]):  # the last key is out of range
         SolverConfig(mode="strongly_monotone", **constants)
         dataclasses.replace(make_quadratic_min(5, 0.1, 1.0, seed=0), mu=mu)
-
-
-def test_sigma_must_be_positive():
-    with pytest.raises(ValueError):
-        backtrack(np.zeros(2), np.ones(2), lambda v: v, lambda v: v, 1.0, 0.0, sigma=0.0,
-                  **params(), f_eval=lambda z: z)

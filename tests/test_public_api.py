@@ -8,6 +8,7 @@ deletion or an `__all__` trim that would break them fails here.
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,15 @@ def test_callers_are_found():
 def test_caller_uses_only_public_names(path):
     missing = _package_names(path) - set(qnpe.__all__)
     assert not missing, f"{path.name} uses names outside qnpe.__all__: {sorted(missing)}"
+
+
+def test_readme_names_exactly_the_exports():
+    """README's "The package exports" paragraph names each public name as a
+    backticked identifier, and no other."""
+    readme = (ROOT / "README.md").read_text()
+    start = readme.index("The package exports")
+    paragraph = readme[start:readme.index("\n\n", start)]
+    assert set(re.findall(r"`([A-Za-z_]\w*)`", paragraph)) == set(qnpe.__all__)
 
 
 def test_every_public_name_resolves():
