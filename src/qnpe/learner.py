@@ -19,8 +19,8 @@ from typing import Callable, ClassVar
 import numpy as np
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
-from .problems import JSymmetric, Sparse, StructureSpec, Symmetric
-from .separation import pattern_index, project_subspace, sep_feasible, sparse_matvec
+from .problems import JSymmetric, Sparse, StructureSpec, Symmetric, sparse_matvec
+from .separation import pattern_index, project_subspace, sep_feasible
 from .spectral import SepCase, SepResult
 
 

@@ -15,6 +15,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
+from scipy.linalg.blas import dsymv
+from scipy.sparse import csr_array
+from scipy.sparse._sparsetools import csr_matvec
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +165,33 @@ def _damped_newton_root(
     raise GenerationError("damped Newton did not reach tolerance")
 
 
+def sparse_matvec(kernel: Callable, indptr: np.ndarray, indices: np.ndarray,
+                  data: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> A v for the square A stored as (indptr, indices, data) in CSR
+    (kernel=csr_matvec) or CSC (csc_matvec) form.  These are the compiled
+    kernels that scipy's CSR product and its transpose's reach; called
+    without scipy's Python dispatch, which costs more than the kernel at
+    oracle sizes, they give bitwise the same products."""
+    n = len(indptr) - 1
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        if v.shape != (n,):  # the kernel reads v unchecked
+            raise ValueError(f"expected a vector of length {n}, got shape {v.shape}")
+        out = np.zeros(n)
+        kernel(n, n, indptr, indices, data, v, out)
+        return out
+
+    return apply
+
+
 # ---------------------------------------------------------------------------
 # Generators
 
 
 def make_quadratic_min(d: int, mu: float, l1: float, seed: int) -> Problem:
     """F(z) = A (z - z*) with A symmetric, spectrum in [mu, l1] and both
-    endpoints attained."""
+    endpoints attained.  A is exactly symmetric, so BLAS dsymv applies it
+    from one triangle."""
     if d < 1 or not (0 < mu <= l1):
         raise ValueError("require d >= 1 and 0 < mu <= l1")
     rng = np.random.default_rng(seed)
@@ -182,19 +205,22 @@ def make_quadratic_min(d: int, mu: float, l1: float, seed: int) -> Problem:
         a = (qmat * eigs) @ qmat.T
         a = 0.5 * (a + a.T)
     z_star = rng.standard_normal(d)
+    a_f = a.T  # a's Fortran-ordered view, which dsymv reads with no copy
 
-    def f(z: np.ndarray) -> np.ndarray:
-        return a @ (z - z_star)
+    def apply_a(v: np.ndarray) -> np.ndarray:
+        if np.shape(v) != (d,):  # dsymv reads a prefix of a longer vector
+            raise ValueError(f"expected a vector of length {d}, got shape {np.shape(v)}")
+        return dsymv(1.0, a_f, v)
 
     return Problem(
         dim=d,
-        eval=f,
+        eval=lambda z: apply_a(z - z_star),
         mu=mu,
         l1=l1,
         l2=0.0,
         structure=Symmetric(),
         known_root=z_star,
-        jacobian_matvec=lambda z, v: a @ v,
+        jacobian_matvec=lambda z, v: apply_a(v),
         descriptor={"family": "quadratic_min", "d": d, "mu": mu, "l1": l1, "seed": seed},
     )
 
@@ -266,7 +292,7 @@ def make_bilinear_minimax(m: int, n: int, mu: float, l1: float, seed: int) -> Pr
 
     def f(z: np.ndarray) -> np.ndarray:
         x, y = z[:m], z[m:]
-        return np.concatenate([mu * x + c @ y, -c.T @ x + mu * y])
+        return np.concatenate([mu * x + c @ y, mu * y - c.T @ x])  # no negated copy of C
 
     return Problem(
         dim=d,
@@ -283,7 +309,8 @@ def make_bilinear_minimax(m: int, n: int, mu: float, l1: float, seed: int) -> Pr
 
 def make_sparse_equation(d: int, avg_degree: int, mu: float, l1: float, seed: int) -> Problem:
     """F(z) = M z + eps*tanh(z) - c with M supported on a random pattern Omega
-    (plus diagonal), sym(M) >= mu I and ||M||_op + eps <= l1, eps = l1 / 5."""
+    (plus diagonal), sym(M) >= mu I and ||M||_op + eps <= l1, eps = l1 / 5.
+    F and its Jacobian apply M in CSR form; only the root solve reads M dense."""
     eps_frac = 0.2
     if not (0 <= avg_degree < d):
         raise ValueError("require 0 <= avg_degree < d")
@@ -316,9 +343,11 @@ def make_sparse_equation(d: int, avg_degree: int, mu: float, l1: float, seed: in
     beta = mu - t * lam_min
     mmat = t * m0 + beta * np.eye(d)
     cvec = rng.standard_normal(d)
+    m_csr = csr_array(mmat)
+    apply_m = sparse_matvec(csr_matvec, m_csr.indptr, m_csr.indices, m_csr.data)
 
     def f(z: np.ndarray) -> np.ndarray:
-        return mmat @ z + eps * np.tanh(z) - cvec
+        return apply_m(z) + eps * np.tanh(z) - cvec
 
     def jac(z: np.ndarray) -> np.ndarray:
         return mmat + np.diag(eps / np.cosh(z) ** 2)
@@ -334,7 +363,7 @@ def make_sparse_equation(d: int, avg_degree: int, mu: float, l1: float, seed: in
         l2=l2,
         structure=Sparse(pattern),
         known_root=z_star,
-        jacobian_matvec=lambda z, v: jac(z) @ v,
+        jacobian_matvec=lambda z, v: apply_m(v) + eps / np.cosh(z) ** 2 * v,
         descriptor={
             "family": "sparse_equation",
             "d": d,

@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 from scipy.sparse._sparsetools import csr_matvec
 
-from .problems import JSymmetric, Sparse, StructureSpec, Symmetric
+from .problems import JSymmetric, Sparse, StructureSpec, Symmetric, sparse_matvec
 from .spectral import SepCase, SepResult, ext_evec, max_svec
 
 if TYPE_CHECKING:
@@ -32,25 +32,6 @@ def pattern_index(pattern: frozenset, d: int) -> tuple[np.ndarray, ...]:
     for a in index:  # cached and shared by every caller
         a.flags.writeable = False
     return index
-
-
-def sparse_matvec(kernel: Callable, indptr: np.ndarray, indices: np.ndarray,
-                  data: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> A v for the square A stored as (indptr, indices, data) in CSR
-    (kernel=csr_matvec) or CSC (csc_matvec) form.  These are the compiled
-    kernels that scipy's CSR product and its transpose's reach; called
-    without scipy's Python dispatch, which costs more than the kernel at
-    oracle sizes, they give bitwise the same products."""
-    n = len(indptr) - 1
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        if v.shape != (n,):  # the kernel reads v unchecked
-            raise ValueError(f"expected a vector of length {n}, got shape {v.shape}")
-        out = np.zeros(n)
-        kernel(n, n, indptr, indices, data, v, out)
-        return out
-
-    return apply
 
 
 @functools.lru_cache(maxsize=8)

@@ -7,6 +7,7 @@ central finite differences, pairwise sampling), never from the code under test.
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,3 +309,106 @@ def test_json_roundtrip_reproduces_operator(maker):
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         problem_from_descriptor({"family": "nope"})
+
+
+# ---------------------------------------------------------------------------
+# operator cost
+
+
+def _dense_quadratic(d, mu, l1, seed):
+    """(A, z*) drawn by make_quadratic_min's own rng calls."""
+    rng = np.random.default_rng(seed)
+    eigs = rng.uniform(mu, l1, size=d)
+    eigs[0], eigs[-1] = mu, l1
+    qmat, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    a = (qmat * eigs) @ qmat.T
+    return 0.5 * (a + a.T), rng.standard_normal(d)
+
+
+def _dense_sparse_equation(d, avg_degree, mu, l1, seed):
+    """(M, eps, c) drawn by make_sparse_equation's own rng calls."""
+    rng = np.random.default_rng(seed)
+    pattern = set()
+    for i in range(d):
+        for j in rng.choice(d, size=min(avg_degree, d - 1), replace=False):
+            if j != i:
+                pattern.add((int(i), int(j)))
+    m0 = np.zeros((d, d))
+    for (i, j) in frozenset(pattern):
+        m0[i, j] = rng.standard_normal()
+    m0[np.diag_indices(d)] = rng.standard_normal(d)
+    m0 /= np.linalg.norm(m0, 2)
+    lam_min = float(np.linalg.eigvalsh(0.5 * (m0 + m0.T))[0])
+    eps = 0.2 * l1
+    t = (0.8 * l1 - mu) / (1.0 + max(-lam_min, 0.0))
+    return t * m0 + (mu - t * lam_min) * np.eye(d), eps, rng.standard_normal(d)
+
+
+def _assert_close(got, want):
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_quadratic_operator_is_the_dense_definition(seed):
+    d, mu, l1 = 40, 0.1, 1.0
+    p = make_quadratic_min(d, mu, l1, seed=seed)
+    a, z_star = _dense_quadratic(d, mu, l1, seed)
+    assert np.array_equal(p.known_root, z_star)
+    rng = np.random.default_rng(seed + 10)
+    for _ in range(3):
+        z, v = rng.standard_normal(d), rng.standard_normal(d)
+        _assert_close(p.eval(z), a @ (z - z_star))
+        _assert_close(p.jacobian_matvec(z, v), a @ v)
+    with pytest.raises(ValueError, match="length"):
+        p.jacobian_matvec(z, np.zeros(d + 1))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sparse_operator_is_the_dense_definition(seed):
+    d = 60
+    p = make_sparse_equation(d, 3, mu=0.1, l1=1.5, seed=seed)
+    mmat, eps, cvec = _dense_sparse_equation(d, 3, 0.1, 1.5, seed)
+    rng = np.random.default_rng(seed + 10)
+    for _ in range(3):
+        z, v = rng.standard_normal(d), rng.standard_normal(d)
+        _assert_close(p.eval(z), mmat @ z + eps * np.tanh(z) - cvec)
+        _assert_close(p.jacobian_matvec(z, v), (mmat + np.diag(eps / np.cosh(z) ** 2)) @ v)
+
+
+def _closure_arrays(fn):
+    """Every array a function's closure reaches, through nested closures."""
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            yield value
+        elif callable(value) and hasattr(value, "__closure__"):
+            yield from _closure_arrays(value)
+
+
+@pytest.mark.parametrize("maker, bound_len", [
+    (lambda: make_quadratic_min(200, 0.1, 1.0, seed=1), 200),
+    (lambda: make_bilinear_minimax(200, 200, 0.1, 1.0, seed=1), 400),
+    (lambda: make_sparse_equation(300, 4, 0.1, 1.0, seed=1), 300),
+    (lambda: make_logsumexp_min(50, 1000, mu=0.1, smoothing=0.5, seed=1), 1050),
+], ids=["quadratic", "bilinear", "sparse", "logsumexp"])
+def test_operator_call_allocates_vectors_not_a_matrix(maker, bound_len):
+    """One call of F, and of its Jacobian hook (not for log-sum-exp, whose
+    hook forms its Jacobian), peaks below 64 vectors of the operator's size."""
+    p = maker()
+    rng = np.random.default_rng(0)
+    z, v = rng.standard_normal(p.dim), rng.standard_normal(p.dim)
+    calls = [lambda: p.eval(z)]
+    if p.descriptor["family"] != "logsumexp_min":
+        calls.append(lambda: p.jacobian_matvec(z, v))
+    for call in calls:
+        call()  # first call outside the measurement
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * bound_len * 8
+    if isinstance(p.structure, Sparse):
+        hooks = (p.eval, p.jacobian_matvec)
+        assert all(a.size < p.dim * p.dim for fn in hooks for a in _closure_arrays(fn))

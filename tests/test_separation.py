@@ -25,8 +25,8 @@ from qnpe.separation import (
     pattern_index,
     project_subspace,
     sep_feasible,
-    sparse_matvec,
 )
+from qnpe.problems import sparse_matvec
 
 from dense import dense_s, from_hat
 
