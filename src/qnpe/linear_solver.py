@@ -1,5 +1,5 @@
 """Matrix-free inexact solver of (shift I + scale W) s = b on W's products:
-minimal residual on an Arnoldi basis for symmetric W, CGLS for non-symmetric W.
+minimal residual on a Lanczos basis for symmetric W, CGLS for non-symmetric W.
 
 Both start from s0 = 0 and return the first iterate with ||A s - b|| <= rho ||s||.
 On a symmetric A that is the minimal-residual (MINRES, i.e. conjugate residual)
@@ -8,8 +8,8 @@ iterate, whose norm grows monotonically with k when A is positive definite
 K_k(shift I + scale W, g) = K_k(W, g), lets one basis serve every system of a
 line search (Jegerlehner 1996).  CGLS, CG on A^T A s = A^T b, is not
 shift-invariant, but its first direction needs only W^T g, which a line
-search makes once.  Both give W s with no further product.  A breakdown,
-NaN/Inf included, raises SolverError with layer linear_solver.
+search makes once.  Both give W s with no further product.  spectral.lanczos
+runs on KrylovBasis too.  Any breakdown, NaN/Inf included, raises SolverError.
 """
 
 from __future__ import annotations
@@ -34,35 +34,45 @@ class SolveReport:
 
 
 class KrylovBasis:
-    """Orthonormal rows V spanning K_k(W, b) and Arnoldi's (k+1) x k Hessenberg
-    Hbar_k, W V_k = V_{k+1} Hbar_k, to rounding even for a W symmetric only to
-    rounding.  An h_{k+1,k} below invariant_tol sqrt(d) ||W v_k|| (an inner
-    product's rounding) means K_k(W, b) is invariant: it is stored as 0, with a
-    zero row v_{k+1}, as after d rows.  A zero W v_k is invariant too."""
+    """Orthonormal rows V spanning K_k(W, b) and the (k+1) x k Hessenberg Hbar_k,
+    W V_k = V_{k+1} Hbar_k: a step is Lanczos' three-term one, then a full
+    reorthogonalization pass whose coefficients join the column, which ends
+    with Lanczos' alpha_k, beta_k.  A beta_k below invariant_tol sqrt(d) ||W v_k||
+    (an inner product's rounding) means K_k(W, b) is invariant: it is stored as
+    0, with a zero row v_{k+1}, as after d rows.  A zero W v_k is invariant too;
+    an overflowing beta_k is stored as inf, and the next step's alpha raises."""
 
     invariant_tol = 32 * np.finfo(float).eps
 
     def __init__(self, apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray) -> None:
         self.apply, self.cols = apply, []  # column j holds h_{1..j+2, j+1}
-        self.rows = np.zeros((min(4, len(b) + 1), len(b)))
+        self.rows = np.empty((min(64, len(b) + 1), len(b)))  # written row by row
         self.rows[0] = b / math.sqrt(b.dot(b))
+        self.scratch = np.empty(len(b))  # a scaled row on its way out of w
 
     def extend(self) -> None:
-        k, d = len(self.cols), self.rows.shape[1]
-        v = self.rows[: k + 1]
-        w, h = self.apply(v[k]), np.zeros(k + 1)
-        for _ in range(2):  # classical Gram-Schmidt, twice
-            c = v @ w
-            w, h = w - c @ v, h + c
-        hh, ww = float(h.dot(h)), float(w.dot(w))
-        if not math.isfinite(hh + ww):
-            raise SolverError("linear_solver", "non-finite Arnoldi coefficient")
-        invariant = ww <= d * self.invariant_tol**2 * (hh + ww) or k + 1 == d
-        self.cols.append(h.tolist() + [0.0 if invariant else math.sqrt(ww)])
-        if k + 2 > len(self.rows):
-            self.rows = np.vstack((self.rows, np.zeros_like(self.rows)))[: d + 1]
-        if not invariant:
-            self.rows[k + 1] = w / math.sqrt(ww)
+        cols, rows, scratch = self.cols, self.rows, self.scratch
+        k, d = len(cols), rows.shape[1]
+        v, vk, beta = rows[: k + 1], rows[k], cols[-1][-1] if k else 0.0
+        w = self.apply(vk) - np.multiply(beta, v[k - 1], out=scratch)  # k = 0: 0 times v_0
+        alpha = float(w.dot(vk))
+        if not math.isfinite(alpha):  # v_k is a finite unit vector: W v_k is not finite
+            raise SolverError("linear_solver", "non-finite Lanczos coefficient")
+        w -= np.multiply(alpha, vk, out=scratch)
+        c = v @ w  # the reorthogonalization pass
+        w -= np.matmul(c, v, out=scratch)
+        h, ww = c.tolist(), float(w.dot(w))
+        h[k] += alpha
+        h[k - 1] += beta  # at k = 0, h[-1] is h[0] and beta is 0
+        wv2 = alpha * alpha + beta * beta + ww  # ||W v_k||^2, to rounding
+        invariant = ww <= d * self.invariant_tol**2 * wv2 < math.inf or k + 1 == d
+        cols.append(h + [0.0 if invariant else math.sqrt(ww)])
+        if k + 2 > len(rows):
+            rows = self.rows = np.concatenate((rows, np.empty_like(rows)))[: d + 1]
+        if invariant:
+            rows[k + 1] = 0.0
+        else:
+            np.divide(w, cols[-1][-1], out=rows[k + 1])
 
     def solve(self, shift: float, scale: float, b: np.ndarray, rho_tol: float,
               max_iters: int) -> SolveReport:
@@ -82,8 +92,8 @@ class KrylovBasis:
             for i, (cs, sn) in enumerate(rotations):
                 col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
             diag = math.hypot(col[k - 1], col[k])
-            if not diag > 0.0:
-                raise SolverError("linear_solver", "singular projected system")
+            if not 0.0 < diag < math.inf:  # an overflowed beta_k makes it inf
+                raise SolverError("linear_solver", "non-finite or singular projected system")
             cs, sn = col[k - 1] / diag, col[k] / diag
             rotations.append((cs, sn))
             r_cols.append(col[: k - 1] + [diag])

@@ -253,6 +253,10 @@ def make_logsumexp_min(
         pi = softmax_weights(z)
         return (amat.T * pi) @ amat / rho - np.outer(amat.T @ pi, amat.T @ pi) / rho + mu * np.eye(d)
 
+    def jacobian_matvec(z: np.ndarray, v: np.ndarray) -> np.ndarray:  # jac(z) @ v, no d x d array
+        pi, av = softmax_weights(z), amat @ v
+        return amat.T @ (pi * (av - pi.dot(av))) / rho + mu * v
+
     z_star = _damped_newton_root(f, jac, np.zeros(d))
 
     return Problem(
@@ -263,7 +267,7 @@ def make_logsumexp_min(
         l2=l2,
         structure=Symmetric(),
         known_root=z_star,
-        jacobian_matvec=lambda z, v: jac(z) @ v,
+        jacobian_matvec=jacobian_matvec,
         descriptor={
             "family": "logsumexp_min",
             "d": d,

@@ -1,4 +1,5 @@
-"""Randomized Lanczos machinery and the two spectral separation primitives.
+"""Randomized Lanczos, on the inner solve's KrylovBasis, and the two spectral
+separation primitives.
 
 ext_evec approximates the extreme eigenpairs of the symmetrized input and
 either certifies that its spectrum fits in the (scaled) unit interval or
@@ -18,6 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dstebz, dstein
 
+from .linear_solver import KrylovBasis
 from .problems import SolverError
 
 
@@ -46,8 +48,15 @@ class SepResult:
 class LanczosResult:
     alphas: np.ndarray  # diagonal of T, length N
     betas: np.ndarray  # off-diagonal of T, length N-1
-    basis: np.ndarray  # d x N orthonormal Lanczos vectors
+    basis: np.ndarray  # N x d orthonormal Lanczos vectors, one per row
     steps_taken: int
+
+    def ritz_vector(self, z: np.ndarray) -> np.ndarray:
+        """z^T V, scaled back onto the unit sphere if rounding left it outside,
+        so that ||S||_F <= 1 holds exactly for the separator built from it."""
+        u = z @ self.basis
+        nrm = np.linalg.norm(u)
+        return u / nrm if nrm > 1.0 else u
 
 
 def lanczos(
@@ -56,54 +65,26 @@ def lanczos(
     n_steps: int,
     rng: np.random.Generator,
 ) -> LanczosResult:
-    """Lanczos three-term recurrence on a symmetric operator with a start
-    vector drawn uniformly from the unit sphere.
-
-    Every step is fully reorthogonalized; the step count is small, and
-    orthogonality loss would silently void the randomized guarantee.  Stops
-    early, with steps_taken < n_steps, when the new off-diagonal is
-    negligible relative to a running norm estimate, in which case the Krylov
-    space is invariant and the Ritz values are exact on it.  A non-finite
-    operator value raises SolverError with layer spectral.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-
-    basis = np.zeros((d, n_steps))
-    alphas = np.zeros(n_steps)
-    betas = np.zeros(max(n_steps - 1, 0))
-    w = np.empty(d)  # the new direction; lanczos never writes into apply_sym's output
-    scratch = np.empty(d)  # each scaled vector before it is subtracted from w
-    beta = 0.0
-    norm_estimate = 0.0
-    steps = 0
+    """Lanczos on a symmetric operator, KrylovBasis's steps from a start
+    uniform on the unit sphere, fully reorthogonalized: orthogonality loss would
+    silently void the randomized guarantee.  Stops early, with steps_taken <
+    n_steps, once the new off-diagonal is negligible against a running norm
+    estimate, where the Krylov space is invariant and the Ritz values exact on
+    it.  A non-finite operator value raises SolverError with layer spectral."""
+    basis = KrylovBasis(apply_sym, rng.standard_normal(d))
+    cols, norm_estimate, beta = basis.cols, 0.0, 0.0
     for k in range(n_steps):
-        basis[:, k] = v
-        if k:
-            np.subtract(apply_sym(v), np.multiply(beta, v_prev, out=scratch), out=w)
-        else:  # the recurrence's v_prev is zero
-            w[:] = apply_sym(v)
-        alpha = float(w.dot(v))
-        if not math.isfinite(alpha):  # v is a finite unit vector: w is not finite
-            raise SolverError("spectral", "NaN/Inf in Lanczos recurrence")
-        w -= np.multiply(alpha, v, out=scratch)
-        q = basis[:, : k + 1]
-        w -= np.matmul(q, q.T @ w, out=scratch)
-        alphas[k] = alpha
-        steps = k + 1
-        norm_estimate = max(norm_estimate, abs(alpha) + abs(beta))
-        beta_next = math.sqrt(w.dot(w))  # np.linalg.norm's formula for a 1-D vector
-        if k + 1 < n_steps:
-            if beta_next <= 1e-12 * max(norm_estimate, 1e-300):
-                break
-            betas[k] = beta_next
-            v_prev = v
-            v = w / beta_next
-            beta = beta_next
-
-    return LanczosResult(alphas[:steps], betas[: max(steps - 1, 0)], basis[:, :steps], steps)
+        try:
+            basis.extend()
+        except SolverError as err:
+            raise SolverError("spectral", "NaN/Inf in Lanczos recurrence") from err
+        norm_estimate = max(norm_estimate, abs(cols[k][k]) + abs(beta))
+        beta = cols[k][k + 1]
+        if beta <= 1e-12 * max(norm_estimate, 1e-300):
+            break
+    alphas = np.array([col[-2] for col in cols])
+    betas = np.array([col[-1] for col in cols[:-1]])
+    return LanczosResult(alphas, betas, basis.rows[: len(alphas)], len(alphas))
 
 
 def tridiag_eigpair(alphas: np.ndarray, betas: np.ndarray, i: int) -> tuple[float, np.ndarray]:
@@ -157,15 +138,8 @@ def ext_evec(
     gamma = max(lam_max, -lam_min)
     if gamma <= 1.0:
         return SepResult(gamma=gamma, case=SepCase.CASE_I, matvecs=matvecs)
-    if lam_max >= -lam_min:
-        u = res.basis @ z_max
-        sign = 1.0
-    else:
-        u = res.basis @ z_min
-        sign = -1.0
-    nrm = np.linalg.norm(u)
-    if nrm > 1.0:  # guard rounding so ||S||_F <= 1 holds exactly
-        u = u / nrm
+    sign, z = (1.0, z_max) if lam_max >= -lam_min else (-1.0, z_min)
+    u = res.ritz_vector(z)
     return SepResult(gamma=gamma, case=SepCase.CASE_II, factors=(sign, u, u), matvecs=matvecs)
 
 
@@ -194,10 +168,7 @@ def max_svec(
     gamma = lam_max / 3.0
     if gamma <= 1.0:
         return SepResult(gamma=gamma, case=SepCase.CASE_I, matvecs=matvecs)
-    v_tilde = res.basis @ z_max
-    nrm = np.linalg.norm(v_tilde)
-    if nrm > 1.0:
-        v_tilde = v_tilde / nrm
+    v_tilde = res.ritz_vector(z_max)
     a, b = v_tilde[:d], v_tilde[d:]
     return SepResult(gamma=gamma, case=SepCase.CASE_II, factors=(2.0 / 3.0, a, b),
                      matvecs=matvecs)

@@ -182,3 +182,34 @@ def test_non_finite_operator_value_is_a_breakdown(symmetric, bad, poisoned_call)
     assert calls[0] >= poisoned_call
     assert (info.value.layer, info.value.k) == ("linear_solver", None)
     assert str(info.value).startswith("linear_solver: non-finite")
+
+
+def test_overflowing_basis_norm_is_a_breakdown():
+    """Finite products whose squared norm overflows: the basis stores
+    beta_1 = inf and the same solve step raises, with no further product."""
+    rng = np.random.default_rng(26)
+    a = 1e200 * random_wellposed(10, rng, symmetric=True)
+    b = rng.standard_normal(10)
+    start, calls = counted(a, b, symmetric=True)
+    with np.errstate(over="ignore"), pytest.raises(SolverError) as info:
+        linear_solve(start, 0.0, 1.0, b, rho_tol=1e-10)
+    assert start.cols[0][-1] == math.inf and len(calls) == 1
+    assert str(info.value).startswith("linear_solver: non-finite")
+
+
+def test_basis_reads_only_the_rows_it_has_written():
+    """KrylovBasis keeps its rows in uninitialized storage: NaN in every row
+    past v_1 before the first step changes no bit of the solve."""
+    rng = np.random.default_rng(27)
+    a = random_wellposed(12, rng, symmetric=True)
+    b = rng.standard_normal(12)
+    reports = []
+    for poison in (False, True):
+        start = KrylovBasis(lambda v: a @ v, b)
+        if poison:
+            start.rows[1:] = np.nan
+        reports.append(linear_solve(start, 0.0, 1.0, b, rho_tol=1e-10))
+    clean, poisoned = reports
+    assert clean.converged and clean.iterations > 3
+    assert np.array_equal(poisoned.solution, clean.solution)
+    assert np.array_equal(poisoned.image, clean.image)

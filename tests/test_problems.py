@@ -140,6 +140,27 @@ def test_logsumexp_gradient_matches_objective():
         assert abs(fd - p.eval(z)[j]) <= 1e-6
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_logsumexp_jacobian_hook_is_the_dense_definition(seed):
+    """The hook, which forms no d x d array, is the dense Jacobian
+    (A^T diag(pi) A - (A^T pi)(A^T pi)^T) / rho + mu I times v, with pi the
+    softmax weights at z, on the generator's data redrawn from its seed."""
+    d, n_terms, mu, rho = 40, 300, 0.1, 0.5
+    p = make_logsumexp_min(d, n_terms, mu=mu, smoothing=rho, seed=seed)
+    gen = np.random.default_rng(seed)
+    amat = gen.standard_normal((n_terms, d)) / np.sqrt(d)
+    bvec = gen.standard_normal(n_terms)
+    rng = np.random.default_rng(seed + 10)
+    for _ in range(3):
+        z, v = rng.standard_normal(d), rng.standard_normal(d)
+        t = (amat @ z - bvec) / rho
+        pi = np.exp(t - t.max())
+        pi /= pi.sum()
+        g = amat.T @ pi
+        jac = (amat.T @ np.diag(pi) @ amat - np.outer(g, g)) / rho + mu * np.eye(d)
+        _assert_close(p.jacobian_matvec(z, v), jac @ v)
+
+
 def test_logsumexp_regularity_bounds_hold_on_samples():
     p = make_logsumexp_min(5, 12, mu=0.3, smoothing=0.5, seed=5)
     lo, _ = sampled_monotonicity_range(p)
@@ -389,18 +410,15 @@ def _closure_arrays(fn):
     (lambda: make_quadratic_min(200, 0.1, 1.0, seed=1), 200),
     (lambda: make_bilinear_minimax(200, 200, 0.1, 1.0, seed=1), 400),
     (lambda: make_sparse_equation(300, 4, 0.1, 1.0, seed=1), 300),
-    (lambda: make_logsumexp_min(50, 1000, mu=0.1, smoothing=0.5, seed=1), 1050),
+    (lambda: make_logsumexp_min(200, 4000, mu=0.1, smoothing=0.5, seed=1), 4200),
 ], ids=["quadratic", "bilinear", "sparse", "logsumexp"])
 def test_operator_call_allocates_vectors_not_a_matrix(maker, bound_len):
-    """One call of F, and of its Jacobian hook (not for log-sum-exp, whose
-    hook forms its Jacobian), peaks below 64 vectors of the operator's size."""
+    """One call of F, and of its Jacobian hook, peaks below 64 vectors of the
+    operator's size."""
     p = maker()
     rng = np.random.default_rng(0)
     z, v = rng.standard_normal(p.dim), rng.standard_normal(p.dim)
-    calls = [lambda: p.eval(z)]
-    if p.descriptor["family"] != "logsumexp_min":
-        calls.append(lambda: p.jacobian_matvec(z, v))
-    for call in calls:
+    for call in (lambda: p.eval(z), lambda: p.jacobian_matvec(z, v)):
         call()  # first call outside the measurement
         tracemalloc.start()
         try:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from qnpe import SepCase, SolverError, ext_evec, max_svec
+from qnpe import KrylovBasis, SepCase, SolverError, ext_evec, max_svec
 from qnpe.spectral import lanczos, lanczos_step_count, tridiag_eigpair
 
 from dense import dense_s
@@ -34,37 +34,36 @@ def test_lanczos_full_run_recovers_spectrum():
 
 
 def _reference_lanczos(apply_sym, d, n_steps, rng):
-    """The recurrence as first written: a full-vector finiteness check, an
-    out-of-place alpha update and np.linalg.norm."""
+    """The shared recurrence written out on a list of rows: the three-term
+    step, one classical Gram-Schmidt pass against every row, its coefficient
+    on v_k added to alpha, and the stop on beta against a running norm
+    estimate."""
     v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    basis = np.zeros((d, n_steps))
-    alphas = np.zeros(n_steps)
-    betas = np.zeros(max(n_steps - 1, 0))
-    v_prev = np.zeros(d)
+    rows = [v / math.sqrt(v.dot(v))]
+    alphas, betas = [], []
     beta = 0.0
     norm_estimate = 0.0
-    steps = 0
     for k in range(n_steps):
-        basis[:, k] = v
-        w = apply_sym(v) - beta * v_prev
-        if not np.all(np.isfinite(w)):
+        w = apply_sym(rows[k])
+        if k:
+            w = w - beta * rows[k - 1]
+        alpha = w.dot(rows[k])
+        w = w - alpha * rows[k]
+        q = np.array(rows)
+        c = q @ w
+        w -= c @ q
+        alpha += c[k]
+        if not (math.isfinite(alpha) and np.all(np.isfinite(c))):
             raise FloatingPointError("NaN/Inf in Lanczos recurrence")
-        alpha = float(w @ v)
-        w = w - alpha * v
-        w -= basis[:, : k + 1] @ (basis[:, : k + 1].T @ w)
-        alphas[k] = alpha
-        steps = k + 1
+        alphas.append(alpha)
         norm_estimate = max(norm_estimate, abs(alpha) + abs(beta))
-        beta_next = float(np.linalg.norm(w))
-        if k + 1 < n_steps:
-            if beta_next <= 1e-12 * max(norm_estimate, 1e-300):
-                break
-            betas[k] = beta_next
-            v_prev = v
-            v = w / beta_next
-            beta = beta_next
-    return alphas[:steps], betas[: max(steps - 1, 0)], basis[:, :steps]
+        beta_next = math.sqrt(w.dot(w))
+        if k + 1 == n_steps or beta_next <= 1e-12 * max(norm_estimate, 1e-300):
+            break
+        betas.append(beta_next)
+        rows.append(w / beta_next)
+        beta = beta_next
+    return np.array(alphas), np.array(betas), np.array(rows)
 
 
 @pytest.mark.parametrize("d, n_steps", [(1, 1), (7, 7), (40, 15), (120, 33)])
@@ -78,6 +77,35 @@ def test_lanczos_is_bitwise_the_reference_recurrence(d, n_steps):
     assert np.array_equal(res.alphas, alphas)
     assert np.array_equal(res.betas, betas)
     assert np.array_equal(res.basis, basis)
+
+
+def test_lanczos_runs_on_the_inner_solves_krylov_basis():
+    """One engine: lanczos's rows, alphas and betas are bitwise those of a
+    KrylovBasis extended as many times from the same start vector."""
+    d = 60
+    rng = np.random.default_rng(60)
+    a = rng.standard_normal((d, d))
+    a = 0.5 * (a + a.T)
+    res = lanczos(lambda v: a @ v, d, 25, np.random.default_rng(12))
+    basis = KrylovBasis(lambda v: a @ v, np.random.default_rng(12).standard_normal(d))
+    for _ in range(res.steps_taken):
+        basis.extend()
+    assert res.steps_taken == 25
+    assert np.array_equal(res.alphas, [col[-2] for col in basis.cols])
+    assert np.array_equal(res.betas, [col[-1] for col in basis.cols[:-1]])
+    assert np.array_equal(res.basis, basis.rows[:25])
+
+
+@pytest.mark.parametrize("d, r", [(100, 5), (300, 11)])
+def test_lanczos_stops_on_a_rank_r_operator_after_r_plus_one_steps(d, r):
+    """K_{r+1}(U diag(c) U^T, v) = span(v, range U) is invariant, and lanczos's
+    own rule (beta against 1e-12 times its running norm estimate) sees it
+    there, long before the step cap."""
+    rng = np.random.default_rng(d + r)
+    u, _ = np.linalg.qr(rng.standard_normal((d, r)))
+    a = (u * rng.standard_normal(r)) @ u.T
+    res = lanczos(lambda v: a @ v, d, 40, np.random.default_rng(0))
+    assert res.steps_taken == r + 1
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
