@@ -47,7 +47,6 @@ class SolverConfig:
     stop_tolerance: float = 1e-10
     rng_seed: int = 0
     rho: float | None = None  # learner step size override
-    radius: float | None = None  # learner ball radius override
     alpha1: ClassVar[float] = 0.25  # the inexact-solve tolerance, fixed by the theory
 
     def __post_init__(self) -> None:
@@ -57,9 +56,8 @@ class SolverConfig:
         require("beta", self.beta, lambda x: 0 < x < 1, "in (0, 1)")
         require("stop_tolerance", self.stop_tolerance, lambda x: x >= 0, ">= 0")
         require("max_iterations", self.max_iterations, lambda x: x >= 0, ">= 0", integer=True)
-        for name in ("rho", "radius"):  # None selects the theory default
-            if getattr(self, name) is not None:
-                require(name, getattr(self, name), lambda x: x > 0, "> 0")
+        if self.rho is not None:  # None selects the theory default
+            require("rho", self.rho, lambda x: x > 0, "> 0")
 
     def step_size_floor(self, l1: float) -> float:
         return self.alpha2 * self.beta / (FLOOR_DENOMINATOR[self.mode] * l1)
@@ -169,8 +167,7 @@ def solve(
     mu = problem.mu if config.mode is Mode.STRONGLY_MONOTONE else 0.0
     l1 = problem.l1
     # mu > 0 (strongly monotone mode) is the learner's Option I, mu = 0 its Option II
-    lparams = LearnerParams(problem.structure, problem.dim, mu, l1,
-                            rho=config.rho, radius=config.radius)
+    lparams = LearnerParams(problem.structure, problem.dim, mu, l1, rho=config.rho)
     rng = np.random.default_rng(config.rng_seed)
     state = learner_init(lparams, rng)
     floor = config.step_size_floor(l1)

@@ -1,4 +1,5 @@
-"""Projection-free online learner over the transformed feasible set.
+"""Projection-free online learner over the transformed feasible set, and the
+structural subspaces its W lives in.
 
 The learner maintains an auxiliary matrix W_t inside the Frobenius ball of
 radius R = sqrt(d), starting from W_0 = 0 (the center (L1 + mu) I), plays
@@ -12,6 +13,7 @@ unchanged by the caller.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar
@@ -20,7 +22,7 @@ import numpy as np
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .problems import JSymmetric, Sparse, StructureSpec, Symmetric, sparse_matvec
-from .separation import pattern_index, project_subspace, sep_feasible
+from .separation import sep_feasible
 from .spectral import SepCase, SepResult
 
 
@@ -32,15 +34,14 @@ DEFAULT_RHO = {True: 1.0 / 121.0, False: 1.0 / 81.0}
 class LearnerParams:
     """The learner's constants.  mu > 0 selects Option I (strongly monotone:
     play inside (1 + delta) C), mu = 0 Option II (monotone: play inside C).
-    rho and radius default to the theory's values, rho by the option and
-    radius sqrt(dim).  The oracle failure budget p is the theory's 0.1."""
+    rho defaults to the theory's value for the option.  The clip radius is
+    sqrt(dim) and the oracle failure budget p the theory's 0.1."""
 
     structure: StructureSpec
     dim: int
     mu: float
     l1: float
     rho: float | None = None
-    radius: float | None = None
     p: ClassVar[float] = 0.1  # overall oracle failure budget
 
     def __post_init__(self) -> None:
@@ -48,8 +49,6 @@ class LearnerParams:
             raise ValueError("require 0 <= mu <= l1")
         if self.rho is None:
             self.rho = DEFAULT_RHO[self.mu > 0]
-        if self.radius is None:
-            self.radius = math.sqrt(self.dim)
 
     def delta(self, t: int) -> float:
         """delta_t: mu / (2 L1) under Option I, 0.5 / (t+1)^(1/4) under Option II."""
@@ -74,6 +73,67 @@ def loss_gradient(b: np.ndarray, obs: LossObservation) -> np.ndarray:
     """grad of ||u - B s||^2 / ||s||^2 in B: the rank-one -2 (u - B s) s^T / ||s||^2."""
     s2 = float(obs.s @ obs.s)
     return -2.0 * np.outer(obs.u - b @ obs.s, obs.s) / s2
+
+
+def _j_signs(m: int, n: int) -> np.ndarray:
+    return np.concatenate([np.ones(m), -np.ones(n)])
+
+
+@functools.lru_cache(maxsize=8)
+def pattern_index(pattern: frozenset, d: int) -> tuple[np.ndarray, ...]:
+    """(rows, cols, flat, indptr) of the pattern plus the diagonal in row-major
+    order: flat = rows * d + cols indexes the raveled matrix, indptr is CSR's."""
+    pairs = np.array(list(pattern), dtype=np.int64).reshape(-1, 2)
+    flat = np.unique(np.concatenate([np.arange(d) * (d + 1), pairs[:, 0] * d + pairs[:, 1]]))
+    rows, cols = (a.astype(np.int32) for a in np.divmod(flat, d))
+    index = rows, cols, flat, np.searchsorted(rows, np.arange(d + 1)).astype(np.int32)
+    for a in index:  # cached and shared by every caller
+        a.flags.writeable = False
+    return index
+
+
+@functools.lru_cache(maxsize=8)
+def oracle_index(pattern: frozenset, d: int) -> tuple[np.ndarray, ...]:
+    """Gather positions into the values of W in pattern_index order, with one
+    zero appended for entries off the pattern, and CSR arrays of the two
+    oracle operators: sym(W) on the symmetrized pattern, read at (i, j) and
+    (j, i), and the 2d x 2d augmented [[0, W], [W^T, 0]], whose W^T rows are
+    the CSC order of the values.  int32 throughout: every entry is at most
+    2 nnz, and 2 nnz < 2**31 for any pattern that fits in memory."""
+    rows, cols, flat, indptr = pattern_index(pattern, d)
+    nnz = len(flat)
+    sym = np.union1d(flat, cols.astype(np.int64) * d + rows)
+    sym_rows, sym_cols = np.divmod(sym, d)
+    keys = np.stack([sym, sym_cols * d + sym_rows])  # (i, j) and (j, i)
+    at = np.minimum(np.searchsorted(flat, keys), nnz - 1)
+    by_col = np.lexsort((rows, cols))
+    index = (
+        *np.where(flat[at] == keys, at, nnz), sym_cols, np.searchsorted(sym_rows, np.arange(d + 1)),
+        np.concatenate([np.arange(nnz), by_col]),
+        np.concatenate([cols + d, rows[by_col]]),
+        np.concatenate([indptr, nnz + np.searchsorted(cols[by_col], np.arange(1, d + 1))]),
+    )
+    index = tuple(a.astype(np.int32) for a in index)
+    for a in index:  # cached and shared by every caller
+        a.flags.writeable = False
+    return index
+
+
+def project_subspace(structure: StructureSpec, w: np.ndarray) -> np.ndarray:
+    """Orthogonal projection onto the structural subspace: symmetrization,
+    J-symmetrization (W + J W^T J)/2, pattern masking, or identity."""
+    if isinstance(structure, Symmetric):
+        return 0.5 * (w + w.T)
+    if isinstance(structure, JSymmetric):
+        s = _j_signs(structure.m, structure.n)
+        # (W + J W^T J) / 2 with J = diag(s)
+        return 0.5 * (w + s[:, None] * w.T * s[None, :])
+    if isinstance(structure, Sparse):
+        _, _, flat, _ = pattern_index(structure.pattern, w.shape[0])
+        out = np.zeros_like(w)
+        np.put(out, flat, w.take(flat))
+        return out
+    return w
 
 
 def _onto_ball(w: np.ndarray, radius: float) -> float:
@@ -141,6 +201,26 @@ class LowRank:
         if self.base is not None:
             w += self.base
         return w
+
+    def oracle_operators(self) -> tuple[Callable, Callable]:
+        """(v -> sym(W) v, x -> [W x[d:], W^T x[:d]]), the separation oracle's
+        two operators, through the factors.  JSymmetric W = [[W11, W12],
+        [-W12^T, W22]] has sym(W) = blkdiag(W11, W22), and W^T u = J W J u, so
+        the augmented product is one d x 2 product."""
+        d = self.shape[0]
+        if isinstance(self.structure, JSymmetric):
+            m, j = self.structure.m, _j_signs(self.structure.m, self.structure.n)
+            top, bottom = slice(None, m), slice(m, None)
+
+            def apply_aug(x: np.ndarray) -> np.ndarray:
+                y = self.matvec(np.column_stack([x[d:], j * x[:d]]))
+                return np.concatenate([y[:, 0], j * y[:, 1]])
+
+            apply_sym = lambda v: np.concatenate([self.matvec(v[:m], top),
+                                                  self.matvec(v[m:], bottom)])
+            return apply_sym, apply_aug
+        return ((lambda v: 0.5 * (self.matvec(v) + self.rmatvec(v))),
+                (lambda x: np.concatenate([self.matvec(x[d:]), self.rmatvec(x[:d])])))
 
     def fold(self) -> None:
         """base <- P(base + U V^T) and r <- 0."""
@@ -223,6 +303,16 @@ class PatternValues:
         np.put(w, self.flat, self.values)
         return w
 
+    def oracle_operators(self) -> tuple[Callable, Callable]:
+        """(v -> sym(W) v, x -> [W x[d:], W^T x[:d]]): the values gathered, in
+        O(nnz), into one CSR matrix per operator (oracle_index), applied
+        through scipy's compiled kernel."""
+        sym, sym_t, cols, indptr, aug, aug_cols, aug_indptr = oracle_index(
+            self.structure.pattern, self.shape[0])
+        values = np.append(self.values, 0.0)
+        return (sparse_matvec(csr_matvec, indptr, cols, 0.5 * (values[sym] + values[sym_t])),
+                sparse_matvec(csr_matvec, aug_indptr, aug_cols, values[aug]))
+
     def append(self, pairs: list[tuple[np.ndarray, np.ndarray]]) -> None:
         """W += P(x y^T) for each (x, y): O(nnz) each."""
         for x, y in pairs:
@@ -296,11 +386,11 @@ def observe_loss(
                   if isinstance(structure, JSymmetric) else [(k * a, b)])
     with np.errstate(over="ignore"):  # a huge step overflows W's Gram update and norm; clip copes
         model.append(pairs)
-        fro = model.clip(params.radius)
+        fro = model.clip(math.sqrt(params.dim))
 
     t_next = state.t + 1
     delta = params.delta(t_next)
-    sep = sep_feasible(model, fro, delta, params.q(t_next), structure, state.rng)
+    sep = sep_feasible(model, fro, delta, params.q(t_next), state.rng)
 
     gamma = 1.0 if sep.case is SepCase.CASE_I else sep.gamma
     state.scale = gamma if params.mu > 0 else (1.0 + delta) * gamma

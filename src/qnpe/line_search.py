@@ -28,9 +28,6 @@ from .linear_solver import CglsStart, KrylovBasis, linear_solve
 from .problems import SolverError
 
 
-EXACT_SOLVE_TOL = 1e-12  # practical meaning of alpha1 = 0
-
-
 def default_max_backtracks(sigma: float, l1: float, alpha2: float, beta: float) -> int:
     """Backtracking is guaranteed to stop once eta < alpha2 / (L1 + ||B||_op)
     with ||B||_op <= 7 L1, so the trial count is bounded; add slack."""
@@ -75,7 +72,7 @@ def backtrack(
         return norm_g * (c1 * rep.image + c0 * rep.solution)
 
     for trial in range(1, max_backtracks + 1):
-        rho_tol = alpha1 * math.sqrt(1.0 + eta * mu) or EXACT_SOLVE_TOL
+        rho_tol = alpha1 * math.sqrt(1.0 + eta * mu)
         report = linear_solve(start, 1.0 + eta * c0, eta * c1, -eta * u, rho_tol)
         matvecs += report.matvecs
         if not report.converged:

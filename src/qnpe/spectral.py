@@ -1,5 +1,5 @@
 """Randomized Lanczos, on the inner solve's KrylovBasis, and the two spectral
-separation primitives.
+separation primitives, which share one separator on an n x n operator.
 
 ext_evec approximates the extreme eigenpairs of the symmetrized input and
 either certifies that its spectrum fits in the (scaled) unit interval or
@@ -103,11 +103,36 @@ def tridiag_eigpair(alphas: np.ndarray, betas: np.ndarray, i: int) -> tuple[floa
     return float(lam[0]), z[:, 0]
 
 
-def lanczos_step_count(d: int, delta: float, q: float, augmented: bool = False) -> int:
-    """Iteration count ceil(1/4 * sqrt(2(1 + 1/delta)) * log(c*d/q^2) + 1/2)
-    with c = 11 for the symmetrized oracle and c = 22 for the augmented one."""
-    c = 22.0 if augmented else 11.0
-    return math.ceil(0.25 * math.sqrt(2.0 * (1.0 + 1.0 / delta)) * math.log(c * d / q**2) + 0.5)
+def lanczos_step_count(n: int, delta: float, q: float) -> int:
+    """Iteration count ceil(1/4 * sqrt(2(1 + 1/delta)) * log(11 n/q^2) + 1/2)
+    for an n x n operator: the paper's c d with c = 11 for the symmetrized
+    oracle (n = d) and c = 22 for the augmented one (n = 2d)."""
+    return math.ceil(0.25 * math.sqrt(2.0 * (1.0 + 1.0 / delta)) * math.log(11.0 * n / q**2) + 0.5)
+
+
+def _separate(apply: Callable[[np.ndarray], np.ndarray], n: int, delta: float, q: float,
+              rng: np.random.Generator, per_step: int, scale: float, both_ends: bool,
+              factors: Callable[[float, np.ndarray], tuple]) -> SepResult:
+    """The separator both oracles share: Lanczos on the n x n operator
+    `apply`, for the step count (at most n), counted as per_step W-matvecs per
+    step.  Its top Ritz pair, or with both_ends the pair of largest magnitude
+    (the top one on a tie), gives gamma = lambda / scale; Case II builds S's
+    factors from (sign, Ritz vector), the vector formed only then."""
+    if delta <= 0 or not (0 < q < 1):
+        raise ValueError("require delta > 0 and q in (0, 1)")
+    res = lanczos(apply, n, min(lanczos_step_count(n, delta, q), n), rng)
+    matvecs = per_step * res.steps_taken
+    lam, z = tridiag_eigpair(res.alphas, res.betas, res.steps_taken - 1)
+    sign = 1.0
+    if both_ends:
+        lam_min, z_min = tridiag_eigpair(res.alphas, res.betas, 0)
+        if lam < -lam_min:
+            sign, lam, z = -1.0, -lam_min, z_min
+    gamma = lam / scale
+    if gamma <= 1.0:
+        return SepResult(gamma=gamma, case=SepCase.CASE_I, matvecs=matvecs)
+    return SepResult(gamma=gamma, case=SepCase.CASE_II, factors=factors(sign, res.ritz_vector(z)),
+                     matvecs=matvecs)
 
 
 def ext_evec(
@@ -127,20 +152,8 @@ def ext_evec(
     implies the gamma-scaled spectrum does, and S = +/- u u^T separates W from
     every matrix whose symmetric part fits in the unit interval.
     """
-    if delta <= 0 or not (0 < q < 1):
-        raise ValueError("require delta > 0 and q in (0, 1)")
-    n_steps = min(lanczos_step_count(d, delta, q, augmented=False), d)
-
-    res = lanczos(apply_sym, d, n_steps, rng)
-    matvecs = (1 if symmetric else 2) * res.steps_taken  # one operator application per step
-    lam_max, z_max = tridiag_eigpair(res.alphas, res.betas, res.steps_taken - 1)
-    lam_min, z_min = tridiag_eigpair(res.alphas, res.betas, 0)
-    gamma = max(lam_max, -lam_min)
-    if gamma <= 1.0:
-        return SepResult(gamma=gamma, case=SepCase.CASE_I, matvecs=matvecs)
-    sign, z = (1.0, z_max) if lam_max >= -lam_min else (-1.0, z_min)
-    u = res.ritz_vector(z)
-    return SepResult(gamma=gamma, case=SepCase.CASE_II, factors=(sign, u, u), matvecs=matvecs)
+    return _separate(apply_sym, d, delta, q, rng, 1 if symmetric else 2, 1.0, True,
+                     lambda sign, u: (sign, u, u))
 
 
 def max_svec(
@@ -158,17 +171,5 @@ def max_svec(
     S = (2/3) a b^T from the partitioned top Ritz vector [a, b], which
     satisfies <S, W> = gamma and ||S||_F <= 1.
     """
-    if delta <= 0 or not (0 < q < 1):
-        raise ValueError("require delta > 0 and q in (0, 1)")
-    n_steps = min(lanczos_step_count(d, delta, q, augmented=True), 2 * d)
-
-    res = lanczos(apply_aug, 2 * d, n_steps, rng)
-    matvecs = 2 * res.steps_taken
-    lam_max, z_max = tridiag_eigpair(res.alphas, res.betas, res.steps_taken - 1)
-    gamma = lam_max / 3.0
-    if gamma <= 1.0:
-        return SepResult(gamma=gamma, case=SepCase.CASE_I, matvecs=matvecs)
-    v_tilde = res.ritz_vector(z_max)
-    a, b = v_tilde[:d], v_tilde[d:]
-    return SepResult(gamma=gamma, case=SepCase.CASE_II, factors=(2.0 / 3.0, a, b),
-                     matvecs=matvecs)
+    return _separate(apply_aug, 2 * d, delta, q, rng, 2, 3.0, False,
+                     lambda _, v: (2.0 / 3.0, v[:d], v[d:]))

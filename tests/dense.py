@@ -8,7 +8,7 @@ were written against, so the bitwise assertions that use them hold as they are.
 
 import numpy as np
 
-from qnpe.separation import project_subspace
+from qnpe.learner import project_subspace
 
 
 def dense_w(state):

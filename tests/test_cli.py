@@ -99,7 +99,7 @@ QNPE_ENTRY = {"name": "qnpe", "mode": "strongly_monotone"}
     ({"solvers": [{"name": "eg", "step_size": 2.0, "n_iters": 20}]}, "step_size"),  # l1 = 1
     ({"solvers": [dict(QNPE_ENTRY, max_backtracks=0)]}, "max_backtracks"),
     ({"solvers": [dict(QNPE_ENTRY, rho=-1)]}, "rho"),
-    ({"solvers": [dict(QNPE_ENTRY, radius=-1)]}, "radius"),
+    ({"solvers": [dict(QNPE_ENTRY, radius=4.0)]}, "radius"),  # the clip radius is sqrt(dim)
     ({"solvers": [dict(QNPE_ENTRY, max_iterations="10")]}, "max_iterations"),
     ({"solvers": [dict(QNPE_ENTRY, max_iterations=2.5)]}, "max_iterations"),
     ({"solvers": [dict(QNPE_ENTRY, max_backtracks=2.5)]}, "max_backtracks"),
@@ -110,8 +110,8 @@ QNPE_ENTRY = {"name": "qnpe", "mode": "strongly_monotone"}
     ({"solvers": [dict(QNPE_ENTRY, max_iteration=3)]}, "max_iteration"),
     ({"problems": [dict(BASIC["problems"][0], mu_=0.5)]}, "mu_"),
     ({"repetitions": True}, "repetitions"),
-], ids=["eg_step_size", "qnpe_max_backtracks", "qnpe_negative_rho", "qnpe_negative_radius",
-        "qnpe_string_max_iterations", "qnpe_fractional_max_iterations",
+], ids=["eg_step_size", "qnpe_max_backtracks", "qnpe_negative_rho",
+        "qnpe_radius_unknown_field", "qnpe_string_max_iterations", "qnpe_fractional_max_iterations",
         "qnpe_fractional_max_backtracks", "qnpe_string_stop_tolerance", "qnpe_sigma0",
         "qnpe_alpha1", "qnpe_p",
         "qnpe_misspelt_field", "misspelt_problem_field", "boolean_repetitions"])

@@ -21,9 +21,9 @@ from qnpe import (
     learner_init,
     observe_loss,
 )
-from qnpe.learner import DEFAULT_RHO, LearnerState, current_matrix, loss_gradient, new_model
+from qnpe.learner import (DEFAULT_RHO, LearnerState, current_matrix, loss_gradient, new_model,
+                          project_subspace)
 from qnpe.line_search import backtrack
-from qnpe.separation import project_subspace
 
 from dense import dense_s, dense_w, loss_value, played_matrix
 
@@ -95,7 +95,7 @@ def reference_step(state, obs, params):
         coeff = max(0.0, -float(np.tensordot(g, w, axes=2)) / sep.gamma)
         g = g + coeff * project_subspace(params.structure, dense_s(sep))
     w = w - params.rho * g
-    return w * min(1.0, params.radius / np.linalg.norm(w))
+    return w * min(1.0, math.sqrt(params.dim) / np.linalg.norm(w))
 
 
 @pytest.mark.parametrize("structure", ["general", "symmetric", "jsymmetric", "sparse",
@@ -173,7 +173,8 @@ def test_a_huge_step_lands_on_the_ball(structure):
         observe(state, LossObservation(u=3.0 * l1 * rng.standard_normal(d), s=s), params)
     w = dense_w(state)
     assert np.any(w != 0)
-    assert abs(np.linalg.norm(w) - params.radius) <= 1e-12 * params.radius
+    radius = math.sqrt(d)
+    assert abs(np.linalg.norm(w) - radius) <= 1e-12 * radius
 
 
 def played_rounds(name, rng, rounds=12):
@@ -315,7 +316,6 @@ def test_failure_schedule_values():
 def test_default_params():
     p1 = make_params(mu=0.2, l1=1.0, d=16)  # Option I
     assert p1.rho == DEFAULT_RHO[True] == 1.0 / 121.0
-    assert p1.radius == 4.0
     assert p1.delta(3) == 0.1  # mu / (2 L1), constant
     p2 = make_params(mu=0.0, l1=1.0, d=9)  # Option II
     assert p2.rho == DEFAULT_RHO[False] == 1.0 / 81.0

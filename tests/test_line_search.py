@@ -41,7 +41,7 @@ def test_zero_gradient_accepts_immediately():
 
 
 def test_exact_model_with_exact_solve_accepts_first_trial():
-    # B equals the true Jacobian and alpha1 = 0: the proximal subproblem is
+    # B equals the true Jacobian and alpha1 = 1e-12: the proximal subproblem is
     # solved to machine precision, so any sigma is accepted
     rng = np.random.default_rng(0)
     a = np.diag(rng.uniform(0.5, 2.0, size=6))
@@ -49,7 +49,7 @@ def test_exact_model_with_exact_solve_accepts_first_trial():
     z = z_star + rng.standard_normal(6)
     f = affine_eval(a, z_star)
     out = backtrack(z, f(z), lambda v: a @ v, None, 1.0, 0.0, sigma=50.0,
-                    **params(alpha1=0.0), f_eval=f)
+                    **params(alpha1=1e-12), f_eval=f)
     assert out.eta == 50.0
     assert not out.backtracked
     assert out.z_tilde is None
@@ -244,7 +244,7 @@ def test_invariant_subspace_ends_the_solve_exactly(monkeypatch, rank):
         calls[0] += 1
         return b @ v
 
-    out = backtrack(z, f(z), b_apply, None, 1.0, 0.0, sigma=4.0, **params(alpha1=0.0),
+    out = backtrack(z, f(z), b_apply, None, 1.0, 0.0, sigma=4.0, **params(alpha1=1e-12),
                     f_eval=f)
     assert out.backtracked
     assert all(r.converged and r.iterations <= rank + 1 for r in reports)

@@ -107,6 +107,19 @@ def test_every_module_uses_the_names_it_imports():
     assert not unused, f"imported but never used: {unused}"
 
 
+def test_no_module_imports_under_type_checking():
+    """Each module of src/qnpe imports what it reads at run time and nothing
+    more: an import kept for annotations only hides a dependency between
+    layers, such as the oracle reading the learner's storage."""
+    guarded = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "qnpe").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test)
+    ]
+    assert not guarded, f"imports under TYPE_CHECKING: {guarded}"
+
+
 def test_every_definition_is_read_outside_tests():
     """A top-level def or class of src/qnpe that no module of the package, no
     demo and no perfbench script reads by name (perfbench's PATCHES strings

@@ -1,4 +1,4 @@
-"""Structural projections, the recentering transform, and the composed
+"""Structural projections, the models' oracle operators, and the composed
 separation oracle."""
 
 import numpy as np
@@ -18,17 +18,11 @@ from qnpe import (
     ext_evec,
     max_svec,
 )
-from qnpe.learner import new_model
-from qnpe.separation import (
-    oracle_index,
-    oracle_operators,
-    pattern_index,
-    project_subspace,
-    sep_feasible,
-)
+from qnpe.learner import new_model, oracle_index, pattern_index, project_subspace
 from qnpe.problems import sparse_matvec
+from qnpe.separation import sep_feasible
 
-from dense import dense_s, from_hat
+from dense import dense_s
 
 
 def _stored(structure, w):
@@ -39,7 +33,7 @@ def _stored(structure, w):
 def _sep(w, delta, q, structure, rng):
     """sep_feasible at the dense w, given its Frobenius norm."""
     fro = float(np.linalg.norm(w))
-    return sep_feasible(_stored(structure, w), fro, delta, q, structure, rng)
+    return sep_feasible(_stored(structure, w), fro, delta, q, rng)
 
 
 STRUCTURES = [
@@ -102,44 +96,7 @@ def test_projection_never_increases_frobenius_norm(seed):
 
 
 # ---------------------------------------------------------------------------
-# recentering transform
-
-
-def test_from_hat_shifts_the_diagonal_bit_for_bit():
-    rng = np.random.default_rng(12)
-    params = LearnerParams(General(), 40, mu=0.3, l1=1.7)  # from_hat reads only l1, mu
-    for d in (1, 5, 40):
-        b_hat = rng.standard_normal((d, d))
-        expected = params.l1 * b_hat + (params.l1 + params.mu) * np.eye(d)
-        fresh = from_hat(b_hat, params)
-        assert np.array_equal(fresh, expected) and fresh.tobytes() == expected.tobytes()
-
-
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_hat_roundtrip(seed):
-    params = LearnerParams(General(), 5, mu=0.1, l1=1.7)
-    b_hat = random_matrix(seed, d=5)
-    back = (from_hat(b_hat, params) - (params.l1 + params.mu) * np.eye(5)) / params.l1
-    assert np.max(np.abs(back - b_hat)) <= 1e-12 * max(1.0, np.max(np.abs(b_hat)))
-
-
-def test_hat_of_feasible_matrix_is_in_unit_set():
-    # B with mu I <= sym(B) <= (2 L1 + mu) I and ||B - (L1+mu)I|| <= 3 L1
-    rng = np.random.default_rng(2)
-    mu, l1 = 0.2, 1.3
-    params = LearnerParams(General(), 8, mu=mu, l1=l1)
-    for _ in range(10):
-        h = rng.standard_normal((8, 8))
-        h = 0.5 * (h + h.T)
-        h *= 0.9 / np.max(np.abs(np.linalg.eigvalsh(h)))
-        b = from_hat(h, params)
-        b_hat = (b - (l1 + mu) * np.eye(8)) / l1
-        eigs = np.linalg.eigvalsh(0.5 * (b_hat + b_hat.T))
-        assert eigs[0] >= -1 - 1e-12 and eigs[-1] <= 1 + 1e-12
-        assert np.linalg.norm(b_hat, 2) <= 3 + 1e-12
-        # on the original scale: sym(B) >= mu I
-        assert np.linalg.eigvalsh(0.5 * (b + b.T))[0] >= mu - 1e-10
+# learner parameters
 
 
 def test_feasible_params_validation():
@@ -228,7 +185,7 @@ def test_sparse_model_products_and_oracle_operators_are_the_dense_ones(d, n_pair
         v = rng.standard_normal(d)
         assert model.matvec(v).tobytes() == (sp.csr_array(model.dense()) @ v).tobytes()
         assert model.rmatvec(v).tobytes() == (sp.csr_array(model.dense().T) @ v).tobytes()
-    apply_sym, apply_aug = oracle_operators(structure, model)
+    apply_sym, apply_aug = model.oracle_operators()
     assert np.array_equal(np.column_stack([apply_sym(e) for e in np.eye(d)]), 0.5 * (w + w.T))
     zero = np.zeros((d, d))
     assert np.array_equal(np.column_stack([apply_aug(e) for e in np.eye(2 * d)]),
@@ -277,7 +234,7 @@ def test_oracle_operators_apply_the_dense_operators(structure, d):
     else:  # Sparse gathers x y^T on its pattern
         model.append([(x, y)])
     w = model.dense()
-    apply_sym, apply_aug = oracle_operators(structure, model)
+    apply_sym, apply_aug = model.oracle_operators()
     for _ in range(5):
         v, x = rng.standard_normal(d), rng.standard_normal(2 * d)
         assert np.allclose(apply_sym(v), 0.5 * (w @ v + w.T @ v), rtol=0, atol=1e-13)
@@ -326,7 +283,7 @@ def _lanczos_oracle(w, delta, q, structure, rng):
     if isinstance(structure, Symmetric):
         r = ext_evec(lambda v: w @ v, d, delta, q, rng, symmetric=True)
         return r, r.matvecs
-    apply_sym, apply_aug = oracle_operators(structure, _stored(structure, w))
+    apply_sym, apply_aug = _stored(structure, w).oracle_operators()
     r1 = ext_evec(apply_sym, d, delta, q / 2, rng)
     r2 = max_svec(apply_aug, d, delta, q / 2, rng)
     chosen = r1 if r1.gamma >= r2.gamma else r2
@@ -360,7 +317,7 @@ def test_frobenius_certificate_skips_lanczos_and_keeps_the_rng_stream(structure,
         elif isinstance(structure, Symmetric) or fro > 3:
             assert got.gamma == want.gamma and got.matvecs == want_matvecs
         else:  # only ext_evec runs
-            apply_sym = oracle_operators(structure, _stored(structure, w))[0]
+            apply_sym = _stored(structure, w).oracle_operators()[0]
             ext_only = ext_evec(apply_sym, CERT_D, delta, q / 2, np.random.default_rng(seed))
             assert got.matvecs == ext_only.matvecs < want_matvecs
 
@@ -373,7 +330,7 @@ def test_frobenius_certificate_agrees_with_lanczos(seed, which, fro):
     directly on the same W, returns Case I too."""
     structure = CERT_STRUCTURES[which]
     w = _with_frobenius_norm(structure, fro, seed)
-    apply_sym, apply_aug = oracle_operators(structure, _stored(structure, w))
+    apply_sym, apply_aug = _stored(structure, w).oracle_operators()
     rng = np.random.default_rng(seed)
     if np.linalg.norm(w) <= 1:
         assert ext_evec(apply_sym, CERT_D, 0.25, 0.05, rng).case is SepCase.CASE_I

@@ -177,10 +177,13 @@ def test_tridiag_eigpair_matches_dense():
 
 
 def test_step_count_formula():
-    for d, delta, q, aug in [(30, 0.25, 0.1, False), (30, 0.25, 0.05, True), (200, 0.05, 0.01, False)]:
-        c = 22.0 if aug else 11.0
+    """The count for an n x n operator is the paper's, with c = 11 for the
+    symmetrized oracle (n = d) and c = 22 for the augmented one (n = 2d)."""
+    for d, delta, q, aug in [(30, 0.25, 0.1, False), (30, 0.25, 0.05, True), (200, 0.05, 0.01, False),
+                             (200, 0.05, 0.01, True), (7, 1e-3, 0.5, True)]:
+        c, n = (22.0, 2 * d) if aug else (11.0, d)
         expected = math.ceil(0.25 * math.sqrt(2 * (1 + 1 / delta)) * math.log(c * d / q**2) + 0.5)
-        assert lanczos_step_count(d, delta, q, augmented=aug) == expected
+        assert lanczos_step_count(n, delta, q) == expected
 
 
 # ---------------------------------------------------------------------------
