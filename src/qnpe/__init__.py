@@ -12,7 +12,6 @@ from .learner import (
     LearnerParams,
     LossObservation,
     learner_init,
-    loss_gradient,
     observe_loss,
 )
 from .linear_solver import CglsStart, KrylovBasis, linear_solve
@@ -58,7 +57,6 @@ __all__ = [
     "extragradient_baseline",
     "learner_init",
     "linear_solve",
-    "loss_gradient",
     "make_bilinear_minimax",
     "make_logsumexp_min",
     "make_quadratic_min",

@@ -116,8 +116,8 @@ def verify_iteration_certificates(
         report.checks.append(CertificateCheck("backtracking-lower-bound", worst > 0, worst))
 
     # averaged-iterate gap bound (monotone mode), by default on the unit box for
-    # the bilinear family, the one evaluate_gap has a closed form for
-    if gap_spec is None and problem.descriptor.get("family") == "bilinear_minimax":
+    # a problem whose generator supplies a closed-form gap
+    if gap_spec is None and problem.gap is not None:
         m, n = problem.structure.m, problem.structure.n
         gap_spec = PrimalDualBox(-np.ones(m), np.ones(m), -np.ones(n), np.ones(n))
     if (

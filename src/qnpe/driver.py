@@ -228,6 +228,6 @@ def extragradient_baseline(
         z_hat = z - step_size * g
         return _Step(step_size, 1.0, z_hat, problem.eval(z_hat), 1, _norm(z_hat - z))
 
-    trace = RunTrace(solver="extragradient", meta={"step_size": step_size})
+    trace = RunTrace(solver="eg", meta={"step_size": step_size})
     _outer_loop(problem, z0, n_iters, 0.0, trace, step)
     return trace.z_final, trace.z_bar, trace

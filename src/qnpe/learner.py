@@ -69,12 +69,6 @@ class LossObservation:
             raise ValueError("observation direction s must be nonzero")
 
 
-def loss_gradient(b: np.ndarray, obs: LossObservation) -> np.ndarray:
-    """grad of ||u - B s||^2 / ||s||^2 in B: the rank-one -2 (u - B s) s^T / ||s||^2."""
-    s2 = float(obs.s @ obs.s)
-    return -2.0 * np.outer(obs.u - b @ obs.s, obs.s) / s2
-
-
 def _j_signs(m: int, n: int) -> np.ndarray:
     return np.concatenate([np.ones(m), -np.ones(n)])
 
@@ -170,11 +164,10 @@ class LowRank:
     restarts at 0.
     """
 
-    def __init__(self, structure: StructureSpec, d: int, base: np.ndarray | None = None) -> None:
+    def __init__(self, structure: StructureSpec, d: int) -> None:
         self.structure = structure
         self.shape = (d, d)
-        self.base = base
-        self.base_sq = 0.0 if base is None else float(np.vdot(base, base))
+        self.base, self.base_sq = None, 0.0
         self.cross = 0.0  # <base, U V^T> = sum_i u_i . (base v_i)
         self.r = 0
         self.u, self.v = np.empty((0, d)), np.empty((0, d))
@@ -285,15 +278,15 @@ class LowRank:
 class PatternValues:
     """The learner's W for Sparse structure, with LowRank's interface: its
     values on the pattern plus the diagonal, a length-nnz vector in
-    pattern_index order, taken from base (dense, or None for 0).  W x and
+    pattern_index order, starting at 0.  W x and
     W^T x are the CSR and CSC kernels over the live values, and a pair
     (x, y) adds P(x y^T), x y^T gathered on the pattern."""
 
-    def __init__(self, structure: Sparse, d: int, base: np.ndarray | None = None) -> None:
+    def __init__(self, structure: Sparse, d: int) -> None:
         self.structure = structure
         self.shape = (d, d)
         self.rows, self.cols, self.flat, indptr = pattern_index(structure.pattern, d)
-        self.values = np.zeros(len(self.flat)) if base is None else base.take(self.flat)
+        self.values = np.zeros(len(self.flat))
         self.matvec = sparse_matvec(csr_matvec, indptr, self.cols, self.values)
         self.rmatvec = sparse_matvec(csc_matvec, indptr, self.cols, self.values)
 
@@ -334,10 +327,10 @@ def _doubled_projection(structure: StructureSpec, x: np.ndarray, y: np.ndarray) 
     return [(2.0 * x, y)]
 
 
-def new_model(structure: StructureSpec, d: int, base: np.ndarray | None) -> LowRank | PatternValues:
-    """W = base (None for 0) stored for the structure: PatternValues for
-    Sparse, LowRank otherwise."""
-    return (PatternValues if isinstance(structure, Sparse) else LowRank)(structure, d, base)
+def new_model(structure: StructureSpec, d: int) -> LowRank | PatternValues:
+    """W = 0 stored for the structure: PatternValues for Sparse, LowRank
+    otherwise."""
+    return (PatternValues if isinstance(structure, Sparse) else LowRank)(structure, d)
 
 
 @dataclass
@@ -345,15 +338,15 @@ class LearnerState:
     t: int
     model: LowRank | PatternValues  # W's one form, read only through its interface; ||W||_F <= R
     scale: float  # the played B = L1 W / scale + (L1 + mu) I, never formed
-    last_sep: SepResult | None  # its matvecs are those of the last round's oracle
+    last_sep: SepResult | None  # None at t = 0; its matvecs are the last round's oracle's
     rng: np.random.Generator
 
 
 def learner_init(params: LearnerParams, rng: np.random.Generator) -> LearnerState:
     """Start at the center (L1 + mu) I, W_0 = 0: it lies in every structural
-    subspace and in the feasible set, and the updates keep W in both.  W_0 is
-    stored by new_model with no base, so no d x d array is formed."""
-    return LearnerState(0, new_model(params.structure, params.dim, None), 1.0, None, rng)
+    subspace and in the feasible set, and the updates keep W in both.  new_model
+    stores it without any d x d array."""
+    return LearnerState(0, new_model(params.structure, params.dim), 1.0, None, rng)
 
 
 def observe_loss(
@@ -372,7 +365,7 @@ def observe_loss(
     # In Case II, <P(grad), W> = <grad, W> = -2 resid^T W s / ||s||^2 since W = P(W),
     # and W s = (u - resid - c0 s) / c1 since resid = u - (c1 W + c0 I) s: no product with W.
     coeff, sep = 0.0, state.last_sep
-    if state.t >= 1 and sep is not None and sep.case is SepCase.CASE_II:
+    if sep is not None and sep.case is SepCase.CASE_II:
         _, _, c1, c0 = current_matrix(state, params)
         w_s = (obs.u - resid - c0 * s) / c1
         coeff = max(0.0, 2.0 * float(resid.dot(w_s)) / (s2 * params.l1) / sep.gamma)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -87,9 +87,10 @@ class PrimalDualBox:
 class Problem:
     """An operator F: R^d -> R^d with its regularity metadata.
 
-    jacobian_matvec is a verification/reporting hook; the solver never calls
-    it.  Problems are immutable after construction and safe to share across
-    threads.
+    jacobian_matvec and gap are verification/reporting hooks; the solver
+    never calls them.  gap(z, box) is the closed-form box gap of a family that
+    has one (evaluate_gap), None otherwise.  Problems are immutable after
+    construction and safe to share across threads.
     """
 
     dim: int
@@ -100,7 +101,7 @@ class Problem:
     structure: StructureSpec
     known_root: np.ndarray | None = None
     jacobian_matvec: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    descriptor: dict = field(default_factory=dict)
+    gap: Callable[[np.ndarray, PrimalDualBox], float] | None = None
 
     def __post_init__(self) -> None:
         require("l1", self.l1, lambda x: x > 0, "> 0")
@@ -108,6 +109,8 @@ class Problem:
         s, d = self.structure, self.dim
         if isinstance(s, JSymmetric) and (min(s.m, s.n) < 0 or s.m + s.n != d):
             raise ValueError(f"structure {s} needs m + n = dim = {d}")
+        if self.gap is not None and not isinstance(s, JSymmetric):  # its box splits z = (x, y)
+            raise ValueError(f"a closed-form gap needs JSymmetric structure, got {s}")
         if isinstance(s, Sparse):
             bad = next(((i, j) for i, j in s.pattern if not (0 <= i < d and 0 <= j < d)), None)
             if bad is not None:
@@ -221,7 +224,6 @@ def make_quadratic_min(d: int, mu: float, l1: float, seed: int) -> Problem:
         structure=Symmetric(),
         known_root=z_star,
         jacobian_matvec=lambda z, v: apply_a(v),
-        descriptor={"family": "quadratic_min", "d": d, "mu": mu, "l1": l1, "seed": seed},
     )
 
 
@@ -268,14 +270,6 @@ def make_logsumexp_min(
         structure=Symmetric(),
         known_root=z_star,
         jacobian_matvec=jacobian_matvec,
-        descriptor={
-            "family": "logsumexp_min",
-            "d": d,
-            "n_terms": n_terms,
-            "mu": mu,
-            "smoothing": smoothing,
-            "seed": seed,
-        },
     )
 
 
@@ -298,6 +292,22 @@ def make_bilinear_minimax(m: int, n: int, mu: float, l1: float, seed: int) -> Pr
         x, y = z[:m], z[m:]
         return np.concatenate([mu * x + c @ y, mu * y - c.T @ x])  # no negated copy of C
 
+    def gap(z: np.ndarray, box: PrimalDualBox) -> float:
+        """max_{y' in box} f(x, y') - min_{x' in box} f(x', y): both inner
+        problems are separable quadratics, solved coordinate-wise."""
+        z = np.asarray(z, dtype=float)
+        x, y = z[:m], z[m:]
+        cx, cy = c.T @ x, c @ y  # the coefficients of y' and of x'
+        if mu > 0:
+            y_opt = np.clip(cx / mu, box.y_lo, box.y_hi)
+            x_opt = np.clip(-cy / mu, box.x_lo, box.x_hi)
+        else:
+            y_opt = np.where(cx >= 0, box.y_hi, box.y_lo)
+            x_opt = np.where(cy >= 0, box.x_lo, box.x_hi)
+        f_max = 0.5 * mu * float(x @ x) + float(cx @ y_opt) - 0.5 * mu * float(y_opt @ y_opt)
+        f_min = 0.5 * mu * float(x_opt @ x_opt) + float(cy @ x_opt) - 0.5 * mu * float(y @ y)
+        return f_max - f_min
+
     return Problem(
         dim=d,
         eval=f,
@@ -307,7 +317,7 @@ def make_bilinear_minimax(m: int, n: int, mu: float, l1: float, seed: int) -> Pr
         structure=JSymmetric(m, n),
         known_root=np.zeros(d),
         jacobian_matvec=lambda z, v: f(v),  # F is linear with F(0) = 0
-        descriptor={"family": "bilinear_minimax", "m": m, "n": n, "mu": mu, "l1": l1, "seed": seed},
+        gap=gap,
     )
 
 
@@ -368,14 +378,6 @@ def make_sparse_equation(d: int, avg_degree: int, mu: float, l1: float, seed: in
         structure=Sparse(pattern),
         known_root=z_star,
         jacobian_matvec=lambda z, v: apply_m(v) + eps / np.cosh(z) ** 2 * v,
-        descriptor={
-            "family": "sparse_equation",
-            "d": d,
-            "avg_degree": avg_degree,
-            "mu": mu,
-            "l1": l1,
-            "seed": seed,
-        },
     )
 
 
@@ -384,31 +386,11 @@ def make_sparse_equation(d: int, avg_degree: int, mu: float, l1: float, seed: in
 
 
 def evaluate_gap(problem: Problem, z: np.ndarray, spec: PrimalDualBox) -> float:
-    """max_{y' in box} f(x, y') - min_{x' in box} f(x', y) in closed form for
-    the bilinear minimax family: both inner problems are separable quadratics."""
-    desc = problem.descriptor
-    if desc.get("family") != "bilinear_minimax":
-        raise ValueError("closed-form box gap is available for the bilinear family only")
-    m = desc["m"]
-    mu = problem.mu
-    z = np.asarray(z, dtype=float)
-    x, y = z[:m], z[m:]
-    # J = [[mu I, C], [-C^T, mu I]], so C^T x = -(J [x; 0])_y and C y = (J [0; y])_x
-    cx = -problem.jacobian_matvec(z, np.concatenate([x, np.zeros_like(y)]))[m:]  # coefficients of y'
-    cy = problem.jacobian_matvec(z, np.concatenate([np.zeros_like(x), y]))[:m]  # coefficients of x'
-
-    if mu > 0:
-        y_opt = np.clip(cx / mu, spec.y_lo, spec.y_hi)
-    else:
-        y_opt = np.where(cx >= 0, spec.y_hi, spec.y_lo)
-    f_max = 0.5 * mu * float(x @ x) + float(cx @ y_opt) - 0.5 * mu * float(y_opt @ y_opt)
-
-    if mu > 0:
-        x_opt = np.clip(-cy / mu, spec.x_lo, spec.x_hi)
-    else:
-        x_opt = np.where(cy >= 0, spec.x_lo, spec.x_hi)
-    f_min = 0.5 * mu * float(x_opt @ x_opt) + float(cy @ x_opt) - 0.5 * mu * float(y @ y)
-    return f_max - f_min
+    """max_{y' in box} f(x, y') - min_{x' in box} f(x', y) at z, in the closed
+    form the problem's generator supplies (Problem.gap)."""
+    if problem.gap is None:
+        raise ValueError("this problem supplies no closed-form box gap (Problem.gap is None)")
+    return problem.gap(z, spec)
 
 
 # ---------------------------------------------------------------------------

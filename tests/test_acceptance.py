@@ -38,9 +38,9 @@ from qnpe import (
     observe_loss,
     solve,
 )
-from qnpe.learner import current_matrix, loss_gradient
+from qnpe.learner import current_matrix
 
-from dense import dense_w, loss_value, played_matrix
+from dense import dense_w, loss_gradient, loss_value, played_matrix
 
 
 def report(num, name, ok):

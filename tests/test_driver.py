@@ -13,6 +13,7 @@ import qnpe.driver
 import qnpe.learner
 from qnpe import (
     General,
+    JSymmetric,
     Mode,
     PrimalDualBox,
     Problem,
@@ -351,17 +352,40 @@ def test_default_gap_certificate_is_the_unit_box():
 
 
 def test_default_gap_certificate_needs_the_bilinear_family():
-    # evaluate_gap has a closed form for the bilinear family only: another
-    # J-symmetric problem gets no default gap check, and an explicit box still raises
-    p = dataclasses.replace(make_bilinear_minimax(5, 5, 0.0, 1.0, seed=1), descriptor={})
+    # evaluate_gap reads the closed form a generator supplies: a J-symmetric
+    # problem without one gets no default gap check, and an explicit box raises
+    p = dataclasses.replace(make_bilinear_minimax(5, 5, 0.0, 1.0, seed=1), gap=None)
     config = SolverConfig(mode=Mode.MONOTONE, max_iterations=40, stop_tolerance=1e-12)
     _, _, trace = solve(p, config, z0=0.4 * np.ones(10))
     report = verify_iteration_certificates(trace, p, config)
     assert report.all_passed, "\n".join(report.lines())
     assert "averaged-gap-bound" not in {c.name for c in report.checks}
     box = PrimalDualBox(-np.ones(5), np.ones(5), -np.ones(5), np.ones(5))
-    with pytest.raises(ValueError, match="bilinear family only"):
+    with pytest.raises(ValueError, match="no closed-form box gap"):
         verify_iteration_certificates(trace, p, config, gap_spec=box)
+
+
+def test_a_problem_that_supplies_its_own_gap_gets_the_default_gap_certificate():
+    # a hand-built bilinear saddle f(x, y) = x^T C y, no generator involved:
+    # its gap on a box is max_{y'} (C^T x).y' - min_{x'} x'.(C y), coordinate-wise
+    m, n = 3, 4
+    c = np.random.default_rng(21).standard_normal((m, n))
+    c /= np.linalg.norm(c, 2)
+
+    def gap(z, box):
+        cx, cy = c.T @ z[:m], c @ z[m:]
+        return float(np.maximum(cx * box.y_lo, cx * box.y_hi).sum()
+                     - np.minimum(cy * box.x_lo, cy * box.x_hi).sum())
+
+    p = Problem(dim=m + n, eval=lambda z: np.concatenate([c @ z[m:], -c.T @ z[:m]]), mu=0.0,
+                l1=1.0, l2=0.0, structure=JSymmetric(m, n), known_root=np.zeros(m + n), gap=gap)
+    config = SolverConfig(mode=Mode.MONOTONE, max_iterations=40, stop_tolerance=1e-12)
+    _, z_bar, trace = solve(p, config, z0=0.4 * np.ones(m + n))
+    report = verify_iteration_certificates(trace, p, config)
+    assert report.all_passed, "\n".join(report.lines())
+    gap_check = next(ch for ch in report.checks if ch.name == "averaged-gap-bound")
+    unit = PrimalDualBox(-np.ones(m), np.ones(m), -np.ones(n), np.ones(n))
+    assert gap_check.detail == f"gap {gap(z_bar, unit):.3e}"
 
 
 def test_certificates_catch_a_step_below_the_backtracking_bound():

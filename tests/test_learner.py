@@ -21,11 +21,10 @@ from qnpe import (
     learner_init,
     observe_loss,
 )
-from qnpe.learner import (DEFAULT_RHO, LearnerState, current_matrix, loss_gradient, new_model,
-                          project_subspace)
+from qnpe.learner import DEFAULT_RHO, LearnerState, current_matrix, new_model, project_subspace
 from qnpe.line_search import backtrack
 
-from dense import dense_s, dense_w, loss_value, played_matrix
+from dense import dense_s, dense_w, loss_gradient, loss_value, played_matrix, stored_model
 
 
 def make_params(mu, l1, d, structure=None, rho=None):
@@ -116,7 +115,7 @@ def test_learner_step_is_the_projected_gradient_step_and_keeps_w_structured(stru
                          rho=rho)
     w0 = project_subspace(structure, rng.standard_normal((d, d)))
     w0 = None if fold else np.ascontiguousarray(0.5 * w0 / np.linalg.norm(w0, 2))
-    state = LearnerState(0, new_model(structure, d, w0), 1.0, None, rng)
+    state = LearnerState(0, stored_model(structure, d, w0), 1.0, None, rng)
     # outside the set: Case II rounds, some of them clipped to the ball
     target = 6.0 * l1 * rng.standard_normal((d, d)) / math.sqrt(d)
     case_ii = folds = 0
@@ -339,7 +338,7 @@ def test_fold_stores_w_in_c_order():
     # the folded base, which every product reads, and the dense view are C-ordered
     rng = np.random.default_rng(12)
     structure = JSymmetric(300, 300)
-    model = new_model(structure, 600, None)
+    model = new_model(structure, 600)
     model.append([(rng.standard_normal(600), rng.standard_normal(600)) for _ in range(3)])
     model.fold()
     state = LearnerState(0, model, 1.0, None, rng)

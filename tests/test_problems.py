@@ -234,22 +234,12 @@ def test_primal_dual_box_gap_vanishes_at_saddle():
 
 
 def test_primal_dual_box_gap_matches_a_dense_reference():
-    # explicit C with m != n and mu > 0, on a box that is not symmetric about 0
+    # m != n and mu > 0, on a box that is not symmetric about 0; the reference
+    # reads C from the problem's own operator, J = [[mu I, C], [-C^T, mu I]]
     m, n, mu = 4, 7, 0.3
+    p = make_bilinear_minimax(m, n, mu, 1.5, seed=12)
+    c = dense_jacobian(p, np.zeros(m + n))[:m, m:]
     rng = np.random.default_rng(12)
-    c = rng.standard_normal((m, n))
-    jac = np.block([[mu * np.eye(m), c], [-c.T, mu * np.eye(n)]])
-    p = Problem(
-        dim=m + n,
-        eval=lambda z: jac @ z,
-        mu=mu,
-        l1=float(np.linalg.norm(jac, 2)),
-        l2=0.0,
-        structure=JSymmetric(m, n),
-        known_root=np.zeros(m + n),
-        jacobian_matvec=lambda z, v: jac @ v,
-        descriptor={"family": "bilinear_minimax", "m": m, "n": n},
-    )
     box = PrimalDualBox(-rng.uniform(0.5, 2, m), rng.uniform(0.5, 2, m),
                         -rng.uniform(0.5, 2, n), rng.uniform(0.5, 2, n))
 
@@ -287,6 +277,13 @@ def test_structure_that_does_not_fit_the_dimension_is_rejected(structure):
         _identity_problem(structure)
 
 
+def test_a_gap_needs_the_primal_dual_split_of_jsymmetric_structure():
+    # the gap's box splits z into (x, y), which only JSymmetric structure defines
+    with pytest.raises(ValueError, match="gap needs JSymmetric"):
+        Problem(dim=4, eval=lambda z: z, mu=0.0, l1=1.0, l2=0.0, structure=Symmetric(),
+                gap=lambda z, box: 0.0)
+
+
 def test_structure_that_fits_the_dimension_is_accepted():
     _identity_problem(Sparse(frozenset({(3, 3), (0, 19), (19, 0)})))  # the diagonal too
     _identity_problem(JSymmetric(8, 12))
@@ -309,15 +306,22 @@ def test_constants_out_of_range_are_rejected(bad):
 @pytest.mark.parametrize(
     "maker",
     [
-        lambda: make_quadratic_min(6, 0.2, 1.0, seed=5),
-        lambda: make_logsumexp_min(4, 9, mu=0.4, smoothing=0.6, seed=6),
-        lambda: make_bilinear_minimax(3, 4, mu=0.1, l1=1.0, seed=7),
-        lambda: make_sparse_equation(10, 2, mu=0.1, l1=1.5, seed=8),
+        lambda: (make_quadratic_min(6, 0.2, 1.0, seed=5),
+                 {"family": "quadratic_min", "d": 6, "mu": 0.2, "l1": 1.0, "seed": 5}),
+        lambda: (make_logsumexp_min(4, 9, mu=0.4, smoothing=0.6, seed=6),
+                 {"family": "logsumexp_min", "d": 4, "n_terms": 9, "mu": 0.4, "smoothing": 0.6,
+                  "seed": 6}),
+        lambda: (make_bilinear_minimax(3, 4, mu=0.1, l1=1.0, seed=7),
+                 {"family": "bilinear_minimax", "m": 3, "n": 4, "mu": 0.1, "l1": 1.0, "seed": 7}),
+        lambda: (make_sparse_equation(10, 2, mu=0.1, l1=1.5, seed=8),
+                 {"family": "sparse_equation", "d": 10, "avg_degree": 2, "mu": 0.1, "l1": 1.5,
+                  "seed": 8}),
     ],
 )
 def test_json_roundtrip_reproduces_operator(maker):
-    p = maker()
-    q = problem_from_descriptor(json.loads(json.dumps(p.descriptor)))  # as in a sidecar
+    # the descriptor names the same call, as a CLI config entry or a sidecar does
+    p, descriptor = maker()
+    q = problem_from_descriptor(json.loads(json.dumps(descriptor)))
     rng = np.random.default_rng(0)
     for _ in range(5):
         z = rng.standard_normal(p.dim)

@@ -18,16 +18,16 @@ from qnpe import (
     ext_evec,
     max_svec,
 )
-from qnpe.learner import new_model, oracle_index, pattern_index, project_subspace
+from qnpe.learner import oracle_index, pattern_index, project_subspace
 from qnpe.problems import sparse_matvec
 from qnpe.separation import sep_feasible
 
-from dense import dense_s
+from dense import dense_s, stored_model
 
 
 def _stored(structure, w):
     """The dense w as the learner stores it: the base of its structure's model."""
-    return new_model(structure, w.shape[0], w)
+    return stored_model(structure, w.shape[0], w)
 
 
 def _sep(w, delta, q, structure, rng):
