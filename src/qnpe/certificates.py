@@ -61,23 +61,20 @@ def verify_iteration_certificates(
 
     l1 = problem.l1
     mu = problem.mu if config.mode is Mode.STRONGLY_MONOTONE else 0.0
+    # each check family is skipped only when its whole column is NaN (an
+    # unknown root, an EG trace); one NaN in a column it reads fails it
     dists = trace.dists()
-    have_dists = np.all(np.isfinite(dists))
 
     # per-iteration contraction / nonexpansion
-    if have_dists:
+    if not np.all(np.isnan(dists)):
         if config.mode is Mode.STRONGLY_MONOTONE:
-            worst = math.inf
-            for i, row in enumerate(rows):
-                bound = dists[i] ** 2 / (1.0 + 2.0 * row.eta * mu) * (1.0 + 1e-8)
-                worst = min(worst, bound - dists[i + 1] ** 2)
+            worst = _worst([dists[i] ** 2 / (1.0 + 2.0 * row.eta * mu) * (1.0 + 1e-8)
+                            - dists[i + 1] ** 2 for i, row in enumerate(rows)])
             report.checks.append(
                 CertificateCheck("per-iteration-contraction", worst >= 0, worst)
             )
         else:
-            worst = math.inf
-            for i in range(len(rows)):
-                worst = min(worst, dists[i] + 1e-10 - dists[i + 1])
+            worst = _worst(dists[:-1] + 1e-10 - dists[1:])
             report.checks.append(CertificateCheck("nonexpansion", worst >= 0, worst))
 
         # cumulative displacement bound
@@ -88,7 +85,7 @@ def verify_iteration_certificates(
 
     # step-size floor
     floor = config.step_size_floor(l1)
-    worst = min(r.eta for r in rows) - (floor - 1e-12)
+    worst = _worst([r.eta for r in rows]) - (floor - 1e-12)
     report.checks.append(CertificateCheck("step-size-floor", worst >= 0, worst))
 
     # operator-evaluation budget (trace rows count one base eval + trials per iteration)
@@ -100,19 +97,19 @@ def verify_iteration_certificates(
 
     # accepted line-search condition margins, recorded at acceptance time, each
     # held to a rounding tolerance scaled by its own step
-    if math.isfinite(min(r.cond_a_margin for r in rows)):
-        for name, column in (("inexact-solve-condition", "cond_a_margin"),
-                             ("proximal-condition", "cond_b_margin")):
-            margins = [getattr(r, column) for r in rows]
+    for name, column in (("inexact-solve-condition", "cond_a_margin"),
+                         ("proximal-condition", "cond_b_margin")):
+        margins = [getattr(r, column) for r in rows]
+        if not all(map(math.isnan, margins)):
             ok = all(m >= -1e-9 * max(1.0, r.step_norm) for m, r in zip(margins, rows))
-            report.checks.append(CertificateCheck(name, ok, min(margins)))
+            report.checks.append(CertificateCheck(name, ok, _worst(margins)))
 
     # backtracking lower bound: a step accepted after an observed rejection has
     # eta > alpha2 beta ||s~|| / ||F(z~) - F(z) - B s~|| = alpha2 beta / sqrt(loss)
     observed = [r for r in rows if r.loss > 0]  # NaN: no observation
     if observed:
         scale = config.alpha2 * config.beta * (1 - 1e-10)
-        worst = min(r.eta - scale / math.sqrt(r.loss) for r in observed)
+        worst = _worst([r.eta - scale / math.sqrt(r.loss) for r in observed])
         report.checks.append(CertificateCheck("backtracking-lower-bound", worst > 0, worst))
 
     # averaged-iterate gap bound (monotone mode), by default on the unit box for
@@ -135,6 +132,12 @@ def verify_iteration_certificates(
         )
 
     return report
+
+
+def _worst(margins) -> float:
+    """The smallest margin, or NaN if any is NaN (numpy's min propagates NaN,
+    where Python's min skips one unless it comes first)."""
+    return float(np.min(margins))
 
 
 def _max_sq_distance(z0: np.ndarray, box: PrimalDualBox) -> float:

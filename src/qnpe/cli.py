@@ -10,7 +10,7 @@ The config is one JSON object with "problems", "solvers" and "repetitions"
 one checked RunSpec per run; a problem entry is its generator's keyword
 arguments and a qnpe entry holds SolverConfig fields, so those objects' own
 checks reject an unknown field or a value out of range.  The CLI checks only
-the JSON shape, unknown keys, z0_scale and repetitions.
+the JSON shape, unknown keys, z0_scale, repetitions, --seed and --threads.
 
 Exit codes: 0 success, 2 config/input error, 3 certificate failure,
 4 solver error.  Identical config + seed produce byte-identical trace CSVs.
@@ -117,8 +117,13 @@ def _parse_solver(desc: dict, problem: Problem,
         return z0_scale, config
 
 
-def _parse_config(path: str, seed: int | None) -> tuple[dict, list[RunSpec]]:
-    """The config file, and its runs with every entry checked."""
+def _parse_config(path: str, seed: int | None, threads: int) -> tuple[dict, list[RunSpec]]:
+    """The config file, and its runs with every entry checked, once the
+    command line's --seed and --threads are."""
+    with _config_errors():
+        if seed is not None:
+            require("--seed", seed, lambda s: s >= 0, ">= 0", integer=True)
+        require("--threads", threads, lambda t: t >= 1, ">= 1", integer=True)
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -228,7 +233,7 @@ def _run_batch(cfg: dict, specs: list[RunSpec], out: Path,
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True))
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(_execute_run, specs))
     failed = [r for r in results if "error" in r]
     for r in failed:
@@ -254,7 +259,7 @@ def _run_batch(cfg: dict, specs: list[RunSpec], out: Path,
 
 def cmd_run(config_path: str, out_dir: str, seed: int | None, threads: int) -> int:
     try:
-        cfg, specs = _parse_config(config_path, seed)
+        cfg, specs = _parse_config(config_path, seed, threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -309,7 +314,7 @@ def _cost_to_accuracy(trace: RunTrace, eps: float) -> tuple:
 
 def cmd_compare(config_path: str, out_dir: str, seed: int | None, threads: int) -> int:
     try:
-        cfg, specs = _parse_config(config_path, seed)
+        cfg, specs = _parse_config(config_path, seed, threads)
         if len(cfg["solvers"]) < 2:
             raise ConfigError("compare needs at least 2 solvers")
     except ConfigError as exc:

@@ -56,6 +56,7 @@ class SolverConfig:
         require("beta", self.beta, lambda x: 0 < x < 1, "in (0, 1)")
         require("stop_tolerance", self.stop_tolerance, lambda x: x >= 0, ">= 0")
         require("max_iterations", self.max_iterations, lambda x: x >= 0, ">= 0", integer=True)
+        require("rng_seed", self.rng_seed, lambda x: x >= 0, ">= 0", integer=True)
         if self.rho is not None:  # None selects the theory default
             require("rho", self.rho, lambda x: x > 0, "> 0")
 

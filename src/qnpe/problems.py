@@ -87,26 +87,30 @@ class PrimalDualBox:
 class Problem:
     """An operator F: R^d -> R^d with its regularity metadata.
 
-    jacobian_matvec and gap are verification/reporting hooks; the solver
-    never calls them.  gap(z, box) is the closed-form box gap of a family that
-    has one (evaluate_gap), None otherwise.  Problems are immutable after
-    construction and safe to share across threads.
+    gap(z, box) is the closed-form box gap of a family that has one
+    (evaluate_gap), None otherwise; the solver never calls it.  The fields are
+    checked once, when the problem is built.  The solver only reads a problem,
+    so one problem can serve concurrent solves, but it is a plain dataclass:
+    an assigned field (perfbench's tracer swaps eval) is not checked again.
     """
 
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
     mu: float
     l1: float
-    l2: float
     structure: StructureSpec
     known_root: np.ndarray | None = None
-    jacobian_matvec: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     gap: Callable[[np.ndarray, PrimalDualBox], float] | None = None
 
     def __post_init__(self) -> None:
+        require("dim", self.dim, lambda x: x >= 1, ">= 1", integer=True)
         require("l1", self.l1, lambda x: x > 0, "> 0")
         require("mu", self.mu, lambda x: 0 <= x <= self.l1, f"in [0, l1] = [0, {self.l1}]")
         s, d = self.structure, self.dim
+        root = self.known_root
+        if root is not None and not (np.shape(root) == (d,) and np.all(np.isfinite(root))):
+            raise ValueError(f"known_root must be a finite vector of shape ({d},), "
+                             f"got shape {np.shape(root)}")
         if isinstance(s, JSymmetric) and (min(s.m, s.n) < 0 or s.m + s.n != d):
             raise ValueError(f"structure {s} needs m + n = dim = {d}")
         if self.gap is not None and not isinstance(s, JSymmetric):  # its box splits z = (x, y)
@@ -210,20 +214,18 @@ def make_quadratic_min(d: int, mu: float, l1: float, seed: int) -> Problem:
     z_star = rng.standard_normal(d)
     a_f = a.T  # a's Fortran-ordered view, which dsymv reads with no copy
 
-    def apply_a(v: np.ndarray) -> np.ndarray:
-        if np.shape(v) != (d,):  # dsymv reads a prefix of a longer vector
-            raise ValueError(f"expected a vector of length {d}, got shape {np.shape(v)}")
-        return dsymv(1.0, a_f, v)
+    def f(z: np.ndarray) -> np.ndarray:
+        if np.shape(z) != (d,):  # z - z_star would broadcast a length-1 z
+            raise ValueError(f"expected a vector of length {d}, got shape {np.shape(z)}")
+        return dsymv(1.0, a_f, z - z_star)
 
     return Problem(
         dim=d,
-        eval=lambda z: apply_a(z - z_star),
+        eval=f,
         mu=mu,
         l1=l1,
-        l2=0.0,
         structure=Symmetric(),
         known_root=z_star,
-        jacobian_matvec=lambda z, v: apply_a(v),
     )
 
 
@@ -240,7 +242,6 @@ def make_logsumexp_min(
     row_norms = np.linalg.norm(amat, axis=1)
     max_norm = float(row_norms.max()) if n_terms > 0 else 0.0
     l1 = mu + max_norm**2 / rho
-    l2 = 2.0 * max_norm**3 / rho**2  # conservative analytic bound
 
     def softmax_weights(z: np.ndarray) -> np.ndarray:
         t = (amat @ z - bvec) / rho
@@ -255,10 +256,6 @@ def make_logsumexp_min(
         pi = softmax_weights(z)
         return (amat.T * pi) @ amat / rho - np.outer(amat.T @ pi, amat.T @ pi) / rho + mu * np.eye(d)
 
-    def jacobian_matvec(z: np.ndarray, v: np.ndarray) -> np.ndarray:  # jac(z) @ v, no d x d array
-        pi, av = softmax_weights(z), amat @ v
-        return amat.T @ (pi * (av - pi.dot(av))) / rho + mu * v
-
     z_star = _damped_newton_root(f, jac, np.zeros(d))
 
     return Problem(
@@ -266,10 +263,8 @@ def make_logsumexp_min(
         eval=f,
         mu=mu,
         l1=l1,
-        l2=l2,
         structure=Symmetric(),
         known_root=z_star,
-        jacobian_matvec=jacobian_matvec,
     )
 
 
@@ -313,10 +308,8 @@ def make_bilinear_minimax(m: int, n: int, mu: float, l1: float, seed: int) -> Pr
         eval=f,
         mu=mu,
         l1=l1,
-        l2=0.0,
         structure=JSymmetric(m, n),
         known_root=np.zeros(d),
-        jacobian_matvec=lambda z, v: f(v),  # F is linear with F(0) = 0
         gap=gap,
     )
 
@@ -324,7 +317,7 @@ def make_bilinear_minimax(m: int, n: int, mu: float, l1: float, seed: int) -> Pr
 def make_sparse_equation(d: int, avg_degree: int, mu: float, l1: float, seed: int) -> Problem:
     """F(z) = M z + eps*tanh(z) - c with M supported on a random pattern Omega
     (plus diagonal), sym(M) >= mu I and ||M||_op + eps <= l1, eps = l1 / 5.
-    F and its Jacobian apply M in CSR form; only the root solve reads M dense."""
+    F applies M in CSR form; only the root solve reads M dense."""
     eps_frac = 0.2
     if not (0 <= avg_degree < d):
         raise ValueError("require 0 <= avg_degree < d")
@@ -367,17 +360,14 @@ def make_sparse_equation(d: int, avg_degree: int, mu: float, l1: float, seed: in
         return mmat + np.diag(eps / np.cosh(z) ** 2)
 
     z_star = _damped_newton_root(f, jac, np.zeros(d))
-    l2 = eps * 0.8  # |d^2/dz^2 tanh| <= 4/(3*sqrt(3)) < 0.77
 
     return Problem(
         dim=d,
         eval=f,
         mu=mu,
         l1=l1,
-        l2=l2,
         structure=Sparse(pattern),
         known_root=z_star,
-        jacobian_matvec=lambda z, v: apply_m(v) + eps / np.cosh(z) ** 2 * v,
     )
 
 

@@ -167,6 +167,20 @@ def test_run_bad_z0_scale_exits_2_and_writes_nothing(tmp_path, capsys, scale):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "-3"), ("--threads", "0"), ("--threads", "-1")])
+def test_run_bad_seed_or_threads_exits_2_and_writes_nothing(tmp_path, capsys, flag, value):
+    # an EG run that needs no solver seed comes first in the batch
+    import qnpe.cli
+
+    cfg = write_config(tmp_path / "cfg.json",
+                       dict(BASIC, solvers=[{"name": "eg", "z0_scale": 1.0}, BASIC["solvers"][0]]))
+    out = tmp_path / "out"
+    assert qnpe.cli.main(["run", cfg, "--out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and flag in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["problems", "solvers"])
 def test_run_non_object_entry_exits_2_and_writes_nothing(tmp_path, capsys, key):
     import qnpe.cli

@@ -35,10 +35,8 @@ def identity_problem():
         eval=lambda z: z.copy(),
         mu=1.0,
         l1=1.0,
-        l2=0.0,
         structure=Symmetric(),
         known_root=np.zeros(1),
-        jacobian_matvec=lambda z, v: v.copy(),
     )
 
 
@@ -59,7 +57,7 @@ def test_starting_at_root_stops_immediately():
 
 @pytest.mark.parametrize(
     "bad", [{"alpha2": 0.0}, {"beta": 1.5}, {"max_iterations": -1}, {"stop_tolerance": -1.0},
-            {"rho": 0.0}]
+            {"rho": 0.0}, {"rng_seed": -3}, {"rng_seed": 1.5}]
 )
 def test_invalid_constants_rejected_before_any_step(bad):
     # the config is checked when built, so also at the root, where no step is taken
@@ -310,6 +308,32 @@ def test_certificates_catch_tampered_steps():
     assert "step-size-floor" in failing
 
 
+@pytest.mark.parametrize("column, row, value, check", [
+    ("cond_a_margin", 3, -math.inf, "inexact-solve-condition"),
+    ("cond_a_margin", 0, math.nan, "inexact-solve-condition"),
+    ("eta", 4, math.nan, "step-size-floor"),
+    ("dist", 4, math.nan, "per-iteration-contraction"),
+], ids=["cond_a-minus-inf", "cond_a-nan-first", "eta-nan", "dist-nan"])
+def test_a_non_finite_value_fails_the_certificate_that_reads_it(column, row, value, check):
+    """A NaN or -inf in one row fails each check that reads that column; only
+    a column that is NaN throughout (an EG trace, an unknown root) skips it."""
+    p = make_quadratic_min(20, 0.1, 1, seed=1)
+    config = sm_config(max_iterations=30)
+    _, _, trace = solve(p, config)
+    assert trace.iterations == 30
+    assert verify_iteration_certificates(trace, p, config).all_passed
+    tampered = copy.deepcopy(trace)
+    setattr(tampered.rows[row], column, value)
+    report = verify_iteration_certificates(tampered, p, config)
+    assert check in {c.name for c in report.checks if not c.passed}
+    for r in tampered.rows:
+        setattr(r, column, math.nan)
+    tampered.final_dist = math.nan
+    report = verify_iteration_certificates(tampered, p, config)
+    if column != "eta":  # no trace has an all-NaN eta column, and its check always runs
+        assert check not in {c.name for c in report.checks}
+
+
 def test_certificates_catch_expansion():
     p, config, trace = healthy_run()
     bad = copy.deepcopy(trace)
@@ -378,7 +402,7 @@ def test_a_problem_that_supplies_its_own_gap_gets_the_default_gap_certificate():
                      - np.minimum(cy * box.x_lo, cy * box.x_hi).sum())
 
     p = Problem(dim=m + n, eval=lambda z: np.concatenate([c @ z[m:], -c.T @ z[:m]]), mu=0.0,
-                l1=1.0, l2=0.0, structure=JSymmetric(m, n), known_root=np.zeros(m + n), gap=gap)
+                l1=1.0, structure=JSymmetric(m, n), known_root=np.zeros(m + n), gap=gap)
     config = SolverConfig(mode=Mode.MONOTONE, max_iterations=40, stop_tolerance=1e-12)
     _, z_bar, trace = solve(p, config, z0=0.4 * np.ones(m + n))
     report = verify_iteration_certificates(trace, p, config)

@@ -56,19 +56,12 @@ def sampled_lipschitz_max(problem, n_pairs=200, scale=2.0, seed=1):
     return worst
 
 
-def check_fd_jacobian(problem, n_dirs=5, h=1e-6, seed=2):
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(problem.dim)
-    for _ in range(n_dirs):
-        v = rng.standard_normal(problem.dim)
-        fd = (problem.eval(z + h * v) - problem.eval(z - h * v)) / (2 * h)
-        jv = problem.jacobian_matvec(z, v)
-        assert np.linalg.norm(fd - jv) <= 1e-4 * problem.l1 * np.linalg.norm(v)
-
-
-def dense_jacobian(problem, z):
-    """The Jacobian at z, one jacobian_matvec per basis vector."""
-    return np.column_stack([problem.jacobian_matvec(z, e) for e in np.eye(problem.dim)])
+def fd_jacobian(problem, z, h=1.0):
+    """The Jacobian at z by central differences, column j being
+    (F(z + h e_j) - F(z - h e_j)) / 2h: exact up to rounding when F is linear,
+    and column j is exactly 0 in each row of F that never reads z_j."""
+    return np.column_stack([(problem.eval(z + h * e) - problem.eval(z - h * e)) / (2 * h)
+                            for e in np.eye(problem.dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +77,7 @@ def test_quadratic_1d_is_shifted_identity():
 
 def test_quadratic_spectrum_attains_endpoints():
     p = make_quadratic_min(10, 0.1, 1.0, seed=7)
-    a = dense_jacobian(p, np.zeros(10))
+    a = fd_jacobian(p, np.zeros(10))
     assert np.allclose(a, a.T)
     eigs = np.linalg.eigvalsh(a)
     assert abs(eigs[0] - 0.1) <= 1e-12
@@ -102,7 +95,10 @@ def test_quadratic_sampled_monotonicity_in_band():
 def test_quadratic_root_and_jacobian(seed):
     p = make_quadratic_min(8, 0.3, 2.0, seed=seed)
     assert np.linalg.norm(p.eval(p.known_root)) <= 1e-12
-    check_fd_jacobian(p)
+    a = fd_jacobian(p, np.zeros(8))
+    assert np.max(np.abs(a - a.T)) <= 1e-12
+    eigs = np.linalg.eigvalsh(a)
+    assert 0.3 - 1e-12 <= eigs[0] and eigs[-1] <= 2.0 + 1e-12
 
 
 def test_quadratic_rejects_bad_args():
@@ -140,34 +136,12 @@ def test_logsumexp_gradient_matches_objective():
         assert abs(fd - p.eval(z)[j]) <= 1e-6
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_logsumexp_jacobian_hook_is_the_dense_definition(seed):
-    """The hook, which forms no d x d array, is the dense Jacobian
-    (A^T diag(pi) A - (A^T pi)(A^T pi)^T) / rho + mu I times v, with pi the
-    softmax weights at z, on the generator's data redrawn from its seed."""
-    d, n_terms, mu, rho = 40, 300, 0.1, 0.5
-    p = make_logsumexp_min(d, n_terms, mu=mu, smoothing=rho, seed=seed)
-    gen = np.random.default_rng(seed)
-    amat = gen.standard_normal((n_terms, d)) / np.sqrt(d)
-    bvec = gen.standard_normal(n_terms)
-    rng = np.random.default_rng(seed + 10)
-    for _ in range(3):
-        z, v = rng.standard_normal(d), rng.standard_normal(d)
-        t = (amat @ z - bvec) / rho
-        pi = np.exp(t - t.max())
-        pi /= pi.sum()
-        g = amat.T @ pi
-        jac = (amat.T @ np.diag(pi) @ amat - np.outer(g, g)) / rho + mu * np.eye(d)
-        _assert_close(p.jacobian_matvec(z, v), jac @ v)
-
-
 def test_logsumexp_regularity_bounds_hold_on_samples():
     p = make_logsumexp_min(5, 12, mu=0.3, smoothing=0.5, seed=5)
     lo, _ = sampled_monotonicity_range(p)
     assert lo >= p.mu / 1.001
     assert sampled_lipschitz_max(p) <= p.l1 * 1.001
     assert np.linalg.norm(p.eval(p.known_root)) <= 1e-10
-    check_fd_jacobian(p)
     assert isinstance(p.structure, Symmetric)
 
 
@@ -187,7 +161,7 @@ def test_bilinear_is_monotone_not_strongly():
 
 def test_bilinear_jacobian_is_j_symmetric_and_scaled():
     p = make_bilinear_minimax(3, 5, mu=0.2, l1=1.5, seed=2)
-    j = dense_jacobian(p, np.zeros(8))
+    j = fd_jacobian(p, np.zeros(8))
     sgn = np.concatenate([np.ones(3), -np.ones(5)])
     resid = j - sgn[:, None] * j.T * sgn[None, :]
     assert np.max(np.abs(resid)) <= 1e-12
@@ -204,7 +178,7 @@ def test_sparse_jacobian_respects_pattern():
     p = make_sparse_equation(12, 3, mu=0.2, l1=2.0, seed=13)
     assert isinstance(p.structure, Sparse)
     rng = np.random.default_rng(8)
-    j = dense_jacobian(p, rng.standard_normal(12))
+    j = fd_jacobian(p, rng.standard_normal(12))
     allowed = np.zeros((12, 12), dtype=bool)
     np.fill_diagonal(allowed, True)
     for (i, k) in p.structure.pattern:
@@ -218,7 +192,6 @@ def test_sparse_regularity_and_root():
     assert lo >= p.mu * 0.999
     assert sampled_lipschitz_max(p) <= p.l1 * 1.001
     assert np.linalg.norm(p.eval(p.known_root)) <= 1e-10
-    check_fd_jacobian(p)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +211,7 @@ def test_primal_dual_box_gap_matches_a_dense_reference():
     # reads C from the problem's own operator, J = [[mu I, C], [-C^T, mu I]]
     m, n, mu = 4, 7, 0.3
     p = make_bilinear_minimax(m, n, mu, 1.5, seed=12)
-    c = dense_jacobian(p, np.zeros(m + n))[:m, m:]
+    c = fd_jacobian(p, np.zeros(m + n))[:m, m:]
     rng = np.random.default_rng(12)
     box = PrimalDualBox(-rng.uniform(0.5, 2, m), rng.uniform(0.5, 2, m),
                         -rng.uniform(0.5, 2, n), rng.uniform(0.5, 2, n))
@@ -263,7 +236,7 @@ def test_primal_dual_box_gap_matches_a_dense_reference():
 
 
 def _identity_problem(structure, d=20):
-    return Problem(dim=d, eval=lambda z: z, mu=1.0, l1=1.0, l2=0.0, structure=structure)
+    return Problem(dim=d, eval=lambda z: z, mu=1.0, l1=1.0, structure=structure)
 
 
 @pytest.mark.parametrize("structure", [
@@ -280,13 +253,27 @@ def test_structure_that_does_not_fit_the_dimension_is_rejected(structure):
 def test_a_gap_needs_the_primal_dual_split_of_jsymmetric_structure():
     # the gap's box splits z into (x, y), which only JSymmetric structure defines
     with pytest.raises(ValueError, match="gap needs JSymmetric"):
-        Problem(dim=4, eval=lambda z: z, mu=0.0, l1=1.0, l2=0.0, structure=Symmetric(),
+        Problem(dim=4, eval=lambda z: z, mu=0.0, l1=1.0, structure=Symmetric(),
                 gap=lambda z, box: 0.0)
 
 
 def test_structure_that_fits_the_dimension_is_accepted():
     _identity_problem(Sparse(frozenset({(3, 3), (0, 19), (19, 0)})))  # the diagonal too
     _identity_problem(JSymmetric(8, 12))
+
+
+@pytest.mark.parametrize("bad", [{"dim": 0}, {"dim": 2.5}, {"known_root": np.zeros(1)},
+                                 {"known_root": np.zeros(4)},
+                                 {"known_root": np.array([0.0, math.nan, 0.0])}],
+                         ids=["dim_zero", "dim_fraction", "root_broadcasts", "root_too_long",
+                              "root_nan"])
+def test_dimension_and_root_that_do_not_fit_are_rejected(bad):
+    """dim an integer >= 1 and known_root a finite vector of shape (dim,),
+    checked when the problem is built rather than inside a solve."""
+    fields = dict(dim=3, eval=lambda z: z, mu=1.0, l1=1.0, structure=Symmetric(),
+                  known_root=np.zeros(3))
+    with pytest.raises(ValueError, match="dim" if "dim" in bad else "known_root"):
+        Problem(**{**fields, **bad})
 
 
 @pytest.mark.parametrize("bad", [{"l1": 0.0, "mu": 0.0}, {"l1": math.inf}, {"mu": -0.1},
@@ -381,11 +368,11 @@ def test_quadratic_operator_is_the_dense_definition(seed):
     assert np.array_equal(p.known_root, z_star)
     rng = np.random.default_rng(seed + 10)
     for _ in range(3):
-        z, v = rng.standard_normal(d), rng.standard_normal(d)
+        z = rng.standard_normal(d)
         _assert_close(p.eval(z), a @ (z - z_star))
-        _assert_close(p.jacobian_matvec(z, v), a @ v)
-    with pytest.raises(ValueError, match="length"):
-        p.jacobian_matvec(z, np.zeros(d + 1))
+    for bad in (np.zeros(d + 1), np.zeros(1)):  # a length-1 z must not broadcast
+        with pytest.raises(ValueError, match="length"):
+            p.eval(bad)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -395,9 +382,8 @@ def test_sparse_operator_is_the_dense_definition(seed):
     mmat, eps, cvec = _dense_sparse_equation(d, 3, 0.1, 1.5, seed)
     rng = np.random.default_rng(seed + 10)
     for _ in range(3):
-        z, v = rng.standard_normal(d), rng.standard_normal(d)
+        z = rng.standard_normal(d)
         _assert_close(p.eval(z), mmat @ z + eps * np.tanh(z) - cvec)
-        _assert_close(p.jacobian_matvec(z, v), (mmat + np.diag(eps / np.cosh(z) ** 2)) @ v)
 
 
 def _closure_arrays(fn):
@@ -417,20 +403,16 @@ def _closure_arrays(fn):
     (lambda: make_logsumexp_min(200, 4000, mu=0.1, smoothing=0.5, seed=1), 4200),
 ], ids=["quadratic", "bilinear", "sparse", "logsumexp"])
 def test_operator_call_allocates_vectors_not_a_matrix(maker, bound_len):
-    """One call of F, and of its Jacobian hook, peaks below 64 vectors of the
-    operator's size."""
+    """One call of F peaks below 64 vectors of the operator's size."""
     p = maker()
-    rng = np.random.default_rng(0)
-    z, v = rng.standard_normal(p.dim), rng.standard_normal(p.dim)
-    for call in (lambda: p.eval(z), lambda: p.jacobian_matvec(z, v)):
-        call()  # first call outside the measurement
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * bound_len * 8
+    z = np.random.default_rng(0).standard_normal(p.dim)
+    p.eval(z)  # first call outside the measurement
+    tracemalloc.start()
+    try:
+        p.eval(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * bound_len * 8
     if isinstance(p.structure, Sparse):
-        hooks = (p.eval, p.jacobian_matvec)
-        assert all(a.size < p.dim * p.dim for fn in hooks for a in _closure_arrays(fn))
+        assert all(a.size < p.dim * p.dim for a in _closure_arrays(p.eval))

@@ -141,6 +141,31 @@ def test_every_definition_is_read_outside_tests():
     assert not dead, f"defined but never read outside tests: {dead}"
 
 
+def test_every_field_is_read_outside_tests():
+    """An annotated field of a class of src/qnpe that no module of the package,
+    no demo and no perfbench script reads as an attribute (`x.field`, or
+    getattr with a constant name) is written and never used: it is dead."""
+    read = set()
+    for path in sorted((ROOT / "src" / "qnpe").glob("*.py")) + CALLERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    unread = [
+        f"{path.name}: {cls.name}.{node.target.id}"
+        for path in sorted((ROOT / "src" / "qnpe").glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        and node.target.id not in read
+    ]
+    assert not unread, f"fields never read outside tests: {unread}"
+
+
 def test_every_raise_names_one_of_the_package_error_types():
     """A failed solve raises SolverError; a bad argument or config raises
     ValueError, TypeError or ConfigError; a generator that cannot build its
