@@ -8,12 +8,7 @@ from .driver import (
     extragradient_baseline,
     solve,
 )
-from .learner import (
-    LearnerParams,
-    LossObservation,
-    learner_init,
-    observe_loss,
-)
+from .learner import Learner, observe_loss
 from .linear_solver import CglsStart, KrylovBasis, linear_solve
 from .problems import (
     GenerationError,
@@ -41,8 +36,7 @@ __all__ = [
     "GenerationError",
     "JSymmetric",
     "KrylovBasis",
-    "LearnerParams",
-    "LossObservation",
+    "Learner",
     "Mode",
     "PrimalDualBox",
     "Problem",
@@ -55,7 +49,6 @@ __all__ = [
     "evaluate_gap",
     "ext_evec",
     "extragradient_baseline",
-    "learner_init",
     "linear_solve",
     "make_bilinear_minimax",
     "make_logsumexp_min",

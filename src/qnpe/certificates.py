@@ -106,10 +106,12 @@ def verify_iteration_certificates(
 
     # backtracking lower bound: a step accepted after an observed rejection has
     # eta > alpha2 beta ||s~|| / ||F(z~) - F(z) - B s~|| = alpha2 beta / sqrt(loss)
-    observed = [r for r in rows if r.loss > 0]  # NaN: no observation
+    # (NaN: no observation, 0: an underflowed one; a negative loss fails)
+    observed = [r for r in rows if r.loss != 0 and not math.isnan(r.loss)]
     if observed:
         scale = config.alpha2 * config.beta * (1 - 1e-10)
-        worst = _worst([r.eta - scale / math.sqrt(r.loss) for r in observed])
+        worst = _worst([r.eta - scale / math.sqrt(r.loss) if r.loss > 0 else -math.inf
+                        for r in observed])
         report.checks.append(CertificateCheck("backtracking-lower-bound", worst > 0, worst))
 
     # averaged-iterate gap bound (monotone mode), by default on the unit box for

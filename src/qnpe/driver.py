@@ -7,8 +7,8 @@ keeps the eta-weighted average of the z_hat iterates and records one trace
 row, by one counting rule for both solvers.  The solver's step runs the
 backtracking line search, takes theta = 1 / (1 + 2 eta mu), and — only when
 the line search backtracked and its last rejected trial is finite and moved z
-— feeds the model-mismatch loss at that rejected iterate to the online
-learner.  The baseline's step is z_hat = z - eta F(z) with theta = 1.
+— hands that rejected trial to the online learner, which returns its
+model-mismatch loss.  The baseline's step is z_hat = z - eta F(z) with theta = 1.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
-from .learner import LearnerParams, LossObservation, current_matrix, learner_init, observe_loss
+from .learner import Learner, current_matrix, observe_loss
 from .line_search import backtrack, default_max_backtracks
 from .problems import Problem, SolverError, require
 from .trace import RunTrace, TraceRow
@@ -115,9 +115,12 @@ def _outer_loop(problem: Problem, z0: np.ndarray | None, n_iters: int, stop_tole
     z_hat, z_hat joins the eta-weighted average, and one row records the
     iteration: cum_evals adds 1 + trials and cum_matvecs the step's matvecs.
     The end-of-run totals count F at the final point once, so total_evals is
-    the last row's cum_evals + 1.  This loop alone checks that ||F(z)|| is
-    finite, for both solvers, and sets k on every SolverError of its iteration."""
+    the last row's cum_evals + 1.  This loop alone checks z0's shape and that
+    ||F(z)|| is finite, for both solvers, and sets k on every SolverError of
+    its iteration."""
     z = np.zeros(problem.dim) if z0 is None else np.asarray(z0, dtype=float).copy()
+    if z.shape != (problem.dim,):
+        raise ValueError(f"z0 must be a vector of shape ({problem.dim},), got shape {z.shape}")
     trace.z0 = z.copy()
     cum_evals = cum_matvecs = 0
     eta_sum = 0.0
@@ -168,16 +171,15 @@ def solve(
     mu = problem.mu if config.mode is Mode.STRONGLY_MONOTONE else 0.0
     l1 = problem.l1
     # mu > 0 (strongly monotone mode) is the learner's Option I, mu = 0 its Option II
-    lparams = LearnerParams(problem.structure, problem.dim, mu, l1, rho=config.rho)
-    rng = np.random.default_rng(config.rng_seed)
-    state = learner_init(lparams, rng)
+    learner = Learner(problem.structure, problem.dim, mu, l1,
+                      np.random.default_rng(config.rng_seed), rho=config.rho)
     floor = config.step_size_floor(l1)
     sigma = floor  # the first trial step
 
     def step(z: np.ndarray, g: np.ndarray) -> _Step:
         nonlocal sigma
         out = backtrack(  # W's products and B = c1 W + c0 I's coefficients
-            z, g, *current_matrix(state, lparams), sigma, problem.eval, alpha1=config.alpha1,
+            z, g, *current_matrix(learner), sigma, problem.eval, alpha1=config.alpha1,
             alpha2=config.alpha2, beta=config.beta, mu=mu,
             max_backtracks=default_max_backtracks(sigma, l1, config.alpha2, config.beta),
         )
@@ -196,18 +198,15 @@ def solve(
         cond_b_margin = (config.alpha1 + config.alpha2) * sq * step_norm - cond_b_lhs
 
         loss, matvecs = math.nan, out.matvecs
-        if out.z_tilde is not None:
-            obs = LossObservation(u=out.f_ztilde - g, s=out.z_tilde - z)
-            resid = obs.u - out.b_s_tilde
-            loss = float(resid.dot(resid)) / float(obs.s.dot(obs.s))
-            observe_loss(state, obs, lparams, resid)
-            matvecs += state.last_sep.matvecs
+        if out.observed is not None:
+            loss = observe_loss(learner, *out.observed)
+            matvecs += learner.last_sep.matvecs
         return _Step(eta, 1.0 / (1.0 + 2.0 * eta * mu), out.z_hat, out.f_zhat, out.trial_count,
                      step_norm, matvecs, loss, cond_a_margin, cond_b_margin)
 
     trace = RunTrace(solver="qnpe", meta={
         "mode": config.mode.value, "alpha1": config.alpha1, "alpha2": config.alpha2,
-        "beta": config.beta, "sigma0": floor, "mu": mu, "l1": l1, "p": lparams.p,
+        "beta": config.beta, "sigma0": floor, "mu": mu, "l1": l1, "p": learner.p,
         "rng_seed": config.rng_seed,
     })
     _outer_loop(problem, z0, config.max_iterations, config.stop_tolerance, trace, step)

@@ -15,58 +15,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
 import numpy as np
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
-from .problems import JSymmetric, Sparse, StructureSpec, Symmetric, sparse_matvec
+from .problems import JSymmetric, Sparse, StructureSpec, Symmetric, require, sparse_matvec
 from .separation import sep_feasible
 from .spectral import SepCase, SepResult
 
 
 # the theory step size, keyed by mu > 0: Option I, else Option II
 DEFAULT_RHO = {True: 1.0 / 121.0, False: 1.0 / 81.0}
-
-
-@dataclass
-class LearnerParams:
-    """The learner's constants.  mu > 0 selects Option I (strongly monotone:
-    play inside (1 + delta) C), mu = 0 Option II (monotone: play inside C).
-    rho defaults to the theory's value for the option.  The clip radius is
-    sqrt(dim) and the oracle failure budget p the theory's 0.1."""
-
-    structure: StructureSpec
-    dim: int
-    mu: float
-    l1: float
-    rho: float | None = None
-    p: ClassVar[float] = 0.1  # overall oracle failure budget
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.mu <= self.l1):
-            raise ValueError("require 0 <= mu <= l1")
-        if self.rho is None:
-            self.rho = DEFAULT_RHO[self.mu > 0]
-
-    def delta(self, t: int) -> float:
-        """delta_t: mu / (2 L1) under Option I, 0.5 / (t+1)^(1/4) under Option II."""
-        return self.mu / (2.0 * self.l1) if self.mu > 0 else 0.5 / (t + 1) ** 0.25
-
-    def q(self, t: int) -> float:
-        """q_t = p / (2.5 (t+1) log^2(t+1)) for t >= 1."""
-        return self.p / (2.5 * (t + 1) * math.log(t + 1) ** 2)
-
-
-@dataclass
-class LossObservation:
-    u: np.ndarray  # F(z_tilde) - F(z)
-    s: np.ndarray  # z_tilde - z, nonzero
-
-    def __post_init__(self) -> None:
-        if not math.sqrt(self.s.dot(self.s)) > 0:
-            raise ValueError("observation direction s must be nonzero")
 
 
 def _j_signs(m: int, n: int) -> np.ndarray:
@@ -334,66 +295,92 @@ def new_model(structure: StructureSpec, d: int) -> LowRank | PatternValues:
 
 
 @dataclass
-class LearnerState:
-    t: int
-    model: LowRank | PatternValues  # W's one form, read only through its interface; ||W||_F <= R
-    scale: float  # the played B = L1 W / scale + (L1 + mu) I, never formed
-    last_sep: SepResult | None  # None at t = 0; its matvecs are the last round's oracle's
+class Learner:
+    """The online learner, its constants and its state.  mu > 0 selects Option I
+    (strongly monotone: play inside (1 + delta) C), mu = 0 Option II (monotone:
+    play inside C).  rho defaults to the theory's value for the option, the
+    clip radius is sqrt(dim) and the oracle failure budget p the theory's 0.1.
+    It starts at the center (L1 + mu) I, W_0 = 0, stored without any d x d
+    array: it lies in every structural subspace and in the feasible set, and
+    the updates keep W in both."""
+
+    structure: StructureSpec
+    dim: int
+    mu: float
+    l1: float
     rng: np.random.Generator
+    rho: float | None = None
+    t: int = field(init=False, default=0)
+    model: LowRank | PatternValues = field(init=False)  # W's one form; ||W||_F <= R
+    scale: float = field(init=False, default=1.0)  # B = L1 W / scale + (L1 + mu) I, never formed
+    last_sep: SepResult | None = field(init=False, default=None)  # the last round's oracle
+    p: ClassVar[float] = 0.1  # overall oracle failure budget
+
+    def __post_init__(self) -> None:
+        """Every constant's type and range, checked once when the learner is built."""
+        require("dim", self.dim, lambda x: x >= 1, ">= 1", integer=True)
+        require("l1", self.l1, lambda x: x > 0, "> 0")
+        require("mu", self.mu, lambda x: 0 <= x <= self.l1, f"in [0, l1] = [0, {self.l1}]")
+        if self.rho is None:
+            self.rho = DEFAULT_RHO[self.mu > 0]
+        require("rho", self.rho, lambda x: x > 0, "> 0")
+        self.model = new_model(self.structure, self.dim)
+
+    def delta(self, t: int) -> float:
+        """delta_t: mu / (2 L1) under Option I, 0.5 / (t+1)^(1/4) under Option II."""
+        return self.mu / (2.0 * self.l1) if self.mu > 0 else 0.5 / (t + 1) ** 0.25
+
+    def q(self, t: int) -> float:
+        """q_t = p / (2.5 (t+1) log^2(t+1)) for t >= 1."""
+        return self.p / (2.5 * (t + 1) * math.log(t + 1) ** 2)
 
 
-def learner_init(params: LearnerParams, rng: np.random.Generator) -> LearnerState:
-    """Start at the center (L1 + mu) I, W_0 = 0: it lies in every structural
-    subspace and in the feasible set, and the updates keep W in both.  new_model
-    stores it without any d x d array."""
-    return LearnerState(0, new_model(params.structure, params.dim), 1.0, None, rng)
-
-
-def observe_loss(
-    state: LearnerState, obs: LossObservation, params: LearnerParams, resid: np.ndarray,
-) -> LearnerState:
-    """Consume one loss observation for the currently played matrix, take the
-    online gradient step, and advance to the next played matrix via the
-    separation oracle.  `resid` is u - B s for the played B.  Mutates and
-    returns the state, updating W in place; the oracle's are its only
-    products with W."""
-    s, model = obs.s, state.model
+def observe_loss(learner: Learner, s: np.ndarray, u: np.ndarray, b_s: np.ndarray) -> float:
+    """Play one round: form the loss ||u - B s||^2 / ||s||^2 of the played B at
+    a nonzero s = z~ - z with u = F(z~) - F(z) and b_s = B s, take the online
+    gradient step, advance to the next played matrix via the separation
+    oracle, and return the loss.  Updates W in place; the oracle's are its
+    only products with W."""
     s2 = float(s.dot(s))
-    structure = params.structure
+    if not s2 > 0:
+        raise ValueError("observation direction s must be nonzero")
+    resid = u - b_s
+    loss = float(resid.dot(resid)) / s2
+    model, structure = learner.model, learner.structure
 
     # W <- W - rho (P(grad) / L1 + coeff P(S)), grad = -2 resid s^T / ||s||^2, as factor pairs.
     # In Case II, <P(grad), W> = <grad, W> = -2 resid^T W s / ||s||^2 since W = P(W),
     # and W s = (u - resid - c0 s) / c1 since resid = u - (c1 W + c0 I) s: no product with W.
-    coeff, sep = 0.0, state.last_sep
+    coeff, sep = 0.0, learner.last_sep
     if sep is not None and sep.case is SepCase.CASE_II:
-        _, _, c1, c0 = current_matrix(state, params)
-        w_s = (obs.u - resid - c0 * s) / c1
-        coeff = max(0.0, 2.0 * float(resid.dot(w_s)) / (s2 * params.l1) / sep.gamma)
+        _, _, c1, c0 = current_matrix(learner)
+        w_s = (u - resid - c0 * s) / c1
+        coeff = max(0.0, 2.0 * float(resid.dot(w_s)) / (s2 * learner.l1) / sep.gamma)
     # capped at the largest float, past which the clipped W no longer moves; inf would make NaN
-    step = min(params.rho / (s2 * params.l1), np.finfo(float).max)
+    step = min(learner.rho / (s2 * learner.l1), np.finfo(float).max)
     pairs = _doubled_projection(structure, step * resid, s)
     if coeff:  # Symmetric's S = +-u u^T and General's are in their subspace already
         c, a, b = sep.factors
-        k = -params.rho * coeff * c
+        k = -learner.rho * coeff * c
         pairs += (_doubled_projection(structure, 0.5 * k * a, b)
                   if isinstance(structure, JSymmetric) else [(k * a, b)])
     with np.errstate(over="ignore"):  # a huge step overflows W's Gram update and norm; clip copes
         model.append(pairs)
-        fro = model.clip(math.sqrt(params.dim))
+        fro = model.clip(math.sqrt(learner.dim))
 
-    t_next = state.t + 1
-    delta = params.delta(t_next)
-    sep = sep_feasible(model, fro, delta, params.q(t_next), state.rng)
+    t_next = learner.t + 1
+    delta = learner.delta(t_next)
+    sep = sep_feasible(model, fro, delta, learner.q(t_next), learner.rng)
 
     gamma = 1.0 if sep.case is SepCase.CASE_I else sep.gamma
-    state.scale = gamma if params.mu > 0 else (1.0 + delta) * gamma
-    state.t = t_next
-    state.last_sep = sep
-    return state
+    learner.scale = gamma if learner.mu > 0 else (1.0 + delta) * gamma
+    learner.t = t_next
+    learner.last_sep = sep
+    return loss
 
 
 def current_matrix(
-    state: LearnerState, params: LearnerParams
+    learner: Learner,
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray] | None,
            float, float]:
     """(v -> W v, v -> W^T v, c1, c0) for the played B = c1 W + c0 I =
@@ -401,5 +388,5 @@ def current_matrix(
     None for W^T when Symmetric structure makes W^T = W.  B is never formed
     or applied; the line search folds c1 and c0 into its solves' shift and
     scale."""
-    w_apply_t = None if isinstance(params.structure, Symmetric) else state.model.rmatvec
-    return state.model.matvec, w_apply_t, params.l1 / state.scale, params.l1 + params.mu
+    w_apply_t = None if isinstance(learner.structure, Symmetric) else learner.model.rmatvec
+    return learner.model.matvec, w_apply_t, learner.l1 / learner.scale, learner.l1 + learner.mu

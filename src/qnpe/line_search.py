@@ -40,13 +40,13 @@ class LineSearchOutcome:
     eta: float
     z_hat: np.ndarray
     backtracked: bool
-    z_tilde: np.ndarray | None
     trial_count: int  # one operator evaluation per trial
     f_zhat: np.ndarray
-    f_ztilde: np.ndarray | None
     matvecs: int  # W-products of the inner solves, summed over the trials
     b_s: np.ndarray  # B (z_hat - z), from the inner solve's basis or products
-    b_s_tilde: np.ndarray | None  # B (z_tilde - z) likewise; None with no z_tilde
+    # (z~ - z, F(z~) - g, B s~) of the last rejected trial z~, the learner's
+    # observation; None when no trial was rejected or the last one is unobservable
+    observed: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
 
 def backtrack(
@@ -63,7 +63,7 @@ def backtrack(
     norm_g = math.sqrt(g.dot(g))
 
     matvecs, eta = 0, sigma
-    z_tilde = f_ztilde = report_tilde = None
+    tilde = None  # (z_hat, F(z_hat), report) of the last observable rejected trial
     u = g / norm_g if norm_g else g  # the solves run at unit scale; s and W s scale back
     start = (CglsStart(w_apply, w_apply_t, u) if w_apply_t is not None
              else KrylovBasis(w_apply, u) if g.any() else None)  # a zero g never reads it
@@ -86,14 +86,14 @@ def backtrack(
         rhs = (alpha1 + alpha2) * math.sqrt(1.0 + eta * mu) * math.sqrt(s.dot(s))
         if lhs <= rhs:
             return LineSearchOutcome(
-                eta=eta, z_hat=z_hat, backtracked=trial > 1, z_tilde=z_tilde,
-                trial_count=trial, f_zhat=f_zhat, f_ztilde=f_ztilde, matvecs=matvecs,
-                b_s=b_s(report), b_s_tilde=None if report_tilde is None else b_s(report_tilde),
+                eta=eta, z_hat=z_hat, backtracked=trial > 1, trial_count=trial, f_zhat=f_zhat,
+                matvecs=matvecs, b_s=b_s(report),
+                observed=None if tilde is None else (tilde[0] - z, tilde[1] - g, b_s(tilde[2])),
             )
         # a non-finite trial, or one that did not move z, is rejected but yields
         # no loss observation, and so no backtracking lower bound on the accepted step
         observable = np.all(np.isfinite(f_zhat)) and (z_hat != z).any()
-        z_tilde, f_ztilde, report_tilde = (z_hat, f_zhat, report) if observable else [None] * 3
+        tilde = (z_hat, f_zhat, report) if observable else None
         eta *= beta
 
     raise SolverError(

@@ -25,34 +25,34 @@ def stored_model(structure, d, w):
     return model
 
 
-def dense_w(state):
+def dense_w(learner):
     """W as a dense C-ordered array, exactly in its subspace: P(model.dense())."""
-    return np.ascontiguousarray(project_subspace(state.model.structure, state.model.dense()))
+    return np.ascontiguousarray(project_subspace(learner.model.structure, learner.model.dense()))
 
 
-def from_hat(b_hat, params):
+def from_hat(b_hat, learner):
     """B = L1 B_hat + (L1 + mu) I."""
-    b = np.multiply(params.l1, b_hat)
-    b.flat[:: b.shape[0] + 1] += params.l1 + params.mu
+    b = np.multiply(learner.l1, b_hat)
+    b.flat[:: b.shape[0] + 1] += learner.l1 + learner.mu
     return b
 
 
-def played_matrix(state, params):
+def played_matrix(learner):
     """The played B = L1 W / scale + (L1 + mu) I."""
-    return from_hat(dense_w(state) / state.scale, params)
+    return from_hat(dense_w(learner) / learner.scale, learner)
 
 
-def loss_value(b, obs):
+def loss_value(b, s, u):
     """||u - B s||^2 / ||s||^2."""
-    s2 = float(obs.s @ obs.s)
-    resid = obs.u - b @ obs.s
+    s2 = float(s @ s)
+    resid = u - b @ s
     return float(resid @ resid) / s2
 
 
-def loss_gradient(b, obs):
+def loss_gradient(b, s, u):
     """grad of ||u - B s||^2 / ||s||^2 in B: the rank-one -2 (u - B s) s^T / ||s||^2."""
-    s2 = float(obs.s @ obs.s)
-    return -2.0 * np.outer(obs.u - b @ obs.s, obs.s) / s2
+    s2 = float(s @ s)
+    return -2.0 * np.outer(u - b @ s, s) / s2
 
 
 def dense_s(res):

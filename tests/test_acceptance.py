@@ -18,8 +18,7 @@ from qnpe import (
     CglsStart,
     JSymmetric,
     KrylovBasis,
-    LearnerParams,
-    LossObservation,
+    Learner,
     Mode,
     PrimalDualBox,
     SepCase,
@@ -29,7 +28,6 @@ from qnpe import (
     evaluate_gap,
     ext_evec,
     extragradient_baseline,
-    learner_init,
     linear_solve,
     make_bilinear_minimax,
     make_logsumexp_min,
@@ -147,9 +145,8 @@ def drive_learner(structure, d, mu, l1, seed, rounds=60):
     """Run the learner standalone against a fixed target Jacobian (Option I
     when mu > 0, Option II when mu = 0); returns the dense-classified oracle
     failure count and the list of played matrices."""
-    params = LearnerParams(structure, d, mu, l1)
     rng = np.random.default_rng(seed)
-    state = learner_init(params, rng)
+    learner = Learner(structure, d, mu, l1, rng)
     if isinstance(structure, Symmetric):
         q = np.linalg.qr(rng.standard_normal((d, d)))[0]
         target = (q * rng.uniform(mu, l1, size=d)) @ q.T
@@ -168,10 +165,9 @@ def drive_learner(structure, d, mu, l1, seed, rounds=60):
     played = []
     for _ in range(rounds):
         s = rng.standard_normal(d)
-        obs = LossObservation(u=target @ s, s=s)
-        w_apply, _, c1, c0 = current_matrix(state, params)
-        observe_loss(state, obs, params, obs.u - (c1 * w_apply(s) + c0 * s))
-        sep, delta, w = state.last_sep, params.delta(state.t), dense_w(state)
+        w_apply, _, c1, c0 = current_matrix(learner)
+        observe_loss(learner, s, target @ s, c1 * w_apply(s) + c0 * s)
+        sep, delta, w = learner.last_sep, learner.delta(learner.t), dense_w(learner)
         gamma_true = max(
             np.max(np.abs(np.linalg.eigvalsh(0.5 * (w + w.T)))),
             np.linalg.svd(w, compute_uv=False)[0] / 3.0,
@@ -181,7 +177,7 @@ def drive_learner(structure, d, mu, l1, seed, rounds=60):
                 failures += 1
         elif gamma_true > sep.gamma * (1.0 + delta) * (1.0 + 1e-9):
             failures += 1
-        played.append(played_matrix(state, params))
+        played.append(played_matrix(learner))
     return failures, played
 
 
@@ -277,17 +273,16 @@ def test_criterion_08_loss_gradient_correctness():
         b = rng.standard_normal((d, d))
         u = rng.standard_normal(d)
         s = rng.standard_normal(d)
-        obs = LossObservation(u=u, s=s)
-        g = loss_gradient(b, obs)
+        g = loss_gradient(b, s, u)
         h = 1e-6
         fd = np.zeros((d, d))
         for i in range(d):
             for j in range(d):
                 e = np.zeros((d, d))
                 e[i, j] = h
-                fd[i, j] = (loss_value(b + e, obs) - loss_value(b - e, obs)) / (2 * h)
+                fd[i, j] = (loss_value(b + e, s, u) - loss_value(b - e, s, u)) / (2 * h)
         ok = ok and np.linalg.norm(fd - g) <= 1e-5 * max(1.0, np.linalg.norm(g))
-        ok = ok and np.linalg.norm(g) <= 2.0 * math.sqrt(loss_value(b, obs)) + 1e-10
+        ok = ok and np.linalg.norm(g) <= 2.0 * math.sqrt(loss_value(b, s, u)) + 1e-10
     report(8, "loss-gradient correctness", ok)
 
 

@@ -313,10 +313,14 @@ def test_certificates_catch_tampered_steps():
     ("cond_a_margin", 0, math.nan, "inexact-solve-condition"),
     ("eta", 4, math.nan, "step-size-floor"),
     ("dist", 4, math.nan, "per-iteration-contraction"),
-], ids=["cond_a-minus-inf", "cond_a-nan-first", "eta-nan", "dist-nan"])
+    ("loss", 7, -math.inf, "backtracking-lower-bound"),  # row 7: the first backtracked row
+    ("loss", 7, -1.0, "backtracking-lower-bound"),
+], ids=["cond_a-minus-inf", "cond_a-nan-first", "eta-nan", "dist-nan", "loss-minus-inf",
+        "loss-negative"])
 def test_a_non_finite_value_fails_the_certificate_that_reads_it(column, row, value, check):
-    """A NaN or -inf in one row fails each check that reads that column; only
-    a column that is NaN throughout (an EG trace, an unknown root) skips it."""
+    """A NaN or -inf in one row, or a negative loss, fails each check that
+    reads that column; only a column that is NaN throughout (an EG trace, an
+    unknown root) skips it."""
     p = make_quadratic_min(20, 0.1, 1, seed=1)
     config = sm_config(max_iterations=30)
     _, _, trace = solve(p, config)

@@ -135,6 +135,27 @@ def test_nan_start_is_a_line_search_error():
             solve(problem, SolverConfig(mode=mode, max_iterations=60), z0=z0)
 
 
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_a_start_of_the_wrong_shape_is_rejected_before_any_evaluation(family):
+    """Both solvers name z0 when it is not a vector of shape (dim,), on every
+    family, before F is evaluated; a finite z0 of the right shape runs."""
+    p, mode = FAMILIES[family]
+    problem = p()
+    calls = [0]
+    counted = dataclasses.replace(
+        problem, eval=lambda z: calls.__setitem__(0, calls[0] + 1) or problem.eval(z))
+    d = problem.dim
+    runs = (lambda z0: solve(counted, SolverConfig(mode=mode, max_iterations=2), z0=z0),
+            lambda z0: extragradient_baseline(counted, 0.5 / problem.l1, 2, z0=z0))
+    for z0 in (np.zeros(d + 1), np.zeros(d - 1), np.zeros((1, d)), np.zeros((d, 1)), 0.0):
+        for run in runs:
+            with pytest.raises(ValueError, match=rf"^z0 must be a vector of shape \({d},\)"):
+                run(z0)
+    assert calls[0] == 0
+    for run in runs:
+        assert run(_z0(problem))[2].iterations == 2
+
+
 def test_runaway_operator_exhausts_the_trials():
     p, mode = FAMILIES["quadratic"]
     problem = dataclasses.replace(p(), eval=lambda z: np.expm1(np.exp(z)))  # exp(exp(z)) - 1

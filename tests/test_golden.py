@@ -71,7 +71,7 @@ QNPE_CASES = {
     "sparse_debug": ("sparse", Mode.STRONGLY_MONOTONE, {}),
     "bilinear_monotone": ("bilinear", Mode.MONOTONE, {}),
     "bilinear_monotone_rho": ("bilinear", Mode.MONOTONE, {"rho": 0.5}),
-    # above d = 64, where learner_init used to skip every b0 check
+    # above d = 64, where the learner's start used to skip every b0 check
     "sparse_d100": ("sparse100", Mode.STRONGLY_MONOTONE, {"max_iterations": 60}),
     "quadratic_d100": ("quadratic100", Mode.STRONGLY_MONOTONE, {"rho": 0.5, "max_iterations": 60}),
     # Sparse with Case II results: S from the fused-CSR oracle, projected on the pattern

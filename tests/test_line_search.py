@@ -52,7 +52,7 @@ def test_exact_model_with_exact_solve_accepts_first_trial():
                     **params(alpha1=1e-12), f_eval=f)
     assert out.eta == 50.0
     assert not out.backtracked
-    assert out.z_tilde is None
+    assert out.observed is None
     # z_hat solves z_hat - z + eta F(z_hat) = 0 up to the exact-solve tolerance
     resid = out.z_hat - z + out.eta * f(out.z_hat)
     assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(out.z_hat - z)
@@ -85,15 +85,29 @@ def test_mismatched_model_backtracks_and_keeps_rejected_iterate():
     assert out.matvecs == len(products)  # every trial's inner solve, not only the last
     assert out.eta == pytest.approx(4.0 * 0.5 ** (out.trial_count - 1))
     assert len(evals) == out.trial_count  # one operator evaluation per trial
-    assert out.z_tilde is not None
-    assert np.array_equal(out.f_ztilde, f(out.z_tilde))
-    # the rejected iterate is the previous trial's z_hat: z - sigma*beta^(t-2)*g
+    # the observation is the previous trial's: z_tilde = z - sigma*beta^(t-2)*g
+    s, u, b_s = out.observed
+    assert np.array_equal(s, evals[-2] - z)
+    assert np.array_equal(u, f(evals[-2]) - f(z))
+    assert np.array_equal(b_s, np.zeros(3))  # B = 0
     eta_prev = 4.0 * 0.5 ** (out.trial_count - 2)
-    assert np.allclose(out.z_tilde, z - eta_prev * f(z), atol=1e-12)
+    assert np.allclose(evals[-2], z - eta_prev * f(z), atol=1e-12)
     # accepted step satisfies the proximal condition, recomputed here
     s = out.z_hat - z
     lhs = np.linalg.norm(s + out.eta * f(out.z_hat))
     assert lhs <= 0.5 * np.linalg.norm(s) + 1e-12
+
+
+def test_a_rejected_trial_that_rounds_to_z_is_not_observed():
+    """At z = 1e17 (spacing 16) every trial step of length below 8 rounds
+    z + s back to z: with B = I and a constant F the first four trials are
+    rejected, all at z, and none is handed to the learner."""
+    z, g = 1e17 * np.ones(4), np.ones(4)
+    evals = []
+    out = backtrack(z, g, lambda v: 0 * v, None, 1.0, 1.0, sigma=4.0, **params(),
+                    f_eval=lambda x: evals.append(x) or g)
+    assert out.trial_count == 5 and all(np.array_equal(x, z) for x in evals)
+    assert out.observed is None
 
 
 @pytest.mark.parametrize("symmetric", [False, True])
@@ -162,8 +176,8 @@ def test_shared_basis_changes_only_the_cost(monkeypatch):
         alone = linear_solve(start, 0.0, 1.0, -eta * f(z), rho_tol).solution
         assert np.linalg.norm((z_hat - z) - alone) <= 1e-12 * np.linalg.norm(alone)
     assert calls[0] == out.matvecs == max(r.iterations for r in reports) > 0
-    for b_s, z_end in ((out.b_s, out.z_hat), (out.b_s_tilde, out.z_tilde)):
-        fresh = b @ (z_end - z)
+    for s, b_s in ((out.z_hat - z, out.b_s), (out.observed[0], out.observed[2])):
+        fresh = b @ s
         assert np.linalg.norm(b_s - fresh) <= 1e-12 * np.linalg.norm(fresh)
 
 
@@ -199,8 +213,8 @@ def test_cgls_start_changes_only_the_cost(monkeypatch):
                                             for t, r in enumerate(reports)]
     assert calls["b"] + calls["b_t"] == out.matvecs
     assert calls["b_t"] == sum(r.iterations for r in reports) - len(reports) + 1
-    for b_s, z_end in ((out.b_s, out.z_hat), (out.b_s_tilde, out.z_tilde)):
-        fresh = b @ (z_end - z)
+    for s, b_s in ((out.z_hat - z, out.b_s), (out.observed[0], out.observed[2])):
+        fresh = b @ s
         assert np.linalg.norm(b_s - fresh) <= 1e-12 * np.linalg.norm(fresh)
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qnpe import (
     General,
     JSymmetric,
-    LearnerParams,
+    Learner,
     SepCase,
     Sparse,
     Symmetric,
@@ -100,9 +100,17 @@ def test_projection_never_increases_frobenius_norm(seed):
 
 
 def test_feasible_params_validation():
-    for mu in (2.0, -0.1, np.nan):
-        with pytest.raises(ValueError, match="mu <= l1"):
-            LearnerParams(General(), 4, mu=mu, l1=1.0)
+    """Each constant is checked once, when the learner is built: l1 = 0 would
+    divide by zero in the first round, l1 = inf fail the oracle's delta check,
+    rho = -1 step uphill, and rho = NaN fail deep in Lanczos."""
+    cases = ([("mu", mu) for mu in (2.0, -0.1, np.nan)]
+             + [("l1", l1) for l1 in (0.0, -1.0, np.inf, np.nan)]
+             + [("rho", rho) for rho in (-1.0, 0.0, np.nan, np.inf)]
+             + [("dim", dim) for dim in (0, 1.5, True)])
+    for name, value in cases:
+        kwargs = {"dim": 4, "mu": 0.0, "l1": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            Learner(General(), rng=np.random.default_rng(0), **kwargs)
 
 
 # ---------------------------------------------------------------------------
