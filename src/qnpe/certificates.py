@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .driver import Mode, SolverConfig
+from .driver import FLOOR_SLACK, Mode, SolverConfig
 from .problems import PrimalDualBox, Problem, evaluate_gap
 from .trace import RunTrace
 
@@ -44,6 +44,9 @@ def verify_iteration_certificates(
     config: SolverConfig,
     gap_spec: PrimalDualBox | None = None,
 ) -> CertificateReport:
+    """Re-check the guarantees from the rows (Σ η included), z0, z_bar, final_dist
+    and final_norm_F.  A check of the dist or a margin column is skipped when the
+    whole column is NaN (an unknown root, an EG trace); one NaN in it fails it."""
     report = CertificateReport()
     rows = trace.rows
     if not rows:
@@ -61,8 +64,6 @@ def verify_iteration_certificates(
 
     l1 = problem.l1
     mu = problem.mu if config.mode is Mode.STRONGLY_MONOTONE else 0.0
-    # each check family is skipped only when its whole column is NaN (an
-    # unknown root, an EG trace); one NaN in a column it reads fails it
     dists = trace.dists()
 
     # per-iteration contraction / nonexpansion
@@ -85,7 +86,7 @@ def verify_iteration_certificates(
 
     # step-size floor
     floor = config.step_size_floor(l1)
-    worst = _worst([r.eta for r in rows]) - (floor - 1e-12)
+    worst = _worst([r.eta for r in rows]) - (floor - FLOOR_SLACK)
     report.checks.append(CertificateCheck("step-size-floor", worst >= 0, worst))
 
     # operator-evaluation budget (trace rows count one base eval + trials per iteration)

@@ -51,9 +51,9 @@ SOLVER_FIELDS = {
     "qnpe": {f.name for f in fields(SolverConfig)} - {"rng_seed"},
     "eg": {"step_size", "n_iters"},
 }
-# the sidecar's copies of the trace's start/end points and totals
+# what a sidecar adds to its trace CSV, whose rows give the totals
 POINT_FIELDS = ("z0", "z_final", "z_bar")
-TOTAL_FIELDS = ("eta_sum", "final_norm_F", "final_dist", "total_evals", "total_matvecs")
+FINAL_FIELDS = ("final_norm_F", "final_dist")
 
 
 class ConfigError(ValueError):
@@ -167,17 +167,18 @@ def _parse_config(path: str, seed: int | None, threads: int) -> tuple[dict, list
     return cfg, specs
 
 
-def _execute_run(spec: RunSpec) -> dict:
-    """One run's result; a run that raises carries the error in place of a
-    trace, so that one bad run does not abort the batch."""
+def _execute_run(spec: RunSpec, out: Path) -> tuple[dict, RunTrace | None]:
+    """Run one spec and write its trace CSV and sidecar, or the error file of
+    a run that raises, so that one bad run does not abort the batch.  Returns
+    the run's summary entry and trace, or its error record and None."""
     problem, solver = spec.problem, spec.solver
-    result = {
+    record = {  # the header that the sidecar and the error file share
         "run_id": spec.run_id,
         "solver": "qnpe" if isinstance(solver, SolverConfig) else "eg",
+        "solver_desc": spec.solver_desc,
         "rep": spec.rep,
         "seed": spec.seed,
         "problem": spec.problem_desc,
-        "solver_desc": spec.solver_desc,
     }
     t0 = time.perf_counter()
     try:
@@ -192,59 +193,51 @@ def _execute_run(spec: RunSpec) -> dict:
             _, _, trace = extragradient_baseline(problem, *solver, z0=z0)
             report = None
     except Exception as exc:  # solver-side failure of this run only
-        return {**result, "error": type(exc).__name__, "message": str(exc),
-                "traceback": traceback.format_exc()}
-    return {**result, "trace": trace, "report": report, "wall_time": time.perf_counter() - t0}
-
-
-def _write_run(out_dir: Path, result: dict) -> dict:
-    trace: RunTrace = result["trace"]
-    csv_path = out_dir / f"{result['run_id']}.csv"
-    csv_path.write_text(trace_to_csv(trace))
-
-    sidecar = {k: result[k] for k in ("run_id", "solver", "solver_desc", "rep", "seed", "problem")}
-    sidecar["meta"] = trace.meta
-    for k in POINT_FIELDS:
-        z = getattr(trace, k)
-        sidecar[k] = z.tolist() if z is not None else None
-    sidecar.update((k, getattr(trace, k)) for k in TOTAL_FIELDS)
-    (out_dir / f"{result['run_id']}.json").write_text(json.dumps(sidecar, indent=2))
+        record.update(error=type(exc).__name__, message=str(exc),
+                      traceback=traceback.format_exc())
+        (out / f"{spec.run_id}{ERROR_SUFFIX}").write_text(json.dumps(record, indent=2))
+        return record, None
 
     summary = {
-        "run_id": result["run_id"],
-        "solver": result["solver"],
+        "run_id": spec.run_id,
+        "solver": record["solver"],
         "iterations": trace.iterations,
         "final_norm_F": trace.final_norm_F,
         "final_dist": trace.final_dist,
         "operator_evals": trace.total_evals,
         "matvecs": trace.total_matvecs,
-        "wall_time": result["wall_time"],
+        "wall_time": time.perf_counter() - t0,
     }
-    if result["report"] is not None:
-        summary["certificates_passed"] = result["report"].all_passed
-        summary["certificates"] = result["report"].lines()
-    return summary
+    if report is not None:
+        summary["certificates_passed"] = report.all_passed
+        summary["certificates"] = report.lines()
+    (out / f"{spec.run_id}.csv").write_text(trace_to_csv(trace))
+    sidecar = {**record, "meta": trace.meta}
+    sidecar.update((k, getattr(trace, k)) for k in POINT_FIELDS + FINAL_FIELDS)
+    (out / f"{spec.run_id}.json").write_text(
+        json.dumps(sidecar, indent=2, default=np.ndarray.tolist))
+    return summary, trace
 
 
 def _run_batch(cfg: dict, specs: list[RunSpec], out: Path,
-               threads: int) -> tuple[int, list[dict]]:
+               threads: int) -> tuple[int, list[tuple[dict, RunTrace]]]:
     """Run the checked specs and write every output file; returns the exit
-    code and the runs' results, failed ones included."""
+    code and the completed runs' summary entries and traces."""
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True))
 
+    # each run writes only its own files, so the threads share no file
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(_execute_run, specs))
-    failed = [r for r in results if "error" in r]
-    for r in failed:
-        print(f"solver error in {r['run_id']}: {r['message']}", file=sys.stderr)
-        (out / f"{r['run_id']}{ERROR_SUFFIX}").write_text(json.dumps(r, indent=2))
-    summaries = [_write_run(out, r) for r in results if "error" not in r]
-    (out / "summary.json").write_text(json.dumps(summaries, indent=2))
+        runs = list(pool.map(lambda spec: _execute_run(spec, out), specs))
+    completed = [run for run in runs if run[1] is not None]
+    failed = [entry for entry, trace in runs if trace is None]
+    for entry in failed:
+        print(f"solver error in {entry['run_id']}: {entry['message']}", file=sys.stderr)
+    (out / "summary.json").write_text(json.dumps([s for s, _ in completed], indent=2))
 
     cert_lines = []
     all_pass = True
-    for s in summaries:
+    for s, _ in completed:
         if "certificates" in s:
             cert_lines.append(f"== {s['run_id']} ==")
             cert_lines.extend(s["certificates"])
@@ -254,7 +247,7 @@ def _run_batch(cfg: dict, specs: list[RunSpec], out: Path,
     if not all_pass:
         print("certificate failure; see certificates.txt", file=sys.stderr)
     code = EXIT_SOLVER if failed else EXIT_OK if all_pass else EXIT_CERTIFICATE
-    return code, results
+    return code, completed
 
 
 def cmd_run(config_path: str, out_dir: str, seed: int | None, threads: int) -> int:
@@ -273,7 +266,7 @@ def _sidecars(out: Path) -> list[Path]:
 
 def _read_run(path: Path, cache: dict[str, Problem]) -> tuple[
         RunTrace, Problem, SolverConfig | tuple[float, int]]:
-    """A sidecar's run: its trace, with the sidecar's points and totals
+    """A sidecar's run: its trace, with the sidecar's points and final values
     restored, its problem (built once per descriptor in `cache`) and its solver."""
     try:
         sidecar = json.loads(path.read_text())
@@ -281,11 +274,10 @@ def _read_run(path: Path, cache: dict[str, Problem]) -> tuple[
         for k in ("meta", "problem", "solver_desc"):
             if not isinstance(sidecar[k], dict):
                 raise TypeError(f"field {k!r} must be a JSON object")
-        trace.solver, trace.meta = sidecar["solver"], sidecar["meta"]
         for k in POINT_FIELDS:
             setattr(trace, k, None if sidecar[k] is None else np.array(sidecar[k], dtype=float))
-        for k in TOTAL_FIELDS:
-            setattr(trace, k, sidecar[k])
+        for k in FINAL_FIELDS:
+            setattr(trace, k, float(sidecar[k]))
         problem = _problem(sidecar["problem"], cache)
         if any(getattr(trace, k) is not None and getattr(trace, k).shape != (problem.dim,)
                for k in POINT_FIELDS):
@@ -322,16 +314,16 @@ def cmd_compare(config_path: str, out_dir: str, seed: int | None, threads: int) 
         return EXIT_CONFIG
 
     out = Path(out_dir)
-    code, results = _run_batch(cfg, specs, out, threads)
+    code, completed = _run_batch(cfg, specs, out, threads)
     csv_lines = ["run_id,solver,epsilon,iterations,operator_evals,matvecs"]
     txt_lines = [f"{'run':28s} {'solver':8s} {'eps':>8s} {'iters':>8s} {'evals':>8s} {'matvecs':>8s}"]
     # this batch's completed runs only, whatever else the directory holds
-    for r in sorted((r for r in results if "error" not in r), key=lambda r: r["run_id"]):
+    for s, trace in sorted(completed, key=lambda run: run[0]["run_id"]):
         for eps in (1e-2, 1e-4, 1e-6):
-            costs = _cost_to_accuracy(r["trace"], eps)  # (iterations, evals, matvecs)
-            csv_lines.append(f"{r['run_id']},{r['solver']},{eps:g},"
+            costs = _cost_to_accuracy(trace, eps)  # (iterations, evals, matvecs)
+            csv_lines.append(f"{s['run_id']},{s['solver']},{eps:g},"
                              + ",".join("" if c is None else str(c) for c in costs))
-            txt_lines.append(f"{r['run_id']:28s} {r['solver']:8s} {eps:>8g} "
+            txt_lines.append(f"{s['run_id']:28s} {s['solver']:8s} {eps:>8g} "
                              + " ".join(f"{'-' if c is None else c:>8}" for c in costs))
     (out / "compare.csv").write_text("\n".join(csv_lines) + "\n")
     (out / "compare.txt").write_text("\n".join(txt_lines) + "\n")

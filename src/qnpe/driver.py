@@ -33,6 +33,8 @@ class Mode(Enum):
 
 # the c of the step-size floor alpha2 * beta / (c * L1), per mode
 FLOOR_DENOMINATOR = {Mode.STRONGLY_MONOTONE: 7.5, Mode.MONOTONE: 5.0}
+# an accepted step may fall this far below the floor, here and in its certificate
+FLOOR_SLACK = 1e-12
 
 
 @dataclass
@@ -114,16 +116,14 @@ def _outer_loop(problem: Problem, z0: np.ndarray | None, n_iters: int, stop_tole
     takes step(z, F(z)).  Then z+ = theta (z - eta F(z_hat)) + (1 - theta)
     z_hat, z_hat joins the eta-weighted average, and one row records the
     iteration: cum_evals adds 1 + trials and cum_matvecs the step's matvecs.
-    The end-of-run totals count F at the final point once, so total_evals is
-    the last row's cum_evals + 1.  This loop alone checks z0's shape and that
-    ||F(z)|| is finite, for both solvers, and sets k on every SolverError of
-    its iteration."""
+    The trace derives its totals from these rows.  This loop alone checks
+    z0's shape and that ||F(z)|| is finite, for both solvers, and sets k on
+    every SolverError of its iteration."""
     z = np.zeros(problem.dim) if z0 is None else np.asarray(z0, dtype=float).copy()
     if z.shape != (problem.dim,):
         raise ValueError(f"z0 must be a vector of shape ({problem.dim},), got shape {z.shape}")
     trace.z0 = z.copy()
     cum_evals = cum_matvecs = 0
-    eta_sum = 0.0
     zbar_acc = np.zeros(problem.dim)
     for k in range(n_iters + 1):  # the last pass only evaluates F at the final point
         g = problem.eval(z)
@@ -143,7 +143,6 @@ def _outer_loop(problem: Problem, z0: np.ndarray | None, n_iters: int, stop_tole
         cum_evals += st.trials
         cum_matvecs += st.matvecs
         z_next = st.theta * (z - st.eta * st.f_zhat) + (1.0 - st.theta) * st.z_hat
-        eta_sum += st.eta
         zbar_acc += st.eta * st.z_hat
         trace.rows.append(TraceRow(
             k=k, eta=st.eta, theta=st.theta, norm_F=norm_g, dist=_dist(z, problem.known_root),
@@ -153,12 +152,9 @@ def _outer_loop(problem: Problem, z0: np.ndarray | None, n_iters: int, stop_tole
         ))
         z = z_next
     trace.z_final = z
-    trace.z_bar = zbar_acc / eta_sum if eta_sum > 0 else None
-    trace.eta_sum = eta_sum
+    trace.z_bar = zbar_acc / trace.eta_sum if trace.eta_sum > 0 else None
     trace.final_norm_F = norm_g
     trace.final_dist = _dist(z, problem.known_root)
-    trace.total_evals = cum_evals
-    trace.total_matvecs = cum_matvecs
 
 
 def solve(
@@ -184,7 +180,7 @@ def solve(
             max_backtracks=default_max_backtracks(sigma, l1, config.alpha2, config.beta),
         )
         eta = out.eta
-        if eta < floor - 1e-12:  # the step-size-floor certificate's own threshold
+        if eta < floor - FLOOR_SLACK:
             raise SolverError("driver", f"accepted eta={eta:.3e} is below the step-size floor "
                                         f"{floor:.3e}; check F's values and L1")
         sigma = eta / config.beta
@@ -204,7 +200,7 @@ def solve(
         return _Step(eta, 1.0 / (1.0 + 2.0 * eta * mu), out.z_hat, out.f_zhat, out.trial_count,
                      step_norm, matvecs, loss, cond_a_margin, cond_b_margin)
 
-    trace = RunTrace(solver="qnpe", meta={
+    trace = RunTrace(meta={
         "mode": config.mode.value, "alpha1": config.alpha1, "alpha2": config.alpha2,
         "beta": config.beta, "sigma0": floor, "mu": mu, "l1": l1, "p": learner.p,
         "rng_seed": config.rng_seed,
@@ -228,6 +224,6 @@ def extragradient_baseline(
         z_hat = z - step_size * g
         return _Step(step_size, 1.0, z_hat, problem.eval(z_hat), 1, _norm(z_hat - z))
 
-    trace = RunTrace(solver="eg", meta={"step_size": step_size})
+    trace = RunTrace(meta={"step_size": step_size})
     _outer_loop(problem, z0, n_iters, 0.0, trace, step)
     return trace.z_final, trace.z_bar, trace

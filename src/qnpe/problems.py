@@ -143,13 +143,12 @@ def _damped_newton_root(
     f: Callable[[np.ndarray], np.ndarray],
     jac: Callable[[np.ndarray], np.ndarray],
     z0: np.ndarray,
-    tol: float = 1e-12,
-    max_iters: int = 200,
 ) -> np.ndarray:
-    """Dense damped Newton with halving backtracking on ||F||."""
+    """Dense damped Newton with halving backtracking, to ||F|| <= 1e-12 in 200 steps."""
+    tol = 1e-12
     z = z0.astype(float).copy()
     fz = f(z)
-    for _ in range(max_iters):
+    for _ in range(200):
         nrm = np.linalg.norm(fz)
         if nrm <= tol:
             return z
@@ -235,12 +234,13 @@ def make_logsumexp_min(
     """F = grad of rho*log(sum_i exp((a_i.z - b_i)/rho)) + (mu/2)||z||^2."""
     if mu <= 0 or smoothing <= 0:
         raise ValueError("require mu > 0 and smoothing > 0")
+    require("n_terms", n_terms, lambda n: n >= 1, ">= 1", integer=True)
     rng = np.random.default_rng(seed)
     rho = smoothing
     amat = rng.standard_normal((n_terms, d)) / np.sqrt(d)
     bvec = rng.standard_normal(n_terms)
     row_norms = np.linalg.norm(amat, axis=1)
-    max_norm = float(row_norms.max()) if n_terms > 0 else 0.0
+    max_norm = float(row_norms.max())
     l1 = mu + max_norm**2 / rho
 
     def softmax_weights(z: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ identical runs produce byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
@@ -32,9 +34,6 @@ class TraceRow:
     cum_evals: int  # adds 1 + trials per row
     cum_matvecs: int
 
-    def as_list(self) -> list:
-        return [getattr(self, c) for c in COLUMNS]
-
 
 COLUMNS = [f.name for f in fields(TraceRow)]  # the CSV's column order
 _PARSERS = {int: int, float: float, bool: lambda text: text == "1"}  # by field type
@@ -43,21 +42,32 @@ _COLUMN_PARSERS = [_PARSERS[t] for t in map(get_type_hints(TraceRow).get, COLUMN
 
 @dataclass
 class RunTrace:
-    solver: str
+    """One run's rows, start and end points and final values; its totals are
+    derived from the rows, so a trace read back from its CSV has the solver's."""
+
     rows: list[TraceRow] = field(default_factory=list)
     z0: np.ndarray | None = None
     z_final: np.ndarray | None = None
     z_bar: np.ndarray | None = None
-    eta_sum: float = 0.0
     final_norm_F: float = math.nan
     final_dist: float = math.nan
-    total_evals: int = 0  # every F evaluation, so the last row's cum_evals + 1 (1 with no rows)
-    total_matvecs: int = 0
     meta: dict = field(default_factory=dict)
 
     @property
     def iterations(self) -> int:
         return len(self.rows)
+
+    @property
+    def eta_sum(self) -> float:  # left to right, as the driver adds; sum() compensates from 3.12
+        return functools.reduce(operator.add, (r.eta for r in self.rows), 0.0)
+
+    @property
+    def total_evals(self) -> int:  # every F evaluation: the final point's adds 1 to the last row's
+        return self.rows[-1].cum_evals + 1 if self.rows else 1
+
+    @property
+    def total_matvecs(self) -> int:
+        return self.rows[-1].cum_matvecs if self.rows else 0
 
     def dists(self) -> np.ndarray:
         """Distances ||z_k - z*|| for k = 0..N, including the final iterate."""
@@ -75,7 +85,7 @@ def _fmt(x) -> str:
 def trace_to_csv(trace: RunTrace) -> str:
     lines = [f"# {TRACE_VERSION}", ",".join(COLUMNS)]
     for row in trace.rows:
-        lines.append(",".join(_fmt(v) for v in row.as_list()))
+        lines.append(",".join(_fmt(getattr(row, c)) for c in COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -86,7 +96,7 @@ def trace_from_csv(text: str) -> RunTrace:
     header = lines[1].split(",")
     if header != COLUMNS:
         raise ValueError("unexpected trace columns")
-    trace = RunTrace(solver="")
+    trace = RunTrace()
     for i, ln in enumerate(lines[2:], start=3):
         parts = ln.split(",")
         if len(parts) != len(COLUMNS):

@@ -109,12 +109,15 @@ QNPE_ENTRY = {"name": "qnpe", "mode": "strongly_monotone"}
     ({"solvers": [dict(QNPE_ENTRY, p=0.1)]}, "'p'"),  # fixed by the theory
     ({"solvers": [dict(QNPE_ENTRY, max_iteration=3)]}, "max_iteration"),
     ({"problems": [dict(BASIC["problems"][0], mu_=0.5)]}, "mu_"),
+    ({"problems": [{"family": "logsumexp_min", "d": 4, "n_terms": 0, "mu": 0.5,
+                    "smoothing": 0.7, "seed": 0}]}, "n_terms must be"),
     ({"repetitions": True}, "repetitions"),
 ], ids=["eg_step_size", "qnpe_max_backtracks", "qnpe_negative_rho",
         "qnpe_radius_unknown_field", "qnpe_string_max_iterations", "qnpe_fractional_max_iterations",
         "qnpe_fractional_max_backtracks", "qnpe_string_stop_tolerance", "qnpe_sigma0",
         "qnpe_alpha1", "qnpe_p",
-        "qnpe_misspelt_field", "misspelt_problem_field", "boolean_repetitions"])
+        "qnpe_misspelt_field", "misspelt_problem_field", "logsumexp_zero_n_terms",
+        "boolean_repetitions"])
 def test_run_invalid_solver_field_exits_2_and_writes_nothing(tmp_path, fields, message):
     path = write_config(tmp_path / "cfg.json", dict(BASIC, **fields))
     proc = run_cli("run", path, "--out", str(tmp_path / "o"))
@@ -235,6 +238,33 @@ def test_verify_round_trip_and_tampering(tmp_path):
     assert run_cli("verify", str(out)).returncode == 3
 
 
+def test_verify_sums_the_step_sizes_from_the_csv(tmp_path, capsys):
+    """The averaged-gap bound divides by the sum of the steps, which verify
+    takes from the CSV's rows: an eta_sum key in the sidecar, as older sidecars
+    held, is not read, so scaling it changes neither the output nor the code."""
+    import qnpe.cli
+
+    cfg = write_config(tmp_path / "cfg.json", {
+        "problems": [{"family": "bilinear_minimax", "m": 10, "n": 10, "mu": 0.0, "l1": 1.0,
+                      "seed": 1}],
+        "solvers": [{"name": "qnpe", "mode": "monotone", "max_iterations": 50,
+                     "z0_scale": 1.0}],
+    })
+    out = tmp_path / "out"
+    assert qnpe.cli.cmd_run(cfg, str(out), None, 1) == 0
+    capsys.readouterr()
+    assert qnpe.cli.cmd_verify(str(out)) == 0
+    before = capsys.readouterr().out
+    assert "PASS averaged-gap-bound" in before
+    (path,) = out.glob("run_*.json")
+    rows = (out / f"{path.stem}.csv").read_text().splitlines()[2:]
+    sidecar = json.loads(path.read_text())
+    sidecar["eta_sum"] = 1e6 * sum(float(row.split(",")[1]) for row in rows)
+    path.write_text(json.dumps(sidecar, indent=2))
+    assert qnpe.cli.cmd_verify(str(out)) == 0
+    assert capsys.readouterr().out == before
+
+
 def test_verify_empty_dir_exits_2(tmp_path):
     empty = tmp_path / "nothing"
     empty.mkdir()
@@ -252,9 +282,11 @@ def test_verify_empty_dir_exits_2(tmp_path):
         lambda sc: {**sc, "meta": [1]},
         lambda sc: {**sc, "z_final": ["a"]},
         lambda sc: {**sc, "z_final": sc["z_final"][1:]},
+        lambda sc: {**sc, "final_dist": "x"},
     ],
     ids=["without-meta", "a-list", "problem-not-an-object", "solver_desc-not-an-object",
-         "meta-not-an-object", "z_final-not-numbers", "z_final-wrong-length"],
+         "meta-not-an-object", "z_final-not-numbers", "z_final-wrong-length",
+         "final_dist-not-a-number"],
 )
 def test_verify_reports_a_malformed_sidecar_as_corrupt_run_data(tmp_path, capsys, corrupt):
     import qnpe.cli

@@ -136,6 +136,12 @@ def test_logsumexp_gradient_matches_objective():
         assert abs(fd - p.eval(z)[j]) <= 1e-6
 
 
+@pytest.mark.parametrize("n_terms", [0, -1, 2.5])
+def test_logsumexp_rejects_a_term_count_below_one_or_fractional(n_terms):
+    with pytest.raises(ValueError, match="^n_terms must be"):
+        make_logsumexp_min(4, n_terms, mu=0.5, smoothing=0.7, seed=0)
+
+
 def test_logsumexp_regularity_bounds_hold_on_samples():
     p = make_logsumexp_min(5, 12, mu=0.3, smoothing=0.5, seed=5)
     lo, _ = sampled_monotonicity_range(p)
